@@ -21,7 +21,7 @@
 
 use gprq_bench::{corel_tree, road_tree, Args};
 use gprq_core::{
-    BfBounds, BfCatalog, FringeMode, PrqExecutor, PrqQuery, RrCatalog, SharedSamplesEvaluator,
+    BfBounds, BfCatalog, FringeMode, MonteCarloEvaluator, PrqExecutor, PrqQuery, RrCatalog,
     StrategySet, ThetaRegion,
 };
 use gprq_gaussian::integrate::{
@@ -70,7 +70,7 @@ fn main() {
     }
     let cat_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
     println!("per-query radius derivation: exact {exact_us:.1} µs, catalog {cat_us:.1} µs");
-    let mut eval = SharedSamplesEvaluator::<2>::new(100_000, seed);
+    let mut eval = MonteCarloEvaluator::<2>::new(100_000, seed);
     let exact_run = PrqExecutor::new(StrategySet::ALL)
         .execute(&tree, &query, &mut eval)
         .unwrap();
@@ -171,7 +171,7 @@ fn main() {
         };
         let t = Instant::now();
         let stats = if shared {
-            let mut eval = SharedSamplesEvaluator::<2>::new(100_000, seed);
+            let mut eval = MonteCarloEvaluator::<2>::new(100_000, seed);
             PrqExecutor::new(StrategySet::ALL)
                 .execute(&tree, &query, &mut eval)
                 .unwrap()
@@ -225,7 +225,7 @@ fn main() {
         ("paper (off in 9-D)", FringeMode::PaperFaithful),
         ("generalized (on)", FringeMode::AllDimensions),
     ] {
-        let mut eval = SharedSamplesEvaluator::<9>::new(50_000, seed);
+        let mut eval = MonteCarloEvaluator::<9>::new(50_000, seed);
         let outcome = PrqExecutor::new(StrategySet::RR)
             .with_fringe_mode(mode)
             .execute(&tree9, &q9, &mut eval)

@@ -9,7 +9,7 @@
 //! ```
 
 use gprq_bench::{row, Args};
-use gprq_core::{PrqExecutor, PrqQuery, SharedSamplesEvaluator, StrategySet};
+use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};
 use gprq_gaussian::chi::chi_inverse;
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::{RStarParams, RTree};
@@ -52,7 +52,7 @@ fn run_dim<const D: usize>(n: usize, samples: usize, seed: u64) -> [String; 5] {
     // Query spread scales with δ so the uncertainty stays comparable
     // to the search range (σ = 0.3·δ on even axes, 0.45·δ on odd).
     let query = PrqQuery::new(Vector::<D>::splat(extent / 2.0), cov, delta, 0.1).expect("valid");
-    let mut eval = SharedSamplesEvaluator::<D>::new(samples, seed);
+    let mut eval = MonteCarloEvaluator::<D>::new(samples, seed);
     let outcome = PrqExecutor::new(StrategySet::ALL)
         .execute(&tree, &query, &mut eval)
         .expect("executes");

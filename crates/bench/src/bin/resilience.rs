@@ -1,6 +1,8 @@
 //! **Resilience bench guard** — Phase-3 sample counts on the seed
 //! workload with and without Wilson-interval early termination, written
-//! to `BENCH_resilience.json` so the saving is tracked over time.
+//! to `BENCH_resilience.json` so the saving is tracked over time. The
+//! count is `cloud_samples_tested`: for the sequential evaluator, the
+//! sum over objects of the samples each one was evaluated over.
 //!
 //! The baseline evaluator spends the full per-object budget on every
 //! candidate (the paper's fixed-sample regime); the sequential evaluator
@@ -67,11 +69,11 @@ fn main() {
     }
     let [with_ci, without_ci] = totals;
 
-    let ratio = with_ci.phase3_samples as f64 / without_ci.phase3_samples.max(1) as f64;
+    let ratio = with_ci.cloud_samples_tested as f64 / without_ci.cloud_samples_tested.max(1) as f64;
     println!("                        with CI      without CI");
     println!(
-        "phase3 samples      {:>12} {:>14}",
-        with_ci.phase3_samples, without_ci.phase3_samples
+        "samples tested      {:>12} {:>14}",
+        with_ci.cloud_samples_tested, without_ci.cloud_samples_tested
     );
     println!(
         "integrations        {:>12} {:>14}",
@@ -90,15 +92,15 @@ fn main() {
     let json = format!(
         "{{\n  \"n\": {n},\n  \"trials\": {trials},\n  \"samples_per_object\": {samples},\n  \
          \"delta\": {delta},\n  \"theta\": {theta},\n  \"seed\": {seed},\n  \
-         \"with_early_termination\": {{\n    \"phase3_samples\": {}, \"integrations\": {}, \
+         \"with_early_termination\": {{\n    \"samples_tested\": {}, \"integrations\": {}, \
          \"early_terminations\": {}, \"uncertain\": {}\n  }},\n  \
-         \"without_early_termination\": {{\n    \"phase3_samples\": {}, \"integrations\": {}, \
+         \"without_early_termination\": {{\n    \"samples_tested\": {}, \"integrations\": {}, \
          \"early_terminations\": {}, \"uncertain\": {}\n  }},\n  \"sample_ratio\": {ratio:.6}\n}}\n",
-        with_ci.phase3_samples,
+        with_ci.cloud_samples_tested,
         with_ci.integrations,
         with_ci.early_terminations,
         with_ci.uncertain,
-        without_ci.phase3_samples,
+        without_ci.cloud_samples_tested,
         without_ci.integrations,
         without_ci.early_terminations,
         without_ci.uncertain,
@@ -109,11 +111,11 @@ fn main() {
 
     // Guard: the whole point of the sequential evaluator.
     assert!(
-        with_ci.phase3_samples < without_ci.phase3_samples,
+        with_ci.cloud_samples_tested < without_ci.cloud_samples_tested,
         "early termination must reduce Phase-3 samples \
          ({} vs {})",
-        with_ci.phase3_samples,
-        without_ci.phase3_samples
+        with_ci.cloud_samples_tested,
+        without_ci.cloud_samples_tested
     );
     // Both modes are Monte Carlo, so truly borderline objects can land
     // differently — but the answer sets must agree to within a handful

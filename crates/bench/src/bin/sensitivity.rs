@@ -17,7 +17,7 @@
 //! ```
 
 use gprq_bench::{road_tree, row, strategy_header, Args};
-use gprq_core::{PrqExecutor, PrqQuery, SharedSamplesEvaluator, StrategySet};
+use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};
 use gprq_linalg::Matrix;
 use gprq_workloads::{eq34_covariance, random_query_centers, rotated_covariance_2d};
 
@@ -39,7 +39,7 @@ fn main() {
             let mut total = 0usize;
             for (t, (_, center)) in centers.iter().enumerate() {
                 let query = PrqQuery::new(*center, sigma, delta, theta).expect("valid");
-                let mut eval = SharedSamplesEvaluator::<2>::new(samples, seed + t as u64);
+                let mut eval = MonteCarloEvaluator::<2>::new(samples, seed + t as u64);
                 let outcome = PrqExecutor::new(set)
                     .execute(&tree, &query, &mut eval)
                     .expect("executes");

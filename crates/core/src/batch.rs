@@ -30,7 +30,9 @@
 //! ))
 //! ```
 //!
-//! run. This holds by construction, not by accident:
+//! run — every counter except `phase3_samples`, which counts samples
+//! *drawn*: a Σ-cache hit re-centers a cached table and draws nothing.
+//! This holds by construction, not by accident:
 //!
 //! * the per-query cloud seed ([`cloud_seed`]) mixes the base seed with
 //!   the covariance bits only — so two same-Σ queries map to the same
@@ -41,7 +43,10 @@
 //!   the same float operation sequence as a fresh draw
 //!   (`SampleCloud::from_offsets` parity tests);
 //! * grid probes are pure functions of (grid, candidate, δ), and the
-//!   flattened worker partition never splits a sample stream.
+//!   flattened worker partition never splits a sample stream;
+//! * each query's fused probabilities are then replayed through the
+//!   executor's one Phase-3 stage, which classifies and flushes them
+//!   exactly as it does a solo query's.
 //!
 //! Estimator caveat (same as the PR-5 shared cloud, one level up):
 //! same-Σ queries share one sample cloud, so their Monte-Carlo errors
@@ -52,8 +57,9 @@
 //!
 //! Under the `fault-inject` feature, `QueryBatch::execute_with_faults`
 //! consults `FaultSite::BatchAbort` once per query: a tripped query is
-//! dropped from the fused Phase-3 pass and recovered through a solo
-//! Phase-3 re-run with the same derived cloud seed — its answers are
+//! dropped from the fused Phase-3 pass and recovered by running the
+//! Phase-3 stage with a `MonteCarloEvaluator` on the same derived cloud
+//! seed — its answers are
 //! bitwise identical, only its wall-clock differs — and is reported with
 //! [`BatchOutcome::recovered`] set plus a `prq_batch_aborts_total` tick.
 //! Unaffected queries never see the fault.
@@ -62,7 +68,8 @@
 //! [`SearchStats`]: gprq_rtree::SearchStats
 
 use crate::error::PrqError;
-use crate::executor::{PrqExecutor, QueryStats};
+use crate::evaluator::{EvalFailure, EvalReport, MonteCarloEvaluator, ProbabilityEvaluator};
+use crate::executor::{EvalBudget, Phase3, PrqExecutor, PrqOutcome, QueryStats};
 use crate::ext::parallel::{BatchPhase3Item, ParallelIntegrator};
 use crate::metrics::Phase;
 use crate::query::PrqQuery;
@@ -232,7 +239,7 @@ impl<const D: usize> SigmaFactorCache<D> {
 }
 
 /// Result of one query inside a batch — the batch analogue of
-/// [`PrqOutcome`](crate::PrqOutcome), extended with the Phase-3 work
+/// [`PrqOutcome`], extended with the Phase-3 work
 /// list and its probabilities so callers (and the parity suite) can see
 /// exactly what was integrated.
 #[derive(Debug)]
@@ -408,7 +415,7 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         let t0 = Instant::now();
         let mut probes: Vec<(usize, Rect<D>)> = Vec::with_capacity(n);
         for (q, plan) in plans.iter().enumerate() {
-            if let Some(rect) = plan.search_rect(&queries[q])? {
+            if let Some(rect) = plan.search_rect(&queries[q]) {
                 probes.push((q, rect));
             }
         }
@@ -482,14 +489,17 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         let mut batch_hits = 0usize;
         let mut batch_misses = 0usize;
         let mut grids: Vec<CloudGrid<D>> = Vec::with_capacity(live.len());
+        let mut drawn: Vec<usize> = Vec::with_capacity(live.len());
         for &q in &live {
             let gaussian = queries[q].gaussian();
             let seed = cloud_seed(self.integrator.seed, gaussian);
             let (idx, hit) = self.cache.get_or_draw(gaussian, budget, seed);
             if hit {
                 batch_hits += 1;
+                drawn.push(0);
             } else {
                 batch_misses += 1;
+                drawn.push(budget.get());
             }
             grids.push(CloudGrid::build_recentered(
                 gaussian.mean(),
@@ -511,77 +521,107 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
             .collect();
         let (probs, cloud_stats) = self.integrator.batch_probabilities(&items, metrics);
         drop(items);
-
-        let mut probabilities: Vec<Vec<f64>> = (0..n).map(|_| Vec::new()).collect();
-        for (&q, (pvec, mut cs)) in live.iter().zip(probs.into_iter().zip(cloud_stats)) {
-            stats[q].integrations = work[q].len();
-            // The solo evaluator counts its one grid build in
-            // `begin_query`; attribute the (possibly cached) build here.
-            cs.builds = 1;
-            stats[q].absorb_cloud(&cs);
-            for (j, &(point, data)) in work[q].iter().enumerate() {
-                if pvec[j] >= queries[q].theta() {
-                    answers[q].push((point, data));
-                }
-            }
-            probabilities[q] = pvec;
+        let mut fused: Vec<Option<Replay>> = (0..n).map(|_| None).collect();
+        for ((&q, samples_drawn), (probabilities, cloud)) in live
+            .iter()
+            .zip(drawn)
+            .zip(probs.into_iter().zip(cloud_stats))
+        {
+            fused[q] = Some(Replay {
+                probabilities: probabilities.into_iter(),
+                samples: budget.get(),
+                // The solo evaluator counts its one grid build (and its
+                // draw) in `begin_query`; attribute the possibly cached
+                // build here.
+                cloud: CloudStats {
+                    builds: 1,
+                    samples_drawn,
+                    ..cloud
+                },
+            });
         }
 
-        // --- Recovery: solo Phase-3 re-run for aborted queries. --------
-        for q in (0..n).filter(|&q| aborted[q]) {
-            if let Some(m) = metrics {
-                m.record_batch_abort();
-            }
-            let gaussian = queries[q].gaussian();
-            let mut rng = StdRng::seed_from_u64(cloud_seed(self.integrator.seed, gaussian));
-            let cloud = SampleCloud::draw(gaussian, budget, &mut rng);
-            let grid = CloudGrid::build(&cloud);
-            let mut cs = CloudStats {
-                builds: 1,
-                ..CloudStats::default()
-            };
-            for &(point, data) in &work[q] {
-                stats[q].integrations += 1;
-                let p = grid.probability_with_stats(point, queries[q].delta(), &mut cs);
-                probabilities[q].push(p);
-                if p >= queries[q].theta() {
-                    answers[q].push((point, data));
+        // --- Classify and flush: once per query, in index order. -------
+        // Fused queries replay their probabilities through the Phase-3
+        // stage; aborted ones run it solo on the same derived seed.
+        let mut stage = Phase3::new(EvalBudget::paper_default(), metrics);
+        let mut outcomes = Vec::with_capacity(n);
+        for (q, ((st, ans), intg)) in stats.into_iter().zip(answers).zip(work).enumerate() {
+            let mut out = PrqOutcome::new(st);
+            out.answers = ans;
+            let mut probabilities = Vec::with_capacity(intg.len());
+            let query = &queries[q];
+            match fused[q].take() {
+                Some(mut replay) => {
+                    stage.run(
+                        query,
+                        &intg,
+                        &mut replay,
+                        &mut out,
+                        Some(&mut probabilities),
+                    );
+                }
+                None => {
+                    if let Some(m) = metrics {
+                        m.record_batch_abort();
+                    }
+                    let seed = cloud_seed(self.integrator.seed, query.gaussian());
+                    let mut solo = MonteCarloEvaluator::new(budget.get(), seed);
+                    stage.run(query, &intg, &mut solo, &mut out, Some(&mut probabilities));
                 }
             }
-            stats[q].absorb_cloud(&cs);
+            outcomes.push(BatchOutcome {
+                answers: out.answers,
+                integrated: intg,
+                probabilities,
+                stats: out.stats,
+                recovered: aborted[q],
+            });
         }
         let phase3_each = share(t2.elapsed());
-        for st in &mut stats {
-            st.phase3_time = phase3_each;
+        for o in &mut outcomes {
+            o.stats.phase3_time = phase3_each;
         }
         if let Some(span) = span3 {
             span.finish();
-        }
-
-        // --- Flush: once per query, in index order, plus the batch. ----
-        let mut outcomes = Vec::with_capacity(n);
-        for (q, ((st, ans), (intg, prob))) in stats
-            .iter_mut()
-            .zip(answers)
-            .zip(work.into_iter().zip(probabilities))
-            .enumerate()
-        {
-            st.answers = ans.len();
-            if let Some(m) = metrics {
-                m.record_query(st);
-            }
-            outcomes.push(BatchOutcome {
-                answers: ans,
-                integrated: intg,
-                probabilities: prob,
-                stats: *st,
-                recovered: aborted[q],
-            });
         }
         if let Some(m) = metrics {
             m.record_batch(n, batch_hits, batch_misses);
         }
         Ok(outcomes)
+    }
+}
+
+/// One fused query's Phase-3 result, replayed in work-list order so the
+/// query classifies and flushes through the same stage as a solo query.
+/// It decides every object, measured over the whole cloud.
+#[derive(Debug)]
+struct Replay {
+    probabilities: std::vec::IntoIter<f64>,
+    samples: usize,
+    cloud: CloudStats,
+}
+
+impl<const D: usize> ProbabilityEvaluator<D> for Replay {
+    fn probability(&mut self, _gaussian: &Gaussian<D>, _center: &Vector<D>, _delta: f64) -> f64 {
+        // One probability per work-list entry, by construction.
+        self.probabilities.next().unwrap_or(0.0)
+    }
+
+    fn evaluate(
+        &mut self,
+        gaussian: &Gaussian<D>,
+        center: &Vector<D>,
+        delta: f64,
+        theta: f64,
+        _max_samples: usize,
+    ) -> Result<EvalReport, EvalFailure> {
+        let estimate = self.probability(gaussian, center, delta);
+        Ok(EvalReport::decided(estimate, theta, self.samples))
+    }
+
+    fn take_cloud_stats(&mut self) -> CloudStats {
+        std::mem::take(&mut self.cloud)
     }
 }
 

@@ -13,7 +13,6 @@
 //! oracle, not bit-parity with the old per-candidate path, gates
 //! correctness.
 
-use crate::resilience::Verdict;
 use gprq_gaussian::cloud::{CloudGrid, CloudStats, SampleCloud};
 use gprq_gaussian::integrate::{quadrature_probability_2d, RunningEstimate, PAPER_MC_SAMPLES};
 use gprq_gaussian::Gaussian;
@@ -27,7 +26,12 @@ use std::num::NonZeroUsize;
 ///
 /// Implementations may be stateful (RNG streams, cached sample clouds);
 /// the executor calls [`ProbabilityEvaluator::begin_query`] once per query
-/// so caches can be (re)built for the query's distribution.
+/// so caches can be (re)built for the query's distribution. Phase 3 itself
+/// calls [`ProbabilityEvaluator::evaluate`], which classifies against `θ`
+/// under a per-object sample budget; its default compares
+/// [`ProbabilityEvaluator::probability`] with `θ` exactly, so an evaluator
+/// only has to implement `probability`. An unbudgeted run is one under
+/// [`EvalBudget::UNLIMITED`](crate::executor::EvalBudget::UNLIMITED).
 pub trait ProbabilityEvaluator<const D: usize> {
     /// Called once before a query's Phase 3 with the query distribution.
     fn begin_query(&mut self, _gaussian: &Gaussian<D>) {}
@@ -35,9 +39,36 @@ pub trait ProbabilityEvaluator<const D: usize> {
     /// Estimates `Pr(‖x − center‖ ≤ delta)` for `x ~ gaussian`.
     fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64;
 
-    /// Drains the accumulated shared-cloud statistics (grid builds, cells
-    /// scanned/inside, samples distance-tested), resetting them to zero.
-    /// Evaluators without a cloud return the zero default.
+    /// Classifies `Pr(‖x − center‖ ≤ delta)` against `θ` using at most
+    /// `max_samples` draws, with the verdict explicit about confidence —
+    /// [`Verdict::Uncertain`] when the budget ran out with the answer
+    /// still unsettled.
+    ///
+    /// The default computes [`ProbabilityEvaluator::probability`]
+    /// (ignoring the budget), compares it with `θ` exactly, and reports
+    /// zero samples — right for deterministic evaluators.
+    ///
+    /// # Errors
+    ///
+    /// * [`EvalFailure::NoBudget`] when a sampling evaluator gets
+    ///   `max_samples == 0`,
+    /// * [`EvalFailure::Injected`] when a fault plan aborts the call.
+    fn evaluate(
+        &mut self,
+        gaussian: &Gaussian<D>,
+        center: &Vector<D>,
+        delta: f64,
+        theta: f64,
+        _max_samples: usize,
+    ) -> Result<EvalReport, EvalFailure> {
+        let estimate = self.probability(gaussian, center, delta);
+        Ok(EvalReport::decided(estimate, theta, 0))
+    }
+
+    /// Drains the accumulated shared-cloud statistics (grid builds,
+    /// samples drawn, cells scanned/inside, samples distance-tested),
+    /// resetting them to zero. Evaluators without a cloud return the zero
+    /// default.
     fn take_cloud_stats(&mut self) -> CloudStats {
         CloudStats::default()
     }
@@ -51,13 +82,17 @@ fn nonzero(samples: usize) -> NonZeroUsize {
 
 /// Draws the query's shared sample cloud and indexes it — the single
 /// construction path for every shared-sample evaluator, so the draw
-/// order and grid build stay in sync in one place.
+/// order, the grid build, and the draw accounting stay in one place.
 fn build_grid<const D: usize>(
     gaussian: &Gaussian<D>,
     samples: usize,
     rng: &mut StdRng,
+    stats: &mut CloudStats,
 ) -> CloudGrid<D> {
-    CloudGrid::build(&SampleCloud::draw(gaussian, nonzero(samples), rng))
+    let cloud = SampleCloud::draw(gaussian, nonzero(samples), rng);
+    stats.builds += 1;
+    stats.samples_drawn += cloud.len();
+    CloudGrid::build(&cloud)
 }
 
 /// The default Phase-3 evaluator: one shared, grid-indexed sample cloud
@@ -105,31 +140,46 @@ impl<const D: usize> MonteCarloEvaluator<D> {
 
 impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
     fn begin_query(&mut self, gaussian: &Gaussian<D>) {
-        self.stats.builds += 1;
-        self.grid = Some(build_grid(gaussian, self.samples, &mut self.rng));
+        self.grid = Some(build_grid(
+            gaussian,
+            self.samples,
+            &mut self.rng,
+            &mut self.stats,
+        ));
     }
 
     fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
         // Direct use without begin_query: build the cloud now.
-        let samples = self.samples;
-        let rng = &mut self.rng;
-        let builds = &mut self.stats.builds;
-        let grid = self.grid.get_or_insert_with(|| {
-            *builds += 1;
-            build_grid(gaussian, samples, rng)
-        });
-        grid.probability_with_stats(center, delta, &mut self.stats)
+        let (samples, rng, stats) = (self.samples, &mut self.rng, &mut self.stats);
+        let grid = self
+            .grid
+            .get_or_insert_with(|| build_grid(gaussian, samples, rng, stats));
+        grid.probability_with_stats(center, delta, stats)
+    }
+
+    /// The fixed cloud ignores the per-object cap: every object is
+    /// measured against all of its samples, so the verdict is the exact
+    /// comparison of that estimate with `θ`. Only an exhausted budget
+    /// (`max_samples == 0`) stops it.
+    fn evaluate(
+        &mut self,
+        gaussian: &Gaussian<D>,
+        center: &Vector<D>,
+        delta: f64,
+        theta: f64,
+        max_samples: usize,
+    ) -> Result<EvalReport, EvalFailure> {
+        if max_samples == 0 {
+            return Err(EvalFailure::NoBudget);
+        }
+        let estimate = self.probability(gaussian, center, delta);
+        Ok(EvalReport::decided(estimate, theta, self.samples))
     }
 
     fn take_cloud_stats(&mut self) -> CloudStats {
         std::mem::take(&mut self.stats)
     }
 }
-
-/// Former name of the shared-sample evaluator. The shared-cloud design is
-/// the default now, so the separate type is gone; the alias keeps old
-/// call sites compiling. Prefer [`MonteCarloEvaluator`] in new code.
-pub type SharedSamplesEvaluator<const D: usize> = MonteCarloEvaluator<D>;
 
 /// Deterministic quasi-Monte-Carlo evaluator (Halton sequence warped to
 /// the query Gaussian).
@@ -185,12 +235,25 @@ impl ProbabilityEvaluator<2> for Quadrature2dEvaluator {
     }
 }
 
+/// Classification of one object against `θ`, with uncertainty explicit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// `Pr ≥ θ` holds (exactly, or with the configured confidence).
+    Accept,
+    /// `Pr < θ` holds (exactly, or with the configured confidence).
+    Reject,
+    /// The sample budget ran out with the confidence interval still
+    /// straddling `θ` — the honest "don't know".
+    Uncertain,
+}
+
 /// Outcome of one budgeted per-object evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// The probability estimate at the point evaluation stopped.
     pub estimate: f64,
-    /// Samples actually drawn (0 for deterministic evaluators).
+    /// Samples the estimate was measured over (0 for deterministic
+    /// evaluators, the whole cloud for fixed-cloud ones).
     pub samples: usize,
     /// The classification against `θ` — explicit, never a bare number,
     /// so budget exhaustion is visible as [`Verdict::Uncertain`].
@@ -198,6 +261,23 @@ pub struct EvalReport {
     /// Whether the evaluation stopped before its full sample budget
     /// because the confidence interval already cleared `θ`.
     pub early: bool,
+}
+
+impl EvalReport {
+    /// The report of an evaluator that always decides: the verdict is
+    /// the exact comparison of `estimate` with `θ`.
+    pub(crate) fn decided(estimate: f64, theta: f64, samples: usize) -> Self {
+        EvalReport {
+            estimate,
+            samples,
+            verdict: if estimate >= theta {
+                Verdict::Accept
+            } else {
+                Verdict::Reject
+            },
+            early: false,
+        }
+    }
 }
 
 /// Why a budgeted evaluation produced no usable estimate at all (as
@@ -223,42 +303,6 @@ impl fmt::Display for EvalFailure {
 
 impl std::error::Error for EvalFailure {}
 
-/// A Phase-3 evaluator that works under an explicit per-object sample
-/// budget and classifies against `θ` itself, so it can stop as soon as
-/// the answer is statistically settled.
-///
-/// This is the resilient counterpart of [`ProbabilityEvaluator`]: where
-/// that trait returns an unlabeled point estimate after a fixed budget,
-/// this one returns an [`EvalReport`] whose verdict is explicit about
-/// confidence — including [`Verdict::Uncertain`] when the budget ran
-/// out with the confidence interval still straddling `θ`.
-pub trait BudgetedEvaluator<const D: usize> {
-    /// Called once before a query's Phase 3 with the query distribution.
-    fn begin_query(&mut self, _gaussian: &Gaussian<D>) {}
-
-    /// Evaluates `Pr(‖x − center‖ ≤ delta) vs θ` using at most
-    /// `max_samples` draws.
-    ///
-    /// # Errors
-    ///
-    /// * [`EvalFailure::NoBudget`] when `max_samples == 0`,
-    /// * [`EvalFailure::Injected`] when a fault plan aborts the call.
-    fn evaluate(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        center: &Vector<D>,
-        delta: f64,
-        theta: f64,
-        max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure>;
-
-    /// Drains the accumulated shared-cloud statistics, resetting them to
-    /// zero. Evaluators without a cloud return the zero default.
-    fn take_cloud_stats(&mut self) -> CloudStats {
-        CloudStats::default()
-    }
-}
-
 /// Sequential Monte Carlo with Wilson-interval early termination over the
 /// query's shared sample cloud: hit counts accumulate over *prefixes* of
 /// the cloud in blocks, and evaluation stops as soon as the confidence
@@ -274,8 +318,10 @@ pub trait BudgetedEvaluator<const D: usize> {
 /// The cloud grows lazily: a candidate that terminates after 512 samples
 /// never forces the remaining 99 488 to be drawn, and a later candidate
 /// that needs more reuses the existing prefix bitwise (see
-/// `SampleCloud::extend`). As with [`MonteCarloEvaluator`], call
-/// [`BudgetedEvaluator::begin_query`] between distributions.
+/// `SampleCloud::extend`). [`ProbabilityEvaluator::probability`] is the
+/// point estimate over the first [`PAPER_MC_SAMPLES`] samples. As with
+/// [`MonteCarloEvaluator`], call [`ProbabilityEvaluator::begin_query`]
+/// between distributions.
 #[derive(Debug, Clone)]
 pub struct SequentialMonteCarloEvaluator<const D: usize> {
     block: usize,
@@ -327,11 +373,36 @@ impl<const D: usize> SequentialMonteCarloEvaluator<D> {
     pub fn early_termination(&self) -> bool {
         self.early_termination
     }
+
+    /// The query's cloud, drawn on first use and extended to at least
+    /// `need` samples, with every draw counted.
+    fn grow(&mut self, gaussian: &Gaussian<D>, need: usize) -> &SampleCloud<D> {
+        let (rng, stats) = (&mut self.rng, &mut self.stats);
+        let cloud = self.cloud.get_or_insert_with(|| {
+            let cloud = SampleCloud::draw(gaussian, nonzero(need), rng);
+            stats.builds += 1;
+            stats.samples_drawn += cloud.len();
+            cloud
+        });
+        if cloud.len() < need {
+            let extra = need - cloud.len();
+            cloud.extend(gaussian, extra, rng);
+            stats.samples_drawn += extra;
+        }
+        cloud
+    }
 }
 
-impl<const D: usize> BudgetedEvaluator<D> for SequentialMonteCarloEvaluator<D> {
+impl<const D: usize> ProbabilityEvaluator<D> for SequentialMonteCarloEvaluator<D> {
     fn begin_query(&mut self, _gaussian: &Gaussian<D>) {
         self.cloud = None;
+    }
+
+    fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
+        let n = PAPER_MC_SAMPLES;
+        let hits = self.grow(gaussian, n).count_in_range(center, delta, 0, n);
+        self.stats.samples_tested += n;
+        hits as f64 / n as f64
     }
 
     fn evaluate(
@@ -345,118 +416,38 @@ impl<const D: usize> BudgetedEvaluator<D> for SequentialMonteCarloEvaluator<D> {
         if max_samples == 0 {
             return Err(EvalFailure::NoBudget);
         }
-        let block = self.block;
-        let rng = &mut self.rng;
-        if self.cloud.is_none() {
-            self.stats.builds += 1;
-        }
-        let cloud = self.cloud.get_or_insert_with(|| {
-            SampleCloud::draw(gaussian, nonzero(block.min(max_samples)), rng)
-        });
         let mut est = RunningEstimate::default();
         loop {
-            let remaining = max_samples - est.n;
-            if remaining == 0 {
-                break;
-            }
-            let take = block.min(remaining);
-            let need = est.n + take;
-            if cloud.len() < need {
-                cloud.extend(gaussian, need - cloud.len(), rng);
-            }
-            est.hits += cloud.count_in_range(center, delta, est.n, need);
+            let need = est.n + self.block.min(max_samples - est.n);
+            est.hits += self
+                .grow(gaussian, need)
+                .count_in_range(center, delta, est.n, need);
+            self.stats.samples_tested += need - est.n;
             est.n = need;
-            self.stats.samples_tested += take;
-            if self.early_termination {
-                let (lo, hi) = est.wilson_bounds(self.z);
-                if lo >= theta {
-                    return Ok(EvalReport {
-                        estimate: est.estimate(),
-                        samples: est.n,
-                        verdict: Verdict::Accept,
-                        early: est.n < max_samples,
-                    });
-                }
-                if hi < theta {
-                    return Ok(EvalReport {
-                        estimate: est.estimate(),
-                        samples: est.n,
-                        verdict: Verdict::Reject,
-                        early: est.n < max_samples,
-                    });
-                }
+            // Without early termination the interval is checked once, at
+            // the end of the budget, and labels the verdict honestly.
+            let (lo, hi) = est.wilson_bounds(self.z);
+            let verdict = if lo >= theta {
+                Verdict::Accept
+            } else if hi < theta {
+                Verdict::Reject
+            } else {
+                Verdict::Uncertain
+            };
+            let settled = self.early_termination && verdict != Verdict::Uncertain;
+            if settled || est.n == max_samples {
+                return Ok(EvalReport {
+                    estimate: est.estimate(),
+                    samples: est.n,
+                    verdict,
+                    early: est.n < max_samples,
+                });
             }
         }
-        // Budget exhausted: check the interval once (for the baseline
-        // mode this is the only check) and label honestly.
-        let (lo, hi) = est.wilson_bounds(self.z);
-        let verdict = if lo >= theta {
-            Verdict::Accept
-        } else if hi < theta {
-            Verdict::Reject
-        } else {
-            Verdict::Uncertain
-        };
-        Ok(EvalReport {
-            estimate: est.estimate(),
-            samples: est.n,
-            verdict,
-            early: false,
-        })
     }
 
     fn take_cloud_stats(&mut self) -> CloudStats {
         std::mem::take(&mut self.stats)
-    }
-}
-
-/// Adapts any deterministic [`ProbabilityEvaluator`] to the budgeted
-/// interface: the exact probability is computed (ignoring the sample
-/// budget), the verdict is the exact comparison against `θ`, and the
-/// reported sample count is zero.
-///
-/// Used by the chaos suite so fallback-path answers can be compared
-/// bit-for-bit against the naive oracle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeterministicBudgeted<E> {
-    inner: E,
-}
-
-impl<E> DeterministicBudgeted<E> {
-    /// Wraps a deterministic evaluator.
-    pub fn new(inner: E) -> Self {
-        DeterministicBudgeted { inner }
-    }
-}
-
-impl<const D: usize, E: ProbabilityEvaluator<D>> BudgetedEvaluator<D> for DeterministicBudgeted<E> {
-    fn begin_query(&mut self, gaussian: &Gaussian<D>) {
-        self.inner.begin_query(gaussian);
-    }
-
-    fn evaluate(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        center: &Vector<D>,
-        delta: f64,
-        theta: f64,
-        _max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure> {
-        let p = self.inner.probability(gaussian, center, delta);
-        Ok(EvalReport {
-            estimate: p,
-            samples: 0,
-            verdict: if p >= theta {
-                Verdict::Accept
-            } else {
-                Verdict::Reject
-            },
-            early: false,
-        })
-    }
-
-    fn take_cloud_stats(&mut self) -> CloudStats {
-        self.inner.take_cloud_stats()
     }
 }
 
@@ -486,7 +477,7 @@ mod tests {
         ProbabilityEvaluator::<2>::begin_query(&mut mc, &g);
         assert!((mc.probability(&g, &center, delta) - oracle).abs() < 0.006);
 
-        let mut shared = SharedSamplesEvaluator::<2>::new(200_000, 9);
+        let mut shared = MonteCarloEvaluator::<2>::new(200_000, 9);
         shared.begin_query(&g);
         assert!((shared.probability(&g, &center, delta) - oracle).abs() < 0.006);
     }
@@ -494,7 +485,7 @@ mod tests {
     #[test]
     fn shared_samples_work_without_begin_query() {
         let g = gaussian();
-        let mut shared = SharedSamplesEvaluator::<2>::new(50_000, 3);
+        let mut shared = MonteCarloEvaluator::<2>::new(50_000, 3);
         let p = shared.probability(&g, g.mean(), 10.0);
         assert!(p > 0.0 && p < 1.0);
     }
@@ -503,7 +494,7 @@ mod tests {
     fn shared_samples_rebuild_per_query() {
         let g1 = gaussian();
         let g2 = Gaussian::<2>::standard();
-        let mut shared = SharedSamplesEvaluator::<2>::new(100_000, 3);
+        let mut shared = MonteCarloEvaluator::<2>::new(100_000, 3);
         shared.begin_query(&g1);
         let _ = shared.probability(&g1, g1.mean(), 10.0);
         // New query with a completely different distribution.
@@ -523,6 +514,10 @@ mod tests {
         let _ = mc.probability(&g, g.mean(), 10.0);
         let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut mc);
         assert_eq!(stats.builds, 2, "one build per begin_query");
+        assert_eq!(
+            stats.samples_drawn, 20_000,
+            "each build draws the whole cloud"
+        );
         assert!(stats.cells_scanned > 0);
         // Drained: a second take returns zeros.
         let again = ProbabilityEvaluator::<2>::take_cloud_stats(&mut mc);
@@ -554,14 +549,15 @@ mod tests {
         let mut eval = SequentialMonteCarloEvaluator::with_defaults(17);
         // Ball around the mean with generous radius: p ≈ 1 ≫ θ = 0.01.
         let accept =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 100_000).unwrap();
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 100_000)
+                .unwrap();
         assert_eq!(accept.verdict, Verdict::Accept);
         assert!(accept.early, "clear accept should stop early");
         assert!(accept.samples < 10_000, "spent {}", accept.samples);
         // Far-away center: p ≈ 0 ≪ θ.
         let far = Vector::from([10_000.0, 10_000.0]);
         let reject =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, &far, 1.0, 0.01, 100_000).unwrap();
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, &far, 1.0, 0.01, 100_000).unwrap();
         assert_eq!(reject.verdict, Verdict::Reject);
         assert!(reject.early);
         assert!(reject.samples < 10_000);
@@ -573,8 +569,8 @@ mod tests {
         let mut eval =
             SequentialMonteCarloEvaluator::with_defaults(17).with_early_termination(false);
         assert!(!eval.early_termination());
-        let r =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 20_000).unwrap();
+        let r = ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 20_000)
+            .unwrap();
         assert_eq!(r.samples, 20_000);
         assert!(!r.early);
         assert_eq!(r.verdict, Verdict::Accept);
@@ -589,8 +585,8 @@ mod tests {
         // θ exactly at the true probability: the interval can never
         // clear it, so a small budget must end Uncertain.
         let mut eval = SequentialMonteCarloEvaluator::with_defaults(23);
-        let r =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, &center, 25.0, truth, 4_096).unwrap();
+        let r = ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, &center, 25.0, truth, 4_096)
+            .unwrap();
         assert_eq!(r.verdict, Verdict::Uncertain);
         assert_eq!(r.samples, 4_096);
         assert!(!r.early);
@@ -606,12 +602,13 @@ mod tests {
         let mut eval =
             SequentialMonteCarloEvaluator::with_defaults(31).with_early_termination(false);
         let a =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
         let b =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
         assert_eq!(a.estimate, b.estimate);
-        let stats = BudgetedEvaluator::<2>::take_cloud_stats(&mut eval);
+        let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut eval);
         assert_eq!(stats.builds, 1, "one cloud serves both candidates");
+        assert_eq!(stats.samples_drawn, 8_192, "the second pass draws nothing");
         assert_eq!(stats.samples_tested, 2 * 8_192);
     }
 
@@ -619,24 +616,56 @@ mod tests {
     fn sequential_mc_rejects_zero_budget() {
         let g = gaussian();
         let mut eval = SequentialMonteCarloEvaluator::with_defaults(1);
-        let e = BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 1.0, 0.5, 0).unwrap_err();
+        let e =
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 1.0, 0.5, 0).unwrap_err();
         assert_eq!(e, EvalFailure::NoBudget);
         assert!(e.to_string().contains("budget"));
     }
 
     #[test]
-    fn deterministic_budgeted_matches_oracle_verdict() {
+    fn default_evaluate_is_the_exact_verdict() {
         let g = gaussian();
         let center = Vector::from([15.0, 8.0]);
         let mut quad = Quadrature2dEvaluator::default();
         let truth = quad.probability(&g, &center, 25.0);
-        let mut det = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
-        let r = det.evaluate(&g, &center, 25.0, truth / 2.0, 0).unwrap();
+        // The default ignores the budget, even a zero one.
+        let r = quad.evaluate(&g, &center, 25.0, truth / 2.0, 0).unwrap();
         assert_eq!(r.verdict, Verdict::Accept);
         assert_eq!(r.samples, 0);
         assert_eq!(r.estimate, truth);
-        let r2 = det.evaluate(&g, &center, 25.0, truth * 1.5, 0).unwrap();
+        let r2 = quad.evaluate(&g, &center, 25.0, truth * 1.5, 0).unwrap();
         assert_eq!(r2.verdict, Verdict::Reject);
+    }
+
+    #[test]
+    fn fixed_cloud_evaluate_ignores_the_per_object_cap() {
+        let g = gaussian();
+        let center = Vector::from([15.0, 8.0]);
+        let mut mc = MonteCarloEvaluator::<2>::new(10_000, 4);
+        mc.begin_query(&g);
+        let p = mc.probability(&g, &center, 25.0);
+        let r = mc.evaluate(&g, &center, 25.0, p, 1).unwrap();
+        assert_eq!(r.estimate, p, "same cloud, same estimate");
+        assert_eq!(r.samples, 10_000, "measured over the whole cloud");
+        assert_eq!(r.verdict, Verdict::Accept);
+        assert_eq!(
+            mc.evaluate(&g, &center, 25.0, p, 0),
+            Err(EvalFailure::NoBudget)
+        );
+    }
+
+    #[test]
+    fn sequential_mc_probability_uses_the_paper_prefix() {
+        let g = gaussian();
+        let center = Vector::from([15.0, 8.0]);
+        let mut quad = Quadrature2dEvaluator::default();
+        let truth = quad.probability(&g, &center, 25.0);
+        let mut eval = SequentialMonteCarloEvaluator::<2>::with_defaults(5);
+        let p = eval.probability(&g, &center, 25.0);
+        assert!((p - truth).abs() < 0.01, "{p} vs {truth}");
+        let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut eval);
+        assert_eq!(stats.samples_drawn, PAPER_MC_SAMPLES);
+        assert_eq!(stats.samples_tested, PAPER_MC_SAMPLES);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! time", §V-B).
 
 use crate::error::PrqError;
-use crate::evaluator::ProbabilityEvaluator;
+use crate::evaluator::{EvalFailure, ProbabilityEvaluator, Verdict};
+#[cfg(feature = "fault-inject")]
+use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{Phase, PipelineMetrics};
 use crate::query::PrqQuery;
 use crate::strategy::bf::{BfBounds, BfClass};
@@ -24,6 +26,8 @@ use crate::strategy::rr::{FringeMode, RrFilter};
 use crate::strategy::StrategySet;
 use crate::theta_region::ThetaRegion;
 use crate::ucatalog::{BfCatalog, RrCatalog};
+use gprq_gaussian::cloud::CloudStats;
+use gprq_gaussian::integrate::PAPER_MC_SAMPLES;
 use gprq_linalg::Vector;
 use gprq_rtree::{Phase1Index, Rect, SearchStats, OLC_DEPTH_BUCKETS};
 use std::time::{Duration, Instant};
@@ -55,10 +59,11 @@ pub struct QueryStats {
     pub integrations: usize,
     /// Final answer-set size (the ANS column).
     pub answers: usize,
-    /// Monte-Carlo samples actually drawn in Phase 3. Zero when the
-    /// evaluator does not report sample counts (the fixed-budget
-    /// [`ProbabilityEvaluator`]s); the budgeted resilient path fills it
-    /// so the early-termination saving is measurable.
+    /// Monte-Carlo samples drawn in Phase 3 (`CloudStats::samples_drawn`):
+    /// the query's cloud and its lazy extensions, or a freshly drawn batch
+    /// offset table. Zero for deterministic evaluators and on a Σ-cache
+    /// hit. The samples each object was *measured* over are
+    /// `cloud_samples_tested` and the per-object histogram.
     pub phase3_samples: usize,
     /// Phase-3 integrations that stopped before their full sample budget
     /// because the confidence interval already cleared `θ`.
@@ -66,8 +71,6 @@ pub struct QueryStats {
     /// Objects the budgeted path could not classify before exhausting
     /// its budget (reported as explicit [`Verdict::Uncertain`], never
     /// silently guessed).
-    ///
-    /// [`Verdict::Uncertain`]: crate::resilience::Verdict::Uncertain
     pub uncertain: usize,
     /// Shared sample clouds built for Phase 3 (normally one per query
     /// on the cloud path; zero for deterministic evaluators).
@@ -153,23 +156,39 @@ impl QueryStats {
     /// Absorbs a drained [`CloudStats`] block into the cloud fields —
     /// the single bridge between the evaluator-side statistics and the
     /// per-query record.
-    ///
-    /// [`CloudStats`]: gprq_gaussian::cloud::CloudStats
-    pub fn absorb_cloud(&mut self, cloud: &gprq_gaussian::cloud::CloudStats) {
+    pub fn absorb_cloud(&mut self, cloud: &CloudStats) {
         self.cloud_builds += cloud.builds;
+        self.phase3_samples += cloud.samples_drawn;
         self.cloud_cells_scanned += cloud.cells_scanned;
         self.cloud_cells_inside += cloud.cells_inside;
         self.cloud_samples_tested += cloud.samples_tested;
     }
 }
 
-/// Result of a query: answer records (borrowed from the tree) plus stats.
+/// Result of a query: answer records (borrowed from the tree), the
+/// objects Phase 3 could not classify, and stats.
 #[derive(Debug)]
 pub struct PrqOutcome<'t, const D: usize, T> {
     /// Objects satisfying `Pr(‖x − o‖ ≤ δ) ≥ θ`.
     pub answers: Vec<(&'t Vector<D>, &'t T)>,
+    /// Objects Phase 3 left unclassified, each with its cause — reported,
+    /// never silently dropped. Empty for evaluators that decide every
+    /// object (the fixed-cloud and deterministic ones) under the paper
+    /// budget.
+    pub uncertain: Vec<UncertainObject<'t, D, T>>,
     /// Execution statistics.
     pub stats: QueryStats,
+}
+
+impl<'t, const D: usize, T> PrqOutcome<'t, D, T> {
+    /// An empty outcome carrying `stats`.
+    pub(crate) fn new(stats: QueryStats) -> Self {
+        PrqOutcome {
+            answers: Vec::new(),
+            uncertain: Vec::new(),
+            stats,
+        }
+    }
 }
 
 /// Reusable intermediate buffers for [`PrqExecutor::execute_with_scratch`].
@@ -191,18 +210,6 @@ impl<'t, const D: usize, T> QueryScratch<'t, D, T> {
             candidates: Vec::new(),
             to_integrate: Vec::new(),
         }
-    }
-
-    /// The Phase-3 work list produced by
-    /// [`PrqExecutor::collect_candidates`].
-    pub(crate) fn work_list(&self) -> &[(&'t Vector<D>, &'t T)] {
-        &self.to_integrate
-    }
-
-    /// Mutable access to the Phase-3 work list, for fallback paths that
-    /// build it directly (the naive full scan).
-    pub(crate) fn naive_work_list(&mut self) -> &mut Vec<(&'t Vector<D>, &'t T)> {
-        &mut self.to_integrate
     }
 }
 
@@ -316,10 +323,14 @@ impl<'c> PrqExecutor<'c> {
     /// [`PrqExecutor::execute`] reusing caller-owned intermediate
     /// buffers; results are identical. Use from per-query loops.
     ///
+    /// Phase 3 runs under [`EvalBudget::paper_default`]; fixed-cloud and
+    /// deterministic evaluators decide every object under it, while a
+    /// sequential evaluator may leave some in [`PrqOutcome::uncertain`].
+    ///
     /// # Errors
     ///
     /// Same failure modes as [`PrqExecutor::execute`], plus
-    /// [`PrqError::CatalogDimensionMismatch`] when a configured BF
+    /// [`PrqError::CatalogDimensionMismatch`] when a configured RR or BF
     /// catalog was built for a different dimension.
     pub fn execute_with_scratch<'t, const D: usize, T, I, E>(
         &self,
@@ -332,74 +343,45 @@ impl<'c> PrqExecutor<'c> {
         I: Phase1Index<D, T>,
         E: ProbabilityEvaluator<D>,
     {
-        let mut stats = QueryStats::default();
-        let mut answers: Vec<(&'t Vector<D>, &'t T)> = Vec::new();
-        self.collect_candidates(tree, query, scratch, &mut stats, &mut answers)?;
-
-        // --- Phase 3: probability computation. -------------------------
-        let span3 = self.metrics.map(|m| m.phase_span(Phase::Integrate));
-        let t2 = Instant::now();
-        evaluator.begin_query(query.gaussian());
-        for &(point, data) in scratch.to_integrate.iter() {
-            stats.integrations += 1;
-            let p = evaluator.probability(query.gaussian(), point, query.delta());
-            if p >= query.theta() {
-                answers.push((point, data));
-            }
-        }
-        stats.phase3_time = t2.elapsed();
-        stats.absorb_cloud(&evaluator.take_cloud_stats());
-        stats.answers = answers.len();
-        if let Some(span) = span3 {
-            span.finish();
-        }
-        if let Some(metrics) = self.metrics {
-            metrics.record_query(&stats);
-        }
-
-        Ok(PrqOutcome { answers, stats })
+        let plan = self.plan(query)?;
+        let mut stage = Phase3::new(EvalBudget::paper_default(), self.metrics);
+        Ok(self.run(tree, query, &plan, evaluator, scratch, &mut stage))
     }
 
-    /// Phases 1 and 2 (index search + filtering), shared between the
-    /// plain Phase-3 loop above and the budgeted resilient path: fills
-    /// `scratch.to_integrate` with the Phase-3 work list, appends BF
-    /// sure-accepts to `answers`, and records Phase-1/2 statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same preconditions as [`PrqExecutor::execute_with_scratch`]:
-    /// [`PrqError::NoPrimaryStrategy`], [`PrqError::ThetaRegionUndefined`],
-    /// or [`PrqError::CatalogDimensionMismatch`].
-    pub(crate) fn collect_candidates<'t, const D: usize, T, I>(
+    /// The three phases for one planned query — shared by the plain
+    /// executor and the resilient one, which differ only in the plan and
+    /// the Phase-3 stage they pass in.
+    pub(crate) fn run<'t, const D: usize, T, I, E>(
         &self,
         tree: &'t I,
         query: &PrqQuery<D>,
+        plan: &PreparedQuery<D>,
+        evaluator: &mut E,
         scratch: &mut QueryScratch<'t, D, T>,
-        stats: &mut QueryStats,
-        answers: &mut Vec<(&'t Vector<D>, &'t T)>,
-    ) -> Result<(), PrqError>
+        stage: &mut Phase3<'_>,
+    ) -> PrqOutcome<'t, D, T>
     where
         I: Phase1Index<D, T>,
+        E: ProbabilityEvaluator<D>,
     {
-        let plan = self.plan(query)?;
-
-        // --- Phase 1: index-based search. ------------------------------
-        let span1 = self.metrics.map(|m| m.phase_span(Phase::Search));
-        let t0 = Instant::now();
-        let search_rect = plan.search_rect(query)?;
+        let mut out = PrqOutcome::new(QueryStats::default());
         let QueryScratch {
             candidates,
             to_integrate,
         } = scratch;
+
+        // --- Phase 1: index-based search. ------------------------------
+        let span1 = self.metrics.map(|m| m.phase_span(Phase::Search));
+        let t0 = Instant::now();
         candidates.clear();
         to_integrate.clear();
-        if let Some(rect) = search_rect {
+        if let Some(rect) = plan.search_rect(query) {
             let mut search_stats = SearchStats::default();
             tree.search_rect_into(&rect, &mut search_stats, candidates);
-            stats.absorb_search(&search_stats);
+            out.stats.absorb_search(&search_stats);
         }
-        stats.phase1_candidates = candidates.len();
-        stats.phase1_time = t0.elapsed();
+        out.stats.phase1_candidates = candidates.len();
+        out.stats.phase1_time = t0.elapsed();
         if let Some(span) = span1 {
             span.finish();
         }
@@ -407,12 +389,27 @@ impl<'c> PrqExecutor<'c> {
         // --- Phase 2: filtering. ---------------------------------------
         let span2 = self.metrics.map(|m| m.phase_span(Phase::Filter));
         let t1 = Instant::now();
-        plan.filter_candidates(query, candidates, stats, answers, to_integrate);
-        stats.phase2_time = t1.elapsed();
+        plan.filter_candidates(
+            query,
+            candidates,
+            &mut out.stats,
+            &mut out.answers,
+            to_integrate,
+        );
+        out.stats.phase2_time = t1.elapsed();
         if let Some(span) = span2 {
             span.finish();
         }
-        Ok(())
+
+        // --- Phase 3: probability computation. -------------------------
+        let span3 = self.metrics.map(|m| m.phase_span(Phase::Integrate));
+        let t2 = Instant::now();
+        stage.run(query, to_integrate, evaluator, &mut out, None);
+        out.stats.phase3_time = t2.elapsed();
+        if let Some(span) = span3 {
+            span.finish();
+        }
+        out
     }
 
     /// Builds the per-query [`PreparedQuery`] — strategy validation plus the
@@ -434,13 +431,18 @@ impl<'c> PrqExecutor<'c> {
         let needs_region = self.strategies.rr || self.strategies.or;
         let region: Option<ThetaRegion<D>> = if needs_region {
             let r_theta = match self.rr_catalog {
-                Some(cat) => {
-                    debug_assert_eq!(cat.dim(), D);
-                    match cat.lookup(query.theta()) {
-                        Some(r) => r,
-                        None => crate::theta_region::r_theta_exact::<D>(query.theta())?,
-                    }
+                // Chi quantiles grow with D: another dimension's radius
+                // would be too small and silently drop answers.
+                Some(cat) if cat.dim() != D => {
+                    return Err(PrqError::CatalogDimensionMismatch {
+                        catalog: cat.dim(),
+                        query: D,
+                    })
                 }
+                Some(cat) => match cat.lookup(query.theta()) {
+                    Some(r) => r,
+                    None => crate::theta_region::r_theta_exact::<D>(query.theta())?,
+                },
                 None => crate::theta_region::r_theta_exact::<D>(query.theta())?,
             };
             Some(ThetaRegion::with_r_theta(query, r_theta)?)
@@ -483,25 +485,35 @@ pub(crate) struct PreparedQuery<const D: usize> {
 }
 
 impl<const D: usize> PreparedQuery<D> {
+    /// The filterless plan: Phase 1 returns every object and Phase 2
+    /// passes them all to Phase 3 — the resilient executor's naive scan.
+    pub(crate) fn full_scan() -> Self {
+        PreparedQuery {
+            strategies: StrategySet {
+                rr: false,
+                or: false,
+                bf: false,
+            },
+            fringe_mode: FringeMode::PaperFaithful,
+            region: None,
+            bf_bounds: None,
+        }
+    }
+
     /// The Phase-1 search rectangle: RR's Minkowski box when RR is
-    /// enabled, else BF's `α∥` box (Algorithm 2, line 6). `Ok(None)` is
-    /// the provably-empty case — skip Phase 1 entirely.
-    ///
-    /// # Errors
-    ///
-    /// [`PrqError::NoPrimaryStrategy`] if neither RR nor BF is enabled
-    /// (surfaced as an error rather than a panic per the panic-free
-    /// audit rule; `StrategySet::validate` normally rejects this first).
-    pub(crate) fn search_rect(&self, query: &PrqQuery<D>) -> Result<Option<Rect<D>>, PrqError> {
+    /// enabled, else BF's `α∥` box (Algorithm 2, line 6), else — only in
+    /// the [`PreparedQuery::full_scan`] plan, since planning rejects sets
+    /// without a primary strategy — everything. `None` is the
+    /// provably-empty case: skip Phase 1 entirely.
+    pub(crate) fn search_rect(&self, query: &PrqQuery<D>) -> Option<Rect<D>> {
         if self.strategies.rr {
             if let Some(reg) = &self.region {
-                let rr = RrFilter::new(query, reg, self.fringe_mode);
-                return Ok(Some(rr.search_rect()));
+                return Some(RrFilter::new(query, reg, self.fringe_mode).search_rect());
             }
         }
         match &self.bf_bounds {
-            Some(bf) => Ok(bf.search_rect()),
-            None => Err(PrqError::NoPrimaryStrategy),
+            Some(bf) => bf.search_rect(),
+            None => Some(Rect::everything()),
         }
     }
 
@@ -559,6 +571,212 @@ impl<const D: usize> PreparedQuery<D> {
                 }
             }
             to_integrate.push((point, data));
+        }
+    }
+}
+
+/// Resource caps for budgeted Phase-3 evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EvalBudget {
+    /// Most samples any single object's integration may draw.
+    pub max_samples_per_object: usize,
+    /// Most samples the whole query may draw across all objects.
+    pub max_total_samples: usize,
+    /// Most candidates Phase 3 will evaluate; the rest are reported
+    /// uncertain rather than silently dropped.
+    pub max_candidates: usize,
+}
+
+impl EvalBudget {
+    /// No caps at all (every limit at `usize::MAX`).
+    pub const UNLIMITED: Self = EvalBudget {
+        max_samples_per_object: usize::MAX,
+        max_total_samples: usize::MAX,
+        max_candidates: usize::MAX,
+    };
+
+    /// The paper's configuration: 100 000 samples per object, no total
+    /// or candidate cap.
+    pub fn paper_default() -> Self {
+        EvalBudget {
+            max_samples_per_object: PAPER_MC_SAMPLES,
+            max_total_samples: usize::MAX,
+            max_candidates: usize::MAX,
+        }
+    }
+}
+
+impl Default for EvalBudget {
+    fn default() -> Self {
+        Self::paper_default()
+    }
+}
+
+/// Why an object ended up in [`PrqOutcome::uncertain`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UncertainCause {
+    /// The per-object budget ran out with the confidence interval still
+    /// straddling `θ`.
+    IntervalStraddlesTheta,
+    /// The evaluator failed on this object.
+    EvaluatorFault,
+    /// A budget cap was hit before this object was evaluated at all.
+    NotEvaluated,
+}
+
+/// An object the pipeline could not classify, with the best estimate it
+/// has (if any).
+#[derive(Debug, Clone, Copy)]
+pub struct UncertainObject<'t, const D: usize, T> {
+    /// The object's location.
+    pub point: &'t Vector<D>,
+    /// The object's payload.
+    pub data: &'t T,
+    /// The running probability estimate when evaluation stopped, or
+    /// `None` when the object was never evaluated.
+    pub estimate: Option<f64>,
+    /// Why the object is uncertain.
+    pub cause: UncertainCause,
+}
+
+/// Objects a [`Phase3`] stage left unclassified, by cause — what the
+/// resilient executor turns into report entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Shortfall {
+    /// Cut off by [`EvalBudget::max_candidates`].
+    pub(crate) capped: usize,
+    /// Reached with no total-sample budget left.
+    pub(crate) starved: usize,
+    /// Failed in the evaluator.
+    pub(crate) faulted: usize,
+}
+
+/// Phase 3 — the one per-candidate loop every driver runs: integrate each
+/// filter survivor under an [`EvalBudget`], classify it against `θ`, and
+/// close the query's record.
+///
+/// Budget caps and evaluator failures never drop an object silently: it
+/// comes back as an [`UncertainObject`] and is counted in
+/// [`Phase3::shortfall`].
+#[derive(Debug)]
+pub(crate) struct Phase3<'a> {
+    budget: EvalBudget,
+    metrics: Option<&'a PipelineMetrics>,
+    /// Unclassified objects over every query this stage ran.
+    pub(crate) shortfall: Shortfall,
+    /// Consulted at the `SampleStarvation` and `Evaluator` sites.
+    #[cfg(feature = "fault-inject")]
+    pub(crate) faults: Option<&'a mut FaultPlan>,
+}
+
+impl<'a> Phase3<'a> {
+    /// A stage spending at most `budget` per query, recording into
+    /// `metrics`.
+    pub(crate) fn new(budget: EvalBudget, metrics: Option<&'a PipelineMetrics>) -> Self {
+        Phase3 {
+            budget,
+            metrics,
+            shortfall: Shortfall::default(),
+            #[cfg(feature = "fault-inject")]
+            faults: None,
+        }
+    }
+
+    #[cfg(feature = "fault-inject")]
+    fn trips(&mut self, site: FaultSite) -> bool {
+        self.faults.as_mut().is_some_and(|plan| plan.trip(site))
+    }
+
+    /// Evaluates `work` (in order) for `query`, appending accepted and
+    /// uncertain objects to `out`, then closes the query's record: sets
+    /// `answers`, absorbs the evaluator's cloud statistics, and flushes
+    /// the counters — the only place a query is recorded. `estimates`,
+    /// when given, receives each evaluated object's probability estimate
+    /// in work-list order.
+    pub(crate) fn run<'t, const D: usize, T, E>(
+        &mut self,
+        query: &PrqQuery<D>,
+        work: &[(&'t Vector<D>, &'t T)],
+        evaluator: &mut E,
+        out: &mut PrqOutcome<'t, D, T>,
+        mut estimates: Option<&mut Vec<f64>>,
+    ) where
+        E: ProbabilityEvaluator<D>,
+    {
+        evaluator.begin_query(query.gaussian());
+        let mut spent = 0usize;
+        for (i, &(point, data)) in work.iter().enumerate() {
+            let (estimate, cause) = if i >= self.budget.max_candidates {
+                // Candidate cap: everything past it is reported, not dropped.
+                self.shortfall.capped += 1;
+                (None, UncertainCause::NotEvaluated)
+            } else {
+                // Per-object budget, capped by what is left of the total.
+                let per_object = self
+                    .budget
+                    .max_samples_per_object
+                    .min(self.budget.max_total_samples.saturating_sub(spent));
+                #[cfg(feature = "fault-inject")]
+                let per_object = if self.trips(FaultSite::SampleStarvation) {
+                    0
+                } else {
+                    per_object
+                };
+                #[cfg(feature = "fault-inject")]
+                let injected = self.trips(FaultSite::Evaluator);
+                #[cfg(not(feature = "fault-inject"))]
+                let injected = false;
+                let result = if injected {
+                    Err(EvalFailure::Injected)
+                } else {
+                    let (gaussian, delta, theta) = (query.gaussian(), query.delta(), query.theta());
+                    evaluator.evaluate(gaussian, point, delta, theta, per_object)
+                };
+                match result {
+                    Ok(rep) => {
+                        out.stats.integrations += 1;
+                        out.stats.early_terminations += usize::from(rep.early);
+                        spent = spent.saturating_add(rep.samples);
+                        if let Some(metrics) = self.metrics {
+                            metrics.record_phase3_object(rep.samples);
+                        }
+                        if let Some(estimates) = estimates.as_deref_mut() {
+                            estimates.push(rep.estimate);
+                        }
+                        match rep.verdict {
+                            Verdict::Accept => {
+                                out.answers.push((point, data));
+                                continue;
+                            }
+                            Verdict::Reject => continue,
+                            Verdict::Uncertain => {
+                                (Some(rep.estimate), UncertainCause::IntervalStraddlesTheta)
+                            }
+                        }
+                    }
+                    Err(EvalFailure::NoBudget) => {
+                        self.shortfall.starved += 1;
+                        (None, UncertainCause::NotEvaluated)
+                    }
+                    Err(EvalFailure::Injected) => {
+                        self.shortfall.faulted += 1;
+                        (None, UncertainCause::EvaluatorFault)
+                    }
+                }
+            };
+            out.uncertain.push(UncertainObject {
+                point,
+                data,
+                estimate,
+                cause,
+            });
+        }
+
+        out.stats.uncertain = out.uncertain.len();
+        out.stats.answers = out.answers.len();
+        out.stats.absorb_cloud(&evaluator.take_cloud_stats());
+        if let Some(metrics) = self.metrics {
+            metrics.record_query(&out.stats);
         }
     }
 }
@@ -764,6 +982,37 @@ mod tests {
             approx.stats.integrations + approx.stats.accepted_without_integration
                 >= exact.stats.integrations + exact.stats.accepted_without_integration
         );
+    }
+
+    #[test]
+    fn rr_catalog_of_another_dimension_is_rejected() {
+        // A 2-D radius is too small for 3-D chi quantiles: using it would
+        // silently drop answers, so planning refuses it.
+        let points: Vec<(Vector<3>, usize)> = (0..200)
+            .map(|i| (Vector::from([i as f64, (i % 7) as f64, (i % 11) as f64]), i))
+            .collect();
+        let tree = RTree::bulk_load(points, RStarParams::paper_default(3));
+        let query = PrqQuery::new(
+            Vector::from([100.0, 3.0, 5.0]),
+            Matrix::identity(),
+            4.0,
+            0.1,
+        )
+        .unwrap();
+        let catalog = RrCatalog::new(2);
+        let executor = PrqExecutor::new(StrategySet::ALL).with_rr_catalog(&catalog);
+        let mismatch = PrqError::CatalogDimensionMismatch {
+            catalog: 2,
+            query: 3,
+        };
+        let mut eval = crate::evaluator::MonteCarloEvaluator::new(1_000, 1);
+        assert_eq!(
+            executor.execute(&tree, &query, &mut eval).unwrap_err(),
+            mismatch
+        );
+        let integrator = crate::ext::parallel::ParallelIntegrator::new(1_000, 1, 1).unwrap();
+        let mut batch = crate::batch::QueryBatch::new(executor, integrator);
+        assert_eq!(batch.execute(&tree, &[query]).unwrap_err(), mismatch);
     }
 
     #[test]

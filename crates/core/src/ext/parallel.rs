@@ -154,72 +154,48 @@ impl ParallelIntegrator {
             return Vec::new();
         }
         if let Some(m) = metrics {
-            m.record_parallel_objects(candidates.len());
+            for _ in candidates {
+                m.record_phase3_object(self.samples);
+            }
         }
-        match self.mode {
-            Phase3Mode::SharedCloud => self.run_shared_cloud(query, candidates, metrics),
-            Phase3Mode::PerCandidate => self.run_per_candidate(query, candidates, metrics),
-        }
-    }
-
-    fn run_shared_cloud<const D: usize>(
-        &self,
-        query: &PrqQuery<D>,
-        candidates: &[Vector<D>],
-        metrics: Option<&PipelineMetrics>,
-    ) -> Vec<f64> {
-        let n = candidates.len();
-        let mut out = vec![0.0f64; n];
         // `new` rejects samples == 0, so the floor never engages.
         let budget = NonZeroUsize::new(self.samples).unwrap_or(NonZeroUsize::MIN);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let cloud = SampleCloud::draw(query.gaussian(), budget, &mut rng);
-        let grid = CloudGrid::build(&cloud);
-        let workers = self.worker_count().min(n);
-        let chunk = n.div_ceil(workers);
-        let mut worker_stats = vec![CloudStats::default(); workers];
-        std::thread::scope(|scope| {
-            for ((w, out_chunk), local) in out
-                .chunks_mut(chunk)
-                .enumerate()
-                .zip(worker_stats.iter_mut())
-            {
-                let start = w * chunk;
-                let grid = &grid;
-                scope.spawn(move || {
-                    // INVARIANT: the cloud is drawn once from the base
-                    // seed before the fan-out, and *candidates* — never
-                    // samples — are partitioned, so every worker layout
-                    // reads the same immutable grid and probabilities are
-                    // bit-identical across thread counts.
-                    for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = grid.probability_with_stats(
-                            &candidates[start + offset],
-                            query.delta(),
-                            local,
-                        );
-                    }
-                    // One histogram write per worker, after its loop. In
-                    // this mode "worker samples" means distance-tested
-                    // samples; the total is layout-independent (a sum
-                    // over candidates), only the split varies.
-                    if let Some(m) = metrics {
-                        m.record_worker_samples(local.samples_tested);
-                    }
-                });
+        match self.mode {
+            Phase3Mode::SharedCloud => {
+                // A one-query fused pass over the cloud drawn from the base
+                // seed: candidates — never samples — are partitioned, so
+                // results are bit-identical across thread counts.
+                let mut rng = StdRng::seed_from_u64(self.seed);
+                let grid = CloudGrid::build(&SampleCloud::draw(query.gaussian(), budget, &mut rng));
+                let item = BatchPhase3Item {
+                    grid: &grid,
+                    candidates,
+                    delta: query.delta(),
+                };
+                let (mut probs, cloud) =
+                    self.batch_probabilities(std::slice::from_ref(&item), metrics);
+                if let Some(m) = metrics {
+                    let mut total = CloudStats {
+                        builds: 1,
+                        samples_drawn: budget.get(),
+                        ..CloudStats::default()
+                    };
+                    cloud.iter().for_each(|s| total.merge(s));
+                    m.record_cloud(&total);
+                }
+                probs.pop().unwrap_or_default()
             }
-        });
-        if let Some(m) = metrics {
-            let mut total = CloudStats {
-                builds: 1,
-                ..CloudStats::default()
-            };
-            for s in &worker_stats {
-                total.merge(s);
+            Phase3Mode::PerCandidate => {
+                if let Some(m) = metrics {
+                    m.record_parallel_objects(candidates.len());
+                    m.record_cloud(&CloudStats {
+                        samples_drawn: candidates.len().saturating_mul(budget.get()),
+                        ..CloudStats::default()
+                    });
+                }
+                self.run_per_candidate(query, candidates, metrics)
             }
-            m.record_cloud(&total);
         }
-        out
     }
 
     fn run_per_candidate<const D: usize>(
@@ -268,9 +244,9 @@ impl ParallelIntegrator {
         out
     }
 
-    /// Fused batch Phase 3: workers partition the **flattened**
-    /// `(query, candidate)` space — the whole batch's work, not one
-    /// query's — so a batch with many small candidate lists still keeps
+    /// Fused Phase 3 — the shared-cloud engine for one query or a whole
+    /// batch: workers partition the **flattened** `(query, candidate)`
+    /// space, so a batch with many small candidate lists still keeps
     /// every worker busy. Returns per-query probability vectors (same
     /// order as `items[q].candidates`) and per-query [`CloudStats`]
     /// accumulated from that query's probes.
@@ -279,7 +255,7 @@ impl ParallelIntegrator {
     /// grid, the candidate, and `delta`, and the per-query stats are
     /// commutative integer sums over that query's candidates — so both
     /// outputs are bit-identical across thread counts and worker
-    /// layouts, exactly like the solo shared-cloud path.
+    /// layouts.
     pub(crate) fn batch_probabilities<const D: usize>(
         &self,
         items: &[BatchPhase3Item<'_, D>],
@@ -331,8 +307,10 @@ impl ParallelIntegrator {
                             &mut locals[qi],
                         );
                     }
-                    // One histogram write per worker, after its loop, as
-                    // on the solo shared-cloud path.
+                    // One histogram write per worker, after its loop. In
+                    // this mode "worker samples" means distance-tested
+                    // samples; the total is layout-independent (a sum
+                    // over candidates), only the split varies.
                     if let Some(m) = metrics {
                         let tested = locals.iter().map(|s| s.samples_tested).sum();
                         m.record_worker_samples(tested);

@@ -70,11 +70,12 @@ pub use batch::{cloud_seed, BatchOutcome, QueryBatch, SigmaFactorCache};
 pub use cost::{expected_integrations, region_volumes, DensityEstimate, RegionVolumes};
 pub use error::PrqError;
 pub use evaluator::{
-    BudgetedEvaluator, DeterministicBudgeted, EvalFailure, EvalReport, MonteCarloEvaluator,
-    ProbabilityEvaluator, Quadrature2dEvaluator, QuasiMonteCarloEvaluator,
-    SequentialMonteCarloEvaluator, SharedSamplesEvaluator,
+    EvalFailure, EvalReport, MonteCarloEvaluator, ProbabilityEvaluator, Quadrature2dEvaluator,
+    QuasiMonteCarloEvaluator, SequentialMonteCarloEvaluator, Verdict,
 };
-pub use executor::{PrqExecutor, PrqOutcome, QueryScratch, QueryStats};
+pub use executor::{
+    EvalBudget, PrqExecutor, PrqOutcome, QueryScratch, QueryStats, UncertainCause, UncertainObject,
+};
 pub use explain::{explain, explain_with_metrics, QueryPlan};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultPlan, FaultSchedule, FaultSite};
@@ -82,8 +83,8 @@ pub use metrics::{Phase, PipelineMetrics};
 pub use naive::execute_naive;
 pub use query::PrqQuery;
 pub use resilience::{
-    AdmissionPolicy, DegradationReason, DegradationReport, EvalBudget, ResilientExecutor,
-    ResilientOutcome, TerminalStrategy, UncertainCause, UncertainObject, Verdict,
+    AdmissionPolicy, DegradationReason, DegradationReport, ResilientExecutor, ResilientOutcome,
+    TerminalStrategy,
 };
 pub use strategy::bf::{BfBounds, BfClass, RejectBound};
 pub use strategy::or::OrFilter;

@@ -57,9 +57,12 @@ pub mod names {
     pub const PHASE3_EARLY_TERMINATIONS: &str = "prq_phase3_early_terminations_total";
     /// Counter: objects reported `Verdict::Uncertain`.
     pub const PHASE3_UNCERTAIN: &str = "prq_phase3_uncertain_total";
-    /// Counter: Monte-Carlo samples drawn in Phase 3 (budgeted paths).
+    /// Counter: Monte-Carlo samples drawn in Phase 3 — clouds, their
+    /// lazy extensions, and freshly drawn batch offset tables — on every
+    /// path (`CloudStats::samples_drawn`).
     pub const PHASE3_SAMPLES: &str = "prq_phase3_samples_total";
-    /// Histogram: samples drawn per integrated object (budgeted paths).
+    /// Histogram: samples each integrated object was evaluated over
+    /// (the whole cloud on fixed-cloud paths), on every integrating path.
     pub const PHASE3_SAMPLES_PER_OBJECT: &str = "prq_phase3_samples_per_object";
     /// Histogram: Phase-1 wall-clock nanoseconds per query.
     pub const PHASE1_DURATION_NS: &str = "prq_phase1_duration_ns";
@@ -315,12 +318,14 @@ impl PipelineMetrics {
     /// integrator, which records directly rather than via `QueryStats`).
     pub fn record_cloud(&self, stats: &gprq_gaussian::cloud::CloudStats) {
         self.cloud_builds.add(as_u64(stats.builds));
+        self.phase3_samples.add(as_u64(stats.samples_drawn));
         self.cloud_cells_scanned.add(as_u64(stats.cells_scanned));
         self.cloud_cells_inside.add(as_u64(stats.cells_inside));
         self.cloud_samples_tested.add(as_u64(stats.samples_tested));
     }
 
-    /// Records the sample count one budgeted Phase-3 integration drew.
+    /// Records the sample count one Phase-3 integration was evaluated
+    /// over.
     pub fn record_phase3_object(&self, samples: usize) {
         self.samples_per_object.record(as_u64(samples));
     }
@@ -445,6 +450,7 @@ mod tests {
         let m = PipelineMetrics::new();
         let stats = gprq_gaussian::cloud::CloudStats {
             builds: 1,
+            samples_drawn: 5_000,
             cells_scanned: 12,
             cells_inside: 7,
             samples_tested: 320,
@@ -453,6 +459,7 @@ mod tests {
         m.record_cloud(&stats);
         let snap = m.snapshot();
         assert_eq!(snap.counter(names::CLOUD_BUILDS), Some(2));
+        assert_eq!(snap.counter(names::PHASE3_SAMPLES), Some(10_000));
         assert_eq!(snap.counter(names::CLOUD_CELLS_SCANNED), Some(24));
         assert_eq!(snap.counter(names::CLOUD_CELLS_INSIDE), Some(14));
         assert_eq!(snap.counter(names::CLOUD_SAMPLES_TESTED), Some(640));

@@ -36,7 +36,11 @@ where
     stats.phase1_candidates = stats.integrations;
     stats.phase3_time = t.elapsed();
     stats.answers = answers.len();
-    PrqOutcome { answers, stats }
+    PrqOutcome {
+        answers,
+        uncertain: Vec::new(),
+        stats,
+    }
 }
 
 #[cfg(test)]

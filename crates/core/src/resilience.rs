@@ -20,11 +20,12 @@
 //!    works at any θ), and execution failure degrades to the naive
 //!    full scan; each hop is a [`DegradationReason::StrategySwitched`]
 //!    or [`DegradationReason::NaiveFallback`] entry.
-//! 3. **Budgeted Phase 3** ([`EvalBudget`]) — per-object and total
-//!    sample caps with confidence-interval early termination (see
-//!    [`SequentialMonteCarloEvaluator`]); objects the budget cannot
-//!    settle come back as explicit [`Verdict::Uncertain`] entries, never
-//!    as unlabeled guesses.
+//! 3. **Budgeted Phase 3** ([`EvalBudget`]) — the executor's one Phase-3
+//!    stage under the configured per-object, total-sample and candidate
+//!    caps, with confidence-interval early termination where the
+//!    evaluator supports it (see [`SequentialMonteCarloEvaluator`]);
+//!    objects the budget cannot settle come back as explicit
+//!    [`Verdict::Uncertain`] entries, never as unlabeled guesses.
 //!
 //! The result always carries the full report, so a caller can
 //! distinguish "exact answer" from "best effort under degradation" and
@@ -33,35 +34,22 @@
 //! [`SequentialMonteCarloEvaluator`]: crate::evaluator::SequentialMonteCarloEvaluator
 
 use crate::error::PrqError;
-use crate::evaluator::{BudgetedEvaluator, EvalFailure};
-use crate::executor::{PrqExecutor, QueryScratch, QueryStats};
-use crate::metrics::{Phase, PipelineMetrics};
+use crate::evaluator::ProbabilityEvaluator;
+use crate::executor::{Phase3, PreparedQuery, PrqExecutor, QueryScratch, QueryStats, Shortfall};
+use crate::metrics::PipelineMetrics;
 use crate::query::PrqQuery;
 use crate::strategy::rr::FringeMode;
 use crate::strategy::StrategySet;
 use crate::ucatalog::{BfCatalog, RrCatalog};
-use gprq_gaussian::integrate::PAPER_MC_SAMPLES;
 use gprq_linalg::{LinalgError, Matrix, Vector};
-use gprq_rtree::RTree;
+use gprq_rtree::Phase1Index;
 use std::fmt;
-use std::time::Instant;
 
 #[cfg(feature = "fault-inject")]
 use crate::fault::{FaultPlan, FaultSite};
-#[cfg(feature = "fault-inject")]
-use gprq_rtree::{Rect, SearchStats};
 
-/// Classification of one object against `θ`, with uncertainty explicit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// `Pr ≥ θ` holds (exactly, or with the configured confidence).
-    Accept,
-    /// `Pr < θ` holds (exactly, or with the configured confidence).
-    Reject,
-    /// The sample budget ran out with the confidence interval still
-    /// straddling `θ` — the honest "don't know".
-    Uncertain,
-}
+pub use crate::evaluator::Verdict;
+pub use crate::executor::{EvalBudget, UncertainCause, UncertainObject};
 
 /// Which U-catalog a [`DegradationReason::CatalogDropped`] refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -440,70 +428,6 @@ impl AdmissionPolicy {
     }
 }
 
-/// Resource caps for budgeted Phase-3 evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalBudget {
-    /// Most samples any single object's integration may draw.
-    pub max_samples_per_object: usize,
-    /// Most samples the whole query may draw across all objects.
-    pub max_total_samples: usize,
-    /// Most candidates Phase 3 will evaluate; the rest are reported
-    /// uncertain rather than silently dropped.
-    pub max_candidates: usize,
-}
-
-impl EvalBudget {
-    /// No caps at all (every limit at `usize::MAX`).
-    pub const UNLIMITED: Self = EvalBudget {
-        max_samples_per_object: usize::MAX,
-        max_total_samples: usize::MAX,
-        max_candidates: usize::MAX,
-    };
-
-    /// The paper's configuration: 100 000 samples per object, no total
-    /// or candidate cap.
-    pub fn paper_default() -> Self {
-        EvalBudget {
-            max_samples_per_object: PAPER_MC_SAMPLES,
-            max_total_samples: usize::MAX,
-            max_candidates: usize::MAX,
-        }
-    }
-}
-
-impl Default for EvalBudget {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-/// Why an object ended up in [`ResilientOutcome::uncertain`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UncertainCause {
-    /// The per-object budget ran out with the confidence interval still
-    /// straddling `θ`.
-    IntervalStraddlesTheta,
-    /// The evaluator failed on this object.
-    EvaluatorFault,
-    /// A budget cap was hit before this object was evaluated at all.
-    NotEvaluated,
-}
-
-/// An object the pipeline could not classify, with the best estimate it
-/// has (if any).
-#[derive(Debug, Clone, Copy)]
-pub struct UncertainObject<'t, const D: usize, T> {
-    /// The object's location.
-    pub point: &'t Vector<D>,
-    /// The object's payload.
-    pub data: &'t T,
-    /// The running probability estimate when evaluation stopped, or
-    /// `None` when the object was never evaluated.
-    pub estimate: Option<f64>,
-    /// Why the object is uncertain.
-    pub cause: UncertainCause,
-}
-
 /// The pipeline stage that ultimately produced the answer set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TerminalStrategy {
@@ -524,8 +448,8 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
     pub uncertain: Vec<UncertainObject<'t, D, T>>,
     /// Every repair and fallback applied, in order.
     pub report: DegradationReport,
-    /// Execution statistics (including `phase3_samples`,
-    /// `early_terminations`, and `uncertain` counters).
+    /// Execution statistics (including the `early_terminations` and
+    /// `uncertain` counters).
     pub stats: QueryStats,
     /// Which pipeline ultimately produced the answers.
     pub terminal: TerminalStrategy,
@@ -537,7 +461,7 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
 ///
 /// ```
 /// use gprq_core::resilience::{EvalBudget, ResilientExecutor, TerminalStrategy};
-/// use gprq_core::{DeterministicBudgeted, Quadrature2dEvaluator, StrategySet};
+/// use gprq_core::{Quadrature2dEvaluator, StrategySet};
 /// use gprq_linalg::{Matrix, Vector};
 /// use gprq_rtree::{RStarParams, RTree};
 ///
@@ -546,7 +470,7 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
 ///     .collect();
 /// let tree = RTree::bulk_load(points, RStarParams::paper_default(2));
 /// let mut exec = ResilientExecutor::new(StrategySet::ALL);
-/// let mut eval = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
+/// let mut eval = Quadrature2dEvaluator::default();
 /// // θ = 0.7 would be a hard error for RR/OR; here it degrades to BF.
 /// let outcome = exec
 ///     .execute(&tree, Vector::from([50.0, 50.0]), Matrix::identity().scale(30.0), 20.0, 0.7, &mut eval)
@@ -651,16 +575,17 @@ impl<'c> ResilientExecutor<'c> {
     /// θ)` because admission may repair them before a [`PrqQuery`] can
     /// exist. Strategy preconditions never surface as errors — they
     /// degrade with a report entry; the only errors are unrepairable
-    /// inputs.
+    /// inputs. Runs over any [`Phase1Index`]; the naive fallback is a
+    /// search of the whole index.
     ///
     /// # Errors
     ///
     /// Admission rejections only: [`PrqError::InvalidDelta`],
     /// [`PrqError::InvalidTheta`] (non-finite θ),
     /// [`PrqError::InvalidCenter`], [`PrqError::BadCovariance`].
-    pub fn execute<'t, const D: usize, T, E>(
+    pub fn execute<'t, const D: usize, T, I, E>(
         &mut self,
-        tree: &'t RTree<D, T>,
+        tree: &'t I,
         center: Vector<D>,
         covariance: Matrix<D>,
         delta: f64,
@@ -668,7 +593,8 @@ impl<'c> ResilientExecutor<'c> {
         evaluator: &mut E,
     ) -> Result<ResilientOutcome<'t, D, T>, PrqError>
     where
-        E: BudgetedEvaluator<D>,
+        I: Phase1Index<D, T>,
+        E: ProbabilityEvaluator<D>,
     {
         let mut report = DegradationReport::new();
 
@@ -687,46 +613,29 @@ impl<'c> ResilientExecutor<'c> {
             .admit(center, covariance, delta, theta, &mut report)?;
 
         // --- Preflight strategy fallback chain. ------------------------
-        let mut rr_cat = self.rr_catalog;
-        if let Some(cat) = rr_cat {
-            if cat.dim() != D {
-                report.record(DegradationReason::CatalogDropped {
-                    which: CatalogKind::Rr,
-                    catalog_dim: cat.dim(),
-                    query_dim: D,
-                });
-                rr_cat = None;
-            }
-        }
-        let mut bf_cat = self.bf_catalog;
-        if let Some(cat) = bf_cat {
-            if cat.dim() != D {
-                report.record(DegradationReason::CatalogDropped {
-                    which: CatalogKind::Bf,
-                    catalog_dim: cat.dim(),
-                    query_dim: D,
-                });
-                bf_cat = None;
-            }
-        }
-        // Fault: catalogs vanish (e.g. a cache eviction mid-flight).
+        // Catalogs built for another dimension are dropped; under fault
+        // injection they can also vanish (e.g. a cache eviction mid-flight).
         #[cfg(feature = "fault-inject")]
-        if self.fault_trips(FaultSite::CatalogLookup) {
-            if let Some(cat) = rr_cat.take() {
+        let lost = self.fault_trips(FaultSite::CatalogLookup);
+        #[cfg(not(feature = "fault-inject"))]
+        let lost = false;
+        let mut dropped = |which: CatalogKind, catalog_dim: usize| {
+            let drop = lost || catalog_dim != D;
+            if drop {
                 report.record(DegradationReason::CatalogDropped {
-                    which: CatalogKind::Rr,
-                    catalog_dim: cat.dim(),
+                    which,
+                    catalog_dim,
                     query_dim: D,
                 });
             }
-            if let Some(cat) = bf_cat.take() {
-                report.record(DegradationReason::CatalogDropped {
-                    which: CatalogKind::Bf,
-                    catalog_dim: cat.dim(),
-                    query_dim: D,
-                });
-            }
-        }
+            drop
+        };
+        let rr_cat = self
+            .rr_catalog
+            .filter(|cat| !dropped(CatalogKind::Rr, cat.dim()));
+        let bf_cat = self
+            .bf_catalog
+            .filter(|cat| !dropped(CatalogKind::Bf, cat.dim()));
 
         let mut strategies = self.strategies;
         // θ ≥ 1/2: the θ-region does not exist, so any set using RR or
@@ -758,234 +667,82 @@ impl<'c> ResilientExecutor<'c> {
             }
         }
 
-        // --- Filtered attempt (Phases 1–2). ----------------------------
-        let mut stats = QueryStats::default();
-        let mut answers: Vec<(&'t Vector<D>, &'t T)> = Vec::new();
-        let mut scratch = QueryScratch::new();
-
-        // Fault: the index cannot complete a traversal. Exercise the
-        // fallible hook (so the abort path is genuinely taken), discard
-        // partial output, and fall back to the scan.
+        // Fault: the index cannot complete a traversal — fall back to
+        // the scan.
         #[cfg(feature = "fault-inject")]
         if naive_cause.is_none() && self.fault_trips(FaultSite::Phase1Traversal) {
-            let mut search_stats = SearchStats::default();
-            let aborted: Result<(), ()> =
-                tree.try_query_rect_visit(&Rect::everything(), &mut search_stats, |_, _| Err(()));
-            debug_assert!(aborted.is_err() || tree.is_empty());
             naive_cause = Some(SwitchCause::IndexUnavailable);
         }
 
-        if naive_cause.is_none() {
-            let mut exec = PrqExecutor::new(strategies).with_fringe_mode(self.fringe_mode);
-            if let Some(metrics) = self.metrics {
-                exec = exec.with_metrics(metrics);
-            }
-            if let Some(cat) = rr_cat {
-                exec = exec.with_rr_catalog(cat);
-            }
-            if let Some(cat) = bf_cat {
-                exec = exec.with_bf_catalog(cat);
-            }
-            if exec
-                .collect_candidates(tree, &query, &mut scratch, &mut stats, &mut answers)
-                .is_err()
-            {
-                // Unreachable after preflight for today's strategies, but
-                // resilience means catching tomorrow's failure modes too.
-                naive_cause = Some(SwitchCause::ExecutionFailed);
-            }
+        let mut exec = PrqExecutor::new(strategies).with_fringe_mode(self.fringe_mode);
+        if let Some(metrics) = self.metrics {
+            exec = exec.with_metrics(metrics);
         }
-
-        let terminal = match naive_cause {
-            None => TerminalStrategy::Filtered(strategies),
-            Some(cause) => {
+        if let Some(cat) = rr_cat {
+            exec = exec.with_rr_catalog(cat);
+        }
+        if let Some(cat) = bf_cat {
+            exec = exec.with_bf_catalog(cat);
+        }
+        let plan = match naive_cause {
+            // Unreachable after preflight for today's strategies, but
+            // resilience means catching tomorrow's failure modes too.
+            None => exec.plan(&query).map_err(|_| SwitchCause::ExecutionFailed),
+            Some(cause) => Err(cause),
+        };
+        let (plan, terminal) = match plan {
+            Ok(plan) => (plan, TerminalStrategy::Filtered(strategies)),
+            Err(cause) => {
                 report.record(DegradationReason::NaiveFallback { cause });
-                // Discard any partial filtered state and rebuild the
-                // Phase-3 work list as the whole database.
-                stats = QueryStats::default();
-                answers.clear();
-                scratch = QueryScratch::new();
-                let span1 = self.metrics.map(|m| m.phase_span(Phase::Search));
-                let t0 = Instant::now();
-                let work = scratch.naive_work_list();
-                work.extend(tree.iter());
-                stats.phase1_candidates = work.len();
-                stats.phase1_time = t0.elapsed();
-                if let Some(span) = span1 {
-                    span.finish();
-                }
-                TerminalStrategy::NaiveScan
+                (PreparedQuery::full_scan(), TerminalStrategy::NaiveScan)
             }
         };
 
-        // --- Phase 3: budgeted evaluation. -----------------------------
-        let mut uncertain: Vec<UncertainObject<'t, D, T>> = Vec::new();
-        self.phase3(
-            &query,
-            &scratch,
-            evaluator,
-            &mut stats,
-            &mut report,
-            &mut answers,
-            &mut uncertain,
-        );
-        stats.answers = answers.len();
+        let mut stage = Phase3::new(self.budget, self.metrics);
+        #[cfg(feature = "fault-inject")]
+        {
+            stage.faults = self.faults.as_mut();
+        }
+        let mut scratch = QueryScratch::new();
+        let outcome = exec.run(tree, &query, &plan, evaluator, &mut scratch, &mut stage);
+        let Shortfall {
+            capped,
+            starved,
+            faulted,
+        } = stage.shortfall;
+        let exhausted =
+            |scope, unresolved| DegradationReason::BudgetExhausted { scope, unresolved };
+        for (count, reason) in [
+            (capped, exhausted(BudgetScope::Candidates, capped)),
+            (
+                faulted,
+                DegradationReason::EvaluatorFaults { objects: faulted },
+            ),
+            (starved, exhausted(BudgetScope::TotalSamples, starved)),
+        ] {
+            if count > 0 {
+                report.record(reason);
+            }
+        }
         if let Some(metrics) = self.metrics {
-            metrics.record_query(&stats);
             metrics.record_report(&report);
         }
 
         Ok(ResilientOutcome {
-            answers,
-            uncertain,
+            answers: outcome.answers,
+            uncertain: outcome.uncertain,
             report,
-            stats,
+            stats: outcome.stats,
             terminal,
         })
-    }
-
-    /// The budgeted Phase-3 loop over `scratch.to_integrate`.
-    #[allow(clippy::too_many_arguments)]
-    fn phase3<'t, const D: usize, T, E>(
-        &mut self,
-        query: &PrqQuery<D>,
-        scratch: &QueryScratch<'t, D, T>,
-        evaluator: &mut E,
-        stats: &mut QueryStats,
-        report: &mut DegradationReport,
-        answers: &mut Vec<(&'t Vector<D>, &'t T)>,
-        uncertain: &mut Vec<UncertainObject<'t, D, T>>,
-    ) where
-        E: BudgetedEvaluator<D>,
-    {
-        let items = scratch.work_list();
-        let span3 = self.metrics.map(|m| m.phase_span(Phase::Integrate));
-        let t2 = Instant::now();
-        evaluator.begin_query(query.gaussian());
-        let mut faulted = 0usize;
-        let mut starved = 0usize;
-        for (idx, &(point, data)) in items.iter().enumerate() {
-            // Candidate cap: everything past it is reported, not dropped.
-            if idx >= self.budget.max_candidates {
-                let skipped = items.len() - idx;
-                for &(p, d) in &items[idx..] {
-                    uncertain.push(UncertainObject {
-                        point: p,
-                        data: d,
-                        estimate: None,
-                        cause: UncertainCause::NotEvaluated,
-                    });
-                }
-                stats.uncertain += skipped;
-                report.record(DegradationReason::BudgetExhausted {
-                    scope: BudgetScope::Candidates,
-                    unresolved: skipped,
-                });
-                break;
-            }
-            // Per-object budget, capped by what's left of the total.
-            let remaining_total = self.budget.max_total_samples - stats.phase3_samples;
-            #[allow(unused_mut)]
-            let mut per_object = self.budget.max_samples_per_object.min(remaining_total);
-            // Fault: this object's sample budget is starved away.
-            #[cfg(feature = "fault-inject")]
-            if self.fault_trips(FaultSite::SampleStarvation) {
-                per_object = 0;
-            }
-            let result = {
-                #[cfg(feature = "fault-inject")]
-                {
-                    if self.fault_trips(FaultSite::Evaluator) {
-                        Err(EvalFailure::Injected)
-                    } else {
-                        evaluator.evaluate(
-                            query.gaussian(),
-                            point,
-                            query.delta(),
-                            query.theta(),
-                            per_object,
-                        )
-                    }
-                }
-                #[cfg(not(feature = "fault-inject"))]
-                {
-                    evaluator.evaluate(
-                        query.gaussian(),
-                        point,
-                        query.delta(),
-                        query.theta(),
-                        per_object,
-                    )
-                }
-            };
-            match result {
-                Ok(rep) => {
-                    stats.integrations += 1;
-                    stats.phase3_samples += rep.samples;
-                    if let Some(metrics) = self.metrics {
-                        metrics.record_phase3_object(rep.samples);
-                    }
-                    if rep.early {
-                        stats.early_terminations += 1;
-                    }
-                    match rep.verdict {
-                        Verdict::Accept => answers.push((point, data)),
-                        Verdict::Reject => {}
-                        Verdict::Uncertain => {
-                            stats.uncertain += 1;
-                            uncertain.push(UncertainObject {
-                                point,
-                                data,
-                                estimate: Some(rep.estimate),
-                                cause: UncertainCause::IntervalStraddlesTheta,
-                            });
-                        }
-                    }
-                }
-                Err(EvalFailure::NoBudget) => {
-                    starved += 1;
-                    stats.uncertain += 1;
-                    uncertain.push(UncertainObject {
-                        point,
-                        data,
-                        estimate: None,
-                        cause: UncertainCause::NotEvaluated,
-                    });
-                }
-                Err(EvalFailure::Injected) => {
-                    faulted += 1;
-                    stats.uncertain += 1;
-                    uncertain.push(UncertainObject {
-                        point,
-                        data,
-                        estimate: None,
-                        cause: UncertainCause::EvaluatorFault,
-                    });
-                }
-            }
-        }
-        if faulted > 0 {
-            report.record(DegradationReason::EvaluatorFaults { objects: faulted });
-        }
-        if starved > 0 {
-            report.record(DegradationReason::BudgetExhausted {
-                scope: BudgetScope::TotalSamples,
-                unresolved: starved,
-            });
-        }
-        stats.phase3_time = t2.elapsed();
-        stats.absorb_cloud(&evaluator.take_cloud_stats());
-        if let Some(span) = span3 {
-            span.finish();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{DeterministicBudgeted, Quadrature2dEvaluator};
-    use gprq_rtree::RStarParams;
+    use crate::evaluator::Quadrature2dEvaluator;
+    use gprq_rtree::{RStarParams, RTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1125,8 +882,8 @@ mod tests {
         RTree::bulk_load(points, RStarParams::paper_default(2))
     }
 
-    fn oracle() -> DeterministicBudgeted<Quadrature2dEvaluator> {
-        DeterministicBudgeted::new(Quadrature2dEvaluator::default())
+    fn oracle() -> Quadrature2dEvaluator {
+        Quadrature2dEvaluator::default()
     }
 
     #[test]
@@ -1310,7 +1067,10 @@ mod tests {
                 &mut eval,
             )
             .unwrap();
-        assert!(outcome.stats.phase3_samples <= 600);
+        // The samples the objects were measured over stay inside the
+        // total cap, and the one cloud never outgrows the per-object cap.
+        assert!(outcome.stats.cloud_samples_tested <= 600);
+        assert!(outcome.stats.phase3_samples <= 512);
         assert!(
             outcome.stats.integrations >= 1,
             "budget admits at least the first object"
@@ -1327,6 +1087,44 @@ mod tests {
                 scope: BudgetScope::TotalSamples,
                 unresolved,
             } if *unresolved == starved
+        )));
+    }
+
+    #[test]
+    fn fixed_cloud_evaluator_runs_under_a_total_budget() {
+        use crate::evaluator::MonteCarloEvaluator;
+        let tree = random_tree(3_000, 19);
+        // The first object is measured over the whole 200k cloud, which
+        // overdraws the 150k total: the rest must come back unevaluated.
+        let mut res = ResilientExecutor::new(StrategySet::RR).with_budget(EvalBudget {
+            max_total_samples: 150_000,
+            ..EvalBudget::paper_default()
+        });
+        let mut eval = MonteCarloEvaluator::new(200_000, 8);
+        let outcome = res
+            .execute(
+                &tree,
+                Vector::from([500.0, 500.0]),
+                sigma_paper(),
+                25.0,
+                0.01,
+                &mut eval,
+            )
+            .unwrap();
+        assert_eq!(outcome.stats.integrations, 1);
+        assert_eq!(outcome.stats.phase3_samples, 200_000, "one cloud drawn");
+        let tail = outcome.uncertain.len();
+        assert!(tail > 0, "{:?}", outcome.stats);
+        assert!(outcome
+            .uncertain
+            .iter()
+            .all(|u| u.cause == UncertainCause::NotEvaluated && u.estimate.is_none()));
+        assert!(outcome.report.iter().any(|r| matches!(
+            r,
+            DegradationReason::BudgetExhausted {
+                scope: BudgetScope::TotalSamples,
+                unresolved,
+            } if *unresolved == tail
         )));
     }
 

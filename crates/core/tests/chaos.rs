@@ -13,9 +13,9 @@
 use std::collections::BTreeSet;
 
 use gprq_core::{
-    execute_naive, DegradationReason, DeterministicBudgeted, FaultPlan, FaultSchedule, FaultSite,
-    PrqQuery, Quadrature2dEvaluator, ResilientExecutor, ResilientOutcome,
-    SequentialMonteCarloEvaluator, StrategySet, UncertainCause,
+    execute_naive, DegradationReason, FaultPlan, FaultSchedule, FaultSite, PrqQuery,
+    Quadrature2dEvaluator, ResilientExecutor, ResilientOutcome, SequentialMonteCarloEvaluator,
+    StrategySet, UncertainCause,
 };
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::{RStarParams, RTree};
@@ -53,8 +53,8 @@ fn oracle_ids(tree: &RTree<2, usize>) -> BTreeSet<usize> {
         .collect()
 }
 
-fn exact_oracle() -> DeterministicBudgeted<Quadrature2dEvaluator> {
-    DeterministicBudgeted::new(Quadrature2dEvaluator::default())
+fn exact_oracle() -> Quadrature2dEvaluator {
+    Quadrature2dEvaluator::default()
 }
 
 fn run_with_plan(tree: &RTree<2, usize>, plan: FaultPlan) -> ResilientOutcome<'_, 2, usize> {

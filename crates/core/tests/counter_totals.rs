@@ -1,0 +1,238 @@
+//! Counter totals: on every driver (`PrqExecutor`, `ResilientExecutor`,
+//! `QueryBatch`), every Phase-1 backend (`RTree`, `FlatRTree`,
+//! `ConcurrentRTree`), and every evaluator kind (fixed cloud, sequential,
+//! deterministic), each registry counter must equal the sum of its
+//! [`QueryStats`] field over the queries it recorded — and a run that
+//! built a sample cloud must report the samples it drew.
+//!
+//! `QueryBatch` has no evaluator parameter: its Phase 3 is always the
+//! shared Monte-Carlo cloud, so it is checked once per backend.
+
+use gprq_core::ext::parallel::ParallelIntegrator;
+use gprq_core::metrics::names;
+use gprq_core::{
+    MonteCarloEvaluator, PipelineMetrics, ProbabilityEvaluator, PrqExecutor, PrqQuery,
+    Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor,
+    SequentialMonteCarloEvaluator, StrategySet,
+};
+use gprq_linalg::{Matrix, Vector};
+use gprq_rtree::{ConcurrentRTree, FlatRTree, Phase1Index, RStarParams, RTree};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const SAMPLES: usize = 20_000;
+
+fn random_points(n: usize, seed: u64) -> Vec<(Vector<2>, usize)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            (
+                Vector::from([rng.gen::<f64>() * 1000.0, rng.gen::<f64>() * 1000.0]),
+                i,
+            )
+        })
+        .collect()
+}
+
+fn sigma(gamma: f64) -> Matrix<2> {
+    let s3 = 3.0f64.sqrt();
+    Matrix::from_rows([[7.0, 2.0 * s3], [2.0 * s3, 3.0]]).scale(gamma)
+}
+
+/// Two queries sharing Σ (a Σ-cache hit in a batch) and one with its own.
+fn queries() -> Vec<PrqQuery<2>> {
+    [
+        ([500.0, 500.0], 40.0, 25.0),
+        ([520.0, 480.0], 40.0, 25.0),
+        ([250.0, 700.0], 10.0, 30.0),
+    ]
+    .into_iter()
+    .map(|(c, gamma, delta)| PrqQuery::new(Vector::from(c), sigma(gamma), delta, 0.01).unwrap())
+    .collect()
+}
+
+/// Every registry counter against the summed per-query stats.
+fn assert_totals(metrics: &PipelineMetrics, total: &QueryStats, queries: usize, label: &str) {
+    let snap = metrics.snapshot();
+    let expected = [
+        (names::QUERIES, queries),
+        (names::ANSWERS, total.answers),
+        (names::PHASE1_NODE_VISITS, total.node_accesses),
+        (names::PHASE1_LEAF_HITS, total.leaf_hits),
+        (names::PHASE1_CANDIDATES, total.phase1_candidates),
+        (names::PHASE2_FRINGE_PRUNES, total.pruned_by_fringe),
+        (names::PHASE2_OR_ROTATIONS, total.or_rotations),
+        (names::PHASE2_OR_PRUNES, total.pruned_by_or),
+        (names::PHASE2_BF_REJECTS, total.pruned_by_bf),
+        (names::PHASE2_BF_ACCEPTS, total.accepted_without_integration),
+        (names::PHASE3_INTEGRATIONS, total.integrations),
+        (names::PHASE3_EARLY_TERMINATIONS, total.early_terminations),
+        (names::PHASE3_UNCERTAIN, total.uncertain),
+        (names::PHASE3_SAMPLES, total.phase3_samples),
+        (names::CLOUD_BUILDS, total.cloud_builds),
+        (names::CLOUD_CELLS_SCANNED, total.cloud_cells_scanned),
+        (names::CLOUD_CELLS_INSIDE, total.cloud_cells_inside),
+        (names::CLOUD_SAMPLES_TESTED, total.cloud_samples_tested),
+        (names::OLC_ATTEMPTS, total.olc_attempts),
+        (names::OLC_RETRIES, total.olc_retries),
+        (
+            names::OLC_PESSIMISTIC_FALLBACKS,
+            total.olc_pessimistic_fallbacks,
+        ),
+    ];
+    for (name, want) in expected {
+        assert_eq!(
+            snap.counter(name),
+            Some(u64::try_from(want).unwrap()),
+            "{label}: {name}"
+        );
+    }
+    // One per-object record for every integrated object.
+    assert_eq!(
+        snap.histogram(names::PHASE3_SAMPLES_PER_OBJECT)
+            .map(|h| h.count),
+        Some(u64::try_from(total.integrations).unwrap()),
+        "{label}: per-object histogram"
+    );
+    assert!(total.integrations > 0, "{label}: nothing was integrated");
+    if total.cloud_builds > 0 {
+        assert!(
+            snap.counter(names::PHASE3_SAMPLES) > Some(0),
+            "{label}: a cloud was built but no samples were counted"
+        );
+    }
+}
+
+/// Plain and resilient runs of every query with fresh evaluators from
+/// `make`.
+fn check_solo<I, E>(index: &I, label: &str, make: impl Fn() -> E)
+where
+    I: Phase1Index<2, usize>,
+    E: ProbabilityEvaluator<2>,
+{
+    let queries = queries();
+
+    let metrics = PipelineMetrics::new();
+    let executor = PrqExecutor::new(StrategySet::ALL).with_metrics(&metrics);
+    let mut total = QueryStats::default();
+    for query in &queries {
+        let outcome = executor.execute(index, query, &mut make()).unwrap();
+        total.merge(&outcome.stats);
+    }
+    assert_totals(&metrics, &total, queries.len(), &format!("plain, {label}"));
+
+    let metrics = PipelineMetrics::new();
+    let mut resilient = ResilientExecutor::new(StrategySet::ALL).with_metrics(&metrics);
+    let mut total = QueryStats::default();
+    for query in &queries {
+        let (center, cov) = (*query.center(), *query.gaussian().covariance());
+        let outcome = resilient
+            .execute(
+                index,
+                center,
+                cov,
+                query.delta(),
+                query.theta(),
+                &mut make(),
+            )
+            .unwrap();
+        assert!(!outcome.report.is_degraded(), "{label}: {}", outcome.report);
+        total.merge(&outcome.stats);
+    }
+    assert_totals(
+        &metrics,
+        &total,
+        queries.len(),
+        &format!("resilient, {label}"),
+    );
+}
+
+fn check_batch<I: Phase1Index<2, usize>>(index: &I, label: &str) {
+    let queries = queries();
+    let metrics = PipelineMetrics::new();
+    let executor = PrqExecutor::new(StrategySet::ALL).with_metrics(&metrics);
+    let integrator = ParallelIntegrator::new(SAMPLES, 7, 1).unwrap();
+    let mut batch = QueryBatch::new(executor, integrator);
+    let mut total = QueryStats::default();
+    for outcome in batch.execute(index, &queries).unwrap() {
+        total.merge(&outcome.stats);
+    }
+    assert_eq!(batch.cache().hits(), 1, "{label}: shared Σ must hit");
+    assert_totals(&metrics, &total, queries.len(), &format!("batch, {label}"));
+}
+
+/// The three Phase-1 backends over the same points.
+fn backends() -> (
+    RTree<2, usize>,
+    FlatRTree<2, usize>,
+    ConcurrentRTree<2, usize>,
+) {
+    let points = random_points(3_000, 11);
+    let tree = RTree::bulk_load(points.clone(), RStarParams::paper_default(2));
+    let flat = FlatRTree::freeze(tree.clone());
+    let conc = ConcurrentRTree::new();
+    for (p, id) in points {
+        conc.insert(p, id);
+    }
+    (tree, flat, conc)
+}
+
+#[test]
+fn fixed_cloud_evaluator_counters_match_stats() {
+    let make = || MonteCarloEvaluator::new(SAMPLES, 7);
+    let (tree, flat, conc) = backends();
+    check_solo(&tree, "rtree, mc", make);
+    check_solo(&flat, "flat, mc", make);
+    check_solo(&conc, "concurrent, mc", make);
+}
+
+#[test]
+fn sequential_evaluator_counters_match_stats() {
+    let make = || SequentialMonteCarloEvaluator::with_defaults(7);
+    let (tree, flat, conc) = backends();
+    check_solo(&tree, "rtree, seq-mc", make);
+    check_solo(&flat, "flat, seq-mc", make);
+    check_solo(&conc, "concurrent, seq-mc", make);
+}
+
+#[test]
+fn deterministic_evaluator_counters_match_stats() {
+    let make = Quadrature2dEvaluator::default;
+    let (tree, flat, conc) = backends();
+    check_solo(&tree, "rtree, quadrature", make);
+    check_solo(&flat, "flat, quadrature", make);
+    check_solo(&conc, "concurrent, quadrature", make);
+}
+
+#[test]
+fn batch_counters_match_stats() {
+    let (tree, flat, conc) = backends();
+    check_batch(&tree, "rtree");
+    check_batch(&flat, "flat");
+    check_batch(&conc, "concurrent");
+}
+
+/// Recovered batch members run the Phase-3 stage solo and still flush
+/// exactly once, with the samples their fresh cloud drew.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn recovered_batch_counters_match_stats() {
+    use gprq_core::{FaultPlan, FaultSchedule, FaultSite};
+    let (tree, _, _) = backends();
+    let queries = queries();
+    let metrics = PipelineMetrics::new();
+    let executor = PrqExecutor::new(StrategySet::ALL).with_metrics(&metrics);
+    let integrator = ParallelIntegrator::new(SAMPLES, 7, 1).unwrap();
+    let mut batch = QueryBatch::new(executor, integrator);
+    let mut plan = FaultPlan::quiet().with_schedule(FaultSite::BatchAbort, FaultSchedule::Always);
+    let mut total = QueryStats::default();
+    for outcome in batch
+        .execute_with_faults(&tree, &queries, &mut plan)
+        .unwrap()
+    {
+        assert!(outcome.recovered);
+        total.merge(&outcome.stats);
+    }
+    assert_eq!(total.phase3_samples, queries.len() * SAMPLES);
+    assert_totals(&metrics, &total, queries.len(), "recovered batch");
+}

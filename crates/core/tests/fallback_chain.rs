@@ -4,11 +4,11 @@
 //! name every hop the chain took to get there.
 
 use gprq_core::{
-    BfCatalog, DegradationReason, DeterministicBudgeted, Quadrature2dEvaluator, ResilientExecutor,
+    BfCatalog, DegradationReason, Quadrature2dEvaluator, ResilientExecutor, ResilientOutcome,
     RrCatalog, StrategySet, TerminalStrategy,
 };
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::{RStarParams, RTree};
+use gprq_rtree::{ConcurrentRTree, FlatRTree, Phase1Index, RStarParams, RTree};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CatalogConfig {
@@ -79,7 +79,7 @@ fn every_combination_reaches_a_terminal_strategy() {
                     CatalogConfig::Mismatched => exec.with_rr_catalog(&rr3).with_bf_catalog(&bf3),
                     CatalogConfig::MismatchedRrOnly => exec.with_rr_catalog(&rr3),
                 };
-                let mut eval = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
+                let mut eval = Quadrature2dEvaluator::default();
                 let outcome = exec
                     .execute(&tree, center, sigma, 50.0, theta, &mut eval)
                     .unwrap_or_else(|e| panic!("{label}: chain must not error, got {e}"));
@@ -211,15 +211,15 @@ fn early_termination_reduces_phase3_samples() {
     assert!(with_ci.integrations > 0);
     assert_eq!(with_ci.integrations, without_ci.integrations);
     assert!(
-        with_ci.phase3_samples < without_ci.phase3_samples,
+        with_ci.cloud_samples_tested < without_ci.cloud_samples_tested,
         "{} vs {}",
-        with_ci.phase3_samples,
-        without_ci.phase3_samples
+        with_ci.cloud_samples_tested,
+        without_ci.cloud_samples_tested
     );
     assert!(with_ci.early_terminations > 0);
     assert_eq!(without_ci.early_terminations, 0);
     assert_eq!(
-        without_ci.phase3_samples,
+        without_ci.cloud_samples_tested,
         without_ci.integrations * 50_000,
         "baseline spends the full budget on every candidate"
     );
@@ -246,21 +246,47 @@ fn degraded_routes_agree_with_each_other() {
     oracle.sort_unstable();
     assert!(!oracle.is_empty());
 
-    for set in all_strategy_sets() {
-        let mut exec = ResilientExecutor::new(set);
-        let mut eval = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
-        let outcome = exec
-            .execute(&tree, center, sigma, 25.0, theta, &mut eval)
-            .unwrap();
-        let mut got: Vec<u32> = outcome.answers.iter().map(|(_, d)| **d).collect();
-        got.sort_unstable();
-        assert_eq!(
-            got,
-            oracle,
-            "set {} (terminal {:?})",
-            set.name(),
-            outcome.terminal
-        );
-        assert!(outcome.uncertain.is_empty(), "set {}", set.name());
+    // The same routes over every Phase-1 backend.
+    let flat = FlatRTree::freeze(small_tree());
+    let conc: ConcurrentRTree<2, u32> = ConcurrentRTree::new();
+    for (p, d) in tree.iter() {
+        conc.insert(*p, *d);
     }
+    for set in all_strategy_sets() {
+        let routes = [
+            ("rtree", route(&tree, set, center, sigma, theta)),
+            ("flat", route(&flat, set, center, sigma, theta)),
+            ("concurrent", route(&conc, set, center, sigma, theta)),
+        ];
+        for (backend, outcome) in routes {
+            let mut got: Vec<u32> = outcome.answers.iter().map(|(_, d)| **d).collect();
+            got.sort_unstable();
+            assert_eq!(
+                got,
+                oracle,
+                "{backend}: set {} (terminal {:?})",
+                set.name(),
+                outcome.terminal
+            );
+            assert!(
+                outcome.uncertain.is_empty(),
+                "{backend}: set {}",
+                set.name()
+            );
+        }
+    }
+}
+
+/// One resilient run with the exact evaluator over any backend.
+fn route<I: Phase1Index<2, u32>>(
+    index: &I,
+    set: StrategySet,
+    center: Vector<2>,
+    sigma: Matrix<2>,
+    theta: f64,
+) -> ResilientOutcome<'_, 2, u32> {
+    let mut exec = ResilientExecutor::new(set);
+    let mut eval = Quadrature2dEvaluator::default();
+    exec.execute(index, center, sigma, 25.0, theta, &mut eval)
+        .unwrap()
 }

@@ -129,7 +129,7 @@ mod resilience_prop {
             (smaj, smin, angle) in (0.1..20.0f64, 0.1..8.0f64, -3.2..3.2f64),
             (theta, code) in (-0.5..1.5f64, 0u8..255),
         ) {
-            use gprq_core::{DeterministicBudgeted, Quadrature2dEvaluator, ResilientExecutor, StrategySet};
+            use gprq_core::{Quadrature2dEvaluator, ResilientExecutor, StrategySet};
             use gprq_rtree::{RStarParams, RTree};
 
             let sigma = covariance(smaj, smin, angle, &[code, code.wrapping_add(3), code.wrapping_add(3), 0]);
@@ -139,7 +139,7 @@ mod resilience_prop {
             let tree = RTree::bulk_load(points, RStarParams::paper_default(2));
 
             let mut exec = ResilientExecutor::new(StrategySet::ALL);
-            let mut eval = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
+            let mut eval = Quadrature2dEvaluator::default();
             let outcome = exec.execute(&tree, Vector::from([40.0, 40.0]), sigma, 15.0, theta, &mut eval);
             if let Ok(outcome) = outcome {
                 // Status partition is sound even for repaired queries.

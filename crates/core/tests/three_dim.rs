@@ -5,7 +5,7 @@
 //! under a shared-sample evaluator.
 
 use gprq_core::{
-    execute_naive, FringeMode, PrqExecutor, PrqQuery, SharedSamplesEvaluator, StrategySet,
+    execute_naive, FringeMode, MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet,
 };
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::{RStarParams, RTree};
@@ -50,7 +50,7 @@ fn strategies_agree_in_3d() {
     .unwrap();
     let mut reference: Option<Vec<usize>> = None;
     for (name, set) in StrategySet::PAPER_COMBINATIONS {
-        let mut eval = SharedSamplesEvaluator::<3>::new(60_000, 7);
+        let mut eval = MonteCarloEvaluator::<3>::new(60_000, 7);
         let outcome = PrqExecutor::new(set).execute(&tree, &q, &mut eval).unwrap();
         let mut ids: Vec<usize> = outcome.answers.iter().map(|(_, d)| **d).collect();
         ids.sort_unstable();
@@ -72,11 +72,11 @@ fn matches_naive_in_3d() {
         0.1,
     )
     .unwrap();
-    let mut eval = SharedSamplesEvaluator::<3>::new(60_000, 3);
+    let mut eval = MonteCarloEvaluator::<3>::new(60_000, 3);
     let filtered = PrqExecutor::new(StrategySet::ALL)
         .execute(&tree, &q, &mut eval)
         .unwrap();
-    let mut eval = SharedSamplesEvaluator::<3>::new(60_000, 3);
+    let mut eval = MonteCarloEvaluator::<3>::new(60_000, 3);
     let naive = execute_naive(&tree, &q, &mut eval);
     let ids = |o: &gprq_core::PrqOutcome<'_, 3, usize>| {
         let mut v: Vec<usize> = o.answers.iter().map(|(_, d)| **d).collect();
@@ -100,7 +100,7 @@ fn generalized_fringe_prunes_in_3d() {
     )
     .unwrap();
     let run = |mode: FringeMode| {
-        let mut eval = SharedSamplesEvaluator::<3>::new(60_000, 11);
+        let mut eval = MonteCarloEvaluator::<3>::new(60_000, 11);
         PrqExecutor::new(StrategySet::RR)
             .with_fringe_mode(mode)
             .execute(&tree, &q, &mut eval)

@@ -63,6 +63,9 @@ const KERNEL_BLOCK: usize = 256;
 pub struct CloudStats {
     /// Sample clouds drawn (one per query on the shared-sample path).
     pub builds: usize,
+    /// Monte-Carlo samples drawn: whole clouds, lazy extensions, and
+    /// freshly drawn offset tables (a cached table draws nothing).
+    pub samples_drawn: usize,
     /// Grid cells visited across all probes.
     pub cells_scanned: usize,
     /// Visited cells classified fully-inside (counted without distance
@@ -77,6 +80,7 @@ impl CloudStats {
     /// Accumulates `other` into `self`, field by field.
     pub fn merge(&mut self, other: &CloudStats) {
         self.builds += other.builds;
+        self.samples_drawn += other.samples_drawn;
         self.cells_scanned += other.cells_scanned;
         self.cells_inside += other.cells_inside;
         self.samples_tested += other.samples_tested;

@@ -81,8 +81,8 @@ pub mod prelude {
         DegradationReason, DegradationReport, EvalBudget, FringeMode, MonteCarloEvaluator,
         PipelineMetrics, ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery,
         Quadrature2dEvaluator, QuasiMonteCarloEvaluator, QueryBatch, QueryStats, ResilientExecutor,
-        ResilientOutcome, RrCatalog, SequentialMonteCarloEvaluator, SharedSamplesEvaluator,
-        SigmaFactorCache, StrategySet, TerminalStrategy, ThetaRegion, UncertainCause, Verdict,
+        ResilientOutcome, RrCatalog, SequentialMonteCarloEvaluator, SigmaFactorCache, StrategySet,
+        TerminalStrategy, ThetaRegion, UncertainCause, Verdict,
     };
     pub use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
     pub use gprq_gaussian::Gaussian;
