@@ -29,7 +29,7 @@ use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_gaussian::cloud::CloudStats;
 use gprq_gaussian::integrate::PAPER_MC_SAMPLES;
 use gprq_linalg::Vector;
-use gprq_rtree::{Phase1Index, Rect, SearchStats, OLC_DEPTH_BUCKETS};
+use gprq_rtree::{Phase1Index, Rect, SearchStats};
 use std::time::{Duration, Instant};
 
 /// Statistics for one query execution.
@@ -82,20 +82,6 @@ pub struct QueryStats {
     pub cloud_cells_inside: usize,
     /// Cloud samples that ran the SoA distance kernel (boundary cells).
     pub cloud_samples_tested: usize,
-    /// Optimistic (OLC) node-read attempts in Phase 1. Zero for the
-    /// single-writer [`RTree`](gprq_rtree::RTree); the concurrent tree
-    /// counts one per capture/validate round.
-    pub olc_attempts: usize,
-    /// OLC attempts that failed validation (or found the node
-    /// write-locked) and were retried by the contention ladder.
-    pub olc_retries: usize,
-    /// Phase-1 traversals that exhausted the optimistic ladder and
-    /// degraded to the pessimistic (writer-excluding) fallback path.
-    pub olc_pessimistic_fallbacks: usize,
-    /// Log₂ histogram of per-node retry depth: bucket 0 counts
-    /// first-attempt validations, bucket `i ≥ 1` counts reads that
-    /// needed `2^(i−1) ≤ retries < 2^i` (last bucket saturates).
-    pub olc_retry_depth: [usize; OLC_DEPTH_BUCKETS],
     /// Phase-1 wall-clock time.
     pub phase1_time: Duration,
     /// Phase-2 wall-clock time.
@@ -130,12 +116,6 @@ impl QueryStats {
         self.cloud_cells_scanned += other.cloud_cells_scanned;
         self.cloud_cells_inside += other.cloud_cells_inside;
         self.cloud_samples_tested += other.cloud_samples_tested;
-        self.olc_attempts += other.olc_attempts;
-        self.olc_retries += other.olc_retries;
-        self.olc_pessimistic_fallbacks += other.olc_pessimistic_fallbacks;
-        for (mine, theirs) in self.olc_retry_depth.iter_mut().zip(other.olc_retry_depth) {
-            *mine += theirs;
-        }
         self.phase1_time += other.phase1_time;
         self.phase2_time += other.phase2_time;
         self.phase3_time += other.phase3_time;
@@ -147,10 +127,6 @@ impl QueryStats {
     pub(crate) fn absorb_search(&mut self, search: &SearchStats) {
         self.node_accesses = search.nodes_visited;
         self.leaf_hits = search.entries_checked;
-        self.olc_attempts = search.olc_attempts;
-        self.olc_retries = search.olc_retries;
-        self.olc_pessimistic_fallbacks = search.olc_fallbacks;
-        self.olc_retry_depth = search.olc_retry_depth;
     }
 
     /// Absorbs a drained [`CloudStats`] block into the cloud fields —
@@ -297,9 +273,9 @@ impl<'c> PrqExecutor<'c> {
     }
 
     /// Executes the query against a Phase-1 index of exact target
-    /// objects — the single-writer [`RTree`](gprq_rtree::RTree) or the
-    /// lock-free-read [`ConcurrentRTree`](gprq_rtree::ConcurrentRTree)
-    /// (any [`Phase1Index`]).
+    /// objects — the pointer [`RTree`](gprq_rtree::RTree) or a frozen
+    /// [`FlatRTree`](gprq_rtree::FlatRTree) snapshot (any
+    /// [`Phase1Index`]).
     ///
     /// # Errors
     ///

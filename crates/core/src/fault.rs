@@ -29,11 +29,6 @@ pub enum FaultSite {
     SampleStarvation,
     /// Σ degenerates to a singular matrix before admission.
     SigmaDegeneracy,
-    /// A conflict storm invalidates optimistic tree reads mid-descent:
-    /// every `n`-th node capture races an artificial version bump, so
-    /// the OLC retry ladder (and its pessimistic fallback) is forced
-    /// to absorb worst-case contention.
-    OlcConflict,
     /// A batch member is aborted mid-batch: the batch executor drops the
     /// affected query from the fused Phase-3 pass and recovers it through
     /// the solo re-run path, leaving every other member untouched.
@@ -42,16 +37,15 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in a fixed order (used to derive per-site schedules
-    /// from a seed). This list is append-only: `BatchAbort` sits last so
-    /// seeds from before its introduction still derive the same
-    /// schedules for the earlier sites.
-    pub const ALL: [FaultSite; 7] = [
+    /// from a seed): the i-th site takes the i-th `splitmix64` word, so
+    /// the first five sites keep their per-seed schedules and
+    /// `BatchAbort` derives its schedule from the 6th word.
+    pub const ALL: [FaultSite; 6] = [
         FaultSite::CatalogLookup,
         FaultSite::Phase1Traversal,
         FaultSite::Evaluator,
         FaultSite::SampleStarvation,
         FaultSite::SigmaDegeneracy,
-        FaultSite::OlcConflict,
         FaultSite::BatchAbort,
     ];
 }
@@ -64,7 +58,6 @@ impl fmt::Display for FaultSite {
             FaultSite::Evaluator => write!(f, "evaluator"),
             FaultSite::SampleStarvation => write!(f, "sample-starvation"),
             FaultSite::SigmaDegeneracy => write!(f, "sigma-degeneracy"),
-            FaultSite::OlcConflict => write!(f, "olc-conflict"),
             FaultSite::BatchAbort => write!(f, "batch-abort"),
         }
     }
@@ -111,7 +104,6 @@ pub struct FaultPlan {
     evaluator: SiteState,
     starvation: SiteState,
     sigma: SiteState,
-    olc_conflict: SiteState,
     batch_abort: SiteState,
 }
 
@@ -167,7 +159,6 @@ impl FaultPlan {
             FaultSite::Evaluator => self.evaluator.schedule,
             FaultSite::SampleStarvation => self.starvation.schedule,
             FaultSite::SigmaDegeneracy => self.sigma.schedule,
-            FaultSite::OlcConflict => self.olc_conflict.schedule,
             FaultSite::BatchAbort => self.batch_abort.schedule,
         }
     }
@@ -180,7 +171,6 @@ impl FaultPlan {
             FaultSite::Evaluator => self.evaluator.hits,
             FaultSite::SampleStarvation => self.starvation.hits,
             FaultSite::SigmaDegeneracy => self.sigma.hits,
-            FaultSite::OlcConflict => self.olc_conflict.hits,
             FaultSite::BatchAbort => self.batch_abort.hits,
         }
     }
@@ -201,7 +191,6 @@ impl FaultPlan {
             FaultSite::Evaluator => &mut self.evaluator,
             FaultSite::SampleStarvation => &mut self.starvation,
             FaultSite::SigmaDegeneracy => &mut self.sigma,
-            FaultSite::OlcConflict => &mut self.olc_conflict,
             FaultSite::BatchAbort => &mut self.batch_abort,
         }
     }
@@ -266,7 +255,6 @@ mod tests {
                 "evaluator",
                 "sample-starvation",
                 "sigma-degeneracy",
-                "olc-conflict",
                 "batch-abort"
             ]
         );

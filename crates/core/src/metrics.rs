@@ -95,18 +95,6 @@ pub mod names {
     /// Counter: cloud samples that ran the SoA distance kernel (boundary
     /// cells only; compare against `prq_phase3_samples_total`).
     pub const CLOUD_SAMPLES_TESTED: &str = "prq_cloud_samples_tested_total";
-    /// Counter: optimistic (OLC) node-read attempts in Phase 1
-    /// (`SearchStats::olc_attempts`; zero on the single-writer tree).
-    pub const OLC_ATTEMPTS: &str = "prq_olc_attempts";
-    /// Counter: OLC attempts retried after failed validation or a
-    /// write-locked node (`SearchStats::olc_retries`).
-    pub const OLC_RETRIES: &str = "prq_olc_retries";
-    /// Counter: Phase-1 traversals that exhausted the optimistic ladder
-    /// and degraded to the pessimistic writer-excluding path.
-    pub const OLC_PESSIMISTIC_FALLBACKS: &str = "prq_olc_pessimistic_fallbacks";
-    /// Histogram: per-node OLC retry depth (log₂-bucketed; bucket 0 is
-    /// first-attempt validation).
-    pub const OLC_RETRY_DEPTH: &str = "prq_olc_retry_depth";
     /// Counter: query batches executed (one per `QueryBatch::execute`).
     pub const BATCHES: &str = "prq_batches_total";
     /// Counter: queries executed through the batch planner.
@@ -176,10 +164,6 @@ pub struct PipelineMetrics {
     cloud_cells_scanned: Arc<Counter>,
     cloud_cells_inside: Arc<Counter>,
     cloud_samples_tested: Arc<Counter>,
-    olc_attempts: Arc<Counter>,
-    olc_retries: Arc<Counter>,
-    olc_pessimistic_fallbacks: Arc<Counter>,
-    olc_retry_depth: Arc<Histogram>,
     batches: Arc<Counter>,
     batch_queries: Arc<Counter>,
     batch_sigma_cache_hits: Arc<Counter>,
@@ -233,10 +217,6 @@ impl PipelineMetrics {
             cloud_cells_scanned: registry.counter(names::CLOUD_CELLS_SCANNED),
             cloud_cells_inside: registry.counter(names::CLOUD_CELLS_INSIDE),
             cloud_samples_tested: registry.counter(names::CLOUD_SAMPLES_TESTED),
-            olc_attempts: registry.counter(names::OLC_ATTEMPTS),
-            olc_retries: registry.counter(names::OLC_RETRIES),
-            olc_pessimistic_fallbacks: registry.counter(names::OLC_PESSIMISTIC_FALLBACKS),
-            olc_retry_depth: registry.histogram(names::OLC_RETRY_DEPTH),
             batches: registry.counter(names::BATCHES),
             batch_queries: registry.counter(names::BATCH_QUERIES),
             batch_sigma_cache_hits: registry.counter(names::BATCH_SIGMA_CACHE_HITS),
@@ -296,22 +276,6 @@ impl PipelineMetrics {
             .add(as_u64(stats.cloud_cells_inside));
         self.cloud_samples_tested
             .add(as_u64(stats.cloud_samples_tested));
-        self.olc_attempts.add(as_u64(stats.olc_attempts));
-        self.olc_retries.add(as_u64(stats.olc_retries));
-        self.olc_pessimistic_fallbacks
-            .add(as_u64(stats.olc_pessimistic_fallbacks));
-        // Fold the per-query retry-depth tally into the pipeline-wide
-        // histogram: one batch record per non-empty bucket at that
-        // bucket's representative retry count (0, then 2^(i−1)).
-        for (i, &n) in stats.olc_retry_depth.iter().enumerate() {
-            if n > 0 {
-                let representative = match i.checked_sub(1) {
-                    None => 0,
-                    Some(shift) => 1u64 << shift,
-                };
-                self.olc_retry_depth.record_n(representative, as_u64(n));
-            }
-        }
     }
 
     /// Flushes a shared-cloud statistics block (used by the parallel
@@ -420,29 +384,6 @@ mod tests {
         assert_eq!(snap.counter(names::CLOUD_CELLS_SCANNED), Some(80));
         assert_eq!(snap.counter(names::CLOUD_CELLS_INSIDE), Some(50));
         assert_eq!(snap.counter(names::CLOUD_SAMPLES_TESTED), Some(1_800));
-    }
-
-    #[test]
-    fn olc_flush_records_counters_and_depth_histogram() {
-        let m = PipelineMetrics::new();
-        let mut stats = QueryStats {
-            olc_attempts: 12,
-            olc_retries: 3,
-            olc_pessimistic_fallbacks: 1,
-            ..QueryStats::default()
-        };
-        stats.olc_retry_depth[0] = 9; // nine first-attempt validations
-        stats.olc_retry_depth[2] = 3; // three reads at 2–3 retries
-        m.record_query(&stats);
-        let snap = m.snapshot();
-        assert_eq!(snap.counter(names::OLC_ATTEMPTS), Some(12));
-        assert_eq!(snap.counter(names::OLC_RETRIES), Some(3));
-        assert_eq!(snap.counter(names::OLC_PESSIMISTIC_FALLBACKS), Some(1));
-        let depth = snap
-            .histogram(names::OLC_RETRY_DEPTH)
-            .expect("depth histogram registered");
-        assert_eq!(depth.count, 12, "every depth tally lands in the histogram");
-        assert_eq!(depth.sum, 6, "bucket 2 folds in at its representative 2");
     }
 
     #[test]

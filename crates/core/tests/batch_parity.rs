@@ -4,7 +4,7 @@
 //! qualification probabilities, and the integer execution counters must
 //! be **bitwise identical** to the sequential [`PrqExecutor`] run with
 //! the same derived cloud seed, across both [`Phase1Index`] backends
-//! (`RTree`, `ConcurrentRTree`) and all [`ParallelIntegrator`] thread
+//! (`RTree`, `FlatRTree`) and all [`ParallelIntegrator`] thread
 //! counts.
 //!
 //! The sequential baseline for query `q` is
@@ -19,7 +19,7 @@ use gprq_core::{
 };
 use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::{ConcurrentRTree, Phase1Index, RStarParams, RTree};
+use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -148,10 +148,7 @@ fn assert_batch_matches_solo<I>(
 /// Full backend × thread-count sweep for one batch.
 fn sweep(points: &[(Vector<2>, usize)], queries: &[PrqQuery<2>], strategies: StrategySet) {
     let tree = RTree::bulk_load(points.to_vec(), RStarParams::paper_default(2));
-    let conc: ConcurrentRTree<2, usize> = ConcurrentRTree::new();
-    for (p, id) in points {
-        conc.insert(*p, *id);
-    }
+    let flat = FlatRTree::freeze(tree.clone());
     for threads in THREAD_COUNTS {
         assert_batch_matches_solo(
             &tree,
@@ -161,11 +158,11 @@ fn sweep(points: &[(Vector<2>, usize)], queries: &[PrqQuery<2>], strategies: Str
             &format!("rtree, threads={threads}"),
         );
         assert_batch_matches_solo(
-            &conc,
+            &flat,
             queries,
             strategies,
             threads,
-            &format!("concurrent, threads={threads}"),
+            &format!("flat, threads={threads}"),
         );
     }
 }

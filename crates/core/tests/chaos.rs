@@ -224,15 +224,11 @@ fn every_site_firing_always_is_survivable() {
             }
             // CatalogLookup with no catalogs configured,
             // SampleStarvation against a zero-sample exact evaluator,
-            // OlcConflict over the single-writer tree (no optimistic
-            // reads to invalidate), and BatchAbort outside a batch
-            // executor are no-ops — surviving them is the whole
-            // assertion. (BatchAbort's real behavior is pinned by
+            // and BatchAbort outside a batch executor are no-ops —
+            // surviving them is the whole assertion. (BatchAbort's real
+            // behavior is pinned by
             // `batch_abort_degrades_only_affected_queries` below.)
-            FaultSite::CatalogLookup
-            | FaultSite::SampleStarvation
-            | FaultSite::OlcConflict
-            | FaultSite::BatchAbort => {}
+            FaultSite::CatalogLookup | FaultSite::SampleStarvation | FaultSite::BatchAbort => {}
         }
     }
 }
@@ -416,83 +412,4 @@ fn batch_abort_degrades_only_affected_queries() {
         Some(u64::try_from(queries.len()).unwrap())
     );
     assert_eq!(snap.counter(names::BATCHES), Some(1));
-}
-
-/// Maps the plan's `OlcConflict` schedule to the concurrent tree's
-/// storm knob: `Always` invalidates every capture, `EveryNth(n)` every
-/// n-th; one-shot and quiet schedules leave the storm off.
-fn storm_intensity(plan: &FaultPlan) -> usize {
-    match plan.schedule(FaultSite::OlcConflict) {
-        FaultSchedule::Always => 1,
-        FaultSchedule::EveryNth(n) => n,
-        FaultSchedule::OnNth(_) | FaultSchedule::Never => 0,
-    }
-}
-
-/// ISSUE-8 chaos headline: a 100 % conflict storm — every optimistic
-/// node capture races an artificial version bump — must still
-/// terminate, degrade to the pessimistic fallback (readers are
-/// starvation-free), and return bitwise-identical answers to the
-/// storm-free single-writer run.
-#[test]
-fn total_conflict_storm_terminates_and_stays_bitwise_correct() {
-    use gprq_core::PrqExecutor;
-    use gprq_rtree::ConcurrentRTree;
-
-    let tree = chaos_tree(2_000, 7);
-    let conc: ConcurrentRTree<2, usize> = ConcurrentRTree::new();
-    let mut rng = StdRng::seed_from_u64(7);
-    for i in 0..2_000usize {
-        let p = Vector::from([rng.gen::<f64>() * 1000.0, rng.gen::<f64>() * 1000.0]);
-        conc.insert(p, i);
-    }
-
-    let plan = FaultPlan::quiet().with_schedule(FaultSite::OlcConflict, FaultSchedule::Always);
-    conc.inject_conflict_storm(storm_intensity(&plan));
-
-    let executor = PrqExecutor::new(StrategySet::ALL);
-    let query = PrqQuery::new(Vector::from([500.0, 500.0]), sigma_paper(), DELTA, THETA).unwrap();
-    let mut total_fallbacks = 0usize;
-    let mut total_retries = 0usize;
-    for round in 0..5 {
-        let stormed = executor
-            .execute(&conc, &query, &mut Quadrature2dEvaluator::default())
-            .expect("storm must degrade the read path, not error");
-        let clean = executor
-            .execute(&tree, &query, &mut Quadrature2dEvaluator::default())
-            .expect("storm-free baseline");
-        let stormed_ids: BTreeSet<usize> = stormed.answers.iter().map(|(_, d)| **d).collect();
-        let clean_ids: BTreeSet<usize> = clean.answers.iter().map(|(_, d)| **d).collect();
-        assert_eq!(
-            stormed_ids, clean_ids,
-            "round {round}: storm changed answers"
-        );
-        total_fallbacks += stormed.stats.olc_pessimistic_fallbacks;
-        total_retries += stormed.stats.olc_retries;
-        assert_eq!(
-            clean.stats.olc_attempts, 0,
-            "single-writer tree never reads optimistically"
-        );
-    }
-    assert!(
-        total_fallbacks > 0,
-        "a total storm must exhaust the ladder and take the pessimistic path"
-    );
-    assert!(total_retries > 0, "a total storm must burn retries first");
-    assert!(
-        conc.storm_injections() > 0,
-        "the injector must actually have fired"
-    );
-
-    // Storm off: the optimistic path recovers immediately.
-    conc.inject_conflict_storm(storm_intensity(&FaultPlan::quiet()));
-    let calm = executor
-        .execute(&conc, &query, &mut Quadrature2dEvaluator::default())
-        .expect("calm run");
-    assert_eq!(
-        calm.stats.olc_pessimistic_fallbacks, 0,
-        "no storm, no fallback"
-    );
-    let calm_ids: BTreeSet<usize> = calm.answers.iter().map(|(_, d)| **d).collect();
-    assert_eq!(calm_ids, oracle_ids(&tree));
 }

@@ -1,7 +1,7 @@
 //! Counter totals: on every driver (`PrqExecutor`, `ResilientExecutor`,
-//! `QueryBatch`), every Phase-1 backend (`RTree`, `FlatRTree`,
-//! `ConcurrentRTree`), and every evaluator kind (fixed cloud, sequential,
-//! deterministic), each registry counter must equal the sum of its
+//! `QueryBatch`), every Phase-1 backend (`RTree`, `FlatRTree`), and
+//! every evaluator kind (fixed cloud, sequential, deterministic), each
+//! registry counter must equal the sum of its
 //! [`QueryStats`] field over the queries it recorded — and a run that
 //! built a sample cloud must report the samples it drew.
 //!
@@ -16,7 +16,7 @@ use gprq_core::{
     SequentialMonteCarloEvaluator, StrategySet,
 };
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::{ConcurrentRTree, FlatRTree, Phase1Index, RStarParams, RTree};
+use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,12 +73,6 @@ fn assert_totals(metrics: &PipelineMetrics, total: &QueryStats, queries: usize, 
         (names::CLOUD_CELLS_SCANNED, total.cloud_cells_scanned),
         (names::CLOUD_CELLS_INSIDE, total.cloud_cells_inside),
         (names::CLOUD_SAMPLES_TESTED, total.cloud_samples_tested),
-        (names::OLC_ATTEMPTS, total.olc_attempts),
-        (names::OLC_RETRIES, total.olc_retries),
-        (
-            names::OLC_PESSIMISTIC_FALLBACKS,
-            total.olc_pessimistic_fallbacks,
-        ),
     ];
     for (name, want) in expected {
         assert_eq!(
@@ -161,55 +155,42 @@ fn check_batch<I: Phase1Index<2, usize>>(index: &I, label: &str) {
     assert_totals(&metrics, &total, queries.len(), &format!("batch, {label}"));
 }
 
-/// The three Phase-1 backends over the same points.
-fn backends() -> (
-    RTree<2, usize>,
-    FlatRTree<2, usize>,
-    ConcurrentRTree<2, usize>,
-) {
-    let points = random_points(3_000, 11);
-    let tree = RTree::bulk_load(points.clone(), RStarParams::paper_default(2));
+/// The two Phase-1 backends over the same points.
+fn backends() -> (RTree<2, usize>, FlatRTree<2, usize>) {
+    let tree = RTree::bulk_load(random_points(3_000, 11), RStarParams::paper_default(2));
     let flat = FlatRTree::freeze(tree.clone());
-    let conc = ConcurrentRTree::new();
-    for (p, id) in points {
-        conc.insert(p, id);
-    }
-    (tree, flat, conc)
+    (tree, flat)
 }
 
 #[test]
 fn fixed_cloud_evaluator_counters_match_stats() {
     let make = || MonteCarloEvaluator::new(SAMPLES, 7);
-    let (tree, flat, conc) = backends();
+    let (tree, flat) = backends();
     check_solo(&tree, "rtree, mc", make);
     check_solo(&flat, "flat, mc", make);
-    check_solo(&conc, "concurrent, mc", make);
 }
 
 #[test]
 fn sequential_evaluator_counters_match_stats() {
     let make = || SequentialMonteCarloEvaluator::with_defaults(7);
-    let (tree, flat, conc) = backends();
+    let (tree, flat) = backends();
     check_solo(&tree, "rtree, seq-mc", make);
     check_solo(&flat, "flat, seq-mc", make);
-    check_solo(&conc, "concurrent, seq-mc", make);
 }
 
 #[test]
 fn deterministic_evaluator_counters_match_stats() {
     let make = Quadrature2dEvaluator::default;
-    let (tree, flat, conc) = backends();
+    let (tree, flat) = backends();
     check_solo(&tree, "rtree, quadrature", make);
     check_solo(&flat, "flat, quadrature", make);
-    check_solo(&conc, "concurrent, quadrature", make);
 }
 
 #[test]
 fn batch_counters_match_stats() {
-    let (tree, flat, conc) = backends();
+    let (tree, flat) = backends();
     check_batch(&tree, "rtree");
     check_batch(&flat, "flat");
-    check_batch(&conc, "concurrent");
 }
 
 /// Recovered batch members run the Phase-3 stage solo and still flush
@@ -218,7 +199,7 @@ fn batch_counters_match_stats() {
 #[test]
 fn recovered_batch_counters_match_stats() {
     use gprq_core::{FaultPlan, FaultSchedule, FaultSite};
-    let (tree, _, _) = backends();
+    let (tree, _) = backends();
     let queries = queries();
     let metrics = PipelineMetrics::new();
     let executor = PrqExecutor::new(StrategySet::ALL).with_metrics(&metrics);

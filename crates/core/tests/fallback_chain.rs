@@ -8,7 +8,7 @@ use gprq_core::{
     RrCatalog, StrategySet, TerminalStrategy,
 };
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::{ConcurrentRTree, FlatRTree, Phase1Index, RStarParams, RTree};
+use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CatalogConfig {
@@ -248,15 +248,10 @@ fn degraded_routes_agree_with_each_other() {
 
     // The same routes over every Phase-1 backend.
     let flat = FlatRTree::freeze(small_tree());
-    let conc: ConcurrentRTree<2, u32> = ConcurrentRTree::new();
-    for (p, d) in tree.iter() {
-        conc.insert(*p, *d);
-    }
     for set in all_strategy_sets() {
         let routes = [
             ("rtree", route(&tree, set, center, sigma, theta)),
             ("flat", route(&flat, set, center, sigma, theta)),
-            ("concurrent", route(&conc, set, center, sigma, theta)),
         ];
         for (backend, outcome) in routes {
             let mut got: Vec<u32> = outcome.answers.iter().map(|(_, d)| **d).collect();

@@ -80,20 +80,6 @@ fn executor_answers_match_across_pointer_and_flat_backends() {
 }
 
 #[test]
-fn flat_backend_reports_zero_olc_activity() {
-    let flat = FlatRTree::bulk_load(random_points(1_000, 67));
-    let executor = PrqExecutor::new(StrategySet::ALL);
-    let query = PrqQuery::new(Vector::from([500.0, 500.0]), sigma(), 25.0, 0.01).unwrap();
-    let outcome = executor
-        .execute(&flat, &query, &mut Quadrature2dEvaluator::default())
-        .expect("flat run");
-    assert!(outcome.stats.node_accesses > 0);
-    assert_eq!(outcome.stats.olc_attempts, 0);
-    assert_eq!(outcome.stats.olc_retries, 0);
-    assert_eq!(outcome.stats.olc_pessimistic_fallbacks, 0);
-}
-
-#[test]
 fn query_batch_over_flat_backend_matches_solo_runs() {
     const SAMPLES: usize = 1_000;
     const BASE_SEED: u64 = 9_173;

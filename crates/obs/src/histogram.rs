@@ -17,8 +17,9 @@ pub const BUCKET_COUNT: usize = 65;
 /// workspace auditor requires of hot-path instrumentation.
 ///
 /// Quantiles are *conservative*: [`Histogram::quantile`] returns the
-/// upper bound of the bucket containing the requested rank, so the
-/// estimate never understates a latency.
+/// upper bound of the bucket containing the requested rank, clamped to
+/// the recorded maximum, so the estimate never understates a latency
+/// and never exceeds the largest value recorded.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKET_COUNT],
@@ -77,23 +78,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records `n` identical observations at once — the batch form of
-    /// [`Histogram::record`], for flushes that already aggregated a
-    /// per-bucket tally (e.g. a per-query retry-depth histogram folded
-    /// into the pipeline-wide one). `n == 0` records nothing.
-    pub fn record_n(&self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if let Some(bucket) = self.buckets.get(Self::bucket_index(value)) {
-            saturating_add(bucket, n);
-        }
-        saturating_add(&self.count, n);
-        saturating_add(&self.sum, value.saturating_mul(n));
-        // ORDERING: Relaxed — same commutative-max argument as `record`.
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
     /// Records a floating-point observation, sanitized instead of
     /// rejected: NaN and negative values clamp to `0`, `+∞` and values
     /// beyond `u64::MAX` saturate. Recording never panics on any input.
@@ -148,8 +132,9 @@ impl Histogram {
     }
 
     /// Conservative quantile estimate: the upper bound of the bucket
-    /// holding the rank-`⌈q·count⌉` observation. `q` is clamped to
-    /// `[0, 1]` (NaN reads as `0`); an empty histogram reports `0`.
+    /// holding the rank-`⌈q·count⌉` observation, clamped to
+    /// [`Histogram::max_value`]. `q` is clamped to `[0, 1]` (NaN reads
+    /// as `0`); an empty histogram reports `0`.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -164,7 +149,7 @@ impl Histogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             cumulative = cumulative.saturating_add(bucket.load(Ordering::Relaxed));
             if cumulative >= target {
-                return Self::bucket_upper_bound(i);
+                return Self::bucket_upper_bound(i).min(self.max_value());
             }
         }
         // Only reachable if a concurrent writer raced `count` ahead of
@@ -275,8 +260,19 @@ mod tests {
         }
         assert_eq!(h.quantile(0.5), 15);
         assert_eq!(h.quantile(0.9), 15);
-        assert_eq!(h.quantile(0.95), (1 << 20) - 1);
-        assert_eq!(h.quantile(1.0), (1 << 20) - 1);
+        assert_eq!(h.quantile(0.95), 1_000_000);
+        assert_eq!(h.quantile(1.0), 1_000_000);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_recorded_max() {
+        for v in [0u64, 1, 5, 12_168, 20_000, u64::MAX] {
+            let h = Histogram::new();
+            h.record(v);
+            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                assert_eq!(h.quantile(q), v, "value {v}, q {q}");
+            }
+        }
     }
 
     #[test]

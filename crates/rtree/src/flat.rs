@@ -34,9 +34,51 @@
 //!   wider nodes — the candidate *set* is still identical (same
 //!   boundary-inclusive predicates on the same points).
 //!
-//! The index is immutable by design: the OLC
-//! [`ConcurrentRTree`](crate::ConcurrentRTree) stays the mutable front
-//! and a flat image is re-frozen at publish points (DESIGN.md §16).
+//! # Concurrent reads: published snapshots
+//!
+//! The index is immutable by design, so any number of reader threads
+//! share one image with no validation protocol. One writer owns the
+//! mutable pointer [`RTree`]; after each batch of writes it publishes
+//! `Arc::new(FlatRTree::freeze(tree.clone()))` into a
+//! `RwLock<Arc<FlatRTree<D, T>>>`, and readers hold the read lock only
+//! long enough to clone the `Arc`. A write becomes visible at the next
+//! publish, and each publish costs an O(n) clone + freeze (DESIGN.md
+//! §14).
+//!
+//! ```
+//! use gprq_linalg::Vector;
+//! use gprq_rtree::{FlatRTree, RStarParams, RTree, Rect};
+//! use std::sync::{Arc, PoisonError, RwLock};
+//!
+//! let mut tree = RTree::with_params(RStarParams::paper_default(2));
+//! for i in 0..100u32 {
+//!     tree.insert(Vector::from([f64::from(i), f64::from(i)]), i);
+//! }
+//! let published = RwLock::new(Arc::new(FlatRTree::freeze(tree.clone())));
+//! let load = |lock: &RwLock<Arc<FlatRTree<2, u32>>>| {
+//!     Arc::clone(&lock.read().unwrap_or_else(PoisonError::into_inner))
+//! };
+//! let far = Rect::centered(&Vector::from([500.0, 500.0]), &Vector::from([1.0, 1.0]));
+//!
+//! std::thread::scope(|s| {
+//!     s.spawn(|| {
+//!         // The writer owns the pointer tree: write, then publish.
+//!         tree.insert(Vector::from([500.0, 500.0]), 100);
+//!         let image = Arc::new(FlatRTree::freeze(tree.clone()));
+//!         *published.write().unwrap_or_else(PoisonError::into_inner) = image;
+//!     });
+//!     s.spawn(|| {
+//!         // A concurrent reader sees either whole image.
+//!         let image = load(&published);
+//!         assert!(image.len() == 100 || image.len() == 101);
+//!         assert_eq!(image.query_rect(&far).len(), image.len() - 100);
+//!     });
+//! });
+//! // After the join, every load sees the write.
+//! let image = load(&published);
+//! assert_eq!(image.len(), 101);
+//! assert_eq!(image.query_rect(&far).len(), 1);
+//! ```
 
 use crate::node::Node;
 use crate::params::RStarParams;

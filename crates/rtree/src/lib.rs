@@ -36,23 +36,19 @@
 #![warn(missing_docs)]
 
 mod bulk;
-pub mod concurrent;
 pub mod flat;
 pub mod grid;
 pub mod node;
-pub mod olc;
 pub mod params;
 pub mod query;
 pub mod rect;
 mod split;
 pub mod tree;
 
-pub use concurrent::{ConcQueryScratch, ConcurrentRTree, ContentionLadder, MAX_FANOUT};
 pub use flat::{FlatRTree, PACKED_FANOUT};
 pub use grid::UniformGrid;
 pub use node::LeafEntry;
-pub use olc::{ReadOutcome, VersionCell};
 pub use params::RStarParams;
-pub use query::{KnnScratch, Phase1Index, SearchStats, OLC_DEPTH_BUCKETS};
+pub use query::{KnnScratch, Phase1Index, SearchStats};
 pub use rect::Rect;
 pub use tree::{RTree, TreeStats};

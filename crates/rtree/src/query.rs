@@ -21,12 +21,6 @@ use gprq_linalg::Vector;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Number of log₂ buckets in [`SearchStats::olc_retry_depth`]: bucket 0
-/// counts first-try validations, bucket `b ≥ 1` counts node reads that
-/// needed `r` retries with `2^(b-1) ≤ r < 2^b` (the last bucket absorbs
-/// the tail).
-pub const OLC_DEPTH_BUCKETS: usize = 8;
-
 /// Counters accumulated during a search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -36,18 +30,6 @@ pub struct SearchStats {
     pub entries_checked: usize,
     /// Records reported to the visitor.
     pub results: usize,
-    /// Optimistic (seqlock-validated) node read attempts. Zero for the
-    /// single-writer [`RTree`]; populated by the concurrent tree.
-    pub olc_attempts: usize,
-    /// Optimistic attempts that failed validation (torn by a writer or
-    /// found write-locked) and were retried after backoff.
-    pub olc_retries: usize,
-    /// Queries that exhausted the optimistic ladder and escalated to
-    /// the pessimistic shared-latch path.
-    pub olc_fallbacks: usize,
-    /// Log₂ histogram of per-node retry depth (see
-    /// [`OLC_DEPTH_BUCKETS`]): how contended individual node reads were.
-    pub olc_retry_depth: [usize; OLC_DEPTH_BUCKETS],
 }
 
 impl SearchStats {
@@ -57,39 +39,14 @@ impl SearchStats {
         self.nodes_visited = self.nodes_visited.saturating_add(other.nodes_visited);
         self.entries_checked = self.entries_checked.saturating_add(other.entries_checked);
         self.results = self.results.saturating_add(other.results);
-        self.olc_attempts = self.olc_attempts.saturating_add(other.olc_attempts);
-        self.olc_retries = self.olc_retries.saturating_add(other.olc_retries);
-        self.olc_fallbacks = self.olc_fallbacks.saturating_add(other.olc_fallbacks);
-        for (dst, src) in self
-            .olc_retry_depth
-            .iter_mut()
-            .zip(other.olc_retry_depth.iter())
-        {
-            *dst = dst.saturating_add(*src);
-        }
-    }
-
-    /// Records one successfully validated node read that consumed
-    /// `retries` failed attempts first, into the log₂ depth histogram.
-    pub fn record_olc_depth(&mut self, retries: usize) {
-        let bucket = if retries == 0 {
-            0
-        } else {
-            usize::try_from(usize::BITS - retries.leading_zeros())
-                .unwrap_or(OLC_DEPTH_BUCKETS)
-                .min(OLC_DEPTH_BUCKETS - 1)
-        };
-        if let Some(slot) = self.olc_retry_depth.get_mut(bucket) {
-            *slot = slot.saturating_add(1);
-        }
     }
 }
 
 /// A Phase-1 rectangle index: anything the PRQ executors can run their
-/// candidate search against. Implemented by the single-writer [`RTree`]
-/// and by the concurrent OLC tree
-/// ([`ConcurrentRTree`](crate::ConcurrentRTree)), so the same executor
-/// code serves both the batch and the shared-service deployment shapes.
+/// candidate search against. Implemented by the mutable pointer
+/// [`RTree`] and by its frozen flat image
+/// ([`FlatRTree`](crate::FlatRTree)), which concurrent readers share as
+/// published snapshots (see the [`flat`](crate::flat) module docs).
 pub trait Phase1Index<const D: usize, T> {
     /// Clears `out`, then appends every record whose point lies in
     /// `rect` (boundary inclusive), accumulating statistics.
@@ -107,21 +64,12 @@ pub trait Phase1Index<const D: usize, T> {
     /// call with the same rectangle — batching is a pure amortization,
     /// never a semantic change (the batch executor's parity suite holds
     /// implementations to this).
-    ///
-    /// The default implementation probes one rectangle at a time, which
-    /// is always correct; indexes that can share a descent across
-    /// rectangles (the single-writer [`RTree`]) override it.
     fn search_rects_into<'t>(
         &'t self,
         rects: &[Rect<D>],
         stats: &mut [SearchStats],
         out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-    ) {
-        let zipped = std::iter::zip(rects, std::iter::zip(stats.iter_mut(), out.iter_mut()));
-        for (rect, (st, buf)) in zipped {
-            self.search_rect_into(rect, st, buf);
-        }
-    }
+    );
 }
 
 impl<const D: usize, T> Phase1Index<D, T> for RTree<D, T> {

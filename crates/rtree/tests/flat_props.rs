@@ -1,11 +1,11 @@
 //! Property tests for the flat index: across random workloads (including
 //! empty trees) and degenerate rectangles (zero-width, inverted, huge),
 //! the flat image must return identical candidate sets — and, where the
-//! topology is shared, identical `SearchStats` tallies — to both the
-//! sequential `RTree` and the `ConcurrentRTree`.
+//! topology is shared, identical `SearchStats` tallies — to the pointer
+//! `RTree`.
 
 use gprq_linalg::Vector;
-use gprq_rtree::{ConcurrentRTree, FlatRTree, Phase1Index, RStarParams, RTree, Rect, SearchStats};
+use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree, Rect, SearchStats};
 use proptest::prelude::*;
 
 /// One drawn rectangle before shaping: center, half-extents, selector.
@@ -124,7 +124,7 @@ proptest! {
 
     /// The packed (fanout-64) layout reshapes the tree, so node counters
     /// differ — but the candidate sets and the result tallies must be
-    /// identical to both existing backends on every workload.
+    /// identical to the pointer tree on every workload.
     #[test]
     fn prop_packed_layout_matches_both_backends(
         points in arb_points(),
@@ -137,21 +137,14 @@ proptest! {
             .map(|(i, &(x, y))| (Vector::from([x, y]), i))
             .collect();
         let tree = RTree::bulk_load(records.clone(), RStarParams::paper_default(2));
-        let conc: ConcurrentRTree<2, usize> = ConcurrentRTree::new();
-        for (p, id) in &records {
-            conc.insert(*p, *id);
-        }
         let flat = FlatRTree::bulk_load(records);
         prop_assert_eq!(flat.len(), tree.len());
 
         for rect in &rects {
             let (tree_out, tree_stats) = search(&tree, rect);
-            let (conc_out, conc_stats) = search(&conc, rect);
             let (flat_out, flat_stats) = search(&flat, rect);
             prop_assert_eq!(key_set(&flat_out), key_set(&tree_out));
-            prop_assert_eq!(key_set(&flat_out), key_set(&conc_out));
             prop_assert_eq!(flat_stats.results, tree_stats.results);
-            prop_assert_eq!(flat_stats.results, conc_stats.results);
         }
     }
 }

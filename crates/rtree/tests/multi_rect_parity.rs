@@ -1,11 +1,10 @@
 //! Parity tests for the batched multi-rectangle probe: a single
 //! `query_rects_into` descent must reproduce, per query, exactly the
 //! candidates (same order) and exactly the `SearchStats` of N solo
-//! `query_rect_into` calls — batching is a pure amortization. The trait
-//! default (used by `ConcurrentRTree`) is held to the same contract.
+//! `query_rect_into` calls — batching is a pure amortization.
 
 use gprq_linalg::Vector;
-use gprq_rtree::{ConcurrentRTree, Phase1Index, RTree, Rect, SearchStats};
+use gprq_rtree::{RTree, Rect, SearchStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,40 +133,4 @@ fn shorter_stat_slice_bounds_the_batch() {
         assert_eq!(stats[q], solo_stats);
     }
     assert!(out[2].is_empty() && out[3].is_empty());
-}
-
-#[test]
-fn trait_default_on_concurrent_tree_matches_sequential_tree() {
-    let points = random_points(1_500, 91, 400.0);
-    let seq = build_tree(&points);
-    let conc: ConcurrentRTree<2, usize> = ConcurrentRTree::new();
-    for (p, id) in &points {
-        conc.insert(*p, *id);
-    }
-    let rects = random_rects(9, 92, 400.0);
-
-    let mut seq_stats = vec![SearchStats::default(); rects.len()];
-    let mut seq_out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); rects.len()];
-    Phase1Index::search_rects_into(&seq, &rects, &mut seq_stats, &mut seq_out);
-
-    let mut conc_stats = vec![SearchStats::default(); rects.len()];
-    let mut conc_out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); rects.len()];
-    Phase1Index::search_rects_into(&conc, &rects, &mut conc_stats, &mut conc_out);
-
-    for q in 0..rects.len() {
-        // Same answer sets (order may differ across tree shapes): compare
-        // as sorted id lists, and values bitwise.
-        let mut a: Vec<(u64, u64, usize)> = seq_out[q]
-            .iter()
-            .map(|(p, d)| (p[0].to_bits(), p[1].to_bits(), **d))
-            .collect();
-        let mut b: Vec<(u64, u64, usize)> = conc_out[q]
-            .iter()
-            .map(|(p, d)| (p[0].to_bits(), p[1].to_bits(), **d))
-            .collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "answer sets diverge for query {q}");
-        assert_eq!(conc_stats[q].results, seq_stats[q].results);
-    }
 }

@@ -281,7 +281,6 @@ fn search_stats_accumulate_and_prune() {
         nodes_visited: usize::MAX,
         entries_checked: usize::MAX,
         results: usize::MAX,
-        ..SearchStats::default()
     };
     top.merge(&full);
     assert_eq!(top.nodes_visited, usize::MAX);

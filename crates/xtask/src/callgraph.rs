@@ -84,13 +84,11 @@ pub const LOCK_CRATES: [&str; 5] = [
     "crates/obs",
 ];
 
-/// Acquisition method names for the lock-order graph. `write_lock`
-/// covers the OLC seqlock writer side, which blocks writers against
-/// each other exactly like a mutex.
-const ORDER_METHODS: [&str; 4] = ["lock", "read", "write", "write_lock"];
+/// Acquisition method names for the lock-order graph.
+const ORDER_METHODS: [&str; 3] = ["lock", "read", "write"];
 
 /// Lock-type qualifiers for path-call acquisition shapes.
-const ORDER_TYPES: [&str; 3] = ["Mutex", "RwLock", "VersionCell"];
+const ORDER_TYPES: [&str; 2] = ["Mutex", "RwLock"];
 
 /// Panic-family macros checked by the reachability rule. `debug_assert*`
 /// is exempt: compiled out of release builds.
@@ -384,10 +382,10 @@ impl Analysis {
     }
 
     /// `hot-path-lock`: no blocking lock acquisition transitively
-    /// reachable from a `// HOT-PATH:` root. The whole point of the OLC
-    /// seqlock (`gprq_rtree::olc`) is that tree descents synchronize
-    /// through version validation instead of blocking; a `Mutex`/`RwLock`
-    /// acquired under a hot root reintroduces writer-stalls-readers.
+    /// reachable from a `// HOT-PATH:` root. Concurrent readers share
+    /// published immutable snapshots and take a lock only to clone the
+    /// snapshot handle, before the descent; a `Mutex`/`RwLock` acquired
+    /// under a hot root reintroduces writer-stalls-readers.
     /// Dangling markers are already reported by `check_hot_path_alloc`,
     /// so this rule only walks the reachable set.
     pub fn check_hot_path_lock(&self, sources: &Sources, out: &mut Vec<Violation>) {
@@ -416,9 +414,9 @@ impl Analysis {
                     snippet: sources.line(&f.path, call.line),
                     message: format!(
                         "blocking acquisition `{desc}` reachable from hot root \
-                         `{}` — hot paths must stay lock-free (optimistic \
-                         validation via `VersionCell`, or hoist the lock out of \
-                         the per-candidate loop)",
+                         `{}` — hot paths must stay lock-free (read a published \
+                         snapshot, or hoist the lock out of the per-candidate \
+                         loop)",
                         chain.first().cloned().unwrap_or_default()
                     ),
                     severity: Severity::Error,

@@ -24,32 +24,26 @@
 //! | `send-sync-audit`   | manual `unsafe impl Send`/`Sync` is an error unless allowlisted with the audit argument |
 //! | `atomic-ordering`   | atomic ops name an explicit `Ordering` at the call site, `Relaxed` carries an `// ORDERING:` comment, `static mut` is banned |
 //! | `hot-path-lock`     | no blocking `Mutex`/`RwLock` acquisition transitively reachable from a `// HOT-PATH:` root (call graph) |
-//! | `olc-use-before-validate` | every value derived under a `VersionCell::optimistic_read` guard is CFG-dominated by a `guard.validate()` before it escapes (returned, stored, or passed on) |
-//! | `retry-purity`      | closures passed to retry combinators (`read_consistent`) and fns marked `// RETRY-SAFE:` are side-effect-free — re-execution must be unobservable |
 //! | `lock-order`        | held-then-acquire edges between lock classes admit no cycle — deadlock freedom by a single global acquisition order (lock graph) |
 //!
 //! Run locally with `cargo xtask audit`; see DESIGN.md §"Invariants &
-//! static analysis" and §13 (the dataflow rules) for the allowlist
-//! policy, the `// HOT-PATH:`/`// RETRY-SAFE:` marker conventions, and
-//! the call-graph resolution rules. `cargo xtask markers` prints (or,
+//! static analysis" and §13 (lock order and the parallel audit) for the
+//! allowlist policy, the `// HOT-PATH:` marker convention, and the
+//! call-graph resolution rules. `cargo xtask markers` prints (or,
 //! with `--check`, verifies) the committed marker-index snapshot
 //! `audit-markers.txt`.
 //!
 //! The build environment is offline (no `syn`), so the auditor uses its
 //! own minimal lexer ([`lexer`]) and a hand-rolled item parser
-//! ([`parser`]) feeding a name-resolved call graph ([`callgraph`]) and
-//! a per-function control-flow graph ([`mod@cfg`]) with forward-dominance
-//! dataflow ([`dataflow`]). The trade-off is documented per rule;
-//! fixture self-tests under `tests/fixtures/` pin the expected behavior
-//! of each rule.
+//! ([`parser`]) feeding a name-resolved call graph ([`callgraph`]).
+//! The trade-off is documented per rule; fixture self-tests under
+//! `tests/fixtures/` pin the expected behavior of each rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allowlist;
 pub mod callgraph;
-pub mod cfg;
-pub mod dataflow;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -76,9 +70,9 @@ fn ms_since(t: Instant) -> f64 {
 }
 
 /// Audits a single file's source under the given rule set, appending
-/// findings, CFG summaries, and per-rule wall times, and returns the
-/// parsed analysis so callers can feed the workspace call graph. Used
-/// by both the workspace audit and the fixture tests.
+/// findings and per-rule wall times, and returns the parsed analysis
+/// so callers can feed the workspace call graph. Used by both the
+/// workspace audit and the fixture tests.
 #[allow(clippy::too_many_arguments)]
 pub fn audit_source(
     rel_path: &str,
@@ -88,7 +82,6 @@ pub fn audit_source(
     check_invariants: bool,
     violations: &mut Vec<Violation>,
     invariants: &mut Vec<rules::InvariantMarker>,
-    cfg_fns: &mut Vec<dataflow::CfgFnSummary>,
     timings: &mut Vec<(&'static str, f64)>,
 ) -> FileAnalysis {
     let t = Instant::now();
@@ -117,18 +110,6 @@ pub fn audit_source(
         let t = Instant::now();
         rules::check_atomic_ordering(rel_path, source, &toks, violations);
         timings.push(("atomic-ordering", ms_since(t)));
-    }
-    if rule_set.olc_protocol {
-        let t = Instant::now();
-        dataflow::check_olc_use_before_validate(
-            rel_path, source, &toks, &analysis, violations, cfg_fns,
-        );
-        timings.push(("olc-use-before-validate", ms_since(t)));
-    }
-    if rule_set.retry_purity {
-        let t = Instant::now();
-        rules::check_retry_purity(rel_path, source, &toks, &analysis, violations);
-        timings.push(("retry-purity", ms_since(t)));
     }
     if is_crate_root {
         rules::check_crate_root(rel_path, source, violations);
@@ -180,7 +161,6 @@ struct Unit {
     violations: Vec<Violation>,
     invariants: Vec<rules::InvariantMarker>,
     unsafe_sites: Vec<parser::UnsafeSite>,
-    cfg_fns: Vec<dataflow::CfgFnSummary>,
     timings: Vec<(&'static str, f64)>,
     source: String,
     analysis: FileAnalysis,
@@ -193,7 +173,6 @@ fn audit_one(root: &Path, rel: &str) -> Result<Unit, String> {
         violations: Vec::new(),
         invariants: Vec::new(),
         unsafe_sites: Vec::new(),
-        cfg_fns: Vec::new(),
         timings: Vec::new(),
         source: String::new(),
         analysis: FileAnalysis::default(),
@@ -206,7 +185,6 @@ fn audit_one(root: &Path, rel: &str) -> Result<Unit, String> {
         workspace::INVARIANT_FILES.contains(&rel),
         &mut unit.violations,
         &mut unit.invariants,
-        &mut unit.cfg_fns,
         &mut unit.timings,
     );
     // The unsafe inventory snapshots library code: test-region sites
@@ -269,7 +247,6 @@ pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
     let mut violations = Vec::new();
     let mut invariants = Vec::new();
     let mut unsafe_sites = Vec::new();
-    let mut cfg_fns = Vec::new();
     let mut rule_timings: BTreeMap<&'static str, f64> = BTreeMap::new();
     let mut parsed = Vec::new();
     let mut sources = Sources::default();
@@ -278,7 +255,6 @@ pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
         violations.extend(unit.violations);
         invariants.extend(unit.invariants);
         unsafe_sites.extend(unit.unsafe_sites);
-        cfg_fns.extend(unit.cfg_fns);
         for (name, ms) in unit.timings {
             *rule_timings.entry(name).or_insert(0.0) += ms;
         }
@@ -310,7 +286,6 @@ pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
         unsafe_sites,
         hot_paths: analysis.hot_markers.clone(),
         callgraph: analysis.stats(),
-        cfg_fns,
         lock_sites: analysis.lock_sites.clone(),
         lock_edges: analysis.lock_edges.clone(),
         rule_timings_ms: rule_timings

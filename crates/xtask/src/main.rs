@@ -36,17 +36,17 @@ fn usage() {
          \x20      cargo xtask markers [--check] [--root <path>]\n\
          \n\
          audit: checks the workspace against the invariant rules described in\n\
-         DESIGN.md §\"Invariants & static analysis\" and §13 (dataflow rules).\n\
+         DESIGN.md §\"Invariants & static analysis\" and §13 (lock order).\n\
          \n\
          options:\n\
-           --fix-report <path>  also write a machine-readable JSON report (schema v4,\n\
+           --fix-report <path>  also write a machine-readable JSON report (schema v5,\n\
                                 including per-rule wall times and the lock graph)\n\
            --root <path>        workspace root (default: walk up from cwd)\n\
            --warnings           print heuristic warnings (never fail the audit)\n\
            --enforce-runtime    fail if the audit takes more than 2x the baseline\n\
                                 committed in `audit-baseline.txt`\n\
          \n\
-         markers: prints the INVARIANT / HOT-PATH / UNSAFE / CFG / LOCKGRAPH marker\n\
+         markers: prints the INVARIANT / HOT-PATH / UNSAFE / LOCKGRAPH marker\n\
          index; with --check, diffs it against the committed `audit-markers.txt`\n\
          snapshot and fails on drift (regenerate with\n\
          `cargo xtask markers > audit-markers.txt`)."
@@ -78,12 +78,6 @@ fn render_markers(report: &xtask::report::AuditReport) -> String {
             s.snippet
         ));
     }
-    for c in &report.cfg_fns {
-        lines.push(format!(
-            "CFG {}:{} [{}] blocks={} guards={}",
-            c.path, c.line, c.fn_name, c.blocks, c.guards
-        ));
-    }
     for s in &report.lock_sites {
         lines.push(format!(
             "LOCKGRAPH-SITE {}:{} [{}] class={} {}",
@@ -112,13 +106,9 @@ fn render_markers(report: &xtask::report::AuditReport) -> String {
     );
     let _ = writeln!(
         out,
-        "# site in library code, and every change to the OLC dataflow surface"
+        "# site in library code, and every change to the lock-acquisition graph"
     );
-    let _ = writeln!(
-        out,
-        "# (CFG lines) or the lock-acquisition graph (LOCKGRAPH lines) is"
-    );
-    let _ = writeln!(out, "# reviewed here.");
+    let _ = writeln!(out, "# (LOCKGRAPH lines) is reviewed here.");
     for l in lines {
         let _ = writeln!(out, "{l}");
     }
@@ -170,11 +160,10 @@ fn markers(args: &[String]) -> ExitCode {
     if committed == rendered {
         println!(
             "markers: snapshot up to date ({} invariant, {} hot-path, {} unsafe, \
-             {} cfg, {} lock-site, {} lock-edge)",
+             {} lock-site, {} lock-edge)",
             report.invariants.len(),
             report.hot_paths.len(),
             report.unsafe_sites.len(),
-            report.cfg_fns.len(),
             report.lock_sites.len(),
             report.lock_edges.len()
         );

@@ -70,20 +70,6 @@ pub struct Call {
     pub args_range: Option<(usize, usize)>,
 }
 
-/// One closure expression inside a function body (`|x| x + 1`,
-/// `move || { ... }`). The dataflow rules need these to check the
-/// bodies passed to retrying combinators for purity.
-#[derive(Debug, Clone)]
-pub struct ClosureInfo {
-    /// 1-based line of the opening `|`.
-    pub line: usize,
-    /// Parameter binding names, in order.
-    pub params: Vec<String>,
-    /// Token-index range `[lo, hi)` of the closure body (exclusive of
-    /// the braces for block bodies).
-    pub body: (usize, usize),
-}
-
 /// One parsed function item.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
@@ -110,12 +96,6 @@ pub struct FnInfo {
     pub body: Option<(usize, usize)>,
     /// Call sites inside the body.
     pub calls: Vec<Call>,
-    /// Closure expressions inside the body (excluding nested `fn`
-    /// items' bodies), in source order.
-    pub closures: Vec<ClosureInfo>,
-    /// A `// RETRY-SAFE:` marker is attached above the item — the body
-    /// must satisfy the `retry-purity` rule.
-    pub retry_safe: bool,
     /// Doc block above the item contains an `# Errors` section.
     pub doc_has_errors: bool,
     /// Doc block above the item contains a `# Panics` section.
@@ -282,7 +262,6 @@ pub fn parse_file(path: &str, source: &str, toks: &[Tok]) -> FileAnalysis {
     };
     p.items(0, toks.len(), None, false);
     attach_hot_markers(path, &lines, &mut out);
-    attach_retry_safe_markers(&lines, &mut out);
     collect_qual_refs(toks, &test_regions, &mut out.qual_refs);
     collect_unsafe_sites(path, &lines, toks, &test_regions, &mut out.unsafe_sites);
     out
@@ -365,29 +344,6 @@ fn attach_hot_markers(path: &str, lines: &[&str], out: &mut FileAnalysis) {
             text,
             attached_fn,
         });
-    }
-}
-
-/// Marks every function carrying a `// RETRY-SAFE:` marker within the
-/// attachment window above it (same convention as `// HOT-PATH:`). A
-/// marked function promises its body is pure enough to re-execute
-/// arbitrarily many times; the `retry-purity` rule verifies the claim.
-fn attach_retry_safe_markers(lines: &[&str], out: &mut FileAnalysis) {
-    /// Same window as `// HOT-PATH:` / `// INVARIANT:` attachment.
-    const WINDOW: usize = 16;
-    for (idx, raw) in lines.iter().enumerate() {
-        if !raw.contains("// RETRY-SAFE:") {
-            continue;
-        }
-        let line = idx + 1;
-        if let Some(f) = out
-            .fns
-            .iter_mut()
-            .filter(|f| f.line > line && f.line <= line + WINDOW)
-            .min_by_key(|f| f.line)
-        {
-            f.retry_safe = true;
-        }
     }
 }
 
@@ -833,10 +789,8 @@ impl Parser<'_> {
             (None, j + 1)
         };
         let mut calls = Vec::new();
-        let mut closures = Vec::new();
         if let Some((open, close)) = body {
             self.collect_calls(open + 1, close, &mut calls);
-            self.collect_closures(open + 1, close, &mut closures);
             // Nested items (closures need no recursion — their calls are
             // part of this body; nested `fn` items are parsed as their
             // own functions *and* their calls excluded from this one).
@@ -855,9 +809,6 @@ impl Parser<'_> {
             params,
             body,
             calls,
-            closures,
-            // Filled in by `attach_retry_safe_markers` after parsing.
-            retry_safe: false,
             doc_has_errors,
             doc_has_panics,
             // Filled in by `attach_hot_markers` after item parsing.
@@ -1031,149 +982,6 @@ impl Parser<'_> {
             }
             i += 1;
         }
-    }
-
-    /// Collects closure expressions in a body token range. Nested `fn`
-    /// item bodies are excluded (mirroring [`Self::collect_calls`]);
-    /// closures nested *inside* another closure's body are each
-    /// recorded on their own, since the scan keeps walking through
-    /// recorded bodies.
-    ///
-    /// Detection is heuristic (no types): a `|` or `||` punct starts a
-    /// closure when the previous token is one that can precede an
-    /// expression — `(`, `,`, `=`, `=>`, `{`, `;`, `&&`, `||`,
-    /// `return`, `else`, or `move`. Match-arm pattern alternation and
-    /// bitwise-or follow an identifier, literal, or closing delimiter,
-    /// so they never match.
-    fn collect_closures(&self, start: usize, end: usize, out: &mut Vec<ClosureInfo>) {
-        let mut i = start;
-        while i < end {
-            // Exclude nested fn items (same walk as collect_calls).
-            if self.is_ident(i, "fn")
-                && self
-                    .toks
-                    .get(i + 1)
-                    .is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                let mut j = i;
-                while j < end && self.text(j) != "{" && self.text(j) != ";" {
-                    j += 1;
-                }
-                i = if self.text(j) == "{" {
-                    self.skip_delim(j, end, "{", "}")
-                } else {
-                    j + 1
-                };
-                continue;
-            }
-            let t = self.text(i);
-            let is_vert = self.toks[i].kind == TokKind::Punct && (t == "|" || t == "||");
-            if !is_vert || !self.closure_prev_ok(i, start) {
-                i += 1;
-                continue;
-            }
-            let line = self.toks[i].line;
-            let mut params = Vec::new();
-            // Position after the closing `|` of the parameter list.
-            let after_params = if t == "||" {
-                i + 1
-            } else {
-                let Some(close) = self.closure_params(i + 1, end, &mut params) else {
-                    i += 1;
-                    continue;
-                };
-                close + 1
-            };
-            // Optional `-> Type` before a (then mandatory) block body.
-            let mut k = after_params;
-            if self.text(k) == "->" {
-                while k < end && self.text(k) != "{" && self.text(k) != ";" {
-                    k += 1;
-                }
-            }
-            let body = if self.text(k) == "{" {
-                let close_after = self.skip_delim(k, end, "{", "}");
-                (k + 1, close_after.saturating_sub(1))
-            } else {
-                (k, self.closure_expr_end(k, end))
-            };
-            out.push(ClosureInfo { line, params, body });
-            // Keep scanning *inside* the body so nested closures are
-            // found too.
-            i += 1;
-        }
-    }
-
-    /// Whether the token before `i` can precede a closure expression.
-    fn closure_prev_ok(&self, i: usize, start: usize) -> bool {
-        if i == start {
-            return true;
-        }
-        let prev = &self.toks[i - 1];
-        matches!(
-            prev.text.as_str(),
-            "(" | "," | "=" | "=>" | "{" | ";" | "&&" | "||" | "return" | "else" | "move"
-        ) && (prev.kind == TokKind::Punct || prev.kind == TokKind::Ident)
-    }
-
-    /// Parses a closure parameter list from the token after the opening
-    /// `|`; returns the index of the closing `|`, or `None` when no
-    /// plausible closing `|` exists (then the vert was not a closure).
-    fn closure_params(&self, start: usize, end: usize, params: &mut Vec<String>) -> Option<usize> {
-        let mut j = start;
-        let mut seen_colon = false;
-        let mut depth = 0isize;
-        while j < end {
-            let t = self.text(j);
-            match t {
-                "|" if depth == 0 => return Some(j),
-                // A statement boundary before the closing `|` means
-                // this was never a closure parameter list.
-                ";" | "{" | "}" => return None,
-                "(" | "[" => depth += 1,
-                ")" | "]" => {
-                    if depth == 0 {
-                        return None;
-                    }
-                    depth -= 1;
-                }
-                "," if depth == 0 => seen_colon = false,
-                ":" if depth == 0 => seen_colon = true,
-                _ => {
-                    if !seen_colon
-                        && self.toks[j].kind == TokKind::Ident
-                        && !matches!(t, "mut" | "ref")
-                    {
-                        params.push(t.to_owned());
-                    }
-                }
-            }
-            j += 1;
-        }
-        None
-    }
-
-    /// End (exclusive) of an expression-form closure body starting at
-    /// `k`: the `,` or `;` at depth 0, or the closing delimiter of the
-    /// enclosing group, whichever comes first.
-    fn closure_expr_end(&self, k: usize, end: usize) -> usize {
-        let mut depth = 0isize;
-        let mut j = k;
-        while j < end {
-            match self.text(j) {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    if depth == 0 {
-                        return j;
-                    }
-                    depth -= 1;
-                }
-                "," | ";" if depth == 0 => return j,
-                _ => {}
-            }
-            j += 1;
-        }
-        end
     }
 
     /// Scans the contiguous doc/attribute block above `fn_line` for
@@ -1432,47 +1240,6 @@ mod tests {
         assert!(lo < hlo && hhi < hi, "nested call inside outer args");
         let push = f.calls.iter().find(|c| c.name == "push").unwrap();
         assert!(push.args_range.is_some());
-    }
-
-    #[test]
-    fn closures_are_collected_with_params_and_bodies() {
-        let a = parse(
-            "fn f(v: &[u64]) -> u64 {\n\
-             let s: u64 = v.iter().map(|x| x + 1).sum();\n\
-             let g = move || { s + 2 };\n\
-             let h = |acc: u64, x: &u64| acc + x;\n\
-             s\n}",
-        );
-        let f = &a.fns[0];
-        assert_eq!(f.closures.len(), 3);
-        assert_eq!(f.closures[0].params, vec!["x"]);
-        assert!(f.closures[1].params.is_empty());
-        assert_eq!(f.closures[2].params, vec!["acc", "x"]);
-        // Pattern alternation and bitwise-or are not closures.
-        let b = parse("fn g(n: u64) -> u64 { match n { 0 | 1 => n | 2, _ => n } }");
-        assert!(b.fns[0].closures.is_empty());
-    }
-
-    #[test]
-    fn retry_safe_marker_attaches_within_the_window() {
-        let a = parse(
-            "// RETRY-SAFE: pure snapshot\nfn pure_one() {}\n\
-             fn unmarked() {}",
-        );
-        assert!(
-            a.fns
-                .iter()
-                .find(|f| f.name == "pure_one")
-                .unwrap()
-                .retry_safe
-        );
-        assert!(
-            !a.fns
-                .iter()
-                .find(|f| f.name == "unmarked")
-                .unwrap()
-                .retry_safe
-        );
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::allowlist::AllowEntry;
 use crate::callgraph::{CallGraphStats, LockEdge, LockSite};
-use crate::dataflow::CfgFnSummary;
 use crate::parser::{HotPathMarker, UnsafeSite};
 use crate::rules::{InvariantMarker, Violation};
 
@@ -11,8 +10,9 @@ use crate::rules::{InvariantMarker, Violation};
 /// unsafe inventory behind the `unsafe-safety-comment` rule); v4 added
 /// `cfg_fns` (per-function CFG summaries from the dataflow rules),
 /// `lock_graph` (acquisition sites and held-then-acquire edges), and
-/// `rule_timings_ms`/`total_ms` (per-rule wall time).
-pub const SCHEMA_VERSION: u32 = 4;
+/// `rule_timings_ms`/`total_ms` (per-rule wall time); v5 removed
+/// `cfg_fns` with the dataflow rules.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Complete result of one audit run.
 #[derive(Debug)]
@@ -36,9 +36,6 @@ pub struct AuditReport {
     pub hot_paths: Vec<HotPathMarker>,
     /// Call-graph summary counts.
     pub callgraph: CallGraphStats,
-    /// Per-function CFG summaries from the `olc-use-before-validate`
-    /// dataflow pass (one per analyzed fn).
-    pub cfg_fns: Vec<CfgFnSummary>,
     /// Lock-acquisition sites in the lock-order graph.
     pub lock_sites: Vec<LockSite>,
     /// Held-then-acquire edges between lock classes.
@@ -108,8 +105,7 @@ impl AuditReport {
             out,
             "audit: {} file(s) scanned, {} fn(s) / {} call edge(s) in graph, {} error(s), \
              {} warning(s), {} allowlisted, {} invariant + {} hot-path marker(s) indexed, \
-             {} unsafe site(s) inventoried, {} cfg fn(s) analyzed, {} lock site(s) / \
-             {} lock edge(s), {:.1} ms",
+             {} unsafe site(s) inventoried, {} lock site(s) / {} lock edge(s), {:.1} ms",
             self.files_scanned,
             self.callgraph.functions,
             self.callgraph.edges,
@@ -119,7 +115,6 @@ impl AuditReport {
             self.invariants.len(),
             self.hot_paths.len(),
             self.unsafe_sites.len(),
-            self.cfg_fns.len(),
             self.lock_sites.len(),
             self.lock_edges.len(),
             self.total_ms
@@ -154,24 +149,7 @@ impl AuditReport {
             .map(|(rule, ms)| format!("{}: {ms:.3}", json_str(rule)))
             .collect();
         out.push_str(&items.join(", "));
-        out.push_str("},\n  \"cfg_fns\": [\n");
-        let items: Vec<String> = self
-            .cfg_fns
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"path\": {}, \"line\": {}, \"fn\": {}, \"blocks\": {}, \
-                     \"guards\": {}}}",
-                    json_str(&c.path),
-                    c.line,
-                    json_str(&c.fn_name),
-                    c.blocks,
-                    c.guards
-                )
-            })
-            .collect();
-        out.push_str(&items.join(",\n"));
-        out.push_str("\n  ],\n  \"lock_graph\": {\n    \"sites\": [\n");
+        out.push_str("},\n  \"lock_graph\": {\n    \"sites\": [\n");
         let items: Vec<String> = self
             .lock_sites
             .iter()
@@ -334,7 +312,6 @@ mod tests {
             unsafe_sites: Vec::new(),
             hot_paths: Vec::new(),
             callgraph: CallGraphStats::default(),
-            cfg_fns: Vec::new(),
             lock_sites: Vec::new(),
             lock_edges: Vec::new(),
             rule_timings_ms: Vec::new(),
@@ -381,7 +358,7 @@ mod tests {
             unused_allowlist: Vec::new(),
             invariants: Vec::new(),
             unsafe_sites: vec![crate::parser::UnsafeSite {
-                path: "crates/rtree/src/olc.rs".into(),
+                path: "crates/rtree/src/flat.rs".into(),
                 line: 9,
                 kind: crate::parser::UnsafeKind::Block,
                 snippet: "unsafe { ptr.read() }".into(),
@@ -389,13 +366,6 @@ mod tests {
             }],
             hot_paths: Vec::new(),
             callgraph: CallGraphStats::default(),
-            cfg_fns: vec![CfgFnSummary {
-                path: "crates/rtree/src/olc.rs".into(),
-                line: 129,
-                fn_name: "VersionCell::read_consistent".into(),
-                blocks: 7,
-                guards: 1,
-            }],
             lock_sites: vec![LockSite {
                 class: "inner".into(),
                 desc: ".lock() on `inner`".into(),
@@ -419,7 +389,6 @@ mod tests {
         assert!(json.contains("\"unsafe_sites\""));
         assert!(json.contains("\"kind\": \"block\""));
         assert!(json.contains("\"lock_graph\""));
-        assert!(json.contains("\"cfg_fns\""));
         assert!(json.contains("\"rule_timings_ms\": {\"panic-free\": 1.250}"));
         assert!(json.contains("\"from\": \"a\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -79,13 +79,6 @@ pub struct RuleSet {
     /// call site, `Relaxed` requires an `// ORDERING:` comment, and
     /// `static mut` is banned outright.
     pub atomic_ordering: bool,
-    /// C4: values derived under a `VersionCell::optimistic_read` guard
-    /// must be dominated by a `guard.validate()` before escaping (the
-    /// [`crate::dataflow`] rule `olc-use-before-validate`).
-    pub olc_protocol: bool,
-    /// C5: closures passed to retrying combinators (and fns marked
-    /// `// RETRY-SAFE:`) must be side-effect-free (`retry-purity`).
-    pub retry_purity: bool,
 }
 
 /// Trimmed text of `line` (1-based) — the violation context line.
@@ -751,289 +744,5 @@ pub fn check_atomic_ordering(path: &str, source: &str, toks: &[Tok], out: &mut V
                 chain: Vec::new(),
             });
         }
-    }
-}
-
-/// Callees whose closure argument re-executes on every retry, so the
-/// closure must be side-effect-free.
-const RETRY_COMBINATORS: [&str; 3] = ["read_consistent", "read_tracked", "read_with_retry"];
-
-/// Method names that mutate their receiver: atomic writers/RMWs plus
-/// the common collection mutators. Receiver-based detection — a call
-/// on a *local* binding of the retry body is fine (its effects are
-/// discarded with the binding on the next retry).
-const MUTATING_METHODS: [&str; 22] = [
-    "store",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_nand",
-    "fetch_update",
-    "push",
-    "push_str",
-    "insert",
-    "remove",
-    "clear",
-    "extend",
-    "pop",
-    "truncate",
-    "set",
-];
-
-/// I/O-shaped macros: a retried body re-emits them arbitrarily often.
-const IO_MACROS: [&str; 7] = [
-    "println", "eprintln", "print", "eprint", "write", "writeln", "dbg",
-];
-
-/// C5 `retry-purity`: closures passed to a retry combinator
-/// (`RETRY_COMBINATORS`) and the bodies of fns marked
-/// `// RETRY-SAFE:` must be side-effect-free, because a validation
-/// failure re-executes them arbitrarily many times and discards their
-/// intermediate results. Three effect shapes are flagged:
-///
-/// * assignment (plain or compound) to a binding that is not local to
-///   the retry body — a captured variable or a `&mut` parameter keeps
-///   the effect across retries;
-/// * a mutating method call (`MUTATING_METHODS`) whose receiver
-///   chain is not rooted in a local binding (`.swap` only counts when
-///   an `Ordering` appears in its arguments, mirroring C3);
-/// * an I/O macro (`IO_MACROS`).
-///
-/// "Local" means: closure parameters, by-value fn parameters, and
-/// `let` bindings inside the scanned range. `&mut` parameters of a
-/// `// RETRY-SAFE:` fn are deliberately *not* local — writes through
-/// them survive the retry.
-pub fn check_retry_purity(
-    path: &str,
-    source: &str,
-    toks: &[Tok],
-    analysis: &crate::parser::FileAnalysis,
-    out: &mut Vec<Violation>,
-) {
-    for f in &analysis.fns {
-        if f.in_test {
-            continue;
-        }
-        for call in &f.calls {
-            if !RETRY_COMBINATORS.contains(&call.name.as_str()) {
-                continue;
-            }
-            let Some((open, close)) = call.args_range else {
-                continue;
-            };
-            for cl in &f.closures {
-                if cl.body.0 <= open || cl.body.1 > close + 1 {
-                    continue;
-                }
-                let mut locals: Vec<String> = cl.params.clone();
-                let ctx = format!("closure passed to `{}`", call.name);
-                scan_purity(path, source, toks, cl.body, &mut locals, &ctx, out);
-            }
-        }
-        if f.retry_safe {
-            if let Some((open, close)) = f.body {
-                let mut locals: Vec<String> = f
-                    .params
-                    .iter()
-                    .filter(|p| !p.by_mut_ref)
-                    .map(|p| p.name.clone())
-                    .collect();
-                let ctx = format!("fn `{}` marked `// RETRY-SAFE:`", f.qual_name());
-                scan_purity(
-                    path,
-                    source,
-                    toks,
-                    (open + 1, close),
-                    &mut locals,
-                    &ctx,
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Scans `[lo, hi)` for the three impure shapes. `locals` is seeded
-/// with the body's parameters and extended with its `let` bindings.
-fn scan_purity(
-    path: &str,
-    source: &str,
-    toks: &[Tok],
-    (lo, hi): (usize, usize),
-    locals: &mut Vec<String>,
-    ctx: &str,
-    out: &mut Vec<Violation>,
-) {
-    let hi = hi.min(toks.len());
-    // Pass 1: every `let`-bound (and nested-closure-bound) name is
-    // local to the retry body.
-    let mut i = lo;
-    while i < hi {
-        if toks[i].kind == TokKind::Ident && toks[i].text == "let" {
-            let mut j = i + 1;
-            while j < hi
-                && !(toks[j].kind == TokKind::Punct && matches!(toks[j].text.as_str(), "=" | ";"))
-            {
-                if toks[j].kind == TokKind::Ident
-                    && !matches!(
-                        toks[j].text.as_str(),
-                        "Some" | "Ok" | "Err" | "None" | "mut" | "ref"
-                    )
-                {
-                    locals.push(toks[j].text.clone());
-                }
-                j += 1;
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    let impure = |line: usize, what: String| {
-        Violation {
-        rule: "retry-purity",
-        path: path.to_owned(),
-        line,
-        snippet: snippet(source, line),
-        message: format!("{what} inside a retried body ({ctx}) — the body re-executes on every validation failure, so its effects must be local"),
-        severity: Severity::Error,
-        chain: Vec::new(),
-    }
-    };
-    // Pass 2: the effect scan.
-    for i in lo..hi {
-        let tok = &toks[i];
-        if tok.kind == TokKind::Punct && tok.text == "=" {
-            // A `let` earlier in the same statement makes this a
-            // binding, not a mutation.
-            let mut k = i;
-            let mut is_let = false;
-            while k > lo {
-                k -= 1;
-                match toks[k].text.as_str() {
-                    ";" | "{" | "}" => break,
-                    "let" if toks[k].kind == TokKind::Ident => {
-                        is_let = true;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            if is_let {
-                continue;
-            }
-            // Step over a compound-assignment operator (`+=` lexes as
-            // `+` `=`).
-            let mut p = i.saturating_sub(1);
-            if p > lo
-                && toks[p].kind == TokKind::Punct
-                && matches!(
-                    toks[p].text.as_str(),
-                    "+" | "-" | "*" | "/" | "%" | "&" | "^" | "|"
-                )
-            {
-                p -= 1;
-            }
-            if let Some(base) = place_base(toks, lo, p) {
-                if !locals.contains(&base) {
-                    out.push(impure(
-                        tok.line,
-                        format!("assignment to `{base}`, which is not local to the body"),
-                    ));
-                }
-            }
-            continue;
-        }
-        if tok.kind != TokKind::Ident {
-            continue;
-        }
-        if IO_MACROS.contains(&tok.text.as_str())
-            && toks.get(i + 1).is_some_and(|t| t.text == "!")
-            && toks.get(i + 2).is_some_and(|t| t.text != "=")
-        {
-            out.push(impure(tok.line, format!("I/O macro `{}!`", tok.text)));
-            continue;
-        }
-        let is_method =
-            i > lo && toks[i - 1].text == "." && toks.get(i + 1).is_some_and(|t| t.text == "(");
-        if !is_method || !MUTATING_METHODS.contains(&tok.text.as_str()) {
-            continue;
-        }
-        if tok.text == "swap" {
-            // Only atomic swap counts (mirrors the C3 disambiguation).
-            let close = matching_delim(toks, i + 1, "(", ")");
-            let has_ordering = toks[i + 2..close.min(toks.len())]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && ORDERING_NAMES.contains(&t.text.as_str()));
-            if !has_ordering {
-                continue;
-            }
-        }
-        let base = place_base(toks, lo, i.saturating_sub(2));
-        match base {
-            Some(b) if locals.contains(&b) => {}
-            Some(b) => out.push(impure(
-                tok.line,
-                format!(
-                    "mutating call `.{}()` on `{b}`, which is not local to the body",
-                    tok.text
-                ),
-            )),
-            // Chained receiver (`x.field().push(..)`) — conservatively
-            // impure: the chain root cannot be resolved.
-            None => out.push(impure(
-                tok.line,
-                format!("mutating call `.{}()` on an unresolved receiver", tok.text),
-            )),
-        }
-    }
-}
-
-/// Walks back from `k` (the last token of a place expression) to the
-/// base identifier, stepping over `]`-delimited index groups and
-/// `.`-joined field chains. `None` when the shape is not a simple
-/// place (e.g. rooted in a call result).
-fn place_base(toks: &[Tok], lo: usize, mut k: usize) -> Option<String> {
-    loop {
-        if k < lo || k >= toks.len() {
-            return None;
-        }
-        if toks[k].text == "]" {
-            let mut depth = 0isize;
-            while k > lo {
-                if toks[k].text == "]" {
-                    depth += 1;
-                } else if toks[k].text == "[" {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                k -= 1;
-            }
-            if k == lo {
-                return None;
-            }
-            k -= 1;
-            continue;
-        }
-        if toks[k].kind == TokKind::Ident {
-            if k >= lo + 2 && toks[k - 1].text == "." && toks[k - 2].kind != TokKind::Punct {
-                k -= 2;
-                continue;
-            }
-            if k >= 1 && toks[k - 1].text == "." {
-                // `.field` rooted in a non-ident (call result, `)`).
-                return None;
-            }
-            return Some(toks[k].text.clone());
-        }
-        return None;
     }
 }

@@ -125,11 +125,6 @@ pub fn classify(rel: &str) -> RuleSet {
     // `Ordering` variable by design (the API mirrors upstream crates),
     // which the call-site-visibility check would flag on every method.
     rules.atomic_ordering = !rel.starts_with("shims/");
-    // C4/C5: the OLC protocol dataflow rules apply to the panic-free
-    // crates' library sources — anywhere a `VersionCell` guard or a
-    // retried closure can appear.
-    rules.olc_protocol = in_panic_free_crate;
-    rules.retry_purity = in_panic_free_crate;
     rules
 }
 

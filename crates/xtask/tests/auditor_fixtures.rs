@@ -17,8 +17,6 @@ const ALL_RULES: RuleSet = RuleSet {
     unsafe_safety: true,
     send_sync: true,
     atomic_ordering: true,
-    olc_protocol: true,
-    retry_purity: true,
 };
 
 fn read_fixture(name: &str) -> String {
@@ -37,7 +35,6 @@ fn audit_fixture(
     let source = read_fixture(name);
     let mut violations = Vec::new();
     let mut invariants = Vec::new();
-    let mut cfg_fns = Vec::new();
     let mut timings = Vec::new();
     xtask::audit_source(
         name,
@@ -47,7 +44,6 @@ fn audit_fixture(
         check_invariants,
         &mut violations,
         &mut invariants,
-        &mut cfg_fns,
         &mut timings,
     );
     (violations, invariants)
@@ -61,7 +57,6 @@ fn audit_fixture_graph(name: &str, rules: RuleSet) -> Vec<Violation> {
     let rel = format!("crates/core/src/{name}");
     let mut violations = Vec::new();
     let mut invariants = Vec::new();
-    let mut cfg_fns = Vec::new();
     let mut timings = Vec::new();
     let analysis = xtask::audit_source(
         &rel,
@@ -71,7 +66,6 @@ fn audit_fixture_graph(name: &str, rules: RuleSet) -> Vec<Violation> {
         false,
         &mut violations,
         &mut invariants,
-        &mut cfg_fns,
         &mut timings,
     );
     let mut sources = Sources::default();
@@ -238,48 +232,6 @@ fn hot_path_lock_flags_transitive_acquisition_with_chain() {
 }
 
 #[test]
-fn unvalidated_guard_escape_is_flagged_with_named_witness() {
-    let (violations, _) = audit_fixture("olc_use_before_validate.rs", false, false);
-    assert_single(&violations, "olc-use-before-validate", 12, Severity::Error);
-    assert!(
-        violations[0].message.contains("without a dominating")
-            && violations[0].message.contains("returned at line 12"),
-        "{}",
-        violations[0].message
-    );
-    // The witness chain names the guard snapshot, the tainted
-    // derivation, and the unvalidated escape site, in program order.
-    assert_eq!(violations[0].chain.len(), 3, "{violations:#?}");
-    assert!(violations[0].chain[0].contains(":8"), "{violations:#?}");
-    assert!(violations[0].chain[2].contains(":12"), "{violations:#?}");
-    // The correct validate-then-return shape beside it stays clean
-    // (assert_single already guarantees exactly one finding).
-}
-
-#[test]
-fn retry_purity_flags_impure_closure_and_impure_retry_safe_fn() {
-    let (violations, _) = audit_fixture("retry_purity.rs", false, false);
-    assert_eq!(
-        violations.len(),
-        2,
-        "expected the impure closure and the impure RETRY-SAFE fn: {violations:#?}"
-    );
-    assert!(violations.iter().all(|v| v.rule == "retry-purity"));
-    assert!(
-        violations.iter().any(|v| v.line == 9
-            && v.message.contains("fetch_add")
-            && v.message.contains("read_consistent")),
-        "{violations:#?}"
-    );
-    assert!(
-        violations.iter().any(|v| v.line == 18
-            && v.message.contains("push")
-            && v.message.contains("RETRY-SAFE")),
-        "{violations:#?}"
-    );
-}
-
-#[test]
 fn lock_order_cycle_fixture_reports_the_full_cycle_chain() {
     let violations = audit_fixture_graph("lock_order.rs", RuleSet::default());
     assert_single(&violations, "lock-order", 7, Severity::Error);
@@ -373,17 +325,8 @@ fn workspace_audits_clean() {
         "unexpected unsafe sites in library code: {:?}",
         report.unsafe_sites
     );
-    // The OLC dataflow pass must cover the seqlock's own retry loop,
-    // and the lock graph must index the observability registry's
-    // mutex — with no ordering cycle anywhere in the workspace.
-    assert!(
-        report
-            .cfg_fns
-            .iter()
-            .any(|c| c.path == "crates/rtree/src/olc.rs" && c.fn_name.contains("read_tracked")),
-        "the seqlock retry loop (read_tracked) must be CFG-analyzed: {:?}",
-        report.cfg_fns
-    );
+    // The lock graph must index the observability registry's mutex —
+    // with no ordering cycle anywhere in the workspace.
     assert!(
         report
             .lock_sites
@@ -392,15 +335,16 @@ fn workspace_audits_clean() {
         "the obs registry mutex must be in the lock graph: {:?}",
         report.lock_sites
     );
-    // Per-rule timings are recorded for the --fix-report JSON; the new
-    // rules must appear.
+    // Per-rule timings are recorded for the --fix-report JSON; the
+    // lock-order rule must appear.
     let timed: std::collections::BTreeSet<&str> = report
         .rule_timings_ms
         .iter()
         .map(|(r, _)| r.as_str())
         .collect();
-    for rule in ["olc-use-before-validate", "retry-purity", "lock-order"] {
-        assert!(timed.contains(rule), "missing timing for {rule}: {timed:?}");
-    }
+    assert!(
+        timed.contains("lock-order"),
+        "missing timing for lock-order: {timed:?}"
+    );
     assert!(report.total_ms > 0.0);
 }

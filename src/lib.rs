@@ -88,7 +88,6 @@ pub mod prelude {
     pub use gprq_gaussian::Gaussian;
     pub use gprq_linalg::{Matrix, Vector};
     pub use gprq_rtree::{
-        ConcQueryScratch, ConcurrentRTree, ContentionLadder, FlatRTree, Phase1Index, RStarParams,
-        RTree, Rect, SearchStats, PACKED_FANOUT,
+        FlatRTree, Phase1Index, RStarParams, RTree, Rect, SearchStats, PACKED_FANOUT,
     };
 }
