@@ -21,9 +21,17 @@
 //! exits non-zero if batching stops paying at least the ISSUE-9 floor
 //! (2×) — it is a guard, not just a report.
 //!
+//! A query draws its cloud only when it has a candidate to integrate,
+//! so the workload must have Phase-3 work for the draw to be amortized.
+//! It runs at the paper's Corel size (68 040 records, Table III): at
+//! 20 000 or 8 000 records the 20-NN feedback Σ is so wide that every
+//! probe is provably empty (BF rejects every candidate), nothing is
+//! drawn, and the ratio would compare two runs of Phases 1–2. The
+//! binary refuses such a workload instead of reporting a ratio.
+//!
 //! ```text
 //! cargo run -p gprq-bench --release --bin throughput \
-//!     [--n 20000] [--batch 16] [--samples 50000] [--passes 3] [--out BENCH_throughput.json]
+//!     [--n 68040] [--batch 16] [--samples 50000] [--passes 3] [--out BENCH_throughput.json]
 //! cargo run -p gprq-bench --release --bin throughput -- --check   # validate committed JSON
 //! ```
 
@@ -60,7 +68,7 @@ fn main() {
         return;
     }
 
-    let n = args.get("n", 20_000usize);
+    let n = args.get("n", 68_040usize);
     let batch_size = args.get("batch", 16usize).max(1);
     let samples = args.get("samples", 50_000usize);
     let passes = args.get("passes", 3usize).max(1);
@@ -95,6 +103,7 @@ fn main() {
     let batch_latency = Histogram::new();
     let mut best = [f64::INFINITY; 2]; // [sequential, batched]
     let mut ids = [Vec::new(), Vec::new()];
+    let mut integrations = 0usize;
     for _ in 0..passes {
         // Sequential baseline: the batch module's documented solo
         // contract — per-query evaluator seeded from the covariance.
@@ -108,6 +117,7 @@ fn main() {
                 .execute(&tree, query, &mut eval)
                 .expect("seed workload executes");
             seq_latency.record_duration(q_started.elapsed());
+            integrations += outcome.stats.integrations;
             found.extend(outcome.answers.iter().map(|(_, id)| **id));
         }
         best[0] = best[0].min(started.elapsed().as_secs_f64());
@@ -138,6 +148,12 @@ fn main() {
     // Parity: same seeds, same derivation — the batch must return the
     // same answer ids in the same order as the one-at-a-time baseline.
     assert_eq!(ids[0], ids[1], "batched answers diverged from sequential");
+    // Without Phase-3 work neither mode draws, and the ratio would not
+    // measure the offset cache at all.
+    assert!(
+        integrations > 0,
+        "no query integrates anything at n = {n}: there is no draw to amortize"
+    );
 
     let batch_f = batch_size as f64;
     let seq_qps = batch_f / seq_secs.max(f64::MIN_POSITIVE);

@@ -32,7 +32,10 @@
 //!
 //! run — every counter except `phase3_samples`, which counts samples
 //! *drawn*: a Σ-cache hit re-centers a cached table and draws nothing.
-//! This holds by construction, not by accident:
+//! A query whose work list is empty consults no cache and builds no
+//! grid, just as the solo evaluator draws only at its first
+//! integration: on such a query `cloud_builds` and `phase3_samples` are
+//! 0 in both runs. This holds by construction, not by accident:
 //!
 //! * the per-query cloud seed ([`cloud_seed`]) mixes the base seed with
 //!   the covariance bits only — so two same-Σ queries map to the same
@@ -280,7 +283,9 @@ pub struct BatchOutcome<'t, const D: usize, T> {
 ///     .map(|i| (Vector::from([(i % 20) as f64 * 5.0, (i / 20) as f64 * 5.0]), i))
 ///     .collect();
 /// let tree = RTree::bulk_load(points, RStarParams::paper_default(2));
-/// let sigma = Matrix::identity().scale(15.0);
+/// // An anisotropic Σ leaves BF an annulus it cannot decide, so every
+/// // query has candidates to integrate.
+/// let sigma = Matrix::from_rows([[20.0, 6.0], [6.0, 10.0]]);
 /// let queries: Vec<PrqQuery<2>> = (0..4)
 ///     .map(|i| {
 ///         PrqQuery::new(Vector::from([30.0 + i as f64 * 8.0, 40.0]), sigma, 12.0, 0.05).unwrap()
@@ -481,11 +486,12 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         let span3 = metrics.map(|m| m.phase_span(Phase::Integrate));
         let t2 = Instant::now();
         let budget = NonZeroUsize::new(self.integrator.samples).unwrap_or(NonZeroUsize::MIN);
-        let live: Vec<usize> = (0..n).filter(|&q| !aborted[q]).collect();
-        // Every live query consults the cache and builds its grid even
-        // with an empty work list — the solo evaluator's `begin_query`
-        // builds unconditionally, and `cloud_builds == 1` parity (plus
-        // deterministic hit/miss accounting) depends on matching that.
+        // Only queries with work consult the cache and build a grid: the
+        // solo evaluator draws on its first integration, so a query with
+        // an empty work list draws nothing there either.
+        let live: Vec<usize> = (0..n)
+            .filter(|&q| !aborted[q] && !work[q].is_empty())
+            .collect();
         let mut batch_hits = 0usize;
         let mut batch_misses = 0usize;
         let mut grids: Vec<CloudGrid<D>> = Vec::with_capacity(live.len());
@@ -521,7 +527,17 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
             .collect();
         let (probs, cloud_stats) = self.integrator.batch_probabilities(&items, metrics);
         drop(items);
-        let mut fused: Vec<Option<Replay>> = (0..n).map(|_| None).collect();
+        // Queries without work replay nothing and draw nothing.
+        let mut fused: Vec<Option<Replay>> = aborted
+            .iter()
+            .map(|&abort| {
+                (!abort).then(|| Replay {
+                    probabilities: Vec::new().into_iter(),
+                    samples: budget.get(),
+                    cloud: CloudStats::default(),
+                })
+            })
+            .collect();
         for ((&q, samples_drawn), (probabilities, cloud)) in live
             .iter()
             .zip(drawn)
@@ -530,9 +546,9 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
             fused[q] = Some(Replay {
                 probabilities: probabilities.into_iter(),
                 samples: budget.get(),
-                // The solo evaluator counts its one grid build (and its
-                // draw) in `begin_query`; attribute the possibly cached
-                // build here.
+                // The solo evaluator counts one grid build (and its
+                // draw) at its first integration; attribute the
+                // possibly cached build here.
                 cloud: CloudStats {
                     builds: 1,
                     samples_drawn,
@@ -704,7 +720,7 @@ mod tests {
             PrqQuery::new(Vector::from([500.0, 500.0]), shared, 25.0, 0.01).unwrap(),
             PrqQuery::new(Vector::from([480.0, 510.0]), shared, 25.0, 0.05).unwrap(),
             PrqQuery::new(Vector::from([200.0, 800.0]), sigma(4.0), 30.0, 0.10).unwrap(),
-            // Far-off-grid query: empty work list, still builds one cloud.
+            // Far-off-grid query: empty work list, draws nothing.
             PrqQuery::new(Vector::from([-5_000.0, -5_000.0]), shared, 10.0, 0.20).unwrap(),
         ];
         let executor = PrqExecutor::new(StrategySet::ALL);
@@ -729,9 +745,16 @@ mod tests {
             assert_eq!(outcome.stats.answers, solo.stats.answers);
             assert!(!outcome.recovered);
         }
-        // Queries 0, 1, 3 share Σ: one miss serves three lookups.
+        let idle = &outcomes[3].stats;
+        assert!(outcomes[3].integrated.is_empty());
+        assert_eq!((idle.cloud_builds, idle.phase3_samples), (0, 0));
+        let mut eval = MonteCarloEvaluator::new(10_000, batch.cloud_seed_for(&queries[3]));
+        let solo = executor.execute(&tree, &queries[3], &mut eval).unwrap();
+        assert_eq!((solo.stats.cloud_builds, solo.stats.phase3_samples), (0, 0));
+        // Queries 0, 1, 3 share Σ, but query 3 has no work and skips the
+        // cache: one miss serves two lookups.
         assert_eq!(batch.cache().misses(), 2);
-        assert_eq!(batch.cache().hits(), 2);
+        assert_eq!(batch.cache().hits(), 1);
     }
 
     #[test]

@@ -26,11 +26,12 @@ use std::num::NonZeroUsize;
 ///
 /// Implementations may be stateful (RNG streams, cached sample clouds);
 /// the executor calls [`ProbabilityEvaluator::begin_query`] once per query
-/// so caches can be (re)built for the query's distribution. Phase 3 itself
-/// calls [`ProbabilityEvaluator::evaluate`], which classifies against `θ`
-/// under a per-object sample budget; its default compares
-/// [`ProbabilityEvaluator::probability`] with `θ` exactly, so an evaluator
-/// only has to implement `probability`. An unbudgeted run is one under
+/// so a cache built for the previous query's distribution is dropped.
+/// Phase 3 itself calls [`ProbabilityEvaluator::evaluate`], which
+/// classifies against `θ` under a per-object sample budget; its default
+/// compares [`ProbabilityEvaluator::probability`] with `θ` exactly, so an
+/// evaluator only has to implement `probability`. An unbudgeted run is
+/// one under
 /// [`EvalBudget::UNLIMITED`](crate::executor::EvalBudget::UNLIMITED).
 pub trait ProbabilityEvaluator<const D: usize> {
     /// Called once before a query's Phase 3 with the query distribution.
@@ -80,29 +81,21 @@ fn nonzero(samples: usize) -> NonZeroUsize {
     NonZeroUsize::new(samples).unwrap_or(NonZeroUsize::MIN)
 }
 
-/// Draws the query's shared sample cloud and indexes it — the single
-/// construction path for every shared-sample evaluator, so the draw
-/// order, the grid build, and the draw accounting stay in one place.
-fn build_grid<const D: usize>(
-    gaussian: &Gaussian<D>,
-    samples: usize,
-    rng: &mut StdRng,
-    stats: &mut CloudStats,
-) -> CloudGrid<D> {
-    let cloud = SampleCloud::draw(gaussian, nonzero(samples), rng);
-    stats.builds += 1;
-    stats.samples_drawn += cloud.len();
-    CloudGrid::build(&cloud)
-}
-
 /// The default Phase-3 evaluator: one shared, grid-indexed sample cloud
-/// per query (see [`gprq_gaussian::cloud`]).
+/// per query that integrates (see [`gprq_gaussian::cloud`]).
 ///
-/// [`ProbabilityEvaluator::begin_query`] rebuilds the cloud for the new
-/// query distribution. Without it the cloud is built lazily on the first
-/// `probability` call and *reused* until the next `begin_query`, so
-/// direct use across different distributions must call `begin_query`
-/// between them.
+/// The cloud is drawn on the first [`ProbabilityEvaluator::probability`]
+/// or [`ProbabilityEvaluator::evaluate`] call and *reused* until
+/// [`ProbabilityEvaluator::begin_query`] drops it, so direct use across
+/// different distributions must call `begin_query` between them. A
+/// query that integrates nothing draws nothing: its Phase 3 costs no
+/// samples and reports `cloud_builds == 0`.
+///
+/// One consequence for an evaluator reused across queries: the RNG
+/// stream advances only for queries that draw, so a query that
+/// integrates nothing does not shift the clouds of the queries after
+/// it. A fresh evaluator per query (what the executors' parity
+/// contracts use) sees no difference.
 #[derive(Debug, Clone)]
 pub struct MonteCarloEvaluator<const D: usize> {
     samples: usize,
@@ -139,21 +132,21 @@ impl<const D: usize> MonteCarloEvaluator<D> {
 }
 
 impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
-    fn begin_query(&mut self, gaussian: &Gaussian<D>) {
-        self.grid = Some(build_grid(
-            gaussian,
-            self.samples,
-            &mut self.rng,
-            &mut self.stats,
-        ));
+    /// Drops the previous query's cloud; the next integration draws the
+    /// new one.
+    fn begin_query(&mut self, _gaussian: &Gaussian<D>) {
+        self.grid = None;
     }
 
     fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
-        // Direct use without begin_query: build the cloud now.
+        // The query's first integration draws its cloud.
         let (samples, rng, stats) = (self.samples, &mut self.rng, &mut self.stats);
-        let grid = self
-            .grid
-            .get_or_insert_with(|| build_grid(gaussian, samples, rng, stats));
+        let grid = self.grid.get_or_insert_with(|| {
+            let cloud = SampleCloud::draw(gaussian, nonzero(samples), rng);
+            stats.builds += 1;
+            stats.samples_drawn += cloud.len();
+            CloudGrid::build(&cloud)
+        });
         grid.probability_with_stats(center, delta, stats)
     }
 
@@ -513,7 +506,7 @@ mod tests {
         ProbabilityEvaluator::<2>::begin_query(&mut mc, &g);
         let _ = mc.probability(&g, g.mean(), 10.0);
         let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut mc);
-        assert_eq!(stats.builds, 2, "one build per begin_query");
+        assert_eq!(stats.builds, 2, "one build per query that integrates");
         assert_eq!(
             stats.samples_drawn, 20_000,
             "each build draws the whole cloud"
@@ -522,6 +515,32 @@ mod tests {
         // Drained: a second take returns zeros.
         let again = ProbabilityEvaluator::<2>::take_cloud_stats(&mut mc);
         assert_eq!(again, CloudStats::default());
+    }
+
+    #[test]
+    fn a_query_without_integrations_draws_nothing() {
+        let g1 = gaussian();
+        let g2 = Gaussian::<2>::standard();
+        let mut reused = MonteCarloEvaluator::<2>::new(10_000, 5);
+        ProbabilityEvaluator::<2>::begin_query(&mut reused, &g1);
+        let idle = ProbabilityEvaluator::<2>::take_cloud_stats(&mut reused);
+        assert_eq!(
+            idle,
+            CloudStats::default(),
+            "begin_query alone draws nothing"
+        );
+        // The skipped query leaves the RNG stream where it was: the next
+        // query's cloud is the one a fresh evaluator draws.
+        ProbabilityEvaluator::<2>::begin_query(&mut reused, &g2);
+        let p = reused.probability(&g2, g2.mean(), 1.0);
+        let mut fresh = MonteCarloEvaluator::<2>::new(10_000, 5);
+        ProbabilityEvaluator::<2>::begin_query(&mut fresh, &g2);
+        assert_eq!(
+            p.to_bits(),
+            fresh.probability(&g2, g2.mean(), 1.0).to_bits()
+        );
+        let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut reused);
+        assert_eq!((stats.builds, stats.samples_drawn), (1, 10_000));
     }
 
     #[test]

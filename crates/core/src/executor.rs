@@ -61,8 +61,9 @@ pub struct QueryStats {
     pub answers: usize,
     /// Monte-Carlo samples drawn in Phase 3 (`CloudStats::samples_drawn`):
     /// the query's cloud and its lazy extensions, or a freshly drawn batch
-    /// offset table. Zero for deterministic evaluators and on a Σ-cache
-    /// hit. The samples each object was *measured* over are
+    /// offset table. Zero for deterministic evaluators, on a Σ-cache
+    /// hit, and for a query that integrates nothing. The samples each
+    /// object was *measured* over are
     /// `cloud_samples_tested` and the per-object histogram.
     pub phase3_samples: usize,
     /// Phase-3 integrations that stopped before their full sample budget
@@ -72,8 +73,10 @@ pub struct QueryStats {
     /// its budget (reported as explicit [`Verdict::Uncertain`], never
     /// silently guessed).
     pub uncertain: usize,
-    /// Shared sample clouds built for Phase 3 (normally one per query
-    /// on the cloud path; zero for deterministic evaluators).
+    /// Shared sample clouds built for Phase 3: one per query that
+    /// integrates at least one object on the cloud path, drawn at its
+    /// first integration; zero for a query whose work list is empty
+    /// and for deterministic evaluators.
     pub cloud_builds: usize,
     /// Grid cells visited while answering cloud probabilities.
     pub cloud_cells_scanned: usize,

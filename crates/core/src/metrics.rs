@@ -85,7 +85,8 @@ pub mod names {
     pub const PARALLEL_SAMPLES: &str = "prq_parallel_samples_total";
     /// Histogram: samples drawn per parallel worker (layout-dependent).
     pub const PARALLEL_WORKER_SAMPLES: &str = "prq_parallel_worker_samples";
-    /// Counter: shared sample clouds built (one per query on the cloud path).
+    /// Counter: shared sample clouds built (one per query that integrates
+    /// on the cloud path).
     pub const CLOUD_BUILDS: &str = "prq_cloud_builds_total";
     /// Counter: grid cells visited while answering cloud probabilities.
     pub const CLOUD_CELLS_SCANNED: &str = "prq_cloud_cells_scanned_total";
@@ -325,8 +326,9 @@ impl PipelineMetrics {
     }
 
     /// Records one finished batch: the batch itself, how many queries it
-    /// carried, and the Σ-cache hit/miss split (hits + misses == queries
-    /// on the cloud path).
+    /// carried, and the Σ-cache hit/miss split (hits + misses == the
+    /// fused queries with a non-empty work list; the others consult no
+    /// cache).
     pub fn record_batch(&self, queries: usize, sigma_cache_hits: usize, sigma_cache_misses: usize) {
         self.batches.inc();
         self.batch_queries.add(as_u64(queries));

@@ -116,6 +116,13 @@ fn assert_batch_matches_solo<I>(
         assert_eq!(batch_ids, solo_ids, "{label}: answer sets diverge");
         assert_counters_equal(&outcome.stats, &solo.stats, &label);
         assert!(!outcome.recovered, "{label}: no faults were injected");
+        // A query that integrates nothing draws nothing, either way.
+        if outcome.integrated.is_empty() {
+            for stats in [&outcome.stats, &solo.stats] {
+                assert_eq!(stats.cloud_builds, 0, "{label}: idle query built a cloud");
+                assert_eq!(stats.phase3_samples, 0, "{label}: idle query drew samples");
+            }
+        }
 
         // Probabilities: replay the solo evaluator's grid (same seed,
         // fresh draw) and probe the batch's work list — every float
@@ -267,7 +274,7 @@ mod batch_parity {
     }
 
     /// A batch against an empty catalog: every query answers empty,
-    /// builds its one cloud, and still matches solo exactly.
+    /// draws nothing, and still matches solo exactly.
     #[test]
     fn empty_catalog_batches_match_solo() {
         let queries: Vec<PrqQuery<2>> = (0..3)
@@ -282,5 +289,32 @@ mod batch_parity {
             })
             .collect();
         sweep(&[], &queries, StrategySet::ALL);
+    }
+
+    /// An isotropic Σ lets BF decide every candidate (the `road2d_churn`
+    /// query shape): that query integrates nothing and draws nothing,
+    /// beside a same-catalog query that does integrate.
+    #[test]
+    fn bf_decided_isotropic_query_matches_solo() {
+        let points = random_points(2_000, 77);
+        let isotropic = Matrix::identity().scale(10.0);
+        let queries = vec![
+            PrqQuery::new(Vector::from([500.0, 500.0]), isotropic, 25.0, 0.01).unwrap(),
+            PrqQuery::new(Vector::from([520.0, 480.0]), sigma_pool(0), 25.0, 0.01).unwrap(),
+        ];
+        let tree = RTree::bulk_load(points.clone(), RStarParams::paper_default(2));
+        let executor = PrqExecutor::new(StrategySet::ALL);
+        let integrator = ParallelIntegrator::new(SAMPLES, BASE_SEED, 1).unwrap();
+        let mut batch = QueryBatch::new(executor, integrator);
+        let outcomes = batch.execute(&tree, &queries).unwrap();
+        let decided = &outcomes[0].stats;
+        assert!(
+            decided.phase1_candidates > 0,
+            "BF must have candidates to decide"
+        );
+        assert_eq!(decided.integrations, 0, "isotropic Σ: BF decides all");
+        assert!(outcomes[1].stats.integrations > 0);
+        assert_eq!((batch.cache().misses(), batch.cache().hits()), (1, 0));
+        sweep(&points, &queries, StrategySet::ALL);
     }
 }

@@ -5,6 +5,12 @@
 //! [`QueryStats`] field over the queries it recorded — and a run that
 //! built a sample cloud must report the samples it drew.
 //!
+//! Clouds are drawn at a query's first integration, so every cloud
+//! driver builds exactly one cloud per query with at least one
+//! integration and none for a query whose work list is empty (the
+//! BF-decided isotropic query below): `prq_cloud_builds_total` counts
+//! integrating queries.
+//!
 //! `QueryBatch` has no evaluator parameter: its Phase 3 is always the
 //! shared Monte-Carlo cloud, so it is checked once per backend.
 
@@ -39,16 +45,51 @@ fn sigma(gamma: f64) -> Matrix<2> {
     Matrix::from_rows([[7.0, 2.0 * s3], [2.0 * s3, 3.0]]).scale(gamma)
 }
 
-/// Two queries sharing Σ (a Σ-cache hit in a batch) and one with its own.
+/// Two queries sharing Σ (a Σ-cache hit in a batch), one with its own,
+/// and an isotropic one whose candidates BF decides without integrating.
 fn queries() -> Vec<PrqQuery<2>> {
-    [
+    let mut queries: Vec<PrqQuery<2>> = [
         ([500.0, 500.0], 40.0, 25.0),
         ([520.0, 480.0], 40.0, 25.0),
         ([250.0, 700.0], 10.0, 30.0),
     ]
     .into_iter()
     .map(|(c, gamma, delta)| PrqQuery::new(Vector::from(c), sigma(gamma), delta, 0.01).unwrap())
-    .collect()
+    .collect();
+    let isotropic = Matrix::identity().scale(10.0);
+    queries.push(PrqQuery::new(Vector::from([400.0, 300.0]), isotropic, 25.0, 0.01).unwrap());
+    queries
+}
+
+/// Queries in `queries()` with at least one integration.
+const INTEGRATING_QUERIES: usize = 3;
+
+/// The lazy-draw contract per query: a query that integrates nothing
+/// builds no cloud and draws no samples; one that integrates builds
+/// `builds_if_integrating` clouds. Returns whether `stats` integrated.
+fn assert_draws_only_when_integrating(
+    stats: &QueryStats,
+    builds_if_integrating: usize,
+    label: &str,
+) -> bool {
+    if stats.integrations == 0 {
+        assert!(
+            stats.phase1_candidates > 0,
+            "{label}: BF had nothing to decide"
+        );
+        assert_eq!(
+            stats.cloud_builds, 0,
+            "{label}: empty work list built a cloud"
+        );
+        assert_eq!(
+            stats.phase3_samples, 0,
+            "{label}: empty work list drew samples"
+        );
+        false
+    } else {
+        assert_eq!(stats.cloud_builds, builds_if_integrating, "{label}");
+        true
+    }
 }
 
 /// Every registry counter against the summed per-query stats.
@@ -98,8 +139,8 @@ fn assert_totals(metrics: &PipelineMetrics, total: &QueryStats, queries: usize, 
 }
 
 /// Plain and resilient runs of every query with fresh evaluators from
-/// `make`.
-fn check_solo<I, E>(index: &I, label: &str, make: impl Fn() -> E)
+/// `make`, whose integrating queries each build `builds` clouds.
+fn check_solo<I, E>(index: &I, label: &str, builds: usize, make: impl Fn() -> E)
 where
     I: Phase1Index<2, usize>,
     E: ProbabilityEvaluator<2>,
@@ -109,16 +150,26 @@ where
     let metrics = PipelineMetrics::new();
     let executor = PrqExecutor::new(StrategySet::ALL).with_metrics(&metrics);
     let mut total = QueryStats::default();
-    for query in &queries {
+    let mut integrating = 0;
+    for (q, query) in queries.iter().enumerate() {
         let outcome = executor.execute(index, query, &mut make()).unwrap();
+        let query_label = format!("plain, {label}, query {q}");
+        integrating += usize::from(assert_draws_only_when_integrating(
+            &outcome.stats,
+            builds,
+            &query_label,
+        ));
         total.merge(&outcome.stats);
     }
+    assert_eq!(integrating, INTEGRATING_QUERIES, "plain, {label}");
+    assert_eq!(total.cloud_builds, builds * integrating, "plain, {label}");
     assert_totals(&metrics, &total, queries.len(), &format!("plain, {label}"));
 
     let metrics = PipelineMetrics::new();
     let mut resilient = ResilientExecutor::new(StrategySet::ALL).with_metrics(&metrics);
     let mut total = QueryStats::default();
-    for query in &queries {
+    let mut integrating = 0;
+    for (q, query) in queries.iter().enumerate() {
         let (center, cov) = (*query.center(), *query.gaussian().covariance());
         let outcome = resilient
             .execute(
@@ -131,8 +182,20 @@ where
             )
             .unwrap();
         assert!(!outcome.report.is_degraded(), "{label}: {}", outcome.report);
+        let query_label = format!("resilient, {label}, query {q}");
+        integrating += usize::from(assert_draws_only_when_integrating(
+            &outcome.stats,
+            builds,
+            &query_label,
+        ));
         total.merge(&outcome.stats);
     }
+    assert_eq!(integrating, INTEGRATING_QUERIES, "resilient, {label}");
+    assert_eq!(
+        total.cloud_builds,
+        builds * integrating,
+        "resilient, {label}"
+    );
     assert_totals(
         &metrics,
         &total,
@@ -148,10 +211,20 @@ fn check_batch<I: Phase1Index<2, usize>>(index: &I, label: &str) {
     let integrator = ParallelIntegrator::new(SAMPLES, 7, 1).unwrap();
     let mut batch = QueryBatch::new(executor, integrator);
     let mut total = QueryStats::default();
-    for outcome in batch.execute(index, &queries).unwrap() {
+    let mut integrating = 0;
+    for (q, outcome) in batch.execute(index, &queries).unwrap().iter().enumerate() {
+        let query_label = format!("batch, {label}, query {q}");
+        integrating += usize::from(assert_draws_only_when_integrating(
+            &outcome.stats,
+            1,
+            &query_label,
+        ));
         total.merge(&outcome.stats);
     }
+    assert_eq!(integrating, INTEGRATING_QUERIES, "batch, {label}");
     assert_eq!(batch.cache().hits(), 1, "{label}: shared Σ must hit");
+    assert_eq!(batch.cache().misses(), 2, "{label}: one miss per drawn Σ");
+    assert_eq!(total.cloud_builds, integrating, "batch, {label}");
     assert_totals(&metrics, &total, queries.len(), &format!("batch, {label}"));
 }
 
@@ -166,24 +239,24 @@ fn backends() -> (RTree<2, usize>, FlatRTree<2, usize>) {
 fn fixed_cloud_evaluator_counters_match_stats() {
     let make = || MonteCarloEvaluator::new(SAMPLES, 7);
     let (tree, flat) = backends();
-    check_solo(&tree, "rtree, mc", make);
-    check_solo(&flat, "flat, mc", make);
+    check_solo(&tree, "rtree, mc", 1, make);
+    check_solo(&flat, "flat, mc", 1, make);
 }
 
 #[test]
 fn sequential_evaluator_counters_match_stats() {
     let make = || SequentialMonteCarloEvaluator::with_defaults(7);
     let (tree, flat) = backends();
-    check_solo(&tree, "rtree, seq-mc", make);
-    check_solo(&flat, "flat, seq-mc", make);
+    check_solo(&tree, "rtree, seq-mc", 1, make);
+    check_solo(&flat, "flat, seq-mc", 1, make);
 }
 
 #[test]
 fn deterministic_evaluator_counters_match_stats() {
     let make = Quadrature2dEvaluator::default;
     let (tree, flat) = backends();
-    check_solo(&tree, "rtree, quadrature", make);
-    check_solo(&flat, "flat, quadrature", make);
+    check_solo(&tree, "rtree, quadrature", 0, make);
+    check_solo(&flat, "flat, quadrature", 0, make);
 }
 
 #[test]
@@ -207,13 +280,38 @@ fn recovered_batch_counters_match_stats() {
     let mut batch = QueryBatch::new(executor, integrator);
     let mut plan = FaultPlan::quiet().with_schedule(FaultSite::BatchAbort, FaultSchedule::Always);
     let mut total = QueryStats::default();
-    for outcome in batch
+    let mut integrating = 0;
+    for (q, outcome) in batch
         .execute_with_faults(&tree, &queries, &mut plan)
         .unwrap()
+        .iter()
+        .enumerate()
     {
         assert!(outcome.recovered);
+        let label = format!("recovered batch, query {q}");
+        integrating += usize::from(assert_draws_only_when_integrating(
+            &outcome.stats,
+            1,
+            &label,
+        ));
         total.merge(&outcome.stats);
     }
-    assert_eq!(total.phase3_samples, queries.len() * SAMPLES);
+    assert_eq!(integrating, INTEGRATING_QUERIES);
+    assert_eq!(total.phase3_samples, integrating * SAMPLES);
     assert_totals(&metrics, &total, queries.len(), "recovered batch");
+}
+
+/// `ParallelIntegrator` with no candidates draws no cloud and records
+/// no samples.
+#[test]
+fn parallel_integrator_without_candidates_draws_nothing() {
+    let metrics = PipelineMetrics::new();
+    let query = &queries()[0];
+    let probabilities = ParallelIntegrator::new(SAMPLES, 7, 2)
+        .unwrap()
+        .probabilities_with_metrics(query, &[], &metrics);
+    assert!(probabilities.is_empty());
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter(names::CLOUD_BUILDS), Some(0));
+    assert_eq!(snap.counter(names::PHASE3_SAMPLES), Some(0));
 }

@@ -17,7 +17,9 @@
 //!   sample bounding box lies fully inside the ball contribute their
 //!   counts without a single distance test; boundary cells run the SoA
 //!   kernel over their contiguous sample range. Per-candidate cost
-//!   drops from `O(samples)` to `O(samples near the candidate)`.
+//!   drops from `O(samples)` to `O(samples near the candidate)`. In
+//!   high dimension, where a grid this fine cannot prune, it is a
+//!   single cell: a bounding-box test, then one linear kernel pass.
 //!
 //! **Estimator caveat** (why conformance, not bit-parity, is the
 //! correctness gate): sharing one cloud across every candidate of a
@@ -50,10 +52,18 @@ const TARGET_PER_CELL: usize = 16;
 /// stays small next to the sample storage itself.
 const MAX_RES: usize = 128;
 
-/// Block width of the SoA distance kernel: small enough for the
-/// accumulator to live on the stack, wide enough to amortize the
-/// per-block column setup.
-const KERNEL_BLOCK: usize = 256;
+/// Samples per register block of the SoA distance kernel
+/// ([`count_hits`]).
+///
+/// A block keeps one running squared distance per sample in registers
+/// while it walks all `D` coordinate columns, then compares the whole
+/// block with `δ²` — so no accumulator is loaded or stored between
+/// dimensions. Eight `f64` lanes fill four SSE2 or two AVX registers
+/// and leave room for the column loads at `D = 9`. The width only
+/// groups samples: each sample's sum is the same left-to-right
+/// `0.0 + Σ_d (x_d − c_d)²` in ascending `d` whatever the block, so
+/// any width returns the same counts.
+const KERNEL_LANES: usize = 8;
 
 /// Counters describing the work a cloud-backed probe performed.
 ///
@@ -61,7 +71,9 @@ const KERNEL_BLOCK: usize = 256;
 /// `QueryStats` once per query (see `PipelineMetrics` in `gprq-core`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CloudStats {
-    /// Sample clouds drawn (one per query on the shared-sample path).
+    /// Sample clouds built: one per query that integrates on the
+    /// shared-sample path (the first integration draws it), none for a
+    /// query that integrates nothing.
     pub builds: usize,
     /// Monte-Carlo samples drawn: whole clouds, lazy extensions, and
     /// freshly drawn offset tables (a cached table draws nothing).
@@ -260,10 +272,12 @@ impl<const D: usize> SampleCloud<D> {
 /// The SoA distance kernel shared by the linear scan and the grid's
 /// boundary cells, so both paths round identically per sample.
 ///
-/// Processes `start..end` in blocks of [`KERNEL_BLOCK`]: per block, each
-/// coordinate column streams once into a stack accumulator of squared
-/// per-dimension differences (summed in ascending dimension order), then
-/// a branch-free pass counts `dsq ≤ delta_sq`.
+/// Walks `start..end` in register blocks of [`KERNEL_LANES`] samples:
+/// per block, every coordinate column adds its squared differences to
+/// the block's accumulators (ascending dimension order, starting from
+/// `0.0`), then the block counts `dsq ≤ delta_sq` branch-free. The last
+/// `< KERNEL_LANES` samples take the same per-sample sum one at a time.
+/// A range that does not lie inside every column counts nothing.
 // HOT-PATH: SoA distance kernel (Phase 3 innermost loop)
 fn count_hits<const D: usize>(
     cols: &[Vec<f64>; D],
@@ -275,26 +289,38 @@ fn count_hits<const D: usize>(
     // `std::iter::zip` (not the `.iter()` adaptor) keeps this hot root
     // free of method names the workspace call-graph auditor would
     // over-approximate onto unrelated impls.
+    let mut segs: [&[f64]; D] = [&[]; D];
+    for (seg, col) in std::iter::zip(&mut segs, cols) {
+        match col.get(start..end) {
+            Some(range) => *seg = range,
+            None => return 0,
+        }
+    }
+    let len = end - start;
+    let blocked = len - len % KERNEL_LANES;
     let mut hits = 0usize;
-    let mut at = start;
-    while at < end {
-        let take = KERNEL_BLOCK.min(end - at);
-        let mut acc = [0.0f64; KERNEL_BLOCK];
-        for (col, &c) in std::iter::zip(cols, center.as_slice()) {
-            let Some(seg) = col.get(at..at + take) else {
+    for at in (0..blocked).step_by(KERNEL_LANES) {
+        let mut acc = [0.0f64; KERNEL_LANES];
+        for (seg, &c) in std::iter::zip(&segs, center.as_slice()) {
+            let Some(block) = seg.get(at..at + KERNEL_LANES) else {
                 return hits;
             };
-            for (a, &x) in std::iter::zip(&mut acc, seg) {
+            for (a, &x) in std::iter::zip(&mut acc, block) {
                 let diff = x - c;
                 *a += diff * diff;
             }
         }
-        if let Some(head) = acc.get(..take) {
-            for &dsq in head {
-                hits += usize::from(dsq <= delta_sq);
-            }
+        for dsq in acc {
+            hits += usize::from(dsq <= delta_sq);
         }
-        at += take;
+    }
+    for i in blocked..len {
+        let mut dsq = 0.0f64;
+        for (seg, &c) in std::iter::zip(&segs, center.as_slice()) {
+            let diff = seg.get(i).map_or(0.0, |&x| x - c);
+            dsq += diff * diff;
+        }
+        hits += usize::from(dsq <= delta_sq);
     }
     hits
 }
@@ -318,8 +344,13 @@ fn grid_slot(t: f64, max_index: usize) -> usize {
 ///
 /// Cell sizing: the per-axis resolution is the largest `r ≤ 128` with
 /// `r^D ≤ n / 16` — about `TARGET_PER_CELL` samples per cell if the
-/// cloud were uniform; axes with zero extent collapse to one cell. A
-/// probe enumerates the cells whose index range overlaps
+/// cloud were uniform; axes with zero extent collapse to one cell. When
+/// that rule gives `r ≤ 2` (`D ≥ 8` at 100 000 samples) the grid is a
+/// single cell instead: with the probe's one-cell widening, two cells
+/// per axis would put every cell in every probe, so the cells would
+/// only add bookkeeping. The one-cell grid keeps draw order and is
+/// built in one pass per column. A probe enumerates the cells whose
+/// index range overlaps
 /// `[center − δ, center + δ]` per axis (widened by one cell against
 /// rounding slop), then classifies each: fully-inside cells contribute
 /// `count` hits with no distance test, boundary cells run the SoA
@@ -374,6 +405,25 @@ impl<const D: usize> CloudGrid<D> {
     fn build_grid<const SHIFT: bool>(source: &[Vec<f64>; D], shift: &[f64; D]) -> Self {
         let n = source.first().map_or(0, Vec::len);
 
+        // Largest uniform per-axis resolution with res^D ≤ n / TARGET,
+        // capped at MAX_RES — integer arithmetic only. Two cells per
+        // axis cannot prune: the probe's one-cell widening covers both
+        // halves of every axis the ball touches, so every probe would
+        // visit every cell. Such a grid collapses to one cell.
+        let cells_target = (n / TARGET_PER_CELL).max(1);
+        let dim_exp = u32::try_from(D).unwrap_or(u32::MAX);
+        let mut uniform_res = 1usize;
+        while uniform_res < MAX_RES {
+            let next = uniform_res + 1;
+            match next.checked_pow(dim_exp) {
+                Some(total) if total <= cells_target => uniform_res = next,
+                _ => break,
+            }
+        }
+        if uniform_res <= 2 {
+            return Self::build_one_cell::<SHIFT>(source, shift, n);
+        }
+
         // Tight bounding box of the cloud, per axis.
         let mut origin = [0.0f64; D];
         let mut upper = [0.0f64; D];
@@ -388,19 +438,6 @@ impl<const D: usize> CloudGrid<D> {
             }
             origin[d] = lo;
             upper[d] = hi;
-        }
-
-        // Largest uniform per-axis resolution with res^D ≤ n / TARGET,
-        // capped at MAX_RES — integer arithmetic only.
-        let cells_target = (n / TARGET_PER_CELL).max(1);
-        let dim_exp = u32::try_from(D).unwrap_or(u32::MAX);
-        let mut uniform_res = 1usize;
-        while uniform_res < MAX_RES {
-            let next = uniform_res + 1;
-            match next.checked_pow(dim_exp) {
-                Some(total) if total <= cells_target => uniform_res = next,
-                _ => break,
-            }
         }
 
         let mut res = [1usize; D];
@@ -503,6 +540,50 @@ impl<const D: usize> CloudGrid<D> {
             cell_min,
             cell_max,
             res,
+            origin,
+            inv_width,
+            len: n,
+        }
+    }
+
+    /// The one-cell grid, in a single pass per column: the cell holds
+    /// every sample in draw order (what the counting sort produces for
+    /// one cell), and its tight box is the cloud's bounding box, reduced
+    /// while the column is copied. Probes then cost one bounding-box
+    /// test plus, unless the whole box is inside the ball, one linear
+    /// kernel pass.
+    fn build_one_cell<const SHIFT: bool>(
+        source: &[Vec<f64>; D],
+        shift: &[f64; D],
+        n: usize,
+    ) -> Self {
+        let mut cols: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
+        let mut origin = [0.0f64; D];
+        let mut upper = [0.0f64; D];
+        let mut inv_width = [0.0f64; D];
+        for (d, (col, src)) in cols.iter_mut().zip(source).enumerate() {
+            let m = shift[d];
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            col.extend(src.iter().map(|&raw| {
+                let x = if SHIFT { m + raw } else { raw };
+                lo = lo.min(x);
+                hi = hi.max(x);
+                x
+            }));
+            let extent = hi - lo;
+            if extent.is_finite() && extent > f64::MIN_POSITIVE {
+                inv_width[d] = 1.0 / extent;
+            }
+            origin[d] = lo;
+            upper[d] = hi;
+        }
+        CloudGrid {
+            cols,
+            cell_start: vec![0, n],
+            cell_min: origin.to_vec(),
+            cell_max: upper.to_vec(),
+            res: [1; D],
             origin,
             inv_width,
             len: n,
@@ -713,7 +794,9 @@ mod tests {
         let center = Vector::from([6.0, -2.0]);
         let delta = 10.0;
         let full = cloud.count_within(&center, delta);
-        for split in [0, 1, 255, 256, 257, 5_000, 9_999, 10_000] {
+        // Splits off the kernel's lane width put blocks and tails on
+        // both sides of every cut.
+        for split in [0, 1, 7, 8, 9, 255, 256, 257, 5_000, 9_993, 9_999, 10_000] {
             let head = cloud.count_in_range(&center, delta, 0, split);
             let tail = cloud.count_in_range(&center, delta, split, 10_000);
             assert_eq!(head + tail, full, "split {split}");
@@ -826,6 +909,11 @@ mod tests {
         // Tiny clouds collapse to a single cell.
         let tiny = SampleCloud::draw(&g, nz(3), &mut rng);
         assert_eq!(CloudGrid::build(&tiny).resolution(), [1, 1]);
+        // So does a rule that gives two cells per axis: 2² ≤ 100 / 16 < 3².
+        let two = SampleCloud::draw(&g, nz(100), &mut rng);
+        assert_eq!(CloudGrid::build(&two).resolution(), [1, 1]);
+        let three = SampleCloud::draw(&g, nz(144), &mut rng);
+        assert_eq!(CloudGrid::build(&three).resolution(), [3, 3]);
     }
 
     #[test]

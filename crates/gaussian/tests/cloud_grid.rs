@@ -2,7 +2,9 @@
 //! Phase-3 engine: the grid index must count *precisely* the hits a
 //! linear scan of the same cloud counts (the two paths share one SoA
 //! kernel, so this is bitwise, not statistical), and the SoA layout must
-//! store the `sample_batch` draws bitwise.
+//! store the `sample_batch` draws bitwise. High-dimensional clouds,
+//! whose sizing rule gives at most two cells per axis, collapse to one
+//! cell and must still count exactly what the linear scan counts.
 
 use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
 use gprq_gaussian::{Gaussian, GaussianSampler};
@@ -207,5 +209,130 @@ fn build_recentered_matches_materialized_cloud_bitwise() {
                 "re-centered build diverged at {center:?}, δ = {delta}"
             );
         }
+    }
+}
+
+/// A `D`-dimensional Gaussian with a distinct variance per axis and one
+/// correlated pair, centered at `mean`.
+fn high_dim<const D: usize>(mean: f64) -> Gaussian<D> {
+    let mut m = Matrix::<D>::identity();
+    for d in 0..D {
+        m[(d, d)] = 0.02 + 0.01 * d as f64;
+    }
+    m[(0, 1)] = 0.005;
+    m[(1, 0)] = 0.005;
+    Gaussian::new(Vector::from_fn(|d| mean + d as f64 * 0.1), m).unwrap()
+}
+
+/// Probes a one-cell grid against the linear scan of `cloud`: balls
+/// around the mean, balls straddling the bounding box on one axis,
+/// balls wholly outside it, δ = 0, and a ball holding the whole cloud.
+fn assert_one_cell_matches_linear<const D: usize>(
+    grid: &CloudGrid<D>,
+    cloud: &SampleCloud<D>,
+    label: &str,
+) {
+    assert_eq!(grid.resolution(), [1; D], "{label}");
+    assert_eq!(grid.cells(), 1, "{label}");
+    assert_eq!(grid.len(), cloud.len(), "{label}");
+    let cols = cloud.columns();
+    let lo: Vec<f64> = cols
+        .iter()
+        .map(|c| c.iter().copied().fold(f64::INFINITY, f64::min))
+        .collect();
+    let hi: Vec<f64> = cols
+        .iter()
+        .map(|c| c.iter().copied().fold(f64::NEG_INFINITY, f64::max))
+        .collect();
+    let mean = Vector::<D>::from_fn(|d| 0.5 * (lo[d] + hi[d]));
+    let mut probe = StdRng::seed_from_u64(D as u64);
+    let mut cases: Vec<(Vector<D>, f64)> = Vec::new();
+    for _ in 0..24 {
+        let center = Vector::from_fn(|d| mean[d] + (probe.gen::<f64>() - 0.5) * 0.6);
+        cases.push((center, probe.gen::<f64>() * 0.9));
+    }
+    for axis in 0..D {
+        // Straddling: the ball crosses the box face on one axis.
+        let mut edge = mean;
+        edge[axis] = hi[axis];
+        cases.push((edge, 1.0));
+        edge[axis] = lo[axis] - 0.1;
+        cases.push((edge, 1.1));
+        // Wholly outside on one axis, just beyond the face and far away.
+        let mut out = mean;
+        out[axis] = hi[axis] + 0.5;
+        cases.push((out, 0.2));
+        out[axis] = lo[axis] - 100.0;
+        cases.push((out, 1.0));
+    }
+    cases.push((mean, 0.0));
+    cases.push((mean, 1.0e3));
+    let mut partial = 0;
+    for (i, (center, delta)) in cases.iter().enumerate() {
+        let linear = cloud.count_within(center, *delta);
+        partial += usize::from(linear > 0 && linear < cloud.len());
+        assert_eq!(
+            grid.count_within(center, *delta),
+            linear,
+            "{label}: case {i}, center {center:?}, delta {delta}"
+        );
+        assert_eq!(
+            grid.probability(center, *delta).to_bits(),
+            cloud.probability(center, *delta).to_bits(),
+            "{label}: case {i}"
+        );
+    }
+    assert!(partial >= 2 * D, "{label}: only {partial} partial balls");
+    assert_eq!(cloud.count_within(&mean, 1.0e3), cloud.len(), "{label}");
+}
+
+/// At 100 000 samples, `D = 8` and `D = 9` size to two cells per axis,
+/// which cannot prune: both builds collapse to one cell and count
+/// exactly what the linear scan counts.
+fn one_cell_regime<const D: usize>() {
+    let g = high_dim::<D>(0.5);
+    let mut rng = StdRng::seed_from_u64(0x1CE11 + D as u64);
+    let cloud = SampleCloud::draw(&g, nz(100_000), &mut rng);
+    let built = CloudGrid::build(&cloud);
+    assert_one_cell_matches_linear(&built, &cloud, &format!("build, D = {D}"));
+
+    let mut rng = StdRng::seed_from_u64(0x0FF5 + D as u64);
+    let offsets = SampleCloud::draw_offsets(g.cholesky(), nz(100_000), &mut rng);
+    let recentered = CloudGrid::build_recentered(g.mean(), &offsets);
+    let materialized = SampleCloud::from_offsets(g.mean(), &offsets);
+    assert_one_cell_matches_linear(
+        &recentered,
+        &materialized,
+        &format!("build_recentered, D = {D}"),
+    );
+}
+
+#[test]
+fn eight_dimensional_grid_is_one_cell_and_exact() {
+    one_cell_regime::<8>();
+}
+
+#[test]
+fn nine_dimensional_grid_is_one_cell_and_exact() {
+    one_cell_regime::<9>();
+}
+
+/// Seven dimensions still size to three cells per axis at 100 000
+/// samples and keep the multi-cell grid.
+#[test]
+fn seven_dimensional_grid_keeps_three_cells_per_axis() {
+    let g = high_dim::<7>(0.0);
+    let mut rng = StdRng::seed_from_u64(7);
+    let cloud = SampleCloud::draw(&g, nz(100_000), &mut rng);
+    let grid = CloudGrid::build(&cloud);
+    assert_eq!(grid.resolution(), [3; 7]);
+    let mut probe = StdRng::seed_from_u64(17);
+    for _ in 0..20 {
+        let center = Vector::from_fn(|d| d as f64 * 0.1 + (probe.gen::<f64>() - 0.5) * 0.8);
+        let delta = probe.gen::<f64>() * 0.8;
+        assert_eq!(
+            grid.count_within(&center, delta),
+            cloud.count_within(&center, delta)
+        );
     }
 }
