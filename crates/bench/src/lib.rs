@@ -91,7 +91,7 @@ pub fn corel_tree(n: usize, seed: u64) -> (RTree<9, u32>, Vec<Vector<9>>) {
     (tree, pts)
 }
 
-/// Shared plumbing for the bench **guard** binaries (`phase3`, `obs`,
+/// Shared plumbing for the bench **guard** binaries (`obs`, `phase1`,
 /// `throughput`): each records its headline metric in a hand-rolled
 /// JSON file and enforces a bound on it — on the live run *and* against
 /// the committed file via `--check` (CI's stale gate). The guards
@@ -315,10 +315,9 @@ mod tests {
             bound: Bound::AtLeast(2.0),
         };
         g.enforce(3.25);
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/guard_unit_test.json"
-        );
+        let path =
+            std::env::temp_dir().join(format!("guard_unit_test_{}.json", std::process::id()));
+        let path = path.to_str().expect("UTF-8 temp path");
         g.write(path, json);
         g.check(path);
         std::fs::remove_file(path).expect("cleanup");

@@ -92,8 +92,8 @@ use std::time::{Duration, Instant};
 /// of sensor models) never evict.
 const DEFAULT_CACHE_CAPACITY: usize = 32;
 
-/// Splitmix64 finalizer — the same mixer the fault planner and the
-/// per-object seed derivation use, so seed streams stay decorrelated.
+/// Splitmix64 finalizer — the same mixer the fault planner uses, so
+/// seed streams stay decorrelated.
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -1,8 +1,10 @@
 //! Phase-3 qualification-probability evaluators.
 //!
-//! The executor is generic over *how* `Pr(‖x − o‖ ≤ δ)` is computed so the
-//! experiment harness can swap the shared-sample default for the paper's
-//! per-candidate importance sampling or the deterministic 2-D oracle.
+//! The executor is generic over *how* `Pr(‖x − o‖ ≤ δ)` is computed so a
+//! caller can swap the shared-sample default for the sequential
+//! early-stopping variant or the deterministic 2-D oracle. (The paper's
+//! fresh per-candidate batches live only in the `ablation` bench, which
+//! measures what sharing saves.)
 //!
 //! The default engine is the shared-sample cloud from
 //! [`gprq_gaussian::cloud`]: the proposal distribution `N(q, Σ)` never
@@ -174,35 +176,6 @@ impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
     }
 }
 
-/// Deterministic quasi-Monte-Carlo evaluator (Halton sequence warped to
-/// the query Gaussian).
-///
-/// An extension beyond the paper's integrator menu: repeatable results
-/// with near-`O(1/n)` convergence in low dimension. Supports any `D ≤ 16`
-/// (the number of tabulated Halton prime bases).
-#[derive(Debug, Clone, Copy)]
-pub struct QuasiMonteCarloEvaluator {
-    samples: usize,
-}
-
-impl QuasiMonteCarloEvaluator {
-    /// Creates an evaluator with the given sample budget per object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples == 0`.
-    pub fn new(samples: usize) -> Self {
-        assert!(samples > 0);
-        QuasiMonteCarloEvaluator { samples }
-    }
-}
-
-impl<const D: usize> ProbabilityEvaluator<D> for QuasiMonteCarloEvaluator {
-    fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
-        gprq_gaussian::quasi::quasi_monte_carlo_probability(gaussian, center, delta, self.samples)
-    }
-}
-
 /// Deterministic 2-D evaluator using polar Gauss–Legendre quadrature —
 /// the test oracle (exact to ~10⁻¹⁰ at the default node counts).
 #[derive(Debug, Clone, Copy)]
@@ -317,8 +290,6 @@ impl std::error::Error for EvalFailure {}
 /// between distributions.
 #[derive(Debug, Clone)]
 pub struct SequentialMonteCarloEvaluator<const D: usize> {
-    block: usize,
-    z: f64,
     rng: StdRng,
     early_termination: bool,
     cloud: Option<SampleCloud<D>>,
@@ -326,33 +297,20 @@ pub struct SequentialMonteCarloEvaluator<const D: usize> {
 }
 
 impl<const D: usize> SequentialMonteCarloEvaluator<D> {
-    /// Default block size between interval checks.
-    pub const DEFAULT_BLOCK: usize = 512;
-    /// Default confidence width: ±3σ two-sided (≈ 99.7 %).
-    pub const DEFAULT_Z: f64 = 3.0;
+    /// Samples per block between interval checks.
+    const BLOCK: usize = 512;
+    /// Confidence width: ±3σ two-sided (≈ 99.7 %).
+    const Z: f64 = 3.0;
 
-    /// Creates an evaluator with the default block size and confidence
-    /// width, early termination enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block == 0`; debug-asserts `z > 0`.
-    pub fn new(block: usize, z: f64, seed: u64) -> Self {
-        assert!(block > 0, "block size must be positive");
-        debug_assert!(z > 0.0);
+    /// Creates an evaluator with block size 512 and confidence width
+    /// z = 3, early termination enabled.
+    pub fn with_defaults(seed: u64) -> Self {
         SequentialMonteCarloEvaluator {
-            block,
-            z,
             rng: StdRng::seed_from_u64(seed),
             early_termination: true,
             cloud: None,
             stats: CloudStats::default(),
         }
-    }
-
-    /// The default configuration (block 512, z = 3).
-    pub fn with_defaults(seed: u64) -> Self {
-        Self::new(Self::DEFAULT_BLOCK, Self::DEFAULT_Z, seed)
     }
 
     /// Enables or disables early termination (disabled = fixed-budget
@@ -411,7 +369,7 @@ impl<const D: usize> ProbabilityEvaluator<D> for SequentialMonteCarloEvaluator<D
         }
         let mut est = RunningEstimate::default();
         loop {
-            let need = est.n + self.block.min(max_samples - est.n);
+            let need = est.n + Self::BLOCK.min(max_samples - est.n);
             est.hits += self
                 .grow(gaussian, need)
                 .count_in_range(center, delta, est.n, need);
@@ -419,7 +377,7 @@ impl<const D: usize> ProbabilityEvaluator<D> for SequentialMonteCarloEvaluator<D
             est.n = need;
             // Without early termination the interval is checked once, at
             // the end of the budget, and labels the verdict honestly.
-            let (lo, hi) = est.wilson_bounds(self.z);
+            let (lo, hi) = est.wilson_bounds(Self::Z);
             let verdict = if lo >= theta {
                 Verdict::Accept
             } else if hi < theta {
@@ -541,19 +499,6 @@ mod tests {
         );
         let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut reused);
         assert_eq!((stats.builds, stats.samples_drawn), (1, 10_000));
-    }
-
-    #[test]
-    fn qmc_evaluator_matches_oracle_and_is_deterministic() {
-        let g = gaussian();
-        let center = Vector::from([15.0, 8.0]);
-        let mut quad = Quadrature2dEvaluator::default();
-        let oracle = quad.probability(&g, &center, 25.0);
-        let mut qmc = QuasiMonteCarloEvaluator::new(50_000);
-        let a = ProbabilityEvaluator::<2>::probability(&mut qmc, &g, &center, 25.0);
-        let b = ProbabilityEvaluator::<2>::probability(&mut qmc, &g, &center, 25.0);
-        assert_eq!(a, b, "QMC must be deterministic");
-        assert!((a - oracle).abs() < 0.003, "qmc {a} vs oracle {oracle}");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use cost::{expected_integrations, region_volumes, DensityEstimate, RegionVol
 pub use error::PrqError;
 pub use evaluator::{
     EvalFailure, EvalReport, MonteCarloEvaluator, ProbabilityEvaluator, Quadrature2dEvaluator,
-    QuasiMonteCarloEvaluator, SequentialMonteCarloEvaluator, Verdict,
+    SequentialMonteCarloEvaluator, Verdict,
 };
 pub use executor::{
     EvalBudget, PrqExecutor, PrqOutcome, QueryScratch, QueryStats, UncertainCause, UncertainObject,

@@ -81,9 +81,12 @@ pub mod names {
     pub const RESILIENCE_BUDGET_EXHAUSTED: &str = "prq_resilience_budget_exhausted_total";
     /// Counter: candidate objects handed to the parallel integrator.
     pub const PARALLEL_OBJECTS: &str = "prq_parallel_objects_total";
-    /// Counter: Monte-Carlo samples drawn by the parallel integrator.
+    /// Counter: cloud samples the parallel integrator's workers ran
+    /// through the distance kernel (their sum of
+    /// `CloudStats::samples_tested`; the integrator draws nothing).
     pub const PARALLEL_SAMPLES: &str = "prq_parallel_samples_total";
-    /// Histogram: samples drawn per parallel worker (layout-dependent).
+    /// Histogram: samples each parallel worker distance-tested
+    /// (layout-dependent).
     pub const PARALLEL_WORKER_SAMPLES: &str = "prq_parallel_worker_samples";
     /// Counter: shared sample clouds built (one per query that integrates
     /// on the cloud path).
@@ -279,16 +282,6 @@ impl PipelineMetrics {
             .add(as_u64(stats.cloud_samples_tested));
     }
 
-    /// Flushes a shared-cloud statistics block (used by the parallel
-    /// integrator, which records directly rather than via `QueryStats`).
-    pub fn record_cloud(&self, stats: &gprq_gaussian::cloud::CloudStats) {
-        self.cloud_builds.add(as_u64(stats.builds));
-        self.phase3_samples.add(as_u64(stats.samples_drawn));
-        self.cloud_cells_scanned.add(as_u64(stats.cells_scanned));
-        self.cloud_cells_inside.add(as_u64(stats.cells_inside));
-        self.cloud_samples_tested.add(as_u64(stats.samples_tested));
-    }
-
     /// Records the sample count one Phase-3 integration was evaluated
     /// over.
     pub fn record_phase3_object(&self, samples: usize) {
@@ -314,7 +307,7 @@ impl PipelineMetrics {
         }
     }
 
-    /// Records one parallel worker's total drawn samples.
+    /// Records one parallel worker's total distance-tested samples.
     pub fn record_worker_samples(&self, samples: usize) {
         self.worker_samples.record(as_u64(samples));
         self.parallel_samples.add(as_u64(samples));
@@ -386,26 +379,6 @@ mod tests {
         assert_eq!(snap.counter(names::CLOUD_CELLS_SCANNED), Some(80));
         assert_eq!(snap.counter(names::CLOUD_CELLS_INSIDE), Some(50));
         assert_eq!(snap.counter(names::CLOUD_SAMPLES_TESTED), Some(1_800));
-    }
-
-    #[test]
-    fn cloud_recording() {
-        let m = PipelineMetrics::new();
-        let stats = gprq_gaussian::cloud::CloudStats {
-            builds: 1,
-            samples_drawn: 5_000,
-            cells_scanned: 12,
-            cells_inside: 7,
-            samples_tested: 320,
-        };
-        m.record_cloud(&stats);
-        m.record_cloud(&stats);
-        let snap = m.snapshot();
-        assert_eq!(snap.counter(names::CLOUD_BUILDS), Some(2));
-        assert_eq!(snap.counter(names::PHASE3_SAMPLES), Some(10_000));
-        assert_eq!(snap.counter(names::CLOUD_CELLS_SCANNED), Some(24));
-        assert_eq!(snap.counter(names::CLOUD_CELLS_INSIDE), Some(14));
-        assert_eq!(snap.counter(names::CLOUD_SAMPLES_TESTED), Some(640));
     }
 
     #[test]

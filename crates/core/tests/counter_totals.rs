@@ -300,18 +300,3 @@ fn recovered_batch_counters_match_stats() {
     assert_eq!(total.phase3_samples, integrating * SAMPLES);
     assert_totals(&metrics, &total, queries.len(), "recovered batch");
 }
-
-/// `ParallelIntegrator` with no candidates draws no cloud and records
-/// no samples.
-#[test]
-fn parallel_integrator_without_candidates_draws_nothing() {
-    let metrics = PipelineMetrics::new();
-    let query = &queries()[0];
-    let probabilities = ParallelIntegrator::new(SAMPLES, 7, 2)
-        .unwrap()
-        .probabilities_with_metrics(query, &[], &metrics);
-    assert!(probabilities.is_empty());
-    let snap = metrics.snapshot();
-    assert_eq!(snap.counter(names::CLOUD_BUILDS), Some(0));
-    assert_eq!(snap.counter(names::PHASE3_SAMPLES), Some(0));
-}

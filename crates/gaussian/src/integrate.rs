@@ -139,56 +139,6 @@ impl RunningEstimate {
     }
 }
 
-/// Incremental importance-sampling estimator for one `(center, δ)` pair:
-/// the block-wise refinement primitive behind budgeted Phase-3
-/// evaluation with confidence-interval early termination.
-///
-/// Draws come from the same proposal as
-/// [`importance_sampling_probability`] (the query Gaussian itself), so a
-/// run refined to `n` total samples is distributed identically to a
-/// single `n`-sample batch — stopping early changes the *cost*, never
-/// the estimator.
-#[derive(Debug)]
-pub struct StreamingProbability<'g, const D: usize> {
-    sampler: GaussianSampler<'g, D>,
-    center: Vector<D>,
-    delta_sq: f64,
-    estimate: RunningEstimate,
-}
-
-impl<'g, const D: usize> StreamingProbability<'g, D> {
-    /// Creates an estimator for `Pr(‖x − center‖ ≤ delta)`, `x ~ gaussian`,
-    /// with zero samples drawn. Debug-asserts `delta ≥ 0`.
-    pub fn new(gaussian: &'g Gaussian<D>, center: &Vector<D>, delta: f64) -> Self {
-        debug_assert!(delta >= 0.0);
-        StreamingProbability {
-            sampler: GaussianSampler::new(gaussian),
-            center: *center,
-            delta_sq: delta * delta,
-            estimate: RunningEstimate::default(),
-        }
-    }
-
-    /// Draws `block` more samples and returns the updated running
-    /// estimate. A zero-sized block is a no-op.
-    // HOT-PATH: budgeted Phase-3 refinement loop (resilient executor)
-    pub fn refine<R: Rng + ?Sized>(&mut self, rng: &mut R, block: usize) -> RunningEstimate {
-        for _ in 0..block {
-            let x = self.sampler.sample(rng);
-            if x.distance_squared(&self.center) <= self.delta_sq {
-                self.estimate.hits += 1;
-            }
-            self.estimate.n += 1;
-        }
-        self.estimate
-    }
-
-    /// The running estimate so far.
-    pub fn running(&self) -> RunningEstimate {
-        self.estimate
-    }
-}
-
 /// Estimates the ball probability with the "standard" Monte-Carlo method:
 /// uniform samples in `B(center, delta)`, density averaged and scaled by
 /// the ball volume.
@@ -416,38 +366,21 @@ mod tests {
     }
 
     #[test]
-    fn streaming_estimate_matches_quadrature_oracle() {
-        let g = Gaussian::new(Vector::from([500.0, 500.0]), sigma_paper(10.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let center = *g.mean() + Vector::from([10.0, 5.0]);
-        let delta = 25.0;
-        let exact = quadrature_probability_2d(&g, &center, delta, 64, 128);
-        let mut stream = StreamingProbability::new(&g, &center, delta);
-        // Refine in uneven blocks to exercise incremental accumulation.
-        let mut est = RunningEstimate::default();
-        for block in [1, 0, 999, 50_000, 149_000] {
-            est = stream.refine(&mut rng, block);
-        }
-        assert_eq!(est.n, 200_000);
-        assert_eq!(est, stream.running());
-        assert!(
-            (est.estimate() - exact).abs() < 0.006,
-            "stream {} vs exact {exact}",
-            est.estimate()
-        );
-    }
-
-    #[test]
     fn wilson_bounds_bracket_truth_and_tighten() {
         let g = Gaussian::new(Vector::from([0.0, 0.0]), sigma_paper(1.0)).unwrap();
         let center = Vector::from([2.0, 1.0]);
         let delta = 3.0;
         let exact = quadrature_probability_2d(&g, &center, delta, 64, 128);
         let mut rng = StdRng::seed_from_u64(31);
-        let mut stream = StreamingProbability::new(&g, &center, delta);
+        let mut sampler = GaussianSampler::new(&g);
+        let mut est = RunningEstimate::default();
         let mut prev_width = f64::INFINITY;
         for _ in 0..4 {
-            let est = stream.refine(&mut rng, 25_000);
+            for _ in 0..25_000 {
+                let x = sampler.sample(&mut rng);
+                est.hits += usize::from(x.distance_squared(&center) <= delta * delta);
+                est.n += 1;
+            }
             let (lo, hi) = est.wilson_bounds(3.0);
             assert!(lo <= exact && exact <= hi, "[{lo}, {hi}] misses {exact}");
             let width = hi - lo;

@@ -49,7 +49,7 @@ pub use chi::{chi_ball_probability, chi_inverse, chi_squared_cdf};
 pub use cloud::{CloudGrid, CloudStats, SampleCloud};
 pub use integrate::{
     analytic_interval_probability_1d, importance_sampling_probability, quadrature_probability_2d,
-    uniform_ball_probability, InvalidSampleBudget, RunningEstimate, StreamingProbability,
+    uniform_ball_probability, InvalidSampleBudget, RunningEstimate,
 };
 pub use mvn::Gaussian;
 pub use noncentral::{

@@ -194,31 +194,6 @@ impl<const D: usize, T> RTree<D, T> {
         multi_rect_rec(&self.root, rects, &active, stats, out);
     }
 
-    /// Fallible variant of [`RTree::query_rect_visit`]: the visitor may
-    /// abort the traversal by returning `Err`, which propagates out
-    /// immediately (records already visited are *not* rolled back — the
-    /// caller decides whether partial output is usable).
-    ///
-    /// The resilient executor uses this hook to bail out of Phase 1 when
-    /// a candidate cap is hit, and the fault-injection harness uses it to
-    /// simulate index failures mid-traversal.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error produced by `visit`, with `stats`
-    /// reflecting the work done up to that point.
-    pub fn try_query_rect_visit<'t, E>(
-        &'t self,
-        rect: &Rect<D>,
-        stats: &mut SearchStats,
-        mut visit: impl FnMut(&'t Vector<D>, &'t T) -> Result<(), E>,
-    ) -> Result<(), E> {
-        if self.is_empty() {
-            return Ok(());
-        }
-        try_rect_rec(&self.root, rect, stats, &mut visit)
-    }
-
     /// Visits every record within Euclidean distance `radius` of `center`.
     pub fn query_ball_visit<'t>(
         &'t self,
@@ -465,32 +440,6 @@ fn multi_rect_rec<'a, const D: usize, T>(
             }
         }
     }
-}
-
-// HOT-PATH: fallible rectangle descent (resilient Phase 1 with abort)
-fn try_rect_rec<'a, const D: usize, T, E>(
-    node: &'a Node<D, T>,
-    rect: &Rect<D>,
-    stats: &mut SearchStats,
-    visit: &mut impl FnMut(&'a Vector<D>, &'a T) -> Result<(), E>,
-) -> Result<(), E> {
-    stats.nodes_visited += 1;
-    if node.is_leaf() {
-        for e in &node.entries {
-            stats.entries_checked += 1;
-            if rect.contains_point(&e.point) {
-                stats.results += 1;
-                visit(&e.point, &e.data)?;
-            }
-        }
-    } else {
-        for c in &node.children {
-            if rect.intersects(&c.mbr) {
-                try_rect_rec(c, rect, stats, visit)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 // HOT-PATH: ball range-query descent (Phase 1 inner loop)

@@ -70,7 +70,7 @@ pub use gprq_workloads as workloads;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use gprq_core::ext::parallel::{ParallelIntegrator, Phase3Mode};
+    pub use gprq_core::ext::parallel::ParallelIntegrator;
     pub use gprq_core::ext::pnn::{probabilistic_knn, PnnResult};
     pub use gprq_core::ext::session::{MonitoringSession, StepOutcome};
     pub use gprq_core::ext::uncertain::{
@@ -80,9 +80,9 @@ pub mod prelude {
         cloud_seed, execute_naive, AdmissionPolicy, BatchOutcome, BfCatalog, BfClass,
         DegradationReason, DegradationReport, EvalBudget, FringeMode, MonteCarloEvaluator,
         PipelineMetrics, ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery,
-        Quadrature2dEvaluator, QuasiMonteCarloEvaluator, QueryBatch, QueryStats, ResilientExecutor,
-        ResilientOutcome, RrCatalog, SequentialMonteCarloEvaluator, SigmaFactorCache, StrategySet,
-        TerminalStrategy, ThetaRegion, UncertainCause, Verdict,
+        Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor, ResilientOutcome,
+        RrCatalog, SequentialMonteCarloEvaluator, SigmaFactorCache, StrategySet, TerminalStrategy,
+        ThetaRegion, UncertainCause, Verdict,
     };
     pub use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
     pub use gprq_gaussian::Gaussian;

@@ -243,24 +243,20 @@ fn parallel_integrator_matches_executor_answers() {
         0.01,
     )
     .unwrap();
-    // Phase 1+2 by hand: use the executor with a trivial evaluator that
-    // marks nothing, then integrate candidates in parallel.
     let mut oracle = Quadrature2dEvaluator::default();
     let truth = sorted_ids(
         &PrqExecutor::new(StrategySet::ALL)
             .execute(&tree, &query, &mut oracle)
             .unwrap(),
     );
-    let candidates: Vec<Vector<2>> = tree.iter().map(|(p, _)| *p).collect();
-    let flags = ParallelIntegrator::new(100_000, 31, 4)
-        .unwrap()
-        .qualify(&query, &candidates);
-    let mut par_ids: Vec<usize> = tree
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| flags[*i])
-        .map(|(_, (_, d))| *d)
-        .collect();
+    // A one-query batch fans its Phase 3 out over four workers.
+    let mut batch = QueryBatch::new(
+        PrqExecutor::new(StrategySet::ALL),
+        ParallelIntegrator::new(100_000, 31, 4).unwrap(),
+    );
+    let outcomes = batch.execute(&tree, std::slice::from_ref(&query)).unwrap();
+    assert!(!outcomes[0].integrated.is_empty(), "Phase 3 must run");
+    let mut par_ids: Vec<usize> = outcomes[0].answers.iter().map(|(_, d)| **d).collect();
     par_ids.sort_unstable();
     // MC noise tolerance at the threshold.
     let diff = truth
