@@ -19,6 +19,8 @@
 //! cargo run -p gprq-bench --release --bin ablation [--n 20000]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::{corel_tree, road_tree, Args};
 use gprq_core::{
     BfBounds, BfCatalog, FringeMode, MonteCarloEvaluator, PrqExecutor, PrqQuery, RrCatalog,

@@ -8,6 +8,8 @@
 //! cargo run -p gprq-bench --release --bin dims [--n 30000] [--samples 30000]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::{row, Args};
 use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};
 use gprq_gaussian::chi::chi_inverse;

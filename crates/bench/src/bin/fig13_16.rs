@@ -13,6 +13,8 @@
 //! cargo run -p gprq-bench --release --bin fig13_16 [--area-samples 2000000]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::Args;
 use gprq_core::{BfBounds, FringeMode, OrFilter, PrqQuery, RejectBound, RrFilter, ThetaRegion};
 use gprq_linalg::Vector;

@@ -9,6 +9,8 @@
 //! cargo run -p gprq-bench --release --bin fig17
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::Args;
 use gprq_gaussian::chi::{chi_ball_probability, chi_inverse};
 

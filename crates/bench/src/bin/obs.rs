@@ -16,6 +16,8 @@
 //! cargo run -p gprq-bench --release --bin obs -- --check   # validate committed JSON
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use gprq_bench::guard::{Bound, Guard};

@@ -21,6 +21,8 @@
 //! cargo run -p gprq-bench --release --bin phase1 -- --check   # validate committed JSON
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use gprq_bench::guard::{Bound, Guard};

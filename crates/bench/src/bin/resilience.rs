@@ -17,6 +17,8 @@
 //!     [--n 20000] [--trials 5] [--samples 100000] [--out BENCH_resilience.json]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 
 use gprq_bench::{road_tree, Args};

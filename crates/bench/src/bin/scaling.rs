@@ -9,6 +9,8 @@
 //! cargo run -p gprq-bench --release --bin scaling [--trials 3] [--samples 20000]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::{road_tree, row, Args};
 use gprq_core::cost::{expected_integrations, region_volumes, DensityEstimate};
 use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};

@@ -16,6 +16,8 @@
 //! cargo run -p gprq-bench --release --bin sensitivity [--n 50747] [--trials 3]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::{road_tree, row, strategy_header, Args};
 use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};
 use gprq_linalg::Matrix;

@@ -11,6 +11,8 @@
 //! paper-exact configuration. Absolute times differ from 2009 hardware;
 //! the comparison *across columns* is the result.
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::{road_tree, row, strategy_header, Args};
 use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};
 use gprq_workloads::{eq34_covariance, random_query_centers};

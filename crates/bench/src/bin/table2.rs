@@ -10,6 +10,8 @@
 //! cargo run -p gprq-bench --release --bin table2 [--n 50747] [--trials 5]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::{road_tree, row, strategy_header, Args};
 use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};
 use gprq_workloads::{eq34_covariance, random_query_centers};

@@ -6,6 +6,8 @@
 //! cargo run -p gprq-bench --release --bin table3 [--n 68040] [--trials 10]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gprq_bench::{corel_tree, row, strategy_header, Args};
 use gprq_core::{MonteCarloEvaluator, OrFilter, PrqExecutor, PrqQuery, StrategySet, ThetaRegion};
 use gprq_gaussian::chi::chi_inverse;

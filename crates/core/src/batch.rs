@@ -87,9 +87,10 @@ use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 /// Default Σ-group cache capacity (offset tables retained across
-/// batches). 32 tables of 50 000 × D doubles ≈ 25 MB at D = 2 — small
-/// next to the tree, large enough that realistic workloads (a handful
-/// of sensor models) never evict.
+/// batches). A table holds `integrator.samples × D` doubles
+/// (samples × D × 8 B); at the 100 000 samples every bench and e2e path
+/// uses, a full cache of 32 tables is ≈ 51 MB at D = 2 and ≈ 230 MB at
+/// D = 9. Realistic workloads (a handful of sensor models) never evict.
 const DEFAULT_CACHE_CAPACITY: usize = 32;
 
 /// Splitmix64 finalizer — the same mixer the fault planner uses, so

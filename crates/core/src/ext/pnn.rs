@@ -107,6 +107,9 @@ where
             top.pop();
         }
     }
+    // `PnnStats` has no cloud fields: drain the draw so it does not
+    // leak into the evaluator's next query.
+    evaluator.take_cloud_stats();
     (top, stats)
 }
 

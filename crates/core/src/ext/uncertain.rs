@@ -46,7 +46,11 @@ where
         .gaussian()
         .convolve(&target.mean, &target.covariance)?;
     evaluator.begin_query(&combined);
-    Ok(evaluator.probability(&combined, &Vector::ZERO, query.delta()))
+    let p = evaluator.probability(&combined, &Vector::ZERO, query.delta());
+    // Only the probability is returned: drain the draw so it does not
+    // leak into the evaluator's next query.
+    evaluator.take_cloud_stats();
+    Ok(p)
 }
 
 /// Outcome of a range query over uncertain targets.
@@ -98,6 +102,9 @@ where
                 out.integrations += 1;
                 evaluator.begin_query(sub_query.gaussian());
                 let p = evaluator.probability(sub_query.gaussian(), &Vector::ZERO, query.delta());
+                // `UncertainOutcome` has no cloud fields: drain the draw
+                // so it does not leak into the evaluator's next query.
+                evaluator.take_cloud_stats();
                 if p >= query.theta() {
                     out.answers.push(idx);
                 }

@@ -83,8 +83,7 @@ pub use metrics::{Phase, PipelineMetrics};
 pub use naive::execute_naive;
 pub use query::PrqQuery;
 pub use resilience::{
-    AdmissionPolicy, DegradationReason, DegradationReport, ResilientExecutor, ResilientOutcome,
-    TerminalStrategy,
+    DegradationReason, DegradationReport, ResilientExecutor, ResilientOutcome, TerminalStrategy,
 };
 pub use strategy::bf::{BfBounds, BfClass, RejectBound};
 pub use strategy::or::OrFilter;

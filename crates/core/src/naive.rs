@@ -36,6 +36,7 @@ where
     stats.phase1_candidates = stats.integrations;
     stats.phase3_time = t.elapsed();
     stats.answers = answers.len();
+    stats.absorb_cloud(&evaluator.take_cloud_stats());
     PrqOutcome {
         answers,
         uncertain: Vec::new(),

@@ -10,7 +10,7 @@
 //!
 //! [`ResilientExecutor`] wraps the same three-phase pipeline with:
 //!
-//! 1. **Admission** ([`AdmissionPolicy::admit`]) — rejects what cannot
+//! 1. **Admission** ([`admit`]) — rejects what cannot
 //!    be repaired (NaN/∞ centers and thresholds), repairs what can
 //!    (θ clamping, covariance symmetrization, Tikhonov regularization
 //!    of near-singular Σ), and records every repair in a
@@ -279,152 +279,138 @@ impl fmt::Display for DegradationReport {
     }
 }
 
-/// Knobs for the admission/sanitization stage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionPolicy {
-    /// Smallest θ a clamp may produce (repairs `θ ≤ 0`).
-    pub theta_floor: f64,
-    /// Largest θ a clamp may produce (repairs `θ ≥ 1`).
-    pub theta_ceiling: f64,
-    /// Spectral condition number above which Σ is ridge-regularized.
-    pub max_condition: f64,
-    /// Initial ridge as a fraction of the mean diagonal entry; escalated
-    /// ×10 per attempt until Σ is acceptable.
-    pub ridge_scale: f64,
-}
+/// Smallest θ a clamp may produce (repairs `θ ≤ 0`).
+const THETA_FLOOR: f64 = 1e-9;
 
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy {
-            theta_floor: 1e-9,
-            theta_ceiling: 1.0 - 1e-9,
-            max_condition: 1e12,
-            ridge_scale: 1e-12,
-        }
-    }
-}
+/// Largest θ a clamp may produce (repairs `θ ≥ 1`).
+const THETA_CEILING: f64 = 1.0 - 1e-9;
+
+/// Spectral condition number above which Σ is ridge-regularized.
+const MAX_CONDITION: f64 = 1e12;
+
+/// Initial ridge as a fraction of the mean diagonal entry; escalated
+/// ×10 per attempt until Σ is acceptable.
+const RIDGE_SCALE: f64 = 1e-12;
 
 /// Upper bound on ridge-escalation attempts. The ridge grows ×10 per
-/// attempt from `ridge_scale × scale`, where `scale` bounds `|λ_min|`
+/// attempt from `RIDGE_SCALE × scale`, where `scale` bounds `|λ_min|`
 /// via Gershgorin, so any finite symmetric Σ is repaired well before
 /// this limit; it exists to make the loop obviously terminating.
 const MAX_RIDGE_ATTEMPTS: usize = 24;
 
-impl AdmissionPolicy {
-    /// Validates and repairs raw query parameters into a well-formed
-    /// [`PrqQuery`], recording every repair in `report`.
-    ///
-    /// Repairs (recorded, never silent): finite `θ` outside `(0, 1)` is
-    /// clamped; asymmetric Σ is symmetrized; singular / indefinite /
-    /// ill-conditioned Σ receives an escalating Tikhonov ridge.
-    /// Rejections (no principled repair exists): non-finite or
-    /// non-positive `δ`, non-finite `θ`, non-finite centers, non-finite
-    /// Σ entries.
-    ///
-    /// # Errors
-    ///
-    /// * [`PrqError::InvalidDelta`] unless `δ > 0` and finite,
-    /// * [`PrqError::InvalidTheta`] for NaN or infinite `θ`,
-    /// * [`PrqError::InvalidCenter`] for a NaN/∞ center coordinate,
-    /// * [`PrqError::BadCovariance`] for non-finite Σ entries, or when
-    ///   ridge escalation cannot produce an acceptable matrix.
-    pub fn admit<const D: usize>(
-        &self,
-        center: Vector<D>,
-        covariance: Matrix<D>,
-        delta: f64,
-        theta: f64,
-        report: &mut DegradationReport,
-    ) -> Result<PrqQuery<D>, PrqError> {
-        // δ: reject. A non-positive or non-finite radius has no
-        // repairable intent.
-        if !(delta > 0.0 && delta.is_finite()) {
-            return Err(PrqError::InvalidDelta(delta));
+/// The admission/sanitization stage: validates and repairs raw query
+/// parameters into a well-formed [`PrqQuery`], recording every repair
+/// in `report`.
+///
+/// Repairs (recorded, never silent): finite `θ` outside `(0, 1)` is
+/// clamped into `[10⁻⁹, 1 − 10⁻⁹]`; asymmetric Σ is symmetrized;
+/// singular / indefinite / ill-conditioned Σ (condition number above
+/// 10¹²) receives an escalating Tikhonov ridge. Rejections (no
+/// principled repair exists): non-finite or non-positive `δ`,
+/// non-finite `θ`, non-finite centers, non-finite Σ entries.
+///
+/// # Errors
+///
+/// * [`PrqError::InvalidDelta`] unless `δ > 0` and finite,
+/// * [`PrqError::InvalidTheta`] for NaN or infinite `θ`,
+/// * [`PrqError::InvalidCenter`] for a NaN/∞ center coordinate,
+/// * [`PrqError::BadCovariance`] for non-finite Σ entries, or when
+///   ridge escalation cannot produce an acceptable matrix.
+pub fn admit<const D: usize>(
+    center: Vector<D>,
+    covariance: Matrix<D>,
+    delta: f64,
+    theta: f64,
+    report: &mut DegradationReport,
+) -> Result<PrqQuery<D>, PrqError> {
+    // δ: reject. A non-positive or non-finite radius has no
+    // repairable intent.
+    if !(delta > 0.0 && delta.is_finite()) {
+        return Err(PrqError::InvalidDelta(delta));
+    }
+    // θ: NaN/∞ is garbage (reject); finite out-of-range is a
+    // plausible "always"/"never" intent (clamp and record).
+    if !theta.is_finite() {
+        return Err(PrqError::InvalidTheta(theta));
+    }
+    let theta = if theta < THETA_FLOOR {
+        report.record(DegradationReason::ThetaClamped {
+            from: theta,
+            to: THETA_FLOOR,
+        });
+        THETA_FLOOR
+    } else if theta > THETA_CEILING {
+        report.record(DegradationReason::ThetaClamped {
+            from: theta,
+            to: THETA_CEILING,
+        });
+        THETA_CEILING
+    } else {
+        theta
+    };
+    // Center: reject on the first non-finite coordinate.
+    for (axis, &value) in center.as_slice().iter().enumerate() {
+        if !value.is_finite() {
+            return Err(PrqError::InvalidCenter { axis, value });
         }
-        // θ: NaN/∞ is garbage (reject); finite out-of-range is a
-        // plausible "always"/"never" intent (clamp and record).
-        if !theta.is_finite() {
-            return Err(PrqError::InvalidTheta(theta));
-        }
-        let theta = if theta < self.theta_floor {
-            report.record(DegradationReason::ThetaClamped {
-                from: theta,
-                to: self.theta_floor,
+    }
+    // Σ: non-finite entries are unrepairable.
+    if !covariance.is_finite() {
+        return Err(PrqError::BadCovariance(LinalgError::NonFinite));
+    }
+    // Asymmetry is repairable: replace by the symmetric part.
+    let sigma = match covariance.check_symmetric(1e-9) {
+        Ok(()) => covariance,
+        Err(_) => {
+            report.record(DegradationReason::CovarianceSymmetrized {
+                asymmetry: covariance.max_asymmetry(),
             });
-            self.theta_floor
-        } else if theta > self.theta_ceiling {
-            report.record(DegradationReason::ThetaClamped {
-                from: theta,
-                to: self.theta_ceiling,
-            });
-            self.theta_ceiling
-        } else {
-            theta
-        };
-        // Center: reject on the first non-finite coordinate.
-        for (axis, &value) in center.as_slice().iter().enumerate() {
-            if !value.is_finite() {
-                return Err(PrqError::InvalidCenter { axis, value });
-            }
+            Matrix::from_fn(|i, j| 0.5 * (covariance[(i, j)] + covariance[(j, i)]))
         }
-        // Σ: non-finite entries are unrepairable.
-        if !covariance.is_finite() {
-            return Err(PrqError::BadCovariance(LinalgError::NonFinite));
+    };
+    // Conditioning gate: accept Σ as-is only when the spectral
+    // condition number is positive (so Σ ≻ 0) and below the bound, and
+    // the Gaussian actually constructs.
+    let condition = sigma.condition_number().unwrap_or(f64::INFINITY);
+    if condition > 0.0 && condition <= MAX_CONDITION {
+        if let Ok(query) = PrqQuery::new(center, sigma, delta, theta) {
+            return Ok(query);
         }
-        // Asymmetry is repairable: replace by the symmetric part.
-        let sigma = match covariance.check_symmetric(1e-9) {
-            Ok(()) => covariance,
-            Err(_) => {
-                report.record(DegradationReason::CovarianceSymmetrized {
-                    asymmetry: covariance.max_asymmetry(),
-                });
-                Matrix::from_fn(|i, j| 0.5 * (covariance[(i, j)] + covariance[(j, i)]))
-            }
+    }
+    // Tikhonov repair: Σ + ε·I with ε escalating ×10. `scale`
+    // dominates |λ_min| (Gershgorin: |λ| ≤ D · max |σ_ij|), so some
+    // attempt is guaranteed to reach positive definiteness and a
+    // condition number ≤ (λ_max + ε)/ε well under the bound.
+    let mut max_abs = 0.0f64;
+    for i in 0..D {
+        for j in 0..D {
+            max_abs = max_abs.max(sigma[(i, j)].abs());
+        }
+    }
+    let scale = (sigma.trace().abs() / D.max(1) as f64)
+        .max(max_abs * D as f64)
+        .max(f64::MIN_POSITIVE);
+    let mut ridge = scale * RIDGE_SCALE;
+    for _ in 0..MAX_RIDGE_ATTEMPTS {
+        let candidate = sigma.add_scaled_identity(ridge);
+        let cond_ok = match candidate.condition_number() {
+            Ok(c) => c > 0.0 && c <= MAX_CONDITION,
+            Err(_) => false,
         };
-        // Conditioning gate: accept Σ as-is only when the spectral
-        // condition number is positive (so Σ ≻ 0) and below the policy
-        // bound, and the Gaussian actually constructs.
-        let condition = sigma.condition_number().unwrap_or(f64::INFINITY);
-        if condition > 0.0 && condition <= self.max_condition {
-            if let Ok(query) = PrqQuery::new(center, sigma, delta, theta) {
+        if cond_ok {
+            if let Ok(query) = PrqQuery::new(center, candidate, delta, theta) {
+                report.record(DegradationReason::CovarianceRegularized { condition, ridge });
                 return Ok(query);
             }
         }
-        // Tikhonov repair: Σ + ε·I with ε escalating ×10. `scale`
-        // dominates |λ_min| (Gershgorin: |λ| ≤ D · max |σ_ij|), so some
-        // attempt is guaranteed to reach positive definiteness and a
-        // condition number ≤ (λ_max + ε)/ε well under the bound.
-        let mut max_abs = 0.0f64;
-        for i in 0..D {
-            for j in 0..D {
-                max_abs = max_abs.max(sigma[(i, j)].abs());
-            }
-        }
-        let scale = (sigma.trace().abs() / D.max(1) as f64)
-            .max(max_abs * D as f64)
-            .max(f64::MIN_POSITIVE);
-        let mut ridge = scale * self.ridge_scale;
-        for _ in 0..MAX_RIDGE_ATTEMPTS {
-            let candidate = sigma.add_scaled_identity(ridge);
-            let cond_ok = match candidate.condition_number() {
-                Ok(c) => c > 0.0 && c <= self.max_condition,
-                Err(_) => false,
-            };
-            if cond_ok {
-                if let Ok(query) = PrqQuery::new(center, candidate, delta, theta) {
-                    report.record(DegradationReason::CovarianceRegularized { condition, ridge });
-                    return Ok(query);
-                }
-            }
-            ridge *= 10.0;
-        }
-        // Unrepairable within bounds: surface the underlying rejection.
-        match PrqQuery::new(center, sigma, delta, theta) {
-            Ok(_) => Err(PrqError::BadCovariance(LinalgError::EigenNoConvergence {
-                off_diagonal: condition,
-            })),
-            Err(e) => Err(e),
-        }
+        ridge *= 10.0;
+    }
+    // Unrepairable within bounds: surface the underlying rejection.
+    match PrqQuery::new(center, sigma, delta, theta) {
+        Ok(_) => Err(PrqError::BadCovariance(LinalgError::EigenNoConvergence {
+            off_diagonal: condition,
+        })),
+        Err(e) => Err(e),
     }
 }
 
@@ -485,15 +471,13 @@ pub struct ResilientExecutor<'c> {
     rr_catalog: Option<&'c RrCatalog>,
     bf_catalog: Option<&'c BfCatalog>,
     budget: EvalBudget,
-    policy: AdmissionPolicy,
     metrics: Option<&'c PipelineMetrics>,
     #[cfg(feature = "fault-inject")]
     faults: Option<FaultPlan>,
 }
 
 impl<'c> ResilientExecutor<'c> {
-    /// Creates a resilient executor with the paper-default budget and
-    /// default admission policy.
+    /// Creates a resilient executor with the paper-default budget.
     pub fn new(strategies: StrategySet) -> Self {
         ResilientExecutor {
             strategies,
@@ -501,7 +485,6 @@ impl<'c> ResilientExecutor<'c> {
             rr_catalog: None,
             bf_catalog: None,
             budget: EvalBudget::paper_default(),
-            policy: AdmissionPolicy::default(),
             metrics: None,
             #[cfg(feature = "fault-inject")]
             faults: None,
@@ -539,12 +522,6 @@ impl<'c> ResilientExecutor<'c> {
     /// Overrides the Phase-3 budget.
     pub fn with_budget(mut self, budget: EvalBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Overrides the admission policy.
-    pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -608,9 +585,7 @@ impl<'c> ResilientExecutor<'c> {
             covariance
         };
 
-        let query = self
-            .policy
-            .admit(center, covariance, delta, theta, &mut report)?;
+        let query = admit(center, covariance, delta, theta, &mut report)?;
 
         // --- Preflight strategy fallback chain. ------------------------
         // Catalogs built for another dimension are dropped; under fault
@@ -758,13 +733,7 @@ mod tests {
         theta: f64,
     ) -> (Result<PrqQuery<2>, PrqError>, DegradationReport) {
         let mut report = DegradationReport::new();
-        let q = AdmissionPolicy::default().admit(
-            Vector::from(center),
-            sigma,
-            delta,
-            theta,
-            &mut report,
-        );
+        let q = admit(Vector::from(center), sigma, delta, theta, &mut report);
         (q, report)
     }
 
@@ -804,12 +773,11 @@ mod tests {
 
     #[test]
     fn theta_extremes_are_clamped_and_reported() {
-        let policy = AdmissionPolicy::default();
         for (raw, expect) in [
-            (0.0, policy.theta_floor),
-            (-5.0, policy.theta_floor),
-            (1.0, policy.theta_ceiling),
-            (7.5, policy.theta_ceiling),
+            (0.0, THETA_FLOOR),
+            (-5.0, THETA_FLOOR),
+            (1.0, THETA_CEILING),
+            (7.5, THETA_CEILING),
         ] {
             let (q, report) = admit2([0.0, 0.0], sigma_paper(), 1.0, raw);
             let q = q.unwrap();
@@ -854,7 +822,7 @@ mod tests {
         assert!((cov[(0, 1)] - 2.0).abs() < 1e-12);
         // And it is genuinely well-conditioned now.
         let cond = cov.condition_number().unwrap();
-        assert!(cond <= AdmissionPolicy::default().max_condition);
+        assert!(cond <= MAX_CONDITION);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! documented in `gprq_core::batch`.
 
 use gprq_core::ext::parallel::ParallelIntegrator;
+use gprq_core::resilience::admit;
 use gprq_core::{
-    AdmissionPolicy, DegradationReport, MonteCarloEvaluator, PrqExecutor, PrqQuery, QueryBatch,
-    QueryStats, StrategySet,
+    DegradationReport, MonteCarloEvaluator, PrqExecutor, PrqQuery, QueryBatch, QueryStats,
+    StrategySet,
 };
 use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
 use gprq_linalg::{Matrix, Vector};
@@ -234,16 +235,15 @@ mod batch_parity {
         sweep(&points, &queries, StrategySet::BF);
     }
 
-    /// Degenerate (singular / ill-conditioned) Σ repaired by the
-    /// admission policy: the repaired queries run through the batch and
+    /// Degenerate (singular / ill-conditioned) Σ repaired by
+    /// admission: the repaired queries run through the batch and
     /// must match their solo baselines bitwise — the cache keys on the
     /// *repaired* covariance bits.
     #[test]
     fn admission_repaired_degenerate_sigma_matches_solo() {
         let points = random_points(1_000, 321);
-        let policy = AdmissionPolicy::default();
         let mut report = DegradationReport::new();
-        // Rank-1 (singular) and nearly-singular matrices the policy
+        // Rank-1 (singular) and nearly-singular matrices admission
         // must ridge-repair before they are admissible.
         let degenerate = [
             Matrix::from_rows([[50.0, 50.0], [50.0, 50.0]]),
@@ -251,21 +251,19 @@ mod batch_parity {
         ];
         let mut queries = Vec::new();
         for (i, sigma) in degenerate.into_iter().enumerate() {
-            let q = policy
-                .admit(
-                    Vector::from([480.0 + 30.0 * i as f64, 510.0]),
-                    sigma,
-                    25.0,
-                    0.05,
-                    &mut report,
-                )
-                .expect("degenerate Σ is repairable");
+            let q = admit(
+                Vector::from([480.0 + 30.0 * i as f64, 510.0]),
+                sigma,
+                25.0,
+                0.05,
+                &mut report,
+            )
+            .expect("degenerate Σ is repairable");
             queries.push(q);
             // Same degenerate input again: repairs are deterministic,
             // so this query shares the repaired Σ (a cache hit in the
             // batch).
-            let twin = policy
-                .admit(Vector::from([520.0, 470.0]), sigma, 25.0, 0.05, &mut report)
+            let twin = admit(Vector::from([520.0, 470.0]), sigma, 25.0, 0.05, &mut report)
                 .expect("repair is deterministic");
             queries.push(twin);
         }

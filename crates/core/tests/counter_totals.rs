@@ -13,12 +13,20 @@
 //!
 //! `QueryBatch` has no evaluator parameter: its Phase 3 is always the
 //! shared Monte-Carlo cloud, so it is checked once per backend.
+//!
+//! The naive scan and the `ext` queries (PNN, uncertain targets) do
+//! not record metrics, but they share evaluators with the executors that
+//! do: they must not leave their draws behind for the next query.
 
 use gprq_core::ext::parallel::ParallelIntegrator;
+use gprq_core::ext::pnn::probabilistic_knn;
+use gprq_core::ext::uncertain::{
+    prq_uncertain_targets, qualification_probability, UncertainTarget,
+};
 use gprq_core::metrics::names;
 use gprq_core::{
-    MonteCarloEvaluator, PipelineMetrics, ProbabilityEvaluator, PrqExecutor, PrqQuery,
-    Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor,
+    execute_naive, MonteCarloEvaluator, PipelineMetrics, ProbabilityEvaluator, PrqExecutor,
+    PrqQuery, Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor,
     SequentialMonteCarloEvaluator, StrategySet,
 };
 use gprq_linalg::{Matrix, Vector};
@@ -264,6 +272,52 @@ fn batch_counters_match_stats() {
     let (tree, flat) = backends();
     check_batch(&tree, "rtree");
     check_batch(&flat, "flat");
+}
+
+/// An evaluator reused after a naive scan, a PNN ranking or an
+/// uncertain-target query starts the next executor query clean: each of
+/// those calls drains the cloud statistics of its own draws, and the
+/// naive scan reports the cloud it drew in its own stats.
+#[test]
+fn side_queries_leave_no_cloud_stats_behind() {
+    let (tree, _) = backends();
+    let query = &queries()[0];
+    let executor = PrqExecutor::new(StrategySet::ALL);
+    let mut eval = MonteCarloEvaluator::new(SAMPLES, 7);
+    let next_query_is_clean = |eval: &mut MonteCarloEvaluator<2>, after: &str| {
+        let stats = executor.execute(&tree, query, eval).unwrap().stats;
+        assert_eq!(
+            (stats.cloud_builds, stats.phase3_samples),
+            (1, SAMPLES),
+            "executor query after {after}"
+        );
+    };
+
+    let naive = execute_naive(&tree, query, &mut eval);
+    assert_eq!(
+        (naive.stats.cloud_builds, naive.stats.phase3_samples),
+        (1, SAMPLES),
+        "execute_naive reports its own cloud"
+    );
+    next_query_is_clean(&mut eval, "execute_naive");
+
+    let (top, pnn) = probabilistic_knn(&tree, query, 5, &mut eval);
+    assert!(top.len() == 5 && pnn.integrations > 0);
+    next_query_is_clean(&mut eval, "probabilistic_knn");
+
+    let targets: Vec<UncertainTarget<2>> = [10.0, 40.0, 70.0, 100.0]
+        .into_iter()
+        .map(|offset| UncertainTarget {
+            mean: *query.center() + Vector::from([offset, 0.0]),
+            covariance: Matrix::identity().scale(20.0),
+        })
+        .collect();
+    qualification_probability(query, &targets[0], &mut eval).unwrap();
+    next_query_is_clean(&mut eval, "qualification_probability");
+
+    let outcome = prq_uncertain_targets(query, &targets, &mut eval).unwrap();
+    assert!(outcome.integrations > 0, "BF decided every target");
+    next_query_is_clean(&mut eval, "prq_uncertain_targets");
 }
 
 /// Recovered batch members run the Phase-3 stage solo and still flush

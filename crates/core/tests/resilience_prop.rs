@@ -1,12 +1,13 @@
 //! Property-based admission hardening: arbitrary — including non-finite
 //! and degenerate — query parameters pushed through
-//! [`AdmissionPolicy::admit`] must never panic, and every accepted query
+//! [`admit`] must never panic, and every accepted query
 //! must either match the raw inputs exactly or carry a
 //! [`DegradationReport`] entry for each repair (no silent repairs).
 //!
 //! Run with `cargo test -p gprq-core resilience_prop`.
 
-use gprq_core::{AdmissionPolicy, DegradationReason, DegradationReport, PrqQuery};
+use gprq_core::resilience::admit;
+use gprq_core::{DegradationReason, DegradationReport, PrqQuery};
 use gprq_linalg::{Matrix, Vector};
 use proptest::prelude::*;
 
@@ -63,9 +64,8 @@ mod resilience_prop {
             let theta = corrupted(theta, codes[7]);
 
             let mut report = DegradationReport::new();
-            let policy = AdmissionPolicy::default();
             // The property under test is simply that this call returns.
-            let admitted = policy.admit(center, sigma, delta, theta, &mut report);
+            let admitted = admit(center, sigma, delta, theta, &mut report);
 
             let query = match admitted {
                 Err(_) => return, // rejection is always a legal outcome

@@ -377,6 +377,60 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
+    /// `nearest_iter` streams every record exactly once, in
+    /// non-decreasing distance, and its first `k` items are bitwise the
+    /// `nearest_neighbors(center, k)` answer (distance bits and
+    /// payload, ties included) — on bulk-loaded and insert-built 3-D
+    /// trees where every `dup_every`-th record repeats a location.
+    #[test]
+    fn prop_nearest_iter_extends_nearest_neighbors(
+        seed in 0u64..u64::MAX,
+        n in 1usize..300,
+        dup_every in 2usize..8,
+        bulk in proptest::bool::weighted(0.5),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coord = move || rng.gen::<f64>() * 100.0;
+        let mut points: Vec<(Vector<3>, usize)> = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = if i % dup_every == dup_every - 1 {
+                points[i / 2].0
+            } else {
+                Vector::from([coord(), coord(), coord()])
+            };
+            points.push((p, i));
+        }
+        let tree = if bulk {
+            RTree::bulk_load(points.clone(), RStarParams::new(4))
+        } else {
+            let mut tree = RTree::with_params(RStarParams::new(4));
+            for (p, id) in &points {
+                tree.insert(*p, *id);
+            }
+            tree
+        };
+        for q in 0..4 {
+            // Half the queries sit on a stored (possibly duplicated) point.
+            let center = if q % 2 == 0 {
+                points[(q * 37) % n].0
+            } else {
+                Vector::from([coord() - 10.0, coord(), coord() + 10.0])
+            };
+            let streamed: Vec<_> = tree.nearest_iter(&center).collect();
+            let mut ids: Vec<usize> = streamed.iter().map(|(_, _, id)| **id).collect();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..n).collect::<Vec<_>>());
+            prop_assert!(streamed.windows(2).all(|w| w[0].0 <= w[1].0));
+            let k = 1 + (q * 61 + n / 3) % n;
+            let knn = tree.nearest_neighbors(&center, k);
+            prop_assert_eq!(knn.len(), k);
+            for (rank, (s, t)) in streamed.iter().zip(&knn).enumerate() {
+                prop_assert_eq!(s.0.to_bits(), t.0.to_bits(), "distance at rank {}", rank);
+                prop_assert_eq!(s.2, t.2, "payload at rank {}", rank);
+            }
+        }
+    }
+
     /// Ball queries agree with brute force on arbitrary inputs.
     #[test]
     fn prop_ball_query_correct(

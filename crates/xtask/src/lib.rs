@@ -13,16 +13,14 @@
 //! | `indexing`          | (warning) heuristic `expr[...]` detection in the same crates — prefer `.get()` |
 //! | `unseeded-rng`      | no `thread_rng`/`from_entropy`/`OsRng` outside `crates/bench` |
 //! | `float-eq`          | no `==`/`!=` against float literals outside tests/allowlist |
-//! | `crate-root-attrs`  | every crate root has `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` |
+//! | `crate-root-attrs`  | every crate root, library or binary, has `#![forbid(unsafe_code)]`; library roots also `#![warn(missing_docs)]` |
 //! | `invariant-marker`  | conservative-lookup functions carry `// INVARIANT:` markers, indexed into the report |
 //! | `stale-allowlist`   | allowlist entries that no longer match anything fail the audit |
 //! | `hot-path-alloc`    | no allocation site transitively reachable from a `// HOT-PATH:` root (call graph) |
 //! | `panic-reachability`| no panic-family site transitively reachable from a public entry point, unless the containing fn documents `# Panics` (call graph) |
 //! | `lossy-cast`        | no `as` cast to a narrower integer type in `linalg`/`gaussian`/`core` |
 //! | `error-docs`        | public `Result`-returning fns document `# Errors`; every `PrqError` variant is constructed outside tests |
-//! | `unsafe-safety-comment` | every `unsafe` block/fn/impl/trait carries a `// SAFETY:` comment; the full inventory is snapshotted into `audit-markers.txt` |
-//! | `send-sync-audit`   | manual `unsafe impl Send`/`Sync` is an error unless allowlisted with the audit argument |
-//! | `atomic-ordering`   | atomic ops name an explicit `Ordering` at the call site, `Relaxed` carries an `// ORDERING:` comment, `static mut` is banned |
+//! | `atomic-ordering`   | atomic ops name an explicit `Ordering` at the call site, `Relaxed` carries an `// ORDERING:` comment |
 //! | `hot-path-lock`     | no blocking `Mutex`/`RwLock` acquisition transitively reachable from a `// HOT-PATH:` root (call graph) |
 //! | `lock-order`        | held-then-acquire edges between lock classes admit no cycle — deadlock freedom by a single global acquisition order (lock graph) |
 //!
@@ -78,7 +76,7 @@ pub fn audit_source(
     rel_path: &str,
     source: &str,
     rule_set: RuleSet,
-    is_crate_root: bool,
+    crate_root: Option<rules::CrateRoot>,
     check_invariants: bool,
     violations: &mut Vec<Violation>,
     invariants: &mut Vec<rules::InvariantMarker>,
@@ -96,23 +94,13 @@ pub fn audit_source(
         rules::check_error_docs(rel_path, source, &analysis, violations);
         timings.push(("error-docs", ms_since(t)));
     }
-    if rule_set.unsafe_safety {
-        let t = Instant::now();
-        rules::check_unsafe_safety(rel_path, source, &analysis, violations);
-        timings.push(("unsafe-safety-comment", ms_since(t)));
-    }
-    if rule_set.send_sync {
-        let t = Instant::now();
-        rules::check_send_sync(rel_path, source, &analysis, violations);
-        timings.push(("send-sync-audit", ms_since(t)));
-    }
     if rule_set.atomic_ordering {
         let t = Instant::now();
         rules::check_atomic_ordering(rel_path, source, &toks, violations);
         timings.push(("atomic-ordering", ms_since(t)));
     }
-    if is_crate_root {
-        rules::check_crate_root(rel_path, source, violations);
+    if let Some(root) = crate_root {
+        rules::check_crate_root(rel_path, source, root, violations);
     }
     if check_invariants {
         rules::check_invariant_markers(rel_path, source, violations);
@@ -160,7 +148,6 @@ pub fn run_graph_checks(
 struct Unit {
     violations: Vec<Violation>,
     invariants: Vec<rules::InvariantMarker>,
-    unsafe_sites: Vec<parser::UnsafeSite>,
     timings: Vec<(&'static str, f64)>,
     source: String,
     analysis: FileAnalysis,
@@ -172,7 +159,6 @@ fn audit_one(root: &Path, rel: &str) -> Result<Unit, String> {
     let mut unit = Unit {
         violations: Vec::new(),
         invariants: Vec::new(),
-        unsafe_sites: Vec::new(),
         timings: Vec::new(),
         source: String::new(),
         analysis: FileAnalysis::default(),
@@ -181,20 +167,12 @@ fn audit_one(root: &Path, rel: &str) -> Result<Unit, String> {
         rel,
         &source,
         workspace::classify(rel),
-        workspace::is_crate_root(rel),
+        workspace::crate_root(rel),
         workspace::INVARIANT_FILES.contains(&rel),
         &mut unit.violations,
         &mut unit.invariants,
         &mut unit.timings,
     );
-    // The unsafe inventory snapshots library code: test-region sites
-    // are exempt from the SAFETY rule and excluded here too, and the
-    // auditor's own sources are excluded like the other marker
-    // indexes (dogfooding).
-    if !rel.starts_with("crates/xtask") {
-        unit.unsafe_sites
-            .extend(analysis.unsafe_sites.iter().filter(|s| !s.in_test).cloned());
-    }
     unit.source = source;
     unit.analysis = analysis;
     Ok(unit)
@@ -246,7 +224,6 @@ pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
 
     let mut violations = Vec::new();
     let mut invariants = Vec::new();
-    let mut unsafe_sites = Vec::new();
     let mut rule_timings: BTreeMap<&'static str, f64> = BTreeMap::new();
     let mut parsed = Vec::new();
     let mut sources = Sources::default();
@@ -254,7 +231,6 @@ pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
         let unit = result?;
         violations.extend(unit.violations);
         invariants.extend(unit.invariants);
-        unsafe_sites.extend(unit.unsafe_sites);
         for (name, ms) in unit.timings {
             *rule_timings.entry(name).or_insert(0.0) += ms;
         }
@@ -283,7 +259,6 @@ pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
         allowlist,
         unused_allowlist,
         invariants,
-        unsafe_sites,
         hot_paths: analysis.hot_markers.clone(),
         callgraph: analysis.stats(),
         lock_sites: analysis.lock_sites.clone(),

@@ -39,14 +39,14 @@ fn usage() {
          DESIGN.md §\"Invariants & static analysis\" and §13 (lock order).\n\
          \n\
          options:\n\
-           --fix-report <path>  also write a machine-readable JSON report (schema v5,\n\
+           --fix-report <path>  also write a machine-readable JSON report (schema v6,\n\
                                 including per-rule wall times and the lock graph)\n\
            --root <path>        workspace root (default: walk up from cwd)\n\
            --warnings           print heuristic warnings (never fail the audit)\n\
            --enforce-runtime    fail if the audit takes more than 2x the baseline\n\
                                 committed in `audit-baseline.txt`\n\
          \n\
-         markers: prints the INVARIANT / HOT-PATH / UNSAFE / LOCKGRAPH marker\n\
+         markers: prints the INVARIANT / HOT-PATH / LOCKGRAPH marker\n\
          index; with --check, diffs it against the committed `audit-markers.txt`\n\
          snapshot and fails on drift (regenerate with\n\
          `cargo xtask markers > audit-markers.txt`)."
@@ -67,15 +67,6 @@ fn render_markers(report: &xtask::report::AuditReport) -> String {
             m.line,
             m.attached_fn.as_deref().unwrap_or("-"),
             m.text
-        ));
-    }
-    for s in &report.unsafe_sites {
-        lines.push(format!(
-            "UNSAFE {}:{} [{}] {}",
-            s.path,
-            s.line,
-            s.kind.label(),
-            s.snippet
         ));
     }
     for s in &report.lock_sites {
@@ -102,13 +93,12 @@ fn render_markers(report: &xtask::report::AuditReport) -> String {
     );
     let _ = writeln!(
         out,
-        "# added/moved/removed INVARIANT or HOT-PATH marker, every new UNSAFE"
+        "# added/moved/removed INVARIANT or HOT-PATH marker and every change to"
     );
     let _ = writeln!(
         out,
-        "# site in library code, and every change to the lock-acquisition graph"
+        "# the lock-acquisition graph (LOCKGRAPH lines) is reviewed here."
     );
-    let _ = writeln!(out, "# (LOCKGRAPH lines) is reviewed here.");
     for l in lines {
         let _ = writeln!(out, "{l}");
     }
@@ -159,11 +149,10 @@ fn markers(args: &[String]) -> ExitCode {
     let committed = std::fs::read_to_string(&snapshot_path).unwrap_or_default();
     if committed == rendered {
         println!(
-            "markers: snapshot up to date ({} invariant, {} hot-path, {} unsafe, \
+            "markers: snapshot up to date ({} invariant, {} hot-path, \
              {} lock-site, {} lock-edge)",
             report.invariants.len(),
             report.hot_paths.len(),
-            report.unsafe_sites.len(),
             report.lock_sites.len(),
             report.lock_edges.len()
         );

@@ -102,72 +102,6 @@ pub struct FnInfo {
     pub doc_has_panics: bool,
     /// Text of a `// HOT-PATH:` marker attached above the item, if any.
     pub hot_marker: Option<String>,
-    /// Declared `unsafe fn` (the `unsafe` keyword is a modifier of this
-    /// item, not a block inside it).
-    pub is_unsafe: bool,
-}
-
-/// One parsed `impl` block header (what the `send-sync-audit` rule
-/// needs: `unsafe impl Send for T` must be visible as a structured
-/// fact, not a token window).
-#[derive(Debug, Clone)]
-pub struct ImplInfo {
-    /// Workspace-relative path of the defining file.
-    pub path: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: usize,
-    /// Declared `unsafe impl`.
-    pub is_unsafe: bool,
-    /// Trait being implemented (`Send` in `unsafe impl Send for T`),
-    /// when this is a trait impl.
-    pub trait_name: Option<String>,
-    /// Self type (`T` in `impl Trait for T` / `impl T`).
-    pub self_ty: Option<String>,
-    /// Lexically inside a `#[cfg(test)]` region.
-    pub in_test: bool,
-}
-
-/// Classification of one `unsafe` keyword occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { ... }` block.
-    Block,
-    /// `unsafe fn` (including `unsafe extern "C" fn`).
-    Fn,
-    /// `unsafe impl`.
-    Impl,
-    /// `unsafe trait`.
-    Trait,
-}
-
-impl UnsafeKind {
-    /// Stable lowercase label (used in reports and marker snapshots).
-    pub fn label(self) -> &'static str {
-        match self {
-            UnsafeKind::Block => "block",
-            UnsafeKind::Fn => "fn",
-            UnsafeKind::Impl => "impl",
-            UnsafeKind::Trait => "trait",
-        }
-    }
-}
-
-/// One `unsafe` occurrence — the workspace-wide inventory the
-/// `unsafe-safety-comment` rule audits and `audit-markers.txt`
-/// snapshots. Collected by a flat token scan, so nested blocks
-/// (`unsafe { unsafe { } }`) each get their own site.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: usize,
-    /// What the keyword introduces.
-    pub kind: UnsafeKind,
-    /// Trimmed source line text.
-    pub snippet: String,
-    /// Lexically inside a `#[cfg(test)]` region.
-    pub in_test: bool,
 }
 
 /// One parsed `enum` item (only what the `error-docs` rule needs).
@@ -221,14 +155,10 @@ pub struct FileAnalysis {
     pub fns: Vec<FnInfo>,
     /// All enum items.
     pub enums: Vec<EnumInfo>,
-    /// All `impl` block headers.
-    pub impls: Vec<ImplInfo>,
     /// All `// HOT-PATH:` markers.
     pub hot_markers: Vec<HotPathMarker>,
     /// All `Qual::name` references.
     pub qual_refs: Vec<QualRef>,
-    /// All `unsafe` occurrences (blocks, fns, impls, traits).
-    pub unsafe_sites: Vec<UnsafeSite>,
 }
 
 impl FnInfo {
@@ -263,54 +193,7 @@ pub fn parse_file(path: &str, source: &str, toks: &[Tok]) -> FileAnalysis {
     p.items(0, toks.len(), None, false);
     attach_hot_markers(path, &lines, &mut out);
     collect_qual_refs(toks, &test_regions, &mut out.qual_refs);
-    collect_unsafe_sites(path, &lines, toks, &test_regions, &mut out.unsafe_sites);
     out
-}
-
-/// Inventories every `unsafe` keyword by a flat token scan (string
-/// literals are already collapsed by the lexer, so `"unsafe"` in a
-/// string never matches). Classification looks at the next meaningful
-/// token: `fn` (skipping an `extern "ABI"` prefix), `impl`, `trait`, or
-/// a `{` opening an unsafe block.
-fn collect_unsafe_sites(
-    path: &str,
-    lines: &[&str],
-    toks: &[Tok],
-    test_regions: &[(usize, usize)],
-    out: &mut Vec<UnsafeSite>,
-) {
-    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.kind != TokKind::Ident || tok.text != "unsafe" {
-            continue;
-        }
-        // `unsafe extern "C" fn` — step over the ABI prefix.
-        let mut j = i + 1;
-        if text(j) == "extern" {
-            j += 1;
-            if toks.get(j).is_some_and(|t| t.kind == TokKind::StrLit) {
-                j += 1;
-            }
-        }
-        let kind = match text(j) {
-            "fn" => UnsafeKind::Fn,
-            "impl" => UnsafeKind::Impl,
-            "trait" => UnsafeKind::Trait,
-            // `unsafe {` and anything unrecognized (e.g. a future
-            // edition's syntax) audits as a block — the conservative
-            // default: it still demands a SAFETY comment.
-            _ => UnsafeKind::Block,
-        };
-        out.push(UnsafeSite {
-            path: path.to_owned(),
-            line: tok.line,
-            kind,
-            snippet: lines
-                .get(tok.line.saturating_sub(1))
-                .map_or_else(|| "unsafe".to_owned(), |l| l.trim().to_owned()),
-            in_test: test_regions.iter().any(|&(a, b)| i >= a && i <= b),
-        });
-    }
 }
 
 /// Collects every `// HOT-PATH:` line, attaches each to the first `fn`
@@ -473,7 +356,6 @@ impl Parser<'_> {
     fn items(&mut self, start: usize, end: usize, qual: Option<&str>, in_trait_or_impl: bool) {
         let mut i = start;
         let mut pending_pub = false;
-        let mut pending_unsafe = false;
         while i < end {
             let t = self.text(i);
             match t {
@@ -488,12 +370,13 @@ impl Parser<'_> {
                         i = self.skip_delim(i, end, "(", ")");
                     }
                 }
-                // `unsafe` attaches as a modifier to the next `fn` /
-                // `impl` / `trait` item (or opens an `unsafe { }` block
-                // in statement position — consumed here so the block is
-                // not mistaken for an item body).
+                // `unsafe` is a modifier of the next `fn` / `impl` /
+                // `trait` item, stepped over like `pub`, or opens an
+                // `unsafe { }` block in statement position — consumed
+                // here so the block is not mistaken for an item body.
+                // Crate roots forbid `unsafe` code, but test targets may
+                // still contain it.
                 "unsafe" => {
-                    pending_unsafe = true;
                     i += 1;
                     if self.text(i) == "{" {
                         // An `unsafe { ... }` block: its contents are
@@ -501,7 +384,6 @@ impl Parser<'_> {
                         let close = self.skip_delim(i, end, "{", "}");
                         self.items(i + 1, close.saturating_sub(1), qual, false);
                         i = close;
-                        pending_unsafe = false;
                     }
                 }
                 // Other modifiers that may precede `fn`.
@@ -515,24 +397,20 @@ impl Parser<'_> {
                     if t == "const" && !self.is_ident(i, "fn") {
                         i = self.skip_to_semi_or_block(i, end);
                         pending_pub = false;
-                        pending_unsafe = false;
                     }
                 }
                 "fn" => {
-                    i = self.parse_fn(i, end, qual, in_trait_or_impl, pending_pub, pending_unsafe);
+                    i = self.parse_fn(i, end, qual, in_trait_or_impl, pending_pub);
                     pending_pub = false;
-                    pending_unsafe = false;
                 }
                 "impl" => {
-                    i = self.parse_impl(i, end, pending_unsafe);
+                    i = self.parse_impl(i, end);
                     pending_pub = false;
-                    pending_unsafe = false;
                 }
                 "trait" => {
                     let name = self.text(i + 1).to_owned();
                     i = self.parse_braced_scope(i + 2, end, Some(&name));
                     pending_pub = false;
-                    pending_unsafe = false;
                 }
                 "mod" => {
                     // `mod name;` or `mod name { ... }`.
@@ -548,22 +426,18 @@ impl Parser<'_> {
                         i = j + 1;
                     }
                     pending_pub = false;
-                    pending_unsafe = false;
                 }
                 "enum" => {
                     i = self.parse_enum(i, end, pending_pub);
                     pending_pub = false;
-                    pending_unsafe = false;
                 }
                 "struct" | "union" | "use" | "static" | "type" | "macro_rules" => {
                     i = self.skip_to_semi_or_block(i + 1, end);
                     pending_pub = false;
-                    pending_unsafe = false;
                 }
                 _ => {
                     i += 1;
                     pending_pub = false;
-                    pending_unsafe = false;
                 }
             }
         }
@@ -586,9 +460,9 @@ impl Parser<'_> {
     }
 
     /// Parses `impl<G> Type { ... }` / `impl<G> Trait for Type { ... }`,
-    /// returning the index after the block. Records an [`ImplInfo`] for
-    /// the header (with `is_unsafe` from the preceding modifier).
-    fn parse_impl(&mut self, i: usize, end: usize, is_unsafe: bool) -> usize {
+    /// returning the index after the block. Methods are qualified by the
+    /// self type.
+    fn parse_impl(&mut self, i: usize, end: usize) -> usize {
         let mut j = i + 1;
         if self.text(j) == "<" {
             j = self.skip_angles(j, end);
@@ -622,22 +496,8 @@ impl Parser<'_> {
             }
             j += 1;
         }
-        // With a `for` clause the first header identifier is the trait
-        // and the identifier after `for` the self type; without one the
-        // first identifier is the self type (inherent impl).
-        let (trait_name, resolved_self_ty) = if after_for {
-            (first_ident.clone(), self_ty.clone())
-        } else {
-            (None, first_ident.clone())
-        };
-        self.out.impls.push(ImplInfo {
-            path: self.path.to_owned(),
-            line: self.toks.get(i).map_or(0, |t| t.line),
-            is_unsafe,
-            trait_name,
-            self_ty: resolved_self_ty,
-            in_test: self.in_test(i),
-        });
+        // With a `for` clause the identifier after `for` is the self
+        // type; without one (an inherent impl) the first identifier is.
         let qual = self_ty.or(first_ident);
         if self.text(j) == "{" {
             let close = self.skip_delim(j, end, "{", "}");
@@ -730,7 +590,6 @@ impl Parser<'_> {
         qual: Option<&str>,
         _in_scope: bool,
         is_pub: bool,
-        is_unsafe: bool,
     ) -> usize {
         let name_idx = i + 1;
         if self
@@ -813,7 +672,6 @@ impl Parser<'_> {
             doc_has_panics,
             // Filled in by `attach_hot_markers` after item parsing.
             hot_marker: None,
-            is_unsafe,
         });
         after
     }
@@ -828,8 +686,7 @@ impl Parser<'_> {
                     .get(i + 1)
                     .is_some_and(|t| t.kind == TokKind::Ident)
             {
-                let is_unsafe = i > start && self.is_ident(i - 1, "unsafe");
-                i = self.parse_fn(i, end, qual, false, false, is_unsafe);
+                i = self.parse_fn(i, end, qual, false, false);
             } else {
                 i += 1;
             }
@@ -1156,76 +1013,18 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_is_a_modifier_on_fns_not_a_bare_keyword() {
+    fn unsafe_modifiers_and_blocks_still_parse() {
         let a = parse(
             "pub unsafe fn raw() {}\n\
              unsafe extern \"C\" fn callback(x: u64) -> u64 { x }\n\
-             fn safe_one() {}",
+             unsafe impl Send for Cell { fn plain(&self) {} }\n\
+             fn outer() { unsafe { unsafe { work(); } } }",
         );
-        let raw = a.fns.iter().find(|f| f.name == "raw").unwrap();
-        assert!(raw.is_unsafe && raw.is_pub);
-        let cb = a.fns.iter().find(|f| f.name == "callback").unwrap();
-        assert!(cb.is_unsafe);
-        let safe_one = a.fns.iter().find(|f| f.name == "safe_one").unwrap();
-        assert!(!safe_one.is_unsafe);
-        // The inventory sees both unsafe fns and nothing else.
-        let kinds: Vec<UnsafeKind> = a.unsafe_sites.iter().map(|s| s.kind).collect();
-        assert_eq!(kinds, vec![UnsafeKind::Fn, UnsafeKind::Fn]);
-    }
-
-    #[test]
-    fn nested_unsafe_blocks_each_produce_a_site() {
-        let a = parse(
-            "fn outer() {\n    unsafe {\n        unsafe {\n            work();\n        }\n    }\n}",
-        );
-        // The enclosing fn is NOT unsafe — the blocks are.
-        let outer = a.fns.iter().find(|f| f.name == "outer").unwrap();
-        assert!(!outer.is_unsafe);
-        assert_eq!(a.unsafe_sites.len(), 2, "nested blocks: one site each");
-        assert!(a.unsafe_sites.iter().all(|s| s.kind == UnsafeKind::Block));
-        assert_eq!(a.unsafe_sites[0].line, 2);
-        assert_eq!(a.unsafe_sites[1].line, 3);
-    }
-
-    #[test]
-    fn unsafe_impl_records_trait_and_self_type() {
-        let a = parse(
-            "struct Cell;\n\
-             unsafe impl Send for Cell {}\n\
-             unsafe impl<T> Sync for Holder<T> {}\n\
-             impl Cell { fn plain(&self) {} }",
-        );
-        assert_eq!(a.impls.len(), 3);
-        let send = &a.impls[0];
-        assert!(send.is_unsafe);
-        assert_eq!(send.trait_name.as_deref(), Some("Send"));
-        assert_eq!(send.self_ty.as_deref(), Some("Cell"));
-        let sync = &a.impls[1];
-        assert!(sync.is_unsafe);
-        assert_eq!(sync.trait_name.as_deref(), Some("Sync"));
-        assert_eq!(sync.self_ty.as_deref(), Some("Holder"));
-        let inherent = &a.impls[2];
-        assert!(!inherent.is_unsafe);
-        assert_eq!(inherent.trait_name, None);
-        assert_eq!(inherent.self_ty.as_deref(), Some("Cell"));
-        // Inventory: the two unsafe impls only.
-        assert_eq!(
-            a.unsafe_sites
-                .iter()
-                .filter(|s| s.kind == UnsafeKind::Impl)
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn unsafe_in_strings_and_test_regions_is_classified() {
-        let a = parse(
-            "fn doc() -> &'static str { \"unsafe { not real }\" }\n\
-             #[cfg(test)]\nmod tests {\n    fn t() { unsafe { probe(); } }\n}",
-        );
-        assert_eq!(a.unsafe_sites.len(), 1, "string literal must not count");
-        assert!(a.unsafe_sites[0].in_test, "site inside #[cfg(test)]");
+        let names: Vec<String> = a.fns.iter().map(FnInfo::qual_name).collect();
+        assert_eq!(names, ["raw", "callback", "Cell::plain", "outer"]);
+        assert!(a.fns[0].is_pub && !a.fns[1].is_pub);
+        let calls: Vec<&str> = a.fns[3].calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(calls, ["work"], "calls inside nested `unsafe {{ }}` blocks");
     }
 
     #[test]
@@ -1240,14 +1039,5 @@ mod tests {
         assert!(lo < hlo && hhi < hi, "nested call inside outer args");
         let push = f.calls.iter().find(|c| c.name == "push").unwrap();
         assert!(push.args_range.is_some());
-    }
-
-    #[test]
-    fn trait_impls_without_for_keep_inherent_shape() {
-        let a = parse("impl<const D: usize> Evaluator<D> for Mc { fn go(&mut self) {} }");
-        assert_eq!(a.impls.len(), 1);
-        assert_eq!(a.impls[0].trait_name.as_deref(), Some("Evaluator"));
-        assert_eq!(a.impls[0].self_ty.as_deref(), Some("Mc"));
-        assert!(!a.impls[0].is_unsafe);
     }
 }

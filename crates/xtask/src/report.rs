@@ -2,17 +2,17 @@
 
 use crate::allowlist::AllowEntry;
 use crate::callgraph::{CallGraphStats, LockEdge, LockSite};
-use crate::parser::{HotPathMarker, UnsafeSite};
+use crate::parser::HotPathMarker;
 use crate::rules::{InvariantMarker, Violation};
 
 /// JSON report schema version. v2 added `hot_paths`, `callgraph`, and
-/// per-violation `chain` arrays; v3 added `unsafe_sites` (the workspace
-/// unsafe inventory behind the `unsafe-safety-comment` rule); v4 added
-/// `cfg_fns` (per-function CFG summaries from the dataflow rules),
-/// `lock_graph` (acquisition sites and held-then-acquire edges), and
-/// `rule_timings_ms`/`total_ms` (per-rule wall time); v5 removed
-/// `cfg_fns` with the dataflow rules.
-pub const SCHEMA_VERSION: u32 = 5;
+/// per-violation `chain` arrays; v3 added an inventory of `unsafe`
+/// sites; v4 added `cfg_fns` (per-function CFG summaries from the
+/// dataflow rules), `lock_graph` (acquisition sites and
+/// held-then-acquire edges), and `rule_timings_ms`/`total_ms` (per-rule
+/// wall time); v5 removed `cfg_fns` with the dataflow rules; v6 removed
+/// the `unsafe` inventory, since every crate root forbids `unsafe` code.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Complete result of one audit run.
 #[derive(Debug)]
@@ -28,10 +28,6 @@ pub struct AuditReport {
     pub unused_allowlist: Vec<usize>,
     /// Every `// INVARIANT:` marker in the workspace.
     pub invariants: Vec<InvariantMarker>,
-    /// Every non-test `unsafe` site in the workspace (the inventory is
-    /// empty while the crates keep `#![forbid(unsafe_code)]`; any
-    /// future site appears here and in `audit-markers.txt`).
-    pub unsafe_sites: Vec<UnsafeSite>,
     /// Every `// HOT-PATH:` marker in the workspace.
     pub hot_paths: Vec<HotPathMarker>,
     /// Call-graph summary counts.
@@ -105,7 +101,7 @@ impl AuditReport {
             out,
             "audit: {} file(s) scanned, {} fn(s) / {} call edge(s) in graph, {} error(s), \
              {} warning(s), {} allowlisted, {} invariant + {} hot-path marker(s) indexed, \
-             {} unsafe site(s) inventoried, {} lock site(s) / {} lock edge(s), {:.1} ms",
+             {} lock site(s) / {} lock edge(s), {:.1} ms",
             self.files_scanned,
             self.callgraph.functions,
             self.callgraph.edges,
@@ -114,7 +110,6 @@ impl AuditReport {
             self.suppressed.len(),
             self.invariants.len(),
             self.hot_paths.len(),
-            self.unsafe_sites.len(),
             self.lock_sites.len(),
             self.lock_edges.len(),
             self.total_ms
@@ -236,21 +231,6 @@ impl AuditReport {
             })
             .collect();
         out.push_str(&items.join(",\n"));
-        out.push_str("\n  ],\n  \"unsafe_sites\": [\n");
-        let items: Vec<String> = self
-            .unsafe_sites
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"path\": {}, \"line\": {}, \"kind\": {}, \"snippet\": {}}}",
-                    json_str(&s.path),
-                    s.line,
-                    json_str(s.kind.label()),
-                    json_str(&s.snippet)
-                )
-            })
-            .collect();
-        out.push_str(&items.join(",\n"));
         out.push_str("\n  ],\n  \"hot_paths\": [\n");
         let items: Vec<String> = self
             .hot_paths
@@ -309,7 +289,6 @@ mod tests {
             allowlist: Vec::new(),
             unused_allowlist: Vec::new(),
             invariants: Vec::new(),
-            unsafe_sites: Vec::new(),
             hot_paths: Vec::new(),
             callgraph: CallGraphStats::default(),
             lock_sites: Vec::new(),
@@ -357,13 +336,6 @@ mod tests {
             allowlist: Vec::new(),
             unused_allowlist: Vec::new(),
             invariants: Vec::new(),
-            unsafe_sites: vec![crate::parser::UnsafeSite {
-                path: "crates/rtree/src/flat.rs".into(),
-                line: 9,
-                kind: crate::parser::UnsafeKind::Block,
-                snippet: "unsafe { ptr.read() }".into(),
-                in_test: false,
-            }],
             hot_paths: Vec::new(),
             callgraph: CallGraphStats::default(),
             lock_sites: vec![LockSite {
@@ -386,8 +358,6 @@ mod tests {
         };
         let json = report.render_json();
         assert!(json.contains("\"rule\": \"float-eq\""));
-        assert!(json.contains("\"unsafe_sites\""));
-        assert!(json.contains("\"kind\": \"block\""));
         assert!(json.contains("\"lock_graph\""));
         assert!(json.contains("\"rule_timings_ms\": {\"panic-free\": 1.250}"));
         assert!(json.contains("\"from\": \"a\""));

@@ -68,16 +68,8 @@ pub struct RuleSet {
     pub lossy_cast: bool,
     /// R7: public `Result`-returning fns must document `# Errors`.
     pub error_docs: bool,
-    /// C1: every `unsafe` block/fn/impl/trait must carry a
-    /// `// SAFETY:` comment within the attachment window above it.
-    pub unsafe_safety: bool,
-    /// C2: manual `unsafe impl Send`/`Sync` is always an error — the
-    /// allowlist (which requires a written reason) is the only way to
-    /// ship one.
-    pub send_sync: bool,
     /// C3: atomic operations must name an explicit `Ordering` at the
-    /// call site, `Relaxed` requires an `// ORDERING:` comment, and
-    /// `static mut` is banned outright.
+    /// call site, and `Relaxed` requires an `// ORDERING:` comment.
     pub atomic_ordering: bool,
 }
 
@@ -440,9 +432,26 @@ pub fn check_tokens(
     }
 }
 
-/// R4: crate roots must carry the two workspace-wide hygiene attributes.
-pub fn check_crate_root(path: &str, source: &str, out: &mut Vec<Violation>) {
-    for attr in ["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"] {
+/// Which kind of crate root a file is (rule R4). Decided by
+/// [`crate::workspace::crate_root`] from the file's location.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrateRoot {
+    /// A library root (`src/lib.rs`).
+    Lib,
+    /// A binary root (`src/main.rs` or a file directly under `src/bin/`).
+    Bin,
+}
+
+/// R4: every crate root forbids `unsafe` code, so the compiler rejects
+/// every `unsafe` block, fn, impl and trait in audited code, and with
+/// them every access to a mutable static. Library roots also warn on
+/// undocumented items; binaries export no API.
+pub fn check_crate_root(path: &str, source: &str, root: CrateRoot, out: &mut Vec<Violation>) {
+    let attrs: &[&str] = match root {
+        CrateRoot::Lib => &["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"],
+        CrateRoot::Bin => &["#![forbid(unsafe_code)]"],
+    };
+    for attr in attrs {
         if !source.contains(attr) {
             out.push(Violation {
                 rule: "crate-root-attrs",
@@ -549,9 +558,9 @@ pub fn check_error_docs(
     }
 }
 
-/// Attachment window for justification comments (`// SAFETY:`,
-/// `// ORDERING:`): the comment must sit on the site's line or within
-/// this many lines above it. Same width as the `// INVARIANT:` window.
+/// Attachment window for `// ORDERING:` justification comments: the
+/// comment must sit on the site's line or within this many lines above
+/// it. Same width as the `// INVARIANT:` window.
 const COMMENT_WINDOW: usize = 16;
 
 /// Does `needle` occur on the site's line or within [`COMMENT_WINDOW`]
@@ -564,72 +573,6 @@ fn has_comment_near(lines: &[&str], line: usize, needle: &str) -> bool {
         .unwrap_or(&[])
         .iter()
         .any(|l| l.contains(needle))
-}
-
-/// C1 `unsafe-safety-comment`: every `unsafe` site outside tests must
-/// carry a `// SAFETY:` comment within the attachment window. The sites
-/// come from the parser's flat-scan inventory, so string literals never
-/// match and nested `unsafe { unsafe { } }` blocks are each audited.
-pub fn check_unsafe_safety(
-    path: &str,
-    source: &str,
-    analysis: &crate::parser::FileAnalysis,
-    out: &mut Vec<Violation>,
-) {
-    let lines: Vec<&str> = source.lines().collect();
-    for site in &analysis.unsafe_sites {
-        if site.in_test || has_comment_near(&lines, site.line, "// SAFETY:") {
-            continue;
-        }
-        out.push(Violation {
-            rule: "unsafe-safety-comment",
-            path: path.to_owned(),
-            line: site.line,
-            snippet: snippet(source, site.line),
-            message: format!(
-                "`unsafe` {} has no `// SAFETY:` comment within the \
-                 {COMMENT_WINDOW} lines above it — state the proof obligation \
-                 being discharged, not just that the code was reviewed",
-                site.kind.label()
-            ),
-            severity: Severity::Error,
-            chain: Vec::new(),
-        });
-    }
-}
-
-/// C2 `send-sync-audit`: a manual `unsafe impl Send`/`Sync` asserts a
-/// thread-safety proof the compiler cannot check, so each one is an
-/// error until an allowlist entry records who audited it and why the
-/// type's fields really are safe to move/share across threads.
-pub fn check_send_sync(
-    path: &str,
-    source: &str,
-    analysis: &crate::parser::FileAnalysis,
-    out: &mut Vec<Violation>,
-) {
-    for im in &analysis.impls {
-        let is_marker = matches!(im.trait_name.as_deref(), Some("Send") | Some("Sync"));
-        if !im.is_unsafe || im.in_test || !is_marker {
-            continue;
-        }
-        out.push(Violation {
-            rule: "send-sync-audit",
-            path: path.to_owned(),
-            line: im.line,
-            snippet: snippet(source, im.line),
-            message: format!(
-                "manual `unsafe impl {} for {}` — every hand-written \
-                 thread-safety assertion must be allowlisted with the \
-                 audit argument (which field forbids the auto impl and \
-                 why it is nonetheless safe)",
-                im.trait_name.as_deref().unwrap_or(""),
-                im.self_ty.as_deref().unwrap_or("_"),
-            ),
-            severity: Severity::Error,
-            chain: Vec::new(),
-        });
-    }
 }
 
 /// Method names that are unambiguously atomic operations in this
@@ -654,9 +597,8 @@ const ATOMIC_METHODS: [&str; 13] = [
 /// The five memory-ordering variant names.
 const ORDERING_NAMES: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// C3 `atomic-ordering`: three checks in one pass.
+/// C3 `atomic-ordering`: two checks in one pass.
 ///
-/// * `static mut` is banned — use an atomic or a lock.
 /// * An atomic method call (`ATOMIC_METHODS`) whose argument list
 ///   names no `Ordering` variant forwards a variable ordering; the
 ///   ordering decision must be visible at the call site.
@@ -678,23 +620,6 @@ pub fn check_atomic_ordering(path: &str, source: &str, toks: &[Tok], out: &mut V
         }
         let prev = i.checked_sub(1).and_then(|p| toks.get(p));
         let next = toks.get(i + 1);
-
-        if tok.text == "static" && next.is_some_and(|x| x.kind == TokKind::Ident && x.text == "mut")
-        {
-            out.push(Violation {
-                rule: "atomic-ordering",
-                path: path.to_owned(),
-                line: tok.line,
-                snippet: snippet(source, tok.line),
-                message: "`static mut` is banned — every access is an unsynchronized \
-                          data race waiting to happen; use an atomic or a lock"
-                    .to_owned(),
-                severity: Severity::Error,
-                chain: Vec::new(),
-            });
-            continue;
-        }
-
         let is_method_call = prev.is_some_and(|p| p.kind == TokKind::Punct && p.text == ".")
             && next.is_some_and(|x| x.kind == TokKind::Punct && x.text == "(");
         let maybe_atomic = ATOMIC_METHODS.contains(&tok.text.as_str()) || tok.text == "swap";

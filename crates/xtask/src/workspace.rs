@@ -1,6 +1,6 @@
 //! Workspace file discovery and per-file rule selection.
 
-use crate::rules::RuleSet;
+use crate::rules::{CrateRoot, RuleSet};
 use std::path::{Path, PathBuf};
 
 /// Library crates whose `src/` trees must be panic-free (rule R1). The
@@ -64,11 +64,26 @@ fn relative(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Is this file a crate root that rule R4 applies to?
-pub fn is_crate_root(rel: &str) -> bool {
-    rel == "src/lib.rs"
-        || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
-        || (rel.starts_with("shims/") && rel.ends_with("/src/lib.rs"))
+/// Which crate root, if any, rule R4 applies to: library roots
+/// (`src/lib.rs`) and binary roots (`src/main.rs`, files directly
+/// under `src/bin/`). Test, bench and example targets are exempt.
+pub fn crate_root(rel: &str) -> Option<CrateRoot> {
+    if is_test_target(rel) {
+        return None;
+    }
+    let is_lib = rel == "src/lib.rs"
+        || ((rel.starts_with("crates/") || rel.starts_with("shims/"))
+            && rel.ends_with("/src/lib.rs"));
+    let in_bin_dir = rel
+        .rsplit_once('/')
+        .is_some_and(|(dir, _)| dir == "src/bin" || dir.ends_with("/src/bin"));
+    if is_lib {
+        Some(CrateRoot::Lib)
+    } else if rel == "src/main.rs" || rel.ends_with("/src/main.rs") || in_bin_dir {
+        Some(CrateRoot::Bin)
+    } else {
+        None
+    }
 }
 
 /// Is this file inside any test/bench/example target (exempt from the
@@ -116,11 +131,6 @@ pub fn classify(rel: &str) -> RuleSet {
     // Float equality: all first-party library code (not shims, whose API
     // mirrors upstream crates; not the auditor).
     rules.float_eq = !(rel.starts_with("shims/") || rel.starts_with("crates/xtask"));
-    // Concurrency rules C1/C2 apply everywhere outside tests: an
-    // undocumented `unsafe` or a hand-rolled Send/Sync assertion is as
-    // dangerous in a shim as in a library crate.
-    rules.unsafe_safety = true;
-    rules.send_sync = true;
     // C3 exempts shims: their atomic wrappers forward a caller-supplied
     // `Ordering` variable by design (the API mirrors upstream crates),
     // which the call-site-visibility check would flag on every method.

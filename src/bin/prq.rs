@@ -14,6 +14,8 @@
 //! (the two dimensionalities the paper evaluates). `--cov` takes the
 //! row-major covariance entries (4 values for 2-D, 81 for 9-D).
 
+#![forbid(unsafe_code)]
+
 use gaussian_prq::prelude::*;
 use std::fmt::Write as _;
 use std::process::ExitCode;

@@ -77,11 +77,11 @@ pub mod prelude {
         prq_uncertain_targets, qualification_probability, UncertainTarget,
     };
     pub use gprq_core::{
-        cloud_seed, execute_naive, AdmissionPolicy, BatchOutcome, BfCatalog, BfClass,
-        DegradationReason, DegradationReport, EvalBudget, FringeMode, MonteCarloEvaluator,
-        PipelineMetrics, ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery,
-        Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor, ResilientOutcome,
-        RrCatalog, SequentialMonteCarloEvaluator, SigmaFactorCache, StrategySet, TerminalStrategy,
+        cloud_seed, execute_naive, BatchOutcome, BfCatalog, BfClass, DegradationReason,
+        DegradationReport, EvalBudget, FringeMode, MonteCarloEvaluator, PipelineMetrics,
+        ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery, Quadrature2dEvaluator,
+        QueryBatch, QueryStats, ResilientExecutor, ResilientOutcome, RrCatalog,
+        SequentialMonteCarloEvaluator, SigmaFactorCache, StrategySet, TerminalStrategy,
         ThetaRegion, UncertainCause, Verdict,
     };
     pub use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
