@@ -56,7 +56,7 @@ fn bench_shared_samples(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let budget = NonZeroUsize::new(100_000).expect("nonzero");
     let cloud = SampleCloud::draw(&g, budget, &mut rng);
-    let grid = CloudGrid::build(&cloud);
+    let grid = CloudGrid::build(cloud.clone());
     let target = Vector::from([515.0, 508.0]);
     c.bench_function("integrate/shared_cloud_linear_probe_100k", |b| {
         b.iter(|| cloud.probability(black_box(&target), 25.0))

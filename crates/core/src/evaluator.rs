@@ -147,7 +147,7 @@ impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
             let cloud = SampleCloud::draw(gaussian, nonzero(samples), rng);
             stats.builds += 1;
             stats.samples_drawn += cloud.len();
-            CloudGrid::build(&cloud)
+            CloudGrid::build(cloud)
         });
         grid.probability_with_stats(center, delta, stats)
     }

@@ -185,7 +185,7 @@ mod tests {
         let sigma = Matrix::from_rows([[7.0, 2.0 * s3], [2.0 * s3, 3.0]]).scale(gamma);
         let gaussian = Gaussian::new(Vector::from([500.0, 500.0]), sigma).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        CloudGrid::build(&SampleCloud::draw(
+        CloudGrid::build(SampleCloud::draw(
             &gaussian,
             NonZeroUsize::new(5_000).unwrap(),
             &mut rng,

@@ -130,8 +130,7 @@ fn assert_batch_matches_solo<I>(
         // must match to the last bit.
         let budget = NonZeroUsize::new(SAMPLES).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let cloud = SampleCloud::draw(query.gaussian(), budget, &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::build(SampleCloud::draw(query.gaussian(), budget, &mut rng));
         assert_eq!(
             outcome.probabilities.len(),
             outcome.integrated.len(),

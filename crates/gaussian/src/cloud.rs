@@ -325,6 +325,26 @@ fn count_hits<const D: usize>(
     hits
 }
 
+/// The grid's uniform per-axis resolution for `n` samples: the largest
+/// `r ≤ MAX_RES` with `r^D ≤ n / TARGET_PER_CELL`, in integer arithmetic
+/// only. Two cells per axis cannot prune: the probe's one-cell widening
+/// covers both halves of every axis the ball touches, so every probe
+/// would visit every cell. The builders make a one-cell grid for any
+/// `r ≤ 2`.
+fn uniform_resolution<const D: usize>(n: usize) -> usize {
+    let cells_target = (n / TARGET_PER_CELL).max(1);
+    let dim_exp = u32::try_from(D).unwrap_or(u32::MAX);
+    let mut uniform_res = 1usize;
+    while uniform_res < MAX_RES {
+        let next = uniform_res + 1;
+        match next.checked_pow(dim_exp) {
+            Some(total) if total <= cells_target => uniform_res = next,
+            _ => break,
+        }
+    }
+    uniform_res
+}
+
 /// Clamped float→index conversion for grid coordinates: `t` is floored,
 /// then clamped to `[0, max_index]`, so the cast is total (NaN and both
 /// infinities land on a valid index).
@@ -356,9 +376,10 @@ fn grid_slot(t: f64, max_index: usize) -> usize {
 /// `count` hits with no distance test, boundary cells run the SoA
 /// kernel on their contiguous range. See the module docs for why this
 /// matches the linear scan exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudGrid<const D: usize> {
-    /// Cell-reordered copy of the cloud's coordinate columns.
+    /// The cloud's coordinate columns in cell order (a one-cell grid
+    /// built by [`CloudGrid::build`] keeps the drawn columns).
     cols: [Vec<f64>; D],
     /// CSR ranges: cell `c` owns samples `cell_start[c]..cell_start[c+1]`.
     cell_start: Vec<usize>,
@@ -373,10 +394,23 @@ pub struct CloudGrid<const D: usize> {
 }
 
 impl<const D: usize> CloudGrid<D> {
-    /// Indexes `cloud` (copying its samples into cell order). Infallible
+    /// Indexes `cloud`, copying its samples into cell order. A one-cell
+    /// grid keeps the cloud's columns as they are and only reduces their
+    /// bounding box, with the same result as the copying build. Infallible
     /// and panic-free for every cloud [`SampleCloud::draw`] can build.
-    pub fn build(cloud: &SampleCloud<D>) -> Self {
-        Self::build_grid::<false>(cloud.columns(), &[0.0; D])
+    pub fn build(cloud: SampleCloud<D>) -> Self {
+        let uniform_res = uniform_resolution::<D>(cloud.len());
+        if uniform_res <= 2 {
+            let mut bounds = [(f64::INFINITY, f64::NEG_INFINITY); D];
+            for ((lo, hi), col) in bounds.iter_mut().zip(&cloud.coords) {
+                for &x in col {
+                    *lo = lo.min(x);
+                    *hi = hi.max(x);
+                }
+            }
+            return Self::one_cell(cloud.coords, bounds);
+        }
+        Self::build_grid::<false>(&cloud.coords, &[0.0; D], uniform_res)
     }
 
     /// Indexes the re-centering of an offset table from
@@ -385,7 +419,7 @@ impl<const D: usize> CloudGrid<D> {
     /// same component-wise `mean + offset` add as
     /// [`SampleCloud::from_offsets`], so the grid — layout, bounds, and
     /// every downstream probability — is bitwise identical to
-    /// `build(&SampleCloud::from_offsets(mean, offsets))`. The batch
+    /// `build(SampleCloud::from_offsets(mean, offsets))`. The batch
     /// executor's Σ-cache hit path uses this to skip one full
     /// `n × D` allocate-write-read round trip per query.
     pub fn build_recentered(mean: &Vector<D>, offsets: &[Vec<f64>; D]) -> Self {
@@ -393,7 +427,11 @@ impl<const D: usize> CloudGrid<D> {
         for (s, &m) in shift.iter_mut().zip(mean.as_slice()) {
             *s = m;
         }
-        Self::build_grid::<true>(offsets, &shift)
+        let uniform_res = uniform_resolution::<D>(offsets.first().map_or(0, Vec::len));
+        if uniform_res <= 2 {
+            return Self::build_one_cell(offsets, &shift);
+        }
+        Self::build_grid::<true>(offsets, &shift, uniform_res)
     }
 
     /// The shared build body. With `SHIFT` false the shift is all
@@ -402,27 +440,12 @@ impl<const D: usize> CloudGrid<D> {
     /// pass — the same float add producing the same value each time,
     /// so the two modes agree whenever the shifted input equals the
     /// unshifted one.
-    fn build_grid<const SHIFT: bool>(source: &[Vec<f64>; D], shift: &[f64; D]) -> Self {
+    fn build_grid<const SHIFT: bool>(
+        source: &[Vec<f64>; D],
+        shift: &[f64; D],
+        uniform_res: usize,
+    ) -> Self {
         let n = source.first().map_or(0, Vec::len);
-
-        // Largest uniform per-axis resolution with res^D ≤ n / TARGET,
-        // capped at MAX_RES — integer arithmetic only. Two cells per
-        // axis cannot prune: the probe's one-cell widening covers both
-        // halves of every axis the ball touches, so every probe would
-        // visit every cell. Such a grid collapses to one cell.
-        let cells_target = (n / TARGET_PER_CELL).max(1);
-        let dim_exp = u32::try_from(D).unwrap_or(u32::MAX);
-        let mut uniform_res = 1usize;
-        while uniform_res < MAX_RES {
-            let next = uniform_res + 1;
-            match next.checked_pow(dim_exp) {
-                Some(total) if total <= cells_target => uniform_res = next,
-                _ => break,
-            }
-        }
-        if uniform_res <= 2 {
-            return Self::build_one_cell::<SHIFT>(source, shift, n);
-        }
 
         // Tight bounding box of the cloud, per axis.
         let mut origin = [0.0f64; D];
@@ -546,31 +569,40 @@ impl<const D: usize> CloudGrid<D> {
         }
     }
 
-    /// The one-cell grid, in a single pass per column: the cell holds
-    /// every sample in draw order (what the counting sort produces for
-    /// one cell), and its tight box is the cloud's bounding box, reduced
-    /// while the column is copied. Probes then cost one bounding-box
+    /// The one-cell grid over a re-centered offset table, in a single
+    /// pass per column: each re-centered column is copied in draw order
+    /// (what the counting sort produces for one cell) while its bounds
+    /// are reduced.
+    fn build_one_cell(offsets: &[Vec<f64>; D], shift: &[f64; D]) -> Self {
+        let mut bounds = [(f64::INFINITY, f64::NEG_INFINITY); D];
+        let mut cols: [Vec<f64>; D] = std::array::from_fn(|_| Vec::new());
+        for (d, (col, src)) in cols.iter_mut().zip(offsets).enumerate() {
+            let m = shift[d];
+            let (lo, hi) = &mut bounds[d];
+            *col = src
+                .iter()
+                .map(|&raw| {
+                    let x = m + raw;
+                    *lo = lo.min(x);
+                    *hi = hi.max(x);
+                    x
+                })
+                .collect();
+        }
+        Self::one_cell(cols, bounds)
+    }
+
+    /// The one-cell grid over `cols`, which hold every sample in draw
+    /// order, with per-axis sample bounds `(min, max)`. The cell's tight
+    /// box is the cloud's bounding box, so probes cost one bounding-box
     /// test plus, unless the whole box is inside the ball, one linear
     /// kernel pass.
-    fn build_one_cell<const SHIFT: bool>(
-        source: &[Vec<f64>; D],
-        shift: &[f64; D],
-        n: usize,
-    ) -> Self {
-        let mut cols: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
+    fn one_cell(cols: [Vec<f64>; D], bounds: [(f64, f64); D]) -> Self {
+        let n = cols.first().map_or(0, Vec::len);
         let mut origin = [0.0f64; D];
         let mut upper = [0.0f64; D];
         let mut inv_width = [0.0f64; D];
-        for (d, (col, src)) in cols.iter_mut().zip(source).enumerate() {
-            let m = shift[d];
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            col.extend(src.iter().map(|&raw| {
-                let x = if SHIFT { m + raw } else { raw };
-                lo = lo.min(x);
-                hi = hi.max(x);
-                x
-            }));
+        for (d, &(lo, hi)) in bounds.iter().enumerate() {
             let extent = hi - lo;
             if extent.is_finite() && extent > f64::MIN_POSITIVE {
                 inv_width[d] = 1.0 / extent;
@@ -767,7 +799,7 @@ mod tests {
             (linear - exact).abs() < 0.006,
             "cloud {linear} vs exact {exact}"
         );
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::build(cloud);
         assert_eq!(grid.probability(&center, delta), linear);
     }
 
@@ -775,8 +807,7 @@ mod tests {
     fn cloud_monotone_in_delta() {
         let g = Gaussian::<2>::standard();
         let mut rng = StdRng::seed_from_u64(8);
-        let cloud = SampleCloud::draw(&g, nz(50_000), &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::build(SampleCloud::draw(&g, nz(50_000), &mut rng));
         let center = Vector::from([0.5, 0.5]);
         let mut prev = 0.0;
         for delta in [0.1, 0.5, 1.0, 2.0, 4.0] {
@@ -898,8 +929,7 @@ mod tests {
         let g = Gaussian::<2>::standard();
         let mut rng = StdRng::seed_from_u64(5);
         // 100 000 samples / 16 per cell = 6 250 cells → res 79 in 2-D.
-        let cloud = SampleCloud::draw(&g, nz(100_000), &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::build(SampleCloud::draw(&g, nz(100_000), &mut rng));
         let res = grid.resolution();
         assert_eq!(res[0], res[1]);
         assert!(res[0] * res[0] <= 6_250);
@@ -908,20 +938,19 @@ mod tests {
         assert_eq!(grid.len(), 100_000);
         // Tiny clouds collapse to a single cell.
         let tiny = SampleCloud::draw(&g, nz(3), &mut rng);
-        assert_eq!(CloudGrid::build(&tiny).resolution(), [1, 1]);
+        assert_eq!(CloudGrid::build(tiny).resolution(), [1, 1]);
         // So does a rule that gives two cells per axis: 2² ≤ 100 / 16 < 3².
         let two = SampleCloud::draw(&g, nz(100), &mut rng);
-        assert_eq!(CloudGrid::build(&two).resolution(), [1, 1]);
+        assert_eq!(CloudGrid::build(two).resolution(), [1, 1]);
         let three = SampleCloud::draw(&g, nz(144), &mut rng);
-        assert_eq!(CloudGrid::build(&three).resolution(), [3, 3]);
+        assert_eq!(CloudGrid::build(three).resolution(), [3, 3]);
     }
 
     #[test]
     fn inside_cells_skip_distance_tests_on_huge_delta() {
         let g = Gaussian::<2>::standard();
         let mut rng = StdRng::seed_from_u64(11);
-        let cloud = SampleCloud::draw(&g, nz(20_000), &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::build(SampleCloud::draw(&g, nz(20_000), &mut rng));
         let mut stats = CloudStats::default();
         let hits = grid.count_within_stats(&Vector::ZERO, 1e6, &mut stats);
         assert_eq!(hits, 20_000);
@@ -938,7 +967,7 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(13);
         let cloud = SampleCloud::draw(&g, nz(30_000), &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::build(cloud.clone());
         for (center, delta) in [
             (Vector::from([1.0, -2.0, 0.5]), 2.0),
             (Vector::from([0.0, 0.0, 0.0]), 4.5),

@@ -35,7 +35,7 @@ fn grid_matches_linear_scan_exactly() {
     let g = correlated_2d();
     let mut rng = StdRng::seed_from_u64(0xC10D);
     let cloud = SampleCloud::draw(&g, nz(50_000), &mut rng);
-    let grid = CloudGrid::build(&cloud);
+    let grid = CloudGrid::build(cloud.clone());
 
     let mut probe = StdRng::seed_from_u64(7);
     for case in 0..400 {
@@ -87,7 +87,7 @@ fn grid_matches_linear_scan_exactly_3d() {
     let g = Gaussian::new(Vector::from([0.0, 5.0, -5.0]), m).unwrap();
     let mut rng = StdRng::seed_from_u64(99);
     let cloud = SampleCloud::draw(&g, nz(20_000), &mut rng);
-    let grid = CloudGrid::build(&cloud);
+    let grid = CloudGrid::build(cloud.clone());
     let mut probe = StdRng::seed_from_u64(3);
     for _ in 0..100 {
         let center = Vector::from([
@@ -114,7 +114,7 @@ fn grid_handles_near_degenerate_axes() {
     let g = Gaussian::new(Vector::from([1.0, 2.0]), m).unwrap();
     let mut rng = StdRng::seed_from_u64(5);
     let cloud = SampleCloud::draw(&g, nz(4_096), &mut rng);
-    let grid = CloudGrid::build(&cloud);
+    let grid = CloudGrid::build(cloud.clone());
     let mut probe = StdRng::seed_from_u64(11);
     for _ in 0..50 {
         let center = Vector::from([1.0, 2.0 + (probe.gen::<f64>() - 0.5) * 12.0]);
@@ -168,7 +168,7 @@ proptest! {
             prop_assert_eq!(a.as_slice()[0].to_bits(), b.as_slice()[0].to_bits());
             prop_assert_eq!(a.as_slice()[1].to_bits(), b.as_slice()[1].to_bits());
         }
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::build(cloud.clone());
         let center = Vector::from([100.0, -50.0]);
         prop_assert_eq!(
             grid.count_within(&center, 15.0),
@@ -189,7 +189,7 @@ fn build_recentered_matches_materialized_cloud_bitwise() {
 
     for (mx, my) in [(100.0, -50.0), (0.0, 0.0), (-3.5e3, 1.0e-3)] {
         let mean = Vector::from([mx, my]);
-        let materialized = CloudGrid::build(&SampleCloud::from_offsets(&mean, &offsets));
+        let materialized = CloudGrid::build(SampleCloud::from_offsets(&mean, &offsets));
         let fused = CloudGrid::build_recentered(&mean, &offsets);
 
         assert_eq!(fused.len(), materialized.len());
@@ -288,12 +288,14 @@ fn assert_one_cell_matches_linear<const D: usize>(
 
 /// At 100 000 samples, `D = 8` and `D = 9` size to two cells per axis,
 /// which cannot prune: both builds collapse to one cell and count
-/// exactly what the linear scan counts.
+/// exactly what the linear scan counts. `build` keeps the cloud's
+/// columns instead of copying them, and the result equals the copying
+/// `build_recentered` over the same samples: columns, bounds and all.
 fn one_cell_regime<const D: usize>() {
     let g = high_dim::<D>(0.5);
     let mut rng = StdRng::seed_from_u64(0x1CE11 + D as u64);
     let cloud = SampleCloud::draw(&g, nz(100_000), &mut rng);
-    let built = CloudGrid::build(&cloud);
+    let built = CloudGrid::build(cloud.clone());
     assert_one_cell_matches_linear(&built, &cloud, &format!("build, D = {D}"));
 
     let mut rng = StdRng::seed_from_u64(0x0FF5 + D as u64);
@@ -304,6 +306,10 @@ fn one_cell_regime<const D: usize>() {
         &recentered,
         &materialized,
         &format!("build_recentered, D = {D}"),
+    );
+    assert!(
+        CloudGrid::build(materialized) == recentered,
+        "build by value differs from the copying build, D = {D}"
     );
 }
 
@@ -324,7 +330,7 @@ fn seven_dimensional_grid_keeps_three_cells_per_axis() {
     let g = high_dim::<7>(0.0);
     let mut rng = StdRng::seed_from_u64(7);
     let cloud = SampleCloud::draw(&g, nz(100_000), &mut rng);
-    let grid = CloudGrid::build(&cloud);
+    let grid = CloudGrid::build(cloud.clone());
     assert_eq!(grid.resolution(), [3; 7]);
     let mut probe = StdRng::seed_from_u64(17);
     for _ in 0..20 {

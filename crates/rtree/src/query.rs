@@ -282,7 +282,12 @@ impl<const D: usize, T> RTree<D, T> {
             dist_sq: self.root.mbr.min_dist_squared(center),
             kind: Candidate::Node(&self.root),
         });
-        knn_best_first(center, k, &mut scratch.heap, stats, out);
+        while out.len() < k {
+            let Some(hit) = knn_next(center, &mut scratch.heap, stats) else {
+                break;
+            };
+            out.push(hit);
+        }
     }
 
     /// Returns a lazy iterator over all records in **ascending distance**
@@ -302,31 +307,8 @@ impl<const D: usize, T> RTree<D, T> {
             });
         }
         let center = *center;
-        std::iter::from_fn(move || loop {
-            let item = heap.pop()?;
-            match item.kind {
-                Candidate::Node(node) => {
-                    if node.is_leaf() {
-                        for e in &node.entries {
-                            heap.push(HeapItem {
-                                dist_sq: e.point.distance_squared(&center),
-                                kind: Candidate::Entry(&e.point, &e.data),
-                            });
-                        }
-                    } else {
-                        for c in &node.children {
-                            heap.push(HeapItem {
-                                dist_sq: c.mbr.min_dist_squared(&center),
-                                kind: Candidate::Node(c),
-                            });
-                        }
-                    }
-                }
-                Candidate::Entry(point, data) => {
-                    return Some((item.dist_sq.sqrt(), point, data));
-                }
-            }
-        })
+        let mut stats = SearchStats::default();
+        std::iter::from_fn(move || knn_next(&center, &mut heap, &mut stats))
     }
 
     /// Iterates over all `(point, payload)` records in arbitrary order.
@@ -468,14 +450,16 @@ fn ball_rec<'a, const D: usize, T>(
     }
 }
 
-// HOT-PATH: k-NN best-first loop (Hjaltason–Samet) over caller-owned buffers
-fn knn_best_first<'a, const D: usize, T>(
+// HOT-PATH: one best-first k-NN step (Hjaltason–Samet) over a caller-owned heap
+/// Pops the heap, expanding every node that surfaces, until a record
+/// does; returns that record, the nearest one not yet returned, or `None`
+/// once the heap is empty. Both k-NN entry points run this step, so they
+/// visit nodes in the same order and count them alike.
+fn knn_next<'a, const D: usize, T>(
     center: &Vector<D>,
-    k: usize,
     heap: &mut BinaryHeap<HeapItem<'a, D, T>>,
     stats: &mut SearchStats,
-    out: &mut Vec<(f64, &'a Vector<D>, &'a T)>,
-) {
+) -> Option<(f64, &'a Vector<D>, &'a T)> {
     while let Some(item) = heap.pop() {
         match item.kind {
             Candidate::Node(node) => {
@@ -499,11 +483,9 @@ fn knn_best_first<'a, const D: usize, T>(
             }
             Candidate::Entry(point, data) => {
                 stats.results += 1;
-                out.push((item.dist_sq.sqrt(), point, data));
-                if out.len() == k {
-                    return;
-                }
+                return Some((item.dist_sq.sqrt(), point, data));
             }
         }
     }
+    None
 }

@@ -140,9 +140,10 @@ impl<const D: usize, T> RTree<D, T> {
 
     /// Removes one record equal to `(point, data)`.
     ///
-    /// Point matching is exact (`f64` bit-for-bit via `==`); returns
-    /// `false` if no such record exists. When several identical records
-    /// exist, exactly one is removed.
+    /// Points match by `f64` `==` on every coordinate: exactly, except
+    /// that `-0.0` and `0.0` compare equal. Returns `false` if no such
+    /// record exists. When several matching records exist, exactly one is
+    /// removed.
     pub fn remove(&mut self, point: &Vector<D>, data: &T) -> bool
     where
         T: PartialEq,
@@ -334,10 +335,30 @@ fn insert_rec<const D: usize, T>(
     }
 }
 
-/// The R\* ChooseSubtree heuristic: minimum overlap enlargement when the
-/// children are leaves, minimum area enlargement otherwise.
+/// The R\* ChooseSubtree heuristic: the child with the least key
+/// (overlap enlargement, area enlargement, area) when the children are
+/// leaves, (area enlargement, area) otherwise, first one on ties.
+///
+/// Scoring every child of a leaf parent by its overlap with all its
+/// siblings costs O(M²) `overlap_area` calls, so that level first tries
+/// [`zero_overlap_choice`], an O(M) shortcut that returns the scan's
+/// answer whenever it can prove it, and runs [`choose_subtree_scan`]
+/// only when it cannot.
 fn choose_subtree<const D: usize, T>(node: &Node<D, T>, entry_mbr: &Rect<D>) -> usize {
     debug_assert!(!node.children.is_empty());
+    if node.level == 1 {
+        if let Some(k) = zero_overlap_choice(&node.children, entry_mbr) {
+            debug_assert_eq!(k, choose_subtree_scan(node, entry_mbr));
+            return k;
+        }
+    }
+    choose_subtree_scan(node, entry_mbr)
+}
+
+/// The full R\* ChooseSubtree scan: scores every child and keeps the first
+/// strict minimum of its key. The fallback of [`choose_subtree`] and the
+/// oracle its tests compare against.
+fn choose_subtree_scan<const D: usize, T>(node: &Node<D, T>, entry_mbr: &Rect<D>) -> usize {
     let children_are_leaves = node.level == 1;
     let mut best = 0usize;
     let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -345,18 +366,8 @@ fn choose_subtree<const D: usize, T>(node: &Node<D, T>, entry_mbr: &Rect<D>) -> 
         let enlarged = child.mbr.union(entry_mbr);
         let area_enlargement = enlarged.area() - child.mbr.area();
         let key = if children_are_leaves {
-            // Overlap enlargement against all siblings.
-            let mut overlap_before = 0.0;
-            let mut overlap_after = 0.0;
-            for (j, other) in node.children.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                overlap_before += child.mbr.overlap_area(&other.mbr);
-                overlap_after += enlarged.overlap_area(&other.mbr);
-            }
             (
-                overlap_after - overlap_before,
+                overlap_enlargement(&node.children, i, &child.mbr, &enlarged),
                 area_enlargement,
                 child.mbr.area(),
             )
@@ -369,6 +380,73 @@ fn choose_subtree<const D: usize, T>(node: &Node<D, T>, entry_mbr: &Rect<D>) -> 
         }
     }
     best
+}
+
+/// How much the summed overlap of `siblings[i]` (whose MBR is `mbr`) with
+/// every other sibling grows when its MBR grows to `enlarged`.
+fn overlap_enlargement<const D: usize, T>(
+    siblings: &[Node<D, T>],
+    i: usize,
+    mbr: &Rect<D>,
+    enlarged: &Rect<D>,
+) -> f64 {
+    let mut overlap_before = 0.0;
+    let mut overlap_after = 0.0;
+    for (j, other) in siblings.iter().enumerate() {
+        if i == j {
+            continue;
+        }
+        overlap_before += mbr.overlap_area(&other.mbr);
+        overlap_after += enlarged.overlap_area(&other.mbr);
+    }
+    overlap_after - overlap_before
+}
+
+/// The exact shortcut of [`choose_subtree`] at a leaf parent: returns the
+/// child [`choose_subtree_scan`] would return, or `None` when it cannot
+/// prove which one that is.
+///
+/// It takes the first child `k` that minimizes (area enlargement, area),
+/// an O(M) pass, and computes only `k`'s overlap enlargement. If that is
+/// exactly 0, `k` is the scan's choice:
+///
+/// * Overlap enlargement is never negative. `union` only grows a box
+///   (per-axis `min`/`max` are exact) and `overlap_area` is monotone in
+///   its first box: each clipped extent of the grown box is at least the
+///   old one, and a float subtraction, product or sum of larger operands
+///   is never smaller. So `overlap_after ≥ overlap_before` term by term
+///   and in sum, and their difference is ≥ 0. It can also be +∞, or NaN
+///   from ∞ − ∞; a NaN key is never `<` anything, so it never wins.
+/// * Every key is therefore at least (0, area enlargement, area), and
+///   `k`'s key is exactly (0, its area enlargement, its area). Each child
+///   before `k` has (area enlargement, area) strictly above `k`'s, so its
+///   key is strictly above `k`'s, and the scan's running minimum moves to
+///   `k`. No child after `k` has a key strictly below `k`'s, so it stays.
+///
+/// Huge coordinates (beyond ~1e154 in 2-D) can make an area infinite, a
+/// 0 × ∞ area NaN and an ∞ − ∞ enlargement NaN. Then (area enlargement, area) is not
+/// totally ordered, so the shortcut gives up and the scan decides.
+fn zero_overlap_choice<const D: usize, T>(
+    children: &[Node<D, T>],
+    entry_mbr: &Rect<D>,
+) -> Option<usize> {
+    let mut best = 0usize;
+    let mut best_key = (f64::INFINITY, f64::INFINITY);
+    for (i, child) in children.iter().enumerate() {
+        let area = child.mbr.area();
+        let key = (child.mbr.union(entry_mbr).area() - area, area);
+        if key.0.is_nan() || key.1.is_nan() {
+            return None;
+        }
+        if key < best_key {
+            best_key = key;
+            best = i;
+        }
+    }
+    let child = children.get(best)?;
+    let enlarged = child.mbr.union(entry_mbr);
+    // Never negative (see above), so `<= 0.0` is the exact-zero test.
+    (overlap_enlargement(children, best, &child.mbr, &enlarged) <= 0.0).then_some(best)
 }
 
 /// R\* OverflowTreatment: forced reinsertion the first time a level
@@ -565,4 +643,134 @@ fn validate_rec<const D: usize, T>(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// How often [`zero_overlap_choice`] decided, and how often it left
+    /// the choice to the scan.
+    #[derive(Debug, Default)]
+    struct Tally {
+        shortcut: usize,
+        scan: usize,
+    }
+
+    /// At every leaf parent under `node`, asserts that `choose_subtree`
+    /// picks the full scan's child for every probe point.
+    fn check_leaf_parents(node: &Node<2, usize>, probes: &[Vector<2>], tally: &mut Tally) {
+        if node.level > 1 {
+            for child in &node.children {
+                check_leaf_parents(child, probes, tally);
+            }
+        } else if node.level == 1 {
+            for p in probes {
+                let entry = Rect::from_point(p);
+                match zero_overlap_choice(&node.children, &entry) {
+                    Some(_) => tally.shortcut += 1,
+                    None => tally.scan += 1,
+                }
+                let scan = choose_subtree_scan(node, &entry);
+                assert_eq!(choose_subtree(node, &entry), scan, "probe {p}");
+            }
+        }
+    }
+
+    /// Inserts `points` one by one, then moves every other record
+    /// (remove, reinsert at a fresh `draw` under a new id), validating
+    /// after every operation and comparing every leaf parent's choice
+    /// with the full scan for fresh `draw` probes every 20 operations.
+    fn churn(
+        points: &[[f64; 2]],
+        params: RStarParams,
+        seed: u64,
+        draw: impl Fn(&mut StdRng) -> [f64; 2],
+    ) -> Tally {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tree: RTree<2, usize> = RTree::with_params(params);
+        let mut tally = Tally::default();
+        let mut ops = 0usize;
+        let mut step = |tree: &RTree<2, usize>, rng: &mut StdRng, tally: &mut Tally| {
+            if let Err(e) = tree.validate() {
+                panic!("invalid tree after {ops} operations: {e}");
+            }
+            ops += 1;
+            if ops % 20 == 0 {
+                let probes: Vec<Vector<2>> = (0..12).map(|_| Vector::from(draw(rng))).collect();
+                check_leaf_parents(&tree.root, &probes, tally);
+            }
+        };
+        for (id, p) in points.iter().enumerate() {
+            tree.insert(Vector::from(*p), id);
+            step(&tree, &mut rng, &mut tally);
+        }
+        for (id, p) in points.iter().enumerate().step_by(2) {
+            assert!(tree.remove(&Vector::from(*p), &id));
+            step(&tree, &mut rng, &mut tally);
+            tree.insert(Vector::from(draw(&mut rng)), points.len() + id);
+            step(&tree, &mut rng, &mut tally);
+        }
+        tally
+    }
+
+    /// `n` draws, every eighth a duplicate of the one before.
+    fn with_duplicates(
+        n: usize,
+        seed: u64,
+        draw: impl Fn(&mut StdRng) -> [f64; 2],
+    ) -> Vec<[f64; 2]> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut points: Vec<[f64; 2]> = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = match points.last() {
+                Some(&last) if i % 8 == 0 => last,
+                _ => draw(&mut rng),
+            };
+            points.push(p);
+        }
+        points
+    }
+
+    fn uniform(rng: &mut StdRng) -> [f64; 2] {
+        [rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)]
+    }
+
+    /// Points on two axis-parallel lines: leaves of zero area.
+    fn collinear(rng: &mut StdRng) -> [f64; 2] {
+        let t = rng.gen_range(0.0..1000.0);
+        if rng.gen_bool(0.5) {
+            [t, 250.0]
+        } else {
+            [750.0, t]
+        }
+    }
+
+    /// Mostly coordinates near ±1e200, whose areas overflow to ∞ and
+    /// whose enlargements are ∞ − ∞ = NaN, with some small points mixed in.
+    fn huge(rng: &mut StdRng) -> [f64; 2] {
+        if rng.gen_bool(0.25) {
+            uniform(rng)
+        } else {
+            [rng.gen_range(-2e200..2e200), rng.gen_range(-2e200..2e200)]
+        }
+    }
+
+    #[test]
+    fn choose_subtree_matches_the_full_scan() {
+        for params in [RStarParams::paper_default(2), RStarParams::new(4)] {
+            let run = |seed, draw: fn(&mut StdRng) -> [f64; 2]| {
+                churn(&with_duplicates(600, seed, draw), params, seed, draw)
+            };
+            let (u, c, h) = (run(1, uniform), run(2, collinear), run(3, huge));
+            let fanout = params.max_entries;
+            // Overlapping leaves need both paths, zero-area leaves never
+            // overlap, and infinite areas always leave it to the scan.
+            assert!(u.shortcut > 0 && u.scan > 0, "uniform, M = {fanout}: {u:?}");
+            assert!(c.shortcut > 0, "collinear, M = {fanout}: {c:?}");
+            assert!(h.scan > 0, "huge, M = {fanout}: {h:?}");
+        }
+    }
 }
