@@ -91,13 +91,13 @@ pub fn corel_tree(n: usize, seed: u64) -> (RTree<9, u32>, Vec<Vector<9>>) {
     (tree, pts)
 }
 
-/// Shared plumbing for the bench **guard** binaries (`obs`, `phase1`,
-/// `throughput`): each records its headline metric in a hand-rolled
-/// JSON file and enforces a bound on it — on the live run *and* against
-/// the committed file via `--check` (CI's stale gate). The guards
-/// differ only in which way the bound points (a speedup floor vs an
-/// overhead ceiling) and which JSON key carries the metric; everything
-/// else — schema gate, mini JSON parser, file write — lives here once.
+/// Shared plumbing for the bench **guard** binaries (`obs`, `phase1`):
+/// each records its headline metric in a hand-rolled JSON file and
+/// enforces a bound on it — on the live run *and* against the committed
+/// file via `--check` (CI's stale gate). The guards differ only in which
+/// way the bound points (a speedup floor vs an overhead ceiling) and
+/// which JSON key carries the metric; everything else — schema gate,
+/// mini JSON parser, file write — lives here once.
 pub mod guard {
     use std::io::Write as _;
 

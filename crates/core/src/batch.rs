@@ -13,9 +13,9 @@
 //!    `PreparedQuery::filter_candidates` loop the solo executor uses.
 //! 3. **Fused Phase 3** — queries sharing a covariance Σ share one
 //!    mean-free offset table `w_j = L·z_j` from the [`SigmaFactorCache`]
-//!    (the expensive Box–Muller draws happen once per Σ-group), and the
-//!    whole batch's `(query, candidate)` work is flattened across the
-//!    [`ParallelIntegrator`] worker pool.
+//!    (the normal draws and the Cholesky map happen once per Σ-group),
+//!    and the whole batch's `(query, candidate)` work is flattened
+//!    across the [`ParallelIntegrator`] worker pool.
 //!
 //! # The parity contract
 //!
@@ -42,8 +42,9 @@
 //!   seed, hence the same `z`-stream, whether drawn fresh (solo) or once
 //!   (cached offsets);
 //! * [`GaussianSampler::sample`] materializes `L·z` *before* the single
-//!   component-wise mean add, so re-centering a cached offset column is
-//!   the same float operation sequence as a fresh draw
+//!   component-wise mean add, and a cloud's column-wise draw sums each
+//!   coordinate in that same order, so re-centering a cached offset
+//!   column is the same float operation sequence as a fresh draw
 //!   (`SampleCloud::from_offsets` parity tests);
 //! * grid probes are pure functions of (grid, candidate, δ), and the
 //!   flattened worker partition never splits a sample stream;
@@ -139,11 +140,10 @@ struct CacheEntry<const D: usize> {
 /// exact: identical Σ bits give an identical Cholesky factor (the
 /// factorization is deterministic), hence an identical offset table.
 /// Eviction is FIFO and fully deterministic; a re-draw after eviction
-/// reproduces the evicted table bitwise (same seed, fresh
-/// [`StandardNormal`] stream), so cache capacity can never change an
-/// answer — only how often the Box–Muller work is repeated.
-///
-/// [`StandardNormal`]: gprq_gaussian::sampler::StandardNormal
+/// reproduces the evicted table bitwise (same seed, same ziggurat
+/// stream: the generator keeps no state between draws), so cache
+/// capacity can never change an answer — only how often the draw is
+/// repeated.
 #[derive(Debug)]
 pub struct SigmaFactorCache<const D: usize> {
     capacity: usize,

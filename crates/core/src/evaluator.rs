@@ -541,20 +541,43 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mc_borderline_is_uncertain() {
+    fn sequential_mc_borderline_decides_at_most_the_bonferroni_rate() {
+        // θ exactly at the true probability. A 4 096-sample budget gives
+        // 8 looks (one per 512-sample block), and each z = 3 Wilson
+        // interval misses the truth with probability ≈ 2Φ(−3), so by the
+        // union bound a run decides with probability at most
+        // 8 · 2Φ(−3) ≈ 2.2 %. Over independent seeds the decided count is
+        // binomial: allow that rate plus 3 binomial standard deviations.
+        type Seq = SequentialMonteCarloEvaluator<2>;
+        const SEEDS: u64 = 1_000;
+        const BUDGET: usize = 4_096;
         let g = gaussian();
         let center = Vector::from([15.0, 8.0]);
         let mut quad = Quadrature2dEvaluator::default();
         let truth = quad.probability(&g, &center, 25.0);
-        // θ exactly at the true probability: the interval can never
-        // clear it, so a small budget must end Uncertain.
-        let mut eval = SequentialMonteCarloEvaluator::with_defaults(23);
-        let r = ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, &center, 25.0, truth, 4_096)
-            .unwrap();
-        assert_eq!(r.verdict, Verdict::Uncertain);
-        assert_eq!(r.samples, 4_096);
-        assert!(!r.early);
-        assert!((r.estimate - truth).abs() < 0.05);
+        let looks = (BUDGET / Seq::BLOCK) as f64;
+        let rate = looks * 2.0 * gprq_gaussian::specfun::std_normal_cdf(-Seq::Z);
+        let runs = SEEDS as f64;
+        let bound = rate + 3.0 * (rate * (1.0 - rate) / runs).sqrt();
+        let mut decided = 0usize;
+        for seed in 0..SEEDS {
+            let mut eval = Seq::with_defaults(seed);
+            let r =
+                ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, &center, 25.0, truth, BUDGET)
+                    .unwrap();
+            if r.verdict == Verdict::Uncertain {
+                assert_eq!(r.samples, BUDGET, "seed {seed}");
+                assert!(!r.early, "seed {seed}");
+                assert!((r.estimate - truth).abs() < 0.05, "seed {seed}");
+            } else {
+                decided += 1;
+            }
+        }
+        let share = decided as f64 / runs;
+        assert!(
+            share <= bound,
+            "{decided} of {SEEDS} borderline runs decided: {share} > {bound}"
+        );
     }
 
     #[test]

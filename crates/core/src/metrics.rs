@@ -105,7 +105,7 @@ pub mod names {
     pub const BATCH_QUERIES: &str = "prq_batch_queries_total";
     /// Counter: batch queries whose Σ-keyed factor/offset table was
     /// already cached by an earlier group member (Cholesky + sample
-    /// offsets reused, Box–Muller skipped).
+    /// offsets reused, the normal draws skipped).
     pub const BATCH_SIGMA_CACHE_HITS: &str = "prq_batch_sigma_cache_hits";
     /// Counter: batch queries that had to draw a fresh Σ-group offset
     /// table (first member of the group, or evicted entry).

@@ -1,8 +1,8 @@
-//! ISSUE-9 Σ-cache correctness: the offset cache is a pure
-//! amortization. Cold path (miss, fresh Box–Muller draw) and hit path
-//! (cached offsets, re-centered) must produce bitwise-identical
-//! answers; eviction and capacity are deterministic; and the cache
-//! counters flow into `PipelineMetrics` under their wire names.
+//! Σ-cache correctness: the offset cache is a pure amortization. Cold
+//! path (miss, fresh ziggurat draw of the offsets) and hit path (cached
+//! offsets, re-centered) must produce bitwise-identical answers;
+//! eviction and capacity are deterministic; and the cache counters flow
+//! into `PipelineMetrics` under their wire names.
 
 use gprq_core::ext::parallel::ParallelIntegrator;
 use gprq_core::metrics::names;

@@ -1,4 +1,4 @@
-//! Statistical conformance suite (ISSUE 4, satellite 1).
+//! Statistical conformance suite.
 //!
 //! For an **isotropic** query Gaussian `N(q, σ²I₂)` the qualification
 //! probability has a closed form: standardizing by σ reduces
@@ -11,6 +11,11 @@
 //! 2. every strategy set's answer set must *exactly* match the naive
 //!    full-scan oracle across a (σ, δ, θ) grid when both use the same
 //!    deterministic evaluator — filtering may never change an answer.
+//!
+//! For the paper's **anisotropic** road regime (Eq. 34's Σ at γ = 10,
+//! δ = 25) the oracle is the 2-D quadrature, and the check is on the
+//! distribution of the estimator's z-scores at the paper's 100 000
+//! samples: centered and of unit spread down to the p ≈ 10⁻³ tail.
 //!
 //! Everything is seeded (`SEED` below); a failure is reproducible, not
 //! a flake.
@@ -90,6 +95,69 @@ fn monte_carlo_matches_closed_form_within_wilson_tolerance() {
             }
         }
     }
+}
+
+#[test]
+fn anisotropic_road_regime_z_scores_are_standard() {
+    // Eq. 34's tilted 3:1 ellipse at γ = 10 (σ ≈ 9.5 and 3.2 along its
+    // axes), δ = 25. Objects sit at 25 + t·σ(φ) from the mean along 16
+    // directions over a half turn (the distribution is point-symmetric),
+    // where σ(φ) is the query's spread along φ: the true probability
+    // runs from ~0.5 at t = 0 down through the θ = 0.01 tail the road
+    // workload lives in. Centers below p = 10⁻³ are skipped.
+    const DIRECTIONS: usize = 16;
+    const STEPS: [f64; 6] = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5];
+    const P_FLOOR: f64 = 1e-3;
+    const SAMPLES: usize = 100_000;
+    const DELTA: f64 = 25.0;
+    let s3 = 3.0f64.sqrt();
+    let sigma = Matrix::from_rows([[7.0, 2.0 * s3], [2.0 * s3, 3.0]]).scale(10.0);
+    let q = PrqQuery::new(Vector::from(CENTER), sigma, DELTA, 0.01).unwrap();
+    let mut quad = Quadrature2dEvaluator::default();
+
+    let mut z_scores = Vec::new();
+    let (mut p_min, mut p_max) = (1.0f64, 0.0f64);
+    for k in 0..DIRECTIONS {
+        let phi = k as f64 * std::f64::consts::PI / DIRECTIONS as f64;
+        let u = Vector::from([phi.cos(), phi.sin()]);
+        let spread = u.dot(&sigma.mul_vec(&u)).sqrt();
+        for &t in &STEPS {
+            let object = Vector::from(CENTER) + u * (DELTA + t * spread);
+            let truth = quad.probability(q.gaussian(), &object, DELTA);
+            if truth < P_FLOOR {
+                continue;
+            }
+            p_min = p_min.min(truth);
+            p_max = p_max.max(truth);
+            // A fresh seed per estimate: every z-score has its own cloud.
+            let seed = SEED.wrapping_add(1_000 + z_scores.len() as u64);
+            let mut mc = MonteCarloEvaluator::new(SAMPLES, seed);
+            let estimate = mc.probability(q.gaussian(), &object, DELTA);
+            let se = (truth * (1.0 - truth) / SAMPLES as f64).sqrt();
+            z_scores.push((estimate - truth) / se);
+        }
+    }
+    assert!(
+        z_scores.len() >= 80 && p_min < 2e-3 && p_max > 0.4,
+        "setup: {} centers spanning p ∈ [{p_min}, {p_max}]",
+        z_scores.len()
+    );
+
+    // N independent z-scores of an unbiased estimator with binomial
+    // variance: the mean has standard error 1/√N and the sample sd
+    // about 1/√(2N). Allow 4 of each.
+    let n = z_scores.len() as f64;
+    let mean = z_scores.iter().sum::<f64>() / n;
+    let sd = (z_scores.iter().map(|z| (z - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt();
+    let (mean_limit, sd_limit) = (4.0 / n.sqrt(), 4.0 / (2.0 * n).sqrt());
+    assert!(
+        mean.abs() <= mean_limit,
+        "biased estimates: mean z {mean} over {n} centers (limit ±{mean_limit})"
+    );
+    assert!(
+        (sd - 1.0).abs() <= sd_limit,
+        "z-score sd {sd} over {n} centers (limit 1 ± {sd_limit})"
+    );
 }
 
 #[test]

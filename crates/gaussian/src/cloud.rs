@@ -39,7 +39,7 @@
 //! uncounted one can sneak in. The `cloud_grid` test suite pins this.
 
 use crate::mvn::Gaussian;
-use crate::sampler::{GaussianSampler, StandardNormal};
+use crate::sampler::Ziggurat;
 use gprq_linalg::{Cholesky, Vector};
 use rand::Rng;
 use std::num::NonZeroUsize;
@@ -107,6 +107,8 @@ impl CloudStats {
 /// evaluator's blockwise early termination relies on. The draw order
 /// itself matches [`GaussianSampler::sample_batch`] bit for bit (pinned
 /// by a proptest).
+///
+/// [`GaussianSampler::sample_batch`]: crate::sampler::GaussianSampler::sample_batch
 #[derive(Debug, Clone)]
 pub struct SampleCloud<const D: usize> {
     coords: [Vec<f64>; D],
@@ -119,28 +121,29 @@ impl<const D: usize> SampleCloud<D> {
     /// The count is a [`NonZeroUsize`], so an empty cloud — which would
     /// turn `0/0` into a silent rejection — is unrepresentable and this
     /// constructor cannot fail or panic.
+    ///
+    /// [`GaussianSampler::sample_batch`]: crate::sampler::GaussianSampler::sample_batch
     pub fn draw<R: Rng + ?Sized>(
         gaussian: &Gaussian<D>,
         n_samples: NonZeroUsize,
         rng: &mut R,
     ) -> Self {
-        let n = n_samples.get();
-        let mut coords: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
-        let mut sampler = GaussianSampler::new(gaussian);
-        for _ in 0..n {
-            let x = sampler.sample(rng);
-            for (col, &v) in coords.iter_mut().zip(x.as_slice()) {
-                col.push(v);
-            }
-        }
+        let mut coords: [Vec<f64>; D] = std::array::from_fn(|_| Vec::new());
+        append_draws::<D, true, R>(
+            &mut coords,
+            gaussian.cholesky(),
+            gaussian.mean(),
+            n_samples.get(),
+            rng,
+        );
         SampleCloud { coords }
     }
 
     /// Draws `n_samples` *mean-free offsets* `w_j = L·z_j` for a
     /// Cholesky factor `L`, in SoA layout (`offsets[d][j]` is coordinate
-    /// `d` of offset `j`). The `z_j` stream comes from one fresh
-    /// [`StandardNormal`] whose Box–Muller spare persists across draws —
-    /// exactly the stream a fresh [`GaussianSampler`] would consume.
+    /// `d` of offset `j`). The `z_j` are the ziggurat stream a fresh
+    /// [`GaussianSampler`] would consume from the same `rng` state; the
+    /// generator keeps no spare, so nothing carries over between draws.
     ///
     /// This is the batch executor's Σ-group cache primitive: queries
     /// sharing a covariance (hence, bitwise, a factor `L`) share one
@@ -150,21 +153,16 @@ impl<const D: usize> SampleCloud<D> {
     /// add of the mean, `from_offsets(mean, draw_offsets(L, n, rng))` is
     /// bitwise identical to [`SampleCloud::draw`] from the same `rng`
     /// state — the parity tests below pin this.
+    ///
+    /// [`GaussianSampler`]: crate::sampler::GaussianSampler
+    /// [`GaussianSampler::sample`]: crate::sampler::GaussianSampler::sample
     pub fn draw_offsets<R: Rng + ?Sized>(
         chol: &Cholesky<D>,
         n_samples: NonZeroUsize,
         rng: &mut R,
     ) -> [Vec<f64>; D] {
-        let n = n_samples.get();
-        let mut offsets: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
-        let mut standard = StandardNormal::new();
-        for _ in 0..n {
-            let z: Vector<D> = standard.sample_vector(rng);
-            let w = chol.apply(&z);
-            for (col, &v) in offsets.iter_mut().zip(w.as_slice()) {
-                col.push(v);
-            }
-        }
+        let mut offsets: [Vec<f64>; D] = std::array::from_fn(|_| Vec::new());
+        append_draws::<D, false, R>(&mut offsets, chol, &Vector::ZERO, n_samples.get(), rng);
         offsets
     }
 
@@ -183,20 +181,22 @@ impl<const D: usize> SampleCloud<D> {
 
     /// Appends `additional` fresh draws from `gaussian`, preserving draw
     /// order — extending to `n` total samples leaves the first ones
-    /// bitwise unchanged, so running prefixes stay valid estimates.
+    /// bitwise unchanged, so running prefixes stay valid estimates. The
+    /// appended samples continue the stream: `draw(n)` then
+    /// `extend(m)` from the same `rng` equals `draw(n + m)` bit for bit.
     pub fn extend<R: Rng + ?Sized>(
         &mut self,
         gaussian: &Gaussian<D>,
         additional: usize,
         rng: &mut R,
     ) {
-        let mut sampler = GaussianSampler::new(gaussian);
-        for _ in 0..additional {
-            let x = sampler.sample(rng);
-            for (col, &v) in self.coords.iter_mut().zip(x.as_slice()) {
-                col.push(v);
-            }
-        }
+        append_draws::<D, true, R>(
+            &mut self.coords,
+            gaussian.cholesky(),
+            gaussian.mean(),
+            additional,
+            rng,
+        );
     }
 
     /// Number of stored samples.
@@ -267,6 +267,88 @@ impl<const D: usize> SampleCloud<D> {
         }
         self.count_within(center, delta) as f64 / self.len() as f64
     }
+}
+
+/// Appends `n` samples to `cols`, one coordinate per column: with
+/// `SHIFT` each is `mean_d + (0.0 + Σ_{k≤d} L_dk·z_k)`, without it the
+/// mean-free offset `0.0 + Σ_{k≤d} L_dk·z_k`. The normals come from the
+/// ziggurat in stream order — normal `j` is `z_{j mod D}` of sample
+/// `j / D`, the order [`crate::sampler::GaussianSampler`] consumes — and
+/// each sum runs in ascending `k` like [`Cholesky::apply`], so every
+/// coordinate is bitwise the sampler's `mean + L.apply(z)`.
+///
+/// The work goes in blocks of [`KERNEL_LANES`] samples: the block's
+/// normals wait in a `D × KERNEL_LANES` stack buffer, each column's
+/// block of the map is summed in independent lanes, and the results are
+/// appended to the column. No `n × D` temporary exists, and the tables
+/// are fetched once per call.
+fn append_draws<const D: usize, const SHIFT: bool, R: Rng + ?Sized>(
+    cols: &mut [Vec<f64>; D],
+    chol: &Cholesky<D>,
+    mean: &Vector<D>,
+    n: usize,
+    rng: &mut R,
+) {
+    let normals = Ziggurat::get();
+    for col in cols.iter_mut() {
+        col.reserve(n);
+    }
+    let rows_of = &chol.lower().0;
+    let mut left = n;
+    while left > 0 {
+        let rows = left.min(KERNEL_LANES);
+        let mut z = [[0.0f64; KERNEL_LANES]; D];
+        for r in 0..rows {
+            for zk in z.iter_mut() {
+                zk[r] = normals.sample(rng);
+            }
+        }
+        for (d, ((col, row), &m)) in cols
+            .iter_mut()
+            .zip(rows_of)
+            .zip(mean.as_slice())
+            .enumerate()
+        {
+            let mut acc = [0.0f64; KERNEL_LANES];
+            for (&l, zk) in row.iter().zip(&z).take(d + 1) {
+                for (a, &v) in acc.iter_mut().zip(zk) {
+                    *a += l * v;
+                }
+            }
+            col.extend(
+                acc.iter()
+                    .take(rows)
+                    .map(|&a| if SHIFT { m + a } else { a }),
+            );
+        }
+        left -= rows;
+    }
+}
+
+/// Per-column `(min, max)` of `col`, each element read as `shift + x`
+/// when `SHIFT`. The reduction runs [`KERNEL_LANES`] independent
+/// `f64::min`/`f64::max` chains and folds them at the end: the minimum
+/// and maximum of a set do not depend on the order it is visited in, so
+/// the result equals one serial chain, without its loop-carried latency.
+fn lane_bounds<const SHIFT: bool>(col: &[f64], shift: f64) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; KERNEL_LANES];
+    let mut hi = [f64::NEG_INFINITY; KERNEL_LANES];
+    let mut reduce = |block: &[f64]| {
+        for ((l, h), &raw) in lo.iter_mut().zip(hi.iter_mut()).zip(block) {
+            let x = if SHIFT { shift + raw } else { raw };
+            *l = l.min(x);
+            *h = h.max(x);
+        }
+    };
+    let mut blocks = col.chunks_exact(KERNEL_LANES);
+    for block in &mut blocks {
+        reduce(block);
+    }
+    reduce(blocks.remainder());
+    (
+        lo.into_iter().fold(f64::INFINITY, f64::min),
+        hi.into_iter().fold(f64::NEG_INFINITY, f64::max),
+    )
 }
 
 /// The SoA distance kernel shared by the linear scan and the grid's
@@ -402,11 +484,8 @@ impl<const D: usize> CloudGrid<D> {
         let uniform_res = uniform_resolution::<D>(cloud.len());
         if uniform_res <= 2 {
             let mut bounds = [(f64::INFINITY, f64::NEG_INFINITY); D];
-            for ((lo, hi), col) in bounds.iter_mut().zip(&cloud.coords) {
-                for &x in col {
-                    *lo = lo.min(x);
-                    *hi = hi.max(x);
-                }
+            for (b, col) in bounds.iter_mut().zip(&cloud.coords) {
+                *b = lane_bounds::<false>(col, 0.0);
             }
             return Self::one_cell(cloud.coords, bounds);
         }
@@ -451,16 +530,7 @@ impl<const D: usize> CloudGrid<D> {
         let mut origin = [0.0f64; D];
         let mut upper = [0.0f64; D];
         for (d, col) in source.iter().enumerate() {
-            let m = shift[d];
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for &raw in col {
-                let x = if SHIFT { m + raw } else { raw };
-                lo = lo.min(x);
-                hi = hi.max(x);
-            }
-            origin[d] = lo;
-            upper[d] = hi;
+            (origin[d], upper[d]) = lane_bounds::<SHIFT>(col, shift[d]);
         }
 
         let mut res = [1usize; D];
@@ -545,15 +615,8 @@ impl<const D: usize> CloudGrid<D> {
                 let Some(seg) = col.get(start..end) else {
                     continue;
                 };
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for &v in seg {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
                 let at = c * D + d;
-                cell_min[at] = lo;
-                cell_max[at] = hi;
+                (cell_min[at], cell_max[at]) = lane_bounds::<false>(seg, 0.0);
             }
         }
 
@@ -569,25 +632,15 @@ impl<const D: usize> CloudGrid<D> {
         }
     }
 
-    /// The one-cell grid over a re-centered offset table, in a single
-    /// pass per column: each re-centered column is copied in draw order
-    /// (what the counting sort produces for one cell) while its bounds
-    /// are reduced.
+    /// The one-cell grid over a re-centered offset table: each
+    /// re-centered column is copied in draw order (what the counting
+    /// sort produces for one cell), then its bounds are reduced.
     fn build_one_cell(offsets: &[Vec<f64>; D], shift: &[f64; D]) -> Self {
         let mut bounds = [(f64::INFINITY, f64::NEG_INFINITY); D];
         let mut cols: [Vec<f64>; D] = std::array::from_fn(|_| Vec::new());
-        for (d, (col, src)) in cols.iter_mut().zip(offsets).enumerate() {
-            let m = shift[d];
-            let (lo, hi) = &mut bounds[d];
-            *col = src
-                .iter()
-                .map(|&raw| {
-                    let x = m + raw;
-                    *lo = lo.min(x);
-                    *hi = hi.max(x);
-                    x
-                })
-                .collect();
+        for (((col, b), src), &m) in cols.iter_mut().zip(&mut bounds).zip(offsets).zip(shift) {
+            *col = src.iter().map(|&raw| m + raw).collect();
+            *b = lane_bounds::<false>(col, 0.0);
         }
         Self::one_cell(cols, bounds)
     }
@@ -837,26 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_preserves_prefix_bitwise() {
-        let g = Gaussian::new(Vector::from([1.0, 2.0]), sigma_paper(2.0)).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        let big = SampleCloud::draw(&g, nz(2_000), &mut rng_a);
-        let mut grown = SampleCloud::draw(&g, nz(512), &mut rng_b);
-        grown.extend(&g, 1_488, &mut rng_b);
-        assert_eq!(grown.len(), 2_000);
-        for d in 0..2 {
-            for i in 0..512 {
-                assert_eq!(
-                    big.columns()[d][i].to_bits(),
-                    grown.columns()[d][i].to_bits(),
-                    "draw-order prefix must be bitwise stable (d={d}, i={i})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn offset_cloud_is_bitwise_identical_to_fresh_draw() {
         // The Σ-group cache contract: re-centering a shared offset table
         // reproduces a fresh per-query draw bit for bit, because the
@@ -886,28 +919,90 @@ mod tests {
         }
     }
 
-    #[test]
-    fn offset_stream_matches_sampler_spare_caching() {
-        // The Box–Muller spare must persist across sample_vector calls
-        // inside draw_offsets exactly as it does inside GaussianSampler;
-        // an odd dimension (D = 3) exercises the carry-over.
-        let mut cov = Matrix::<3>::identity();
-        cov = cov.scale(2.5);
-        let g = Gaussian::new(Vector::from([1.0, 2.0, 3.0]), cov).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(5150);
-        let mut rng_b = StdRng::seed_from_u64(5150);
-        let fresh = SampleCloud::draw(&g, nz(257), &mut rng_a);
-        let offsets = SampleCloud::draw_offsets(g.cholesky(), nz(257), &mut rng_b);
+    /// A correlated `D`-dimensional Gaussian, `Σ_ij = s_i·s_j·0.6^|i−j|`,
+    /// so every entry of the factor's lower triangle is nonzero.
+    fn correlated<const D: usize>() -> Gaussian<D> {
+        let s = |i: usize| 1.0 + 0.25 * i as f64;
+        let cov = Matrix::from_fn(|i, j| s(i) * s(j) * 0.6f64.powi(i.abs_diff(j) as i32));
+        Gaussian::new(Vector::from_fn(|d| 10.0 - 3.0 * d as f64), cov).unwrap()
+    }
+
+    fn assert_columns_bitwise<const D: usize>(a: &[Vec<f64>; D], b: &[Vec<f64>; D], what: &str) {
+        for d in 0..D {
+            assert_eq!(a[d].len(), b[d].len(), "{what}: column {d} length");
+            for (i, (x, y)) in a[d].iter().zip(&b[d]).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: d = {d}, i = {i}");
+            }
+        }
+    }
+
+    fn offsets_equal_draw<const D: usize>() {
+        let g = correlated::<D>();
+        let fresh = SampleCloud::draw(&g, nz(257), &mut StdRng::seed_from_u64(5150));
+        let offsets =
+            SampleCloud::draw_offsets(g.cholesky(), nz(257), &mut StdRng::seed_from_u64(5150));
         let recentered = SampleCloud::from_offsets(g.mean(), &offsets);
-        for d in 0..3 {
-            for i in 0..257 {
+        assert_columns_bitwise(
+            fresh.columns(),
+            recentered.columns(),
+            &format!("offsets, D = {D}"),
+        );
+    }
+
+    #[test]
+    fn offsets_equal_draw_bitwise_in_three_and_nine_dimensions() {
+        // An odd D·n (3 · 257) and a block-straddling n in 9-D.
+        offsets_equal_draw::<3>();
+        offsets_equal_draw::<9>();
+    }
+
+    fn extend_continues_the_stream<const D: usize>() {
+        let g = correlated::<D>();
+        let whole = SampleCloud::draw(&g, nz(300), &mut StdRng::seed_from_u64(31));
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut grown = SampleCloud::draw(&g, nz(77), &mut rng);
+        grown.extend(&g, 100, &mut rng);
+        grown.extend(&g, 123, &mut rng);
+        assert_columns_bitwise(
+            whole.columns(),
+            grown.columns(),
+            &format!("extend, D = {D}"),
+        );
+    }
+
+    #[test]
+    fn draw_then_extend_equals_one_longer_draw() {
+        // 77 · 3 is odd: the boundary where a Box–Muller spare would be
+        // dropped. The ziggurat keeps no spare, so the stream continues.
+        extend_continues_the_stream::<2>();
+        extend_continues_the_stream::<3>();
+        extend_continues_the_stream::<9>();
+    }
+
+    fn column_map_equals_per_sample_apply<const D: usize>() {
+        let g = correlated::<D>();
+        // 75 samples: nine whole blocks of the draw plus a partial one.
+        let cloud = SampleCloud::draw(&g, nz(75), &mut StdRng::seed_from_u64(404));
+        let normals = Ziggurat::get();
+        let mut rng = StdRng::seed_from_u64(404);
+        for i in 0..75 {
+            let z = Vector::<D>::from_fn(|_| normals.sample(&mut rng));
+            let x = *g.mean() + g.cholesky().apply(&z);
+            for d in 0..D {
                 assert_eq!(
-                    fresh.columns()[d][i].to_bits(),
-                    recentered.columns()[d][i].to_bits(),
-                    "spare carry-over diverges (d={d}, i={i})"
+                    cloud.columns()[d][i].to_bits(),
+                    x[d].to_bits(),
+                    "D = {D}, sample {i}, coordinate {d}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn column_wise_map_equals_per_sample_cholesky_apply() {
+        column_map_equals_per_sample_apply::<1>();
+        column_map_equals_per_sample_apply::<2>();
+        column_map_equals_per_sample_apply::<9>();
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!   the paper's BF U-catalog (`ucatalog_lookup(δ, θ)`, §IV-C);
 //! * [`mvn`] — the `N(q, Σ)` density of paper Eq. 1, with Mahalanobis
 //!   forms and log-space normalization;
-//! * [`sampler`] — Box–Muller standard-normal sampling and the Cholesky
-//!   affine transform for `N(q, Σ)` (our substitute for RANDLIB, §V-A);
+//! * [`sampler`] — standard-normal sampling and the Cholesky affine
+//!   transform for `N(q, Σ)` (our substitute for RANDLIB, §V-A). Phase 3
+//!   draws from a 256-layer ziggurat (Marsaglia & Tsang 2000); the
+//!   Box–Muller [`StandardNormal`] is kept only for the fixed datasets
+//!   of `gprq-workloads` and the uniform-ball comparator;
 //! * [`integrate`] — the qualification-probability integrators: the
 //!   paper's importance-sampling Monte Carlo, a uniform-ball Monte Carlo
 //!   comparator, a 2-D Gauss–Legendre quadrature reference, and the

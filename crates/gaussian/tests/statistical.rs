@@ -1,10 +1,13 @@
 //! Statistical validation of the sampling and integration machinery:
-//! goodness-of-fit of the Box–Muller generator, distributional checks of
-//! the Cholesky-transformed sampler, and unbiasedness / convergence-rate
-//! checks of the Monte-Carlo integrators.
+//! goodness-of-fit of both normal generators — the ziggurat that serves
+//! Phase 3 and the Box–Muller `StandardNormal` that builds the fixed
+//! datasets — distributional checks of the Cholesky-transformed
+//! sampler, and unbiasedness / convergence-rate checks of the
+//! Monte-Carlo integrators.
 //!
 //! All tests are seeded and use generous significance margins so they are
-//! deterministic in CI.
+//! deterministic in CI. The million-draw tests live here rather than in
+//! the library's unit tests, which the Miri lane interprets.
 
 use gprq_gaussian::chi::chi_squared_cdf;
 use gprq_gaussian::integrate::{
@@ -16,9 +19,10 @@ use gprq_linalg::{Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Pearson chi-square statistic over equiprobable normal buckets.
-fn chi_square_normal_fit(samples: &[f64], buckets: usize) -> f64 {
-    // Bucket boundaries at normal quantiles.
+/// Asserts a Pearson chi-square fit of `samples` to `N(0, 1)` over 64
+/// equiprobable buckets (boundaries at normal quantiles).
+fn assert_normal_chi_square_fit(samples: &[f64]) {
+    let buckets = 64;
     let mut counts = vec![0usize; buckets];
     for &x in samples {
         let u = std_normal_cdf(x);
@@ -26,23 +30,13 @@ fn chi_square_normal_fit(samples: &[f64], buckets: usize) -> f64 {
         counts[b] += 1;
     }
     let expected = samples.len() as f64 / buckets as f64;
-    counts
+    let stat: f64 = counts
         .iter()
         .map(|&c| {
             let d = c as f64 - expected;
             d * d / expected
         })
-        .sum()
-}
-
-#[test]
-fn box_muller_goodness_of_fit() {
-    let mut rng = StdRng::seed_from_u64(20260706);
-    let mut sn = StandardNormal::new();
-    let n = 100_000;
-    let samples: Vec<f64> = (0..n).map(|_| sn.sample(&mut rng)).collect();
-    let buckets = 64;
-    let stat = chi_square_normal_fit(&samples, buckets);
+        .sum();
     // χ²(63) has mean 63, std ≈ 11.2; 5σ margin keeps this deterministic
     // while still catching any real distributional defect.
     let dof = (buckets - 1) as f64;
@@ -53,6 +47,66 @@ fn box_muller_goodness_of_fit() {
     // And it should not be suspiciously *small* either (over-uniformity
     // would indicate a broken bucket mapping).
     assert!(stat > dof - 5.0 * (2.0 * dof).sqrt());
+}
+
+#[test]
+fn box_muller_goodness_of_fit() {
+    let mut rng = StdRng::seed_from_u64(20260706);
+    let mut sn = StandardNormal::new();
+    let samples: Vec<f64> = (0..100_000).map(|_| sn.sample(&mut rng)).collect();
+    assert_normal_chi_square_fit(&samples);
+}
+
+/// `n` raw ziggurat normals: `GaussianSampler` over `N(0, 1)` in one
+/// dimension returns `0 + (0.0 + 1·z) = z` exactly.
+fn ziggurat_normals(n: usize, seed: u64) -> Vec<f64> {
+    let g = Gaussian::<1>::standard();
+    let mut sampler = GaussianSampler::new(&g);
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).map(|_| sampler.sample(&mut rng)[0]).collect()
+}
+
+#[test]
+fn ziggurat_goodness_of_fit() {
+    assert_normal_chi_square_fit(&ziggurat_normals(1_000_000, 20261017));
+}
+
+#[test]
+fn ziggurat_kolmogorov_smirnov() {
+    let mut samples = ziggurat_normals(1_000_000, 4242);
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len() as f64;
+    let mut d_stat = 0.0f64;
+    for (i, &x) in samples.iter().enumerate() {
+        let cdf = std_normal_cdf(x);
+        d_stat = d_stat.max((i + 1) as f64 / n - cdf).max(cdf - i as f64 / n);
+    }
+    // 1 % critical value of the KS statistic: 1.628 / √n ≈ 1.63·10⁻³.
+    let critical = 1.628 / n.sqrt();
+    assert!(d_stat < critical, "KS D = {d_stat}, critical {critical}");
+}
+
+#[test]
+fn ziggurat_tails_match_the_normal_on_both_sides() {
+    // Masses beyond ±3, beyond the ziggurat's tail edge R ≈ ±3.654 (the
+    // exponential tail method), and beyond ±4, each side on its own,
+    // against the binomial expectation with a 4σ band.
+    let n = 4_000_000usize;
+    let samples = ziggurat_normals(n, 77);
+    for edge in [3.0, 3.654_152_885_361_009, 4.0] {
+        let p = 1.0 - std_normal_cdf(edge);
+        let expect = n as f64 * p;
+        let sd = (n as f64 * p * (1.0 - p)).sqrt();
+        let above = samples.iter().filter(|&&x| x > edge).count() as f64;
+        let below = samples.iter().filter(|&&x| x < -edge).count() as f64;
+        for (side, count) in [("upper", above), ("lower", below)] {
+            assert!(
+                (count - expect).abs() < 4.0 * sd,
+                "{side} tail beyond {edge}: {count} draws, expected {expect:.1} ± {sd:.1}"
+            );
+        }
+    }
+    assert!(samples.iter().all(|x| x.is_finite()));
 }
 
 #[test]
