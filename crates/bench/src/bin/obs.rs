@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use gprq_bench::guard::{Bound, Guard};
+use gprq_bench::guard::Guard;
 use gprq_bench::{road_tree, Args};
 use gprq_core::{MonteCarloEvaluator, PipelineMetrics, PrqExecutor, PrqQuery, StrategySet};
 use gprq_workloads::{eq34_covariance, random_query_centers};
@@ -36,7 +36,7 @@ const GUARD: Guard = Guard {
     bench: "obs",
     schema: SCHEMA,
     metric: "overhead_ratio",
-    bound: Bound::AtMost(BUDGET),
+    budget: BUDGET,
 };
 
 fn main() {

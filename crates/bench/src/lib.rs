@@ -91,51 +91,16 @@ pub fn corel_tree(n: usize, seed: u64) -> (RTree<9, u32>, Vec<Vector<9>>) {
     (tree, pts)
 }
 
-/// Shared plumbing for the bench **guard** binaries (`obs`, `phase1`):
-/// each records its headline metric in a hand-rolled JSON file and
-/// enforces a bound on it — on the live run *and* against the committed
-/// file via `--check` (CI's stale gate). The guards differ only in which
-/// way the bound points (a speedup floor vs an overhead ceiling) and
-/// which JSON key carries the metric; everything else — schema gate,
-/// mini JSON parser, file write — lives here once.
+/// Plumbing for the bench **guard** binary `obs`: it records its
+/// headline metric in a hand-rolled JSON file and enforces a budget on
+/// it — on the live run *and* against the committed file via `--check`
+/// (CI's stale gate). The schema gate, mini JSON parser and file write
+/// live here.
 pub mod guard {
     use std::io::Write as _;
 
-    /// Which way a guarded metric must point.
-    #[derive(Debug, Clone, Copy)]
-    pub enum Bound {
-        /// The metric must be at least this (a speedup / QPS floor).
-        AtLeast(f64),
-        /// The metric must be at most this (an overhead ceiling).
-        AtMost(f64),
-    }
-
-    impl Bound {
-        /// Does `value` satisfy the bound?
-        pub fn admits(self, value: f64) -> bool {
-            match self {
-                Bound::AtLeast(floor) => value >= floor,
-                Bound::AtMost(ceiling) => value <= ceiling,
-            }
-        }
-
-        /// The threshold the bound compares against.
-        pub fn threshold(self) -> f64 {
-            match self {
-                Bound::AtLeast(v) | Bound::AtMost(v) => v,
-            }
-        }
-
-        fn describe(self) -> &'static str {
-            match self {
-                Bound::AtLeast(_) => "floor",
-                Bound::AtMost(_) => "budget",
-            }
-        }
-    }
-
     /// One bench's guarded metric: the JSON key it is recorded under,
-    /// the schema version of the file, and the bound enforced on it.
+    /// the schema version of the file, and the budget enforced on it.
     #[derive(Debug, Clone, Copy)]
     pub struct Guard {
         /// Bench name, for messages.
@@ -145,8 +110,8 @@ pub mod guard {
         pub schema: u64,
         /// JSON key (unquoted) holding the guarded metric.
         pub metric: &'static str,
-        /// The pass condition.
-        pub bound: Bound,
+        /// The largest value the metric may take (an overhead ceiling).
+        pub budget: f64,
     }
 
     impl Guard {
@@ -155,15 +120,14 @@ pub mod guard {
         ///
         /// # Panics
         ///
-        /// When the bound is violated; that is the guard firing.
+        /// When the budget is exceeded; that is the guard firing.
         pub fn enforce(&self, value: f64) {
             assert!(
-                self.bound.admits(value),
-                "{} bench violated its {}: {} = {value:.4} vs {:.4}",
+                value <= self.budget,
+                "{} bench violated its budget: {} = {value:.4} vs {:.4}",
                 self.bench,
-                self.bound.describe(),
                 self.metric,
-                self.bound.threshold(),
+                self.budget,
             );
         }
 
@@ -192,18 +156,14 @@ pub mod guard {
             let value = extract_number(&text, self.metric)
                 .unwrap_or_else(|| panic!("{path} lacks {} — regenerate", self.metric));
             assert!(
-                self.bound.admits(value),
-                "{path} records {} = {value} outside the {} {:.4}",
+                value <= self.budget,
+                "{path} records {} = {value} outside the budget {:.4}",
                 self.metric,
-                self.bound.describe(),
-                self.bound.threshold(),
+                self.budget,
             );
             println!(
-                "{path}: schema {}, {} = {value} within the {} {:.4}",
-                self.schema,
-                self.metric,
-                self.bound.describe(),
-                self.bound.threshold(),
+                "{path}: schema {}, {} = {value} within the budget {:.4}",
+                self.schema, self.metric, self.budget,
             );
         }
 
@@ -295,11 +255,7 @@ mod tests {
 
     #[test]
     fn guard_bounds_and_parser() {
-        use guard::{extract_number, Bound, Guard};
-        assert!(Bound::AtLeast(2.0).admits(2.0));
-        assert!(!Bound::AtLeast(2.0).admits(1.999));
-        assert!(Bound::AtMost(1.03).admits(1.03));
-        assert!(!Bound::AtMost(1.03).admits(1.04));
+        use guard::{extract_number, Guard};
 
         let json = "{\n  \"schema\": 1,\n  \"qps_ratio\": 3.25,\n  \"neg\": -1.5e-3\n}\n";
         assert_eq!(extract_number(json, "schema"), Some(1.0));
@@ -312,9 +268,11 @@ mod tests {
             bench: "unit",
             schema: 1,
             metric: "qps_ratio",
-            bound: Bound::AtLeast(2.0),
+            budget: 3.25,
         };
         g.enforce(3.25);
+        let over = std::panic::catch_unwind(|| g.enforce(3.26));
+        assert!(over.is_err(), "a value over the budget must fire the guard");
         let path =
             std::env::temp_dir().join(format!("guard_unit_test_{}.json", std::process::id()));
         let path = path.to_str().expect("UTF-8 temp path");

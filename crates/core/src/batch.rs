@@ -1,21 +1,14 @@
-//! Batched query execution: N queries planned and run as **one unit**.
+//! Batched query execution: N queries planned together, each run
+//! through the solo pipeline, sharing one offset table per Σ-group.
 //!
-//! The batch engine amortizes the three pipeline phases across queries
-//! without changing a single answer bit:
-//!
-//! 1. **Fused Phase 1** — all Phase-1 rectangles descend the R\*-tree in
-//!    one multi-rectangle traversal ([`Phase1Index::search_rects_into`]),
-//!    probes sorted by rectangle origin so near-identical queries share
-//!    node visits. Per-query candidates *and* [`SearchStats`] are
-//!    bitwise identical to N solo descents (pinned by the rtree parity
-//!    suite).
-//! 2. **Fused Phase 2** — each query's candidates run through the same
-//!    `PreparedQuery::filter_candidates` loop the solo executor uses.
-//! 3. **Fused Phase 3** — queries sharing a covariance Σ share one
-//!    mean-free offset table `w_j = L·z_j` from the [`SigmaFactorCache`]
-//!    (the normal draws and the Cholesky map happen once per Σ-group),
-//!    and the whole batch's `(query, candidate)` work is flattened
-//!    across the [`ParallelIntegrator`] worker pool.
+//! [`QueryBatch::execute`] plans every query (a planning error fails the
+//! batch), then runs each through the pipeline of
+//! [`PrqExecutor::execute`]. The proposal `N(q, Σ)` of the paper's
+//! Phase 3 depends on `Σ` alone (§V-A), so queries whose covariance
+//! matrices are bitwise equal form a **Σ-group** and share one mean-free
+//! offset table `w_j = L·z_j`: drawn at the group's first integration,
+//! kept for one `execute` call, re-centered on each member's mean. The
+//! queries run in index order on the calling thread.
 //!
 //! # The parity contract
 //!
@@ -25,32 +18,22 @@
 //!
 //! ```ignore
 //! PrqExecutor::execute(tree, q, &mut MonteCarloEvaluator::new(
-//!     integrator.samples,
-//!     cloud_seed(integrator.seed, q.gaussian()),
+//!     samples,
+//!     cloud_seed(seed, q.gaussian()),
 //! ))
 //! ```
 //!
 //! run — every counter except `phase3_samples`, which counts samples
-//! *drawn*: a Σ-cache hit re-centers a cached table and draws nothing.
-//! A query whose work list is empty consults no cache and builds no
-//! grid, just as the solo evaluator draws only at its first
-//! integration: on such a query `cloud_builds` and `phase3_samples` are
-//! 0 in both runs. This holds by construction, not by accident:
-//!
-//! * the per-query cloud seed ([`cloud_seed`]) mixes the base seed with
-//!   the covariance bits only — so two same-Σ queries map to the same
-//!   seed, hence the same `z`-stream, whether drawn fresh (solo) or once
-//!   (cached offsets);
-//! * [`GaussianSampler::sample`] materializes `L·z` *before* the single
-//!   component-wise mean add, and a cloud's column-wise draw sums each
-//!   coordinate in that same order, so re-centering a cached offset
-//!   column is the same float operation sequence as a fresh draw
-//!   (`SampleCloud::from_offsets` parity tests);
-//! * grid probes are pure functions of (grid, candidate, δ), and the
-//!   flattened worker partition never splits a sample stream;
-//! * each query's fused probabilities are then replayed through the
-//!   executor's one Phase-3 stage, which classifies and flushes them
-//!   exactly as it does a solo query's.
+//! *drawn*: only the group's first integrating query draws the table. A
+//! query whose work list is empty touches no table, as the solo
+//! evaluator draws only at its first integration. This holds by
+//! construction: both runs are one pipeline with different evaluators;
+//! the per-query cloud seed ([`cloud_seed`]) mixes the base seed with the
+//! covariance bits only, so same-Σ queries share one `z`-stream; and
+//! [`GaussianSampler::sample`] materializes `L·z` *before* the single
+//! component-wise mean add, as a cloud's column-wise draw does, so
+//! re-centering a table is the same float operation sequence as a fresh
+//! draw (`SampleCloud::from_offsets` parity tests).
 //!
 //! Estimator caveat (same as the PR-5 shared cloud, one level up):
 //! same-Σ queries share one sample cloud, so their Monte-Carlo errors
@@ -60,39 +43,27 @@
 //! # Fault degradation
 //!
 //! Under the `fault-inject` feature, `QueryBatch::execute_with_faults`
-//! consults `FaultSite::BatchAbort` once per query: a tripped query is
-//! dropped from the fused Phase-3 pass and recovered by running the
-//! Phase-3 stage with a `MonteCarloEvaluator` on the same derived cloud
-//! seed — its answers are
-//! bitwise identical, only its wall-clock differs — and is reported with
+//! consults `FaultSite::BatchAbort` once per query, in index order, just
+//! before that query runs. A tripped query runs the same pipeline with a
+//! fresh `MonteCarloEvaluator` on the same seed — bitwise-identical
+//! answers, no table lookup — and is reported with
 //! [`BatchOutcome::recovered`] set plus a `prq_batch_aborts_total` tick.
 //! Unaffected queries never see the fault.
 //!
 //! [`GaussianSampler::sample`]: gprq_gaussian::sampler::GaussianSampler::sample
-//! [`SearchStats`]: gprq_rtree::SearchStats
 
 use crate::error::PrqError;
 use crate::evaluator::{EvalFailure, EvalReport, MonteCarloEvaluator, ProbabilityEvaluator};
-use crate::executor::{EvalBudget, Phase3, PrqExecutor, PrqOutcome, QueryStats};
-use crate::ext::parallel::{BatchPhase3Item, ParallelIntegrator};
-use crate::metrics::Phase;
+use crate::executor::{EvalBudget, Phase3, PrqExecutor, QueryScratch, QueryStats};
+use crate::ext::parallel::ParallelIntegrator;
 use crate::query::PrqQuery;
 use gprq_gaussian::cloud::{CloudGrid, CloudStats, SampleCloud};
 use gprq_gaussian::Gaussian;
 use gprq_linalg::Vector;
-use gprq_rtree::{Phase1Index, Rect, SearchStats};
+use gprq_rtree::Phase1Index;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Ordering;
 use std::num::NonZeroUsize;
-use std::time::{Duration, Instant};
-
-/// Default Σ-group cache capacity (offset tables retained across
-/// batches). A table holds `integrator.samples × D` doubles
-/// (samples × D × 8 B); at the 100 000 samples every bench and e2e path
-/// uses, a full cache of 32 tables is ≈ 51 MB at D = 2 and ≈ 230 MB at
-/// D = 9. Realistic workloads (a handful of sensor models) never evict.
-const DEFAULT_CACHE_CAPACITY: usize = 32;
 
 /// Splitmix64 finalizer — the same mixer the fault planner uses, so
 /// seed streams stay decorrelated.
@@ -106,144 +77,56 @@ fn splitmix(mut z: u64) -> u64 {
 /// The per-query cloud seed: `base_seed` mixed with the bit patterns of
 /// the covariance matrix — and **only** the covariance. The mean must
 /// not enter: two queries sharing Σ must map to the same seed so the
-/// cached offset table reproduces, bitwise, the cloud a solo
+/// shared offset table reproduces, bitwise, the cloud a solo
 /// `MonteCarloEvaluator` seeded with this value would draw.
 ///
 /// Consequence (documented, deliberate): same-Σ queries share one
 /// `z`-stream, so their Monte-Carlo errors are correlated *across
 /// queries* — the batch-level analogue of the PR-5 shared-cloud caveat.
 pub fn cloud_seed<const D: usize>(base_seed: u64, gaussian: &Gaussian<D>) -> u64 {
+    let start = base_seed ^ 0x9E37_79B9_7F4A_7C15;
+    sigma_bits(gaussian)
+        .into_iter()
+        .fold(start, |state, bits| splitmix(state ^ bits))
+}
+
+/// The covariance's bit patterns, row-major: what [`cloud_seed`] mixes
+/// and what Σ-groups compare.
+fn sigma_bits<const D: usize>(gaussian: &Gaussian<D>) -> Vec<u64> {
     let cov = gaussian.covariance();
-    let mut state = base_seed ^ 0x9E37_79B9_7F4A_7C15;
+    let mut bits = Vec::with_capacity(D * D);
     for r in 0..D {
         for c in 0..D {
-            state = splitmix(state ^ cov[(r, c)].to_bits());
+            bits.push(cov[(r, c)].to_bits());
         }
     }
-    state
+    bits
 }
 
-/// One cached Σ-group: the key (covariance bits, sample count, seed)
-/// and the mean-free offset table drawn from it.
+/// A [`QueryBatch`]'s Σ-group table counters over all its `execute`
+/// calls: how many integrating queries re-centered their group's offset
+/// table (hits) and how many drew it (misses, one per group that
+/// integrates). The tables themselves live for one call.
 #[derive(Debug)]
-struct CacheEntry<const D: usize> {
-    sigma_bits: Vec<u64>,
-    samples: usize,
-    seed: u64,
-    offsets: [Vec<f64>; D],
-}
-
-/// A keyed cache of mean-free sample-offset tables (`w_j = L·z_j`),
-/// shared by every query whose covariance matches bitwise.
-///
-/// Keying on the covariance *bits* (plus sample budget and seed) is
-/// exact: identical Σ bits give an identical Cholesky factor (the
-/// factorization is deterministic), hence an identical offset table.
-/// Eviction is FIFO and fully deterministic; a re-draw after eviction
-/// reproduces the evicted table bitwise (same seed, same ziggurat
-/// stream: the generator keeps no state between draws), so cache
-/// capacity can never change an answer — only how often the draw is
-/// repeated.
-#[derive(Debug)]
-pub struct SigmaFactorCache<const D: usize> {
-    capacity: usize,
-    entries: Vec<CacheEntry<D>>,
+pub struct SigmaFactorCache {
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
-impl<const D: usize> SigmaFactorCache<D> {
-    /// Creates a cache holding at most `capacity` offset tables
-    /// (floored to 1 — a zero-capacity cache would still need one live
-    /// table to serve the current query).
-    pub fn new(capacity: usize) -> Self {
-        SigmaFactorCache {
-            capacity: capacity.max(1),
-            entries: Vec::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Cached tables currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no table is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Lookups served from a cached table.
+impl SigmaFactorCache {
+    /// Integrating queries that re-centered their group's table.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Lookups that had to draw a fresh table.
+    /// Integrating queries that drew their group's table.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Tables evicted by the FIFO policy.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Returns the index of the offset table for `(Σ, samples, seed)`,
-    /// drawing (and possibly evicting, FIFO) on a miss. The `bool` is
-    /// `true` on a hit. The index is only valid until the next
-    /// `get_or_draw` call — use it immediately via
-    /// [`SigmaFactorCache::offsets`].
-    fn get_or_draw(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        samples: NonZeroUsize,
-        seed: u64,
-    ) -> (usize, bool) {
-        let cov = gaussian.covariance();
-        let mut sigma_bits = Vec::with_capacity(D * D);
-        for r in 0..D {
-            for c in 0..D {
-                sigma_bits.push(cov[(r, c)].to_bits());
-            }
-        }
-        let n = samples.get();
-        if let Some(idx) = self
-            .entries
-            .iter()
-            .position(|e| e.sigma_bits == sigma_bits && e.samples == n && e.seed == seed)
-        {
-            self.hits += 1;
-            return (idx, true);
-        }
-        self.misses += 1;
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-            self.evictions += 1;
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let offsets = SampleCloud::draw_offsets(gaussian.cholesky(), samples, &mut rng);
-        self.entries.push(CacheEntry {
-            sigma_bits,
-            samples: n,
-            seed,
-            offsets,
-        });
-        (self.entries.len() - 1, false)
-    }
-
-    /// The offset table at `idx` (an index just returned by
-    /// `get_or_draw`).
-    fn offsets(&self, idx: usize) -> &[Vec<f64>; D] {
-        &self.entries[idx].offsets
     }
 }
 
 /// Result of one query inside a batch — the batch analogue of
-/// [`PrqOutcome`], extended with the Phase-3 work
+/// [`PrqOutcome`](crate::PrqOutcome), extended with the Phase-3 work
 /// list and its probabilities so callers (and the parity suite) can see
 /// exactly what was integrated.
 #[derive(Debug)]
@@ -259,20 +142,20 @@ pub struct BatchOutcome<'t, const D: usize, T> {
     /// `integrated[i]`.
     pub probabilities: Vec<f64>,
     /// Execution statistics. Integer counters match the solo run
-    /// bitwise; phase times are the fused phase's wall-clock divided
-    /// evenly across the batch (per-query attribution of shared work).
+    /// bitwise; phase times are measured for this query.
     pub stats: QueryStats,
-    /// `true` when this query was dropped from the fused Phase-3 pass
-    /// by a `FaultSite::BatchAbort` fault (`fault-inject`) and recovered
-    /// through the solo re-run path (same seed — same answers).
+    /// `true` when a `FaultSite::BatchAbort` fault (`fault-inject`) hit
+    /// this query and it ran with a fresh evaluator instead of its
+    /// group's table (same seed — same answers).
     pub recovered: bool,
 }
 
-/// A batch execution engine: plans N queries and runs them as one unit
-/// over a [`Phase1Index`], a [`ParallelIntegrator`], and a
-/// [`SigmaFactorCache`], flushing per-query [`QueryStats`] into the
-/// executor's [`PipelineMetrics`](crate::PipelineMetrics) exactly once
-/// each (plus one `record_batch` per call).
+/// A batch execution engine: plans N queries, then runs each through the
+/// solo pipeline over a [`Phase1Index`], sharing one offset table per
+/// Σ-group (see the module docs). Every query flushes its
+/// [`QueryStats`] into the executor's
+/// [`PipelineMetrics`](crate::PipelineMetrics) exactly once, plus one
+/// `record_batch` per call.
 ///
 /// ```
 /// use gprq_core::ext::parallel::ParallelIntegrator;
@@ -306,32 +189,24 @@ pub struct BatchOutcome<'t, const D: usize, T> {
 pub struct QueryBatch<'c, const D: usize> {
     executor: PrqExecutor<'c>,
     integrator: ParallelIntegrator,
-    cache: SigmaFactorCache<D>,
+    cache: SigmaFactorCache,
 }
 
 impl<'c, const D: usize> QueryBatch<'c, D> {
-    /// Creates a batch engine with the default Σ-cache capacity.
+    /// Creates a batch engine.
     ///
-    /// The integrator's `samples`/`seed` define the sequential baseline
-    /// the batch is parity-checked against (see the module docs); its
-    /// `threads` only changes wall-clock, never bits.
+    /// The integrator's samples and seed define the sequential baseline
+    /// the batch is parity-checked against (see the module docs).
     pub fn new(executor: PrqExecutor<'c>, integrator: ParallelIntegrator) -> Self {
         QueryBatch {
             executor,
             integrator,
-            cache: SigmaFactorCache::new(DEFAULT_CACHE_CAPACITY),
+            cache: SigmaFactorCache { hits: 0, misses: 0 },
         }
     }
 
-    /// Overrides the Σ-cache capacity (floored to 1). Capacity affects
-    /// only how often offset tables are re-drawn — never any answer.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = SigmaFactorCache::new(capacity);
-        self
-    }
-
-    /// The Σ-group cache (hit/miss/eviction observability).
-    pub fn cache(&self) -> &SigmaFactorCache<D> {
+    /// The Σ-group table counters (hits and misses).
+    pub fn cache(&self) -> &SigmaFactorCache {
         &self.cache
     }
 
@@ -366,11 +241,10 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
 
     /// [`QueryBatch::execute`] consulting `plan` at the
     /// [`FaultSite::BatchAbort`](crate::fault::FaultSite::BatchAbort)
-    /// site once per query, in index order: tripped queries are dropped
-    /// from the fused Phase-3 pass and recovered through the solo
-    /// re-run path (same seed, bitwise-identical answers,
-    /// [`BatchOutcome::recovered`] set). Untripped queries are
-    /// unaffected.
+    /// site once per query, in index order, just before the query runs:
+    /// tripped queries run with a fresh evaluator on the same seed
+    /// (bitwise-identical answers, [`BatchOutcome::recovered`] set).
+    /// Untripped queries are unaffected.
     ///
     /// # Errors
     ///
@@ -391,10 +265,10 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         })
     }
 
-    /// The batch pipeline. `should_abort` is polled once per query, in
-    /// index order, between Phase 2 and Phase 3 — the single
-    /// fault-injection point — so fault scheduling never perturbs any
-    /// seed stream.
+    /// The batch: plan every query, then run them in index order on the
+    /// calling thread, polling `should_abort` once just before each — the
+    /// single fault-injection point, so fault scheduling never perturbs
+    /// any seed stream — and count hits and misses from the outcomes.
     fn run<'t, T, I>(
         &mut self,
         tree: &'t I,
@@ -404,225 +278,126 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
     where
         I: Phase1Index<D, T>,
     {
-        let n = queries.len();
-        if n == 0 {
+        if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let metrics = self.executor.metrics();
-        let share = |total: Duration| total / u32::try_from(n).unwrap_or(u32::MAX);
-
         let plans = queries
             .iter()
             .map(|q| self.executor.plan(q))
             .collect::<Result<Vec<_>, _>>()?;
-
-        // --- Fused Phase 1: one multi-rectangle descent. ---------------
-        let span1 = metrics.map(|m| m.phase_span(Phase::Search));
-        let t0 = Instant::now();
-        let mut probes: Vec<(usize, Rect<D>)> = Vec::with_capacity(n);
-        for (q, plan) in plans.iter().enumerate() {
-            if let Some(rect) = plan.search_rect(&queries[q]) {
-                probes.push((q, rect));
-            }
-        }
-        // Sort probes by rectangle origin (lexicographic, total order)
-        // so overlapping queries sit adjacently in the active set during
-        // the shared descent; index tie-break keeps the order total and
-        // deterministic. Per-query results are order-independent.
-        probes.sort_by(|(qa, ra), (qb, rb)| {
-            for d in 0..D {
-                match ra.lo[d].total_cmp(&rb.lo[d]) {
-                    Ordering::Equal => {}
-                    other => return other,
+        let (ex, samples) = (&self.executor, self.integrator.samples);
+        let metrics = ex.metrics();
+        let scratch = &mut QueryScratch::new();
+        let stage = &mut Phase3::new(EvalBudget::paper_default(), metrics);
+        let mut groups = Vec::new();
+        let mut outcomes = Vec::with_capacity(queries.len());
+        for (query, plan) in queries.iter().zip(&plans) {
+            let seed = cloud_seed(self.integrator.seed, query.gaussian());
+            let recovered = should_abort();
+            let mut probabilities = Vec::new();
+            let estimates = Some(&mut probabilities);
+            let out = if recovered {
+                if let Some(m) = metrics {
+                    m.record_batch_abort();
                 }
-            }
-            qa.cmp(qb)
-        });
-        let probe_rects: Vec<Rect<D>> = probes.iter().map(|&(_, r)| r).collect();
-        let mut probe_stats = vec![SearchStats::default(); probes.len()];
-        let mut probe_out: Vec<Vec<(&'t Vector<D>, &'t T)>> = vec![Vec::new(); probes.len()];
-        tree.search_rects_into(&probe_rects, &mut probe_stats, &mut probe_out);
-
-        let mut stats = vec![QueryStats::default(); n];
-        let mut candidates: Vec<Vec<(&'t Vector<D>, &'t T)>> = (0..n).map(|_| Vec::new()).collect();
-        for (slot, &(q, _)) in probes.iter().enumerate() {
-            stats[q].absorb_search(&probe_stats[slot]);
-            candidates[q] = std::mem::take(&mut probe_out[slot]);
-        }
-        let phase1_each = share(t0.elapsed());
-        for (st, cand) in stats.iter_mut().zip(&candidates) {
-            st.phase1_candidates = cand.len();
-            st.phase1_time = phase1_each;
-        }
-        if let Some(span) = span1 {
-            span.finish();
-        }
-
-        // --- Fused Phase 2: the solo filter loop, per query. -----------
-        let span2 = metrics.map(|m| m.phase_span(Phase::Filter));
-        let t1 = Instant::now();
-        let mut answers: Vec<Vec<(&'t Vector<D>, &'t T)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut work: Vec<Vec<(&'t Vector<D>, &'t T)>> = (0..n).map(|_| Vec::new()).collect();
-        for q in 0..n {
-            plans[q].filter_candidates(
-                &queries[q],
-                &candidates[q],
-                &mut stats[q],
-                &mut answers[q],
-                &mut work[q],
-            );
-        }
-        let phase2_each = share(t1.elapsed());
-        for st in &mut stats {
-            st.phase2_time = phase2_each;
-        }
-        if let Some(span) = span2 {
-            span.finish();
-        }
-
-        // --- Fault gate: one poll per query, in index order. -----------
-        let aborted: Vec<bool> = (0..n).map(|_| should_abort()).collect();
-
-        // --- Fused Phase 3: Σ-grouped clouds, flattened fan-out. -------
-        let span3 = metrics.map(|m| m.phase_span(Phase::Integrate));
-        let t2 = Instant::now();
-        let budget = NonZeroUsize::new(self.integrator.samples).unwrap_or(NonZeroUsize::MIN);
-        // Only queries with work consult the cache and build a grid: the
-        // solo evaluator draws on its first integration, so a query with
-        // an empty work list draws nothing there either.
-        let live: Vec<usize> = (0..n)
-            .filter(|&q| !aborted[q] && !work[q].is_empty())
-            .collect();
-        let mut batch_hits = 0usize;
-        let mut batch_misses = 0usize;
-        let mut grids: Vec<CloudGrid<D>> = Vec::with_capacity(live.len());
-        let mut drawn: Vec<usize> = Vec::with_capacity(live.len());
-        for &q in &live {
-            let gaussian = queries[q].gaussian();
-            let seed = cloud_seed(self.integrator.seed, gaussian);
-            let (idx, hit) = self.cache.get_or_draw(gaussian, budget, seed);
-            if hit {
-                batch_hits += 1;
-                drawn.push(0);
+                let mut solo = MonteCarloEvaluator::new(samples.get(), seed);
+                ex.run(tree, query, plan, &mut solo, scratch, stage, estimates)
             } else {
-                batch_misses += 1;
-                drawn.push(budget.get());
-            }
-            grids.push(CloudGrid::build_recentered(
-                gaussian.mean(),
-                self.cache.offsets(idx),
-            ));
-        }
-        let centers: Vec<Vec<Vector<D>>> = live
-            .iter()
-            .map(|&q| work[q].iter().map(|&(p, _)| *p).collect())
-            .collect();
-        let items: Vec<BatchPhase3Item<'_, D>> = live
-            .iter()
-            .enumerate()
-            .map(|(slot, &q)| BatchPhase3Item {
-                grid: &grids[slot],
-                candidates: &centers[slot],
-                delta: queries[q].delta(),
-            })
-            .collect();
-        let (probs, cloud_stats) = self.integrator.batch_probabilities(&items, metrics);
-        drop(items);
-        // Queries without work replay nothing and draw nothing.
-        let mut fused: Vec<Option<Replay>> = aborted
-            .iter()
-            .map(|&abort| {
-                (!abort).then(|| Replay {
-                    probabilities: Vec::new().into_iter(),
-                    samples: budget.get(),
-                    cloud: CloudStats::default(),
-                })
-            })
-            .collect();
-        for ((&q, samples_drawn), (probabilities, cloud)) in live
-            .iter()
-            .zip(drawn)
-            .zip(probs.into_iter().zip(cloud_stats))
-        {
-            fused[q] = Some(Replay {
-                probabilities: probabilities.into_iter(),
-                samples: budget.get(),
-                // The solo evaluator counts one grid build (and its
-                // draw) at its first integration; attribute the
-                // possibly cached build here.
-                cloud: CloudStats {
-                    builds: 1,
-                    samples_drawn,
-                    ..cloud
-                },
-            });
-        }
-
-        // --- Classify and flush: once per query, in index order. -------
-        // Fused queries replay their probabilities through the Phase-3
-        // stage; aborted ones run it solo on the same derived seed.
-        let mut stage = Phase3::new(EvalBudget::paper_default(), metrics);
-        let mut outcomes = Vec::with_capacity(n);
-        for (q, ((st, ans), intg)) in stats.into_iter().zip(answers).zip(work).enumerate() {
-            let mut out = PrqOutcome::new(st);
-            out.answers = ans;
-            let mut probabilities = Vec::with_capacity(intg.len());
-            let query = &queries[q];
-            match fused[q].take() {
-                Some(mut replay) => {
-                    stage.run(
-                        query,
-                        &intg,
-                        &mut replay,
-                        &mut out,
-                        Some(&mut probabilities),
-                    );
-                }
-                None => {
-                    if let Some(m) = metrics {
-                        m.record_batch_abort();
-                    }
-                    let seed = cloud_seed(self.integrator.seed, query.gaussian());
-                    let mut solo = MonteCarloEvaluator::new(budget.get(), seed);
-                    stage.run(query, &intg, &mut solo, &mut out, Some(&mut probabilities));
-                }
-            }
+                let mut shared = TableEvaluator {
+                    table: group_table(&mut groups, query.gaussian()),
+                    seed,
+                    samples,
+                    grid: None,
+                    stats: CloudStats::default(),
+                };
+                ex.run(tree, query, plan, &mut shared, scratch, stage, estimates)
+            };
             outcomes.push(BatchOutcome {
                 answers: out.answers,
-                integrated: intg,
+                integrated: std::mem::take(&mut scratch.to_integrate),
                 probabilities,
                 stats: out.stats,
-                recovered: aborted[q],
+                recovered,
             });
         }
-        let phase3_each = share(t2.elapsed());
-        for o in &mut outcomes {
-            o.stats.phase3_time = phase3_each;
-        }
-        if let Some(span) = span3 {
-            span.finish();
-        }
+
+        // A query that used its group's table built one grid; it drew
+        // the table (a miss) or found it drawn (a hit).
+        let used_table = outcomes
+            .iter()
+            .filter(|o| !o.recovered && o.stats.cloud_builds == 1);
+        let misses = used_table
+            .clone()
+            .filter(|o| o.stats.phase3_samples > 0)
+            .count();
+        let hits = used_table.count() - misses;
+        let as_u64 = |v: usize| u64::try_from(v).unwrap_or(u64::MAX);
+        self.cache.hits = self.cache.hits.saturating_add(as_u64(hits));
+        self.cache.misses = self.cache.misses.saturating_add(as_u64(misses));
         if let Some(m) = metrics {
-            m.record_batch(n, batch_hits, batch_misses);
+            m.record_batch(queries.len(), hits, misses);
         }
         Ok(outcomes)
     }
 }
 
-/// One fused query's Phase-3 result, replayed in work-list order so the
-/// query classifies and flushes through the same stage as a solo query.
-/// It decides every object, measured over the whole cloud.
-#[derive(Debug)]
-struct Replay {
-    probabilities: std::vec::IntoIter<f64>,
-    samples: usize,
-    cloud: CloudStats,
+/// One Σ-group of an `execute` call: the covariance bits its members
+/// share and, once one of them integrates, the group's offset table.
+struct SigmaGroup<const D: usize> {
+    sigma: Vec<u64>,
+    table: Option<[Vec<f64>; D]>,
 }
 
-impl<const D: usize> ProbabilityEvaluator<D> for Replay {
-    fn probability(&mut self, _gaussian: &Gaussian<D>, _center: &Vector<D>, _delta: f64) -> f64 {
-        // One probability per work-list entry, by construction.
-        self.probabilities.next().unwrap_or(0.0)
+/// The offset-table slot of `gaussian`'s Σ-group, opened empty at the
+/// group's first query. Bits, not `==`: matrices that compare equal as
+/// floats (`0.0` and `-0.0`) derive different cloud seeds.
+fn group_table<'a, const D: usize>(
+    groups: &'a mut Vec<SigmaGroup<D>>,
+    gaussian: &Gaussian<D>,
+) -> &'a mut Option<[Vec<f64>; D]> {
+    let sigma = sigma_bits(gaussian);
+    let group = match groups.iter().position(|g| g.sigma == sigma) {
+        Some(group) => group,
+        None => {
+            groups.push(SigmaGroup { sigma, table: None });
+            groups.len() - 1
+        }
+    };
+    &mut groups[group].table
+}
+
+/// One Σ-group member's Phase-3 evaluator: on its first integration it
+/// draws the group's offset table if no member has yet (counting the
+/// samples drawn), then builds its grid by re-centering the table on the
+/// query's mean. Decides every object over the whole cloud, like
+/// [`MonteCarloEvaluator`].
+struct TableEvaluator<'g, const D: usize> {
+    table: &'g mut Option<[Vec<f64>; D]>,
+    seed: u64,
+    samples: NonZeroUsize,
+    grid: Option<CloudGrid<D>>,
+    stats: CloudStats,
+}
+
+impl<const D: usize> ProbabilityEvaluator<D> for TableEvaluator<'_, D> {
+    fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
+        let TableEvaluator {
+            table,
+            seed,
+            samples,
+            grid,
+            stats,
+        } = self;
+        let grid = grid.get_or_insert_with(|| {
+            let offsets = table.get_or_insert_with(|| {
+                stats.samples_drawn = samples.get();
+                let mut rng = StdRng::seed_from_u64(*seed);
+                SampleCloud::draw_offsets(gaussian.cholesky(), *samples, &mut rng)
+            });
+            stats.builds = 1;
+            CloudGrid::build_recentered(gaussian.mean(), offsets)
+        });
+        grid.probability_with_stats(center, delta, stats)
     }
 
     fn evaluate(
@@ -631,14 +406,17 @@ impl<const D: usize> ProbabilityEvaluator<D> for Replay {
         center: &Vector<D>,
         delta: f64,
         theta: f64,
-        _max_samples: usize,
+        max_samples: usize,
     ) -> Result<EvalReport, EvalFailure> {
+        if max_samples == 0 {
+            return Err(EvalFailure::NoBudget);
+        }
         let estimate = self.probability(gaussian, center, delta);
-        Ok(EvalReport::decided(estimate, theta, self.samples))
+        Ok(EvalReport::decided(estimate, theta, self.samples.get()))
     }
 
     fn take_cloud_stats(&mut self) -> CloudStats {
-        std::mem::take(&mut self.cloud)
+        std::mem::take(&mut self.stats)
     }
 }
 
@@ -688,32 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_fifo_eviction_is_deterministic_and_redraws_bitwise() {
-        let mut cache: SigmaFactorCache<2> = SigmaFactorCache::new(2);
-        let n = NonZeroUsize::new(64).unwrap();
-        let gauss = |g: f64| Gaussian::new(Vector::from([0.0, 0.0]), sigma(g)).unwrap();
-        let (i0, hit0) = cache.get_or_draw(&gauss(1.0), n, 7);
-        let first = cache.offsets(i0).clone();
-        assert!(!hit0);
-        assert!(cache.get_or_draw(&gauss(1.0), n, 7).1, "second lookup hits");
-        cache.get_or_draw(&gauss(2.0), n, 8);
-        cache.get_or_draw(&gauss(3.0), n, 9); // evicts γ=1.0 (FIFO)
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        let (i1, hit1) = cache.get_or_draw(&gauss(1.0), n, 7);
-        assert!(!hit1, "evicted entry must miss");
-        let redraw = cache.offsets(i1).clone();
-        for d in 0..2 {
-            let same = first[d]
-                .iter()
-                .zip(&redraw[d])
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "re-draw after eviction must be bitwise identical");
-        }
-        assert_eq!((cache.hits(), cache.misses()), (1, 4));
-    }
-
-    #[test]
     fn batch_matches_solo_executor_bitwise() {
         let tree = random_tree(5_000, 21);
         let shared = sigma(10.0);
@@ -752,10 +504,40 @@ mod tests {
         let mut eval = MonteCarloEvaluator::new(10_000, batch.cloud_seed_for(&queries[3]));
         let solo = executor.execute(&tree, &queries[3], &mut eval).unwrap();
         assert_eq!((solo.stats.cloud_builds, solo.stats.phase3_samples), (0, 0));
-        // Queries 0, 1, 3 share Σ, but query 3 has no work and skips the
-        // cache: one miss serves two lookups.
+        // Queries 0, 1, 3 share Σ, but query 3 has no work and touches
+        // no table: one miss serves two lookups.
         assert_eq!(batch.cache().misses(), 2);
         assert_eq!(batch.cache().hits(), 1);
+    }
+
+    #[test]
+    fn signed_zero_covariances_form_separate_groups() {
+        // `0.0 == -0.0`, but the two Σ derive different cloud seeds: each
+        // draws its own table and matches its own solo run.
+        let tree = random_tree(2_000, 41);
+        let sigma = |zero: f64| Matrix::from_rows([[60.0, zero], [zero, 20.0]]);
+        let queries = [
+            PrqQuery::new(Vector::from([500.0, 500.0]), sigma(0.0), 25.0, 0.05).unwrap(),
+            PrqQuery::new(Vector::from([520.0, 480.0]), sigma(-0.0), 25.0, 0.05).unwrap(),
+        ];
+        let executor = PrqExecutor::new(StrategySet::ALL);
+        let integrator = ParallelIntegrator::new(5_000, 3, 1).unwrap();
+        let mut batch = QueryBatch::new(executor, integrator);
+        let seeds: Vec<u64> = queries.iter().map(|q| batch.cloud_seed_for(q)).collect();
+        assert_ne!(seeds[0], seeds[1]);
+        let outcomes = batch.execute(&tree, &queries).unwrap();
+        assert_eq!((batch.cache().misses(), batch.cache().hits()), (2, 0));
+        for ((query, outcome), seed) in queries.iter().zip(&outcomes).zip(seeds) {
+            let mut eval = MonteCarloEvaluator::new(5_000, seed);
+            let solo = executor.execute(&tree, query, &mut eval).unwrap();
+            let ids = |a: &[(&Vector<2>, &usize)]| a.iter().map(|(_, d)| **d).collect::<Vec<_>>();
+            assert_eq!(ids(&outcome.answers), ids(&solo.answers));
+            assert!(outcome.stats.integrations > 0);
+            assert_eq!(
+                outcome.stats.cloud_samples_tested,
+                solo.stats.cloud_samples_tested
+            );
+        }
     }
 
     #[test]
@@ -767,6 +549,6 @@ mod tests {
         );
         let outcomes: Vec<BatchOutcome<'_, 2, usize>> = batch.execute(&tree, &[]).unwrap();
         assert!(outcomes.is_empty());
-        assert!(batch.cache().is_empty());
+        assert_eq!((batch.cache().hits(), batch.cache().misses()), (0, 0));
     }
 }

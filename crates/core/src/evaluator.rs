@@ -176,28 +176,26 @@ impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
     }
 }
 
-/// Deterministic 2-D evaluator using polar Gauss–Legendre quadrature —
-/// the test oracle (exact to ~10⁻¹⁰ at the default node counts).
-#[derive(Debug, Clone, Copy)]
+/// Deterministic 2-D evaluator using polar Gauss–Legendre quadrature
+/// over 64 radial × 128 angular nodes — the test oracle (exact to
+/// ~10⁻¹⁰).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Quadrature2dEvaluator {
-    /// Radial node count.
-    pub n_radial: usize,
-    /// Angular node count.
-    pub n_angular: usize,
+    /// Nothing to set: the node counts are fixed, and this private
+    /// field leaves `default()` the only constructor.
+    _fixed: (),
 }
 
-impl Default for Quadrature2dEvaluator {
-    fn default() -> Self {
-        Quadrature2dEvaluator {
-            n_radial: 64,
-            n_angular: 128,
-        }
-    }
+impl Quadrature2dEvaluator {
+    /// Radial node count.
+    const N_RADIAL: usize = 64;
+    /// Angular node count.
+    const N_ANGULAR: usize = 128;
 }
 
 impl ProbabilityEvaluator<2> for Quadrature2dEvaluator {
     fn probability(&mut self, gaussian: &Gaussian<2>, center: &Vector<2>, delta: f64) -> f64 {
-        quadrature_probability_2d(gaussian, center, delta, self.n_radial, self.n_angular)
+        quadrature_probability_2d(gaussian, center, delta, Self::N_RADIAL, Self::N_ANGULAR)
     }
 }
 

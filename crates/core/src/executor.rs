@@ -61,8 +61,9 @@ pub struct QueryStats {
     pub answers: usize,
     /// Monte-Carlo samples drawn in Phase 3 (`CloudStats::samples_drawn`):
     /// the query's cloud and its lazy extensions, or a freshly drawn batch
-    /// offset table. Zero for deterministic evaluators, on a Σ-cache
-    /// hit, and for a query that integrates nothing. The samples each
+    /// offset table. Zero for deterministic evaluators, for a batch
+    /// query that re-centers its Σ-group's table, and for a query that
+    /// integrates nothing. The samples each
     /// object was *measured* over are
     /// `cloud_samples_tested` and the per-object histogram.
     pub phase3_samples: usize,
@@ -170,21 +171,19 @@ impl<'t, const D: usize, T> PrqOutcome<'t, D, T> {
     }
 }
 
-/// Reusable intermediate buffers for [`PrqExecutor::execute_with_scratch`].
-///
-/// The executor's Phase-1 candidate set and Phase-3 work list are the
-/// only per-query allocations besides the returned answer vector; a
-/// batch driver (the experiment harness runs 30-query workloads per
-/// table cell) keeps one scratch per tree borrow and amortizes them.
-#[derive(Debug, Default)]
-pub struct QueryScratch<'t, const D: usize, T> {
+/// The executor's reusable intermediate buffers: the Phase-1 candidate
+/// set and the Phase-3 work list, the only per-query allocations besides
+/// the returned answer vector. `QueryBatch` reuses one across its
+/// queries.
+#[derive(Debug)]
+pub(crate) struct QueryScratch<'t, const D: usize, T> {
     candidates: Vec<(&'t Vector<D>, &'t T)>,
-    to_integrate: Vec<(&'t Vector<D>, &'t T)>,
+    pub(crate) to_integrate: Vec<(&'t Vector<D>, &'t T)>,
 }
 
 impl<'t, const D: usize, T> QueryScratch<'t, D, T> {
     /// Creates empty scratch buffers (no allocation until first use).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         QueryScratch {
             candidates: Vec::new(),
             to_integrate: Vec::new(),
@@ -270,7 +269,7 @@ impl<'c> PrqExecutor<'c> {
     }
 
     /// The attached metrics handle, if any — shared with the batch
-    /// executor so fused phases record into the same pipeline.
+    /// executor, which records its batch counters into it.
     pub(crate) fn metrics(&self) -> Option<&'c PipelineMetrics> {
         self.metrics
     }
@@ -280,11 +279,17 @@ impl<'c> PrqExecutor<'c> {
     /// [`FlatRTree`](gprq_rtree::FlatRTree) snapshot (any
     /// [`Phase1Index`]).
     ///
+    /// Phase 3 runs under [`EvalBudget::paper_default`]; fixed-cloud and
+    /// deterministic evaluators decide every object under it, while a
+    /// sequential evaluator may leave some in [`PrqOutcome::uncertain`].
+    ///
     /// # Errors
     ///
     /// * [`PrqError::NoPrimaryStrategy`] for an OR-only strategy set,
     /// * [`PrqError::ThetaRegionUndefined`] if RR or OR is enabled with
-    ///   `θ ≥ 1/2` (BF-only sets still work there).
+    ///   `θ ≥ 1/2` (BF-only sets still work there),
+    /// * [`PrqError::CatalogDimensionMismatch`] when a configured RR or
+    ///   BF catalog was built for a different dimension.
     pub fn execute<'t, const D: usize, T, I, E>(
         &self,
         tree: &'t I,
@@ -295,41 +300,18 @@ impl<'c> PrqExecutor<'c> {
         I: Phase1Index<D, T>,
         E: ProbabilityEvaluator<D>,
     {
-        let mut scratch = QueryScratch::new();
-        self.execute_with_scratch(tree, query, evaluator, &mut scratch)
-    }
-
-    /// [`PrqExecutor::execute`] reusing caller-owned intermediate
-    /// buffers; results are identical. Use from per-query loops.
-    ///
-    /// Phase 3 runs under [`EvalBudget::paper_default`]; fixed-cloud and
-    /// deterministic evaluators decide every object under it, while a
-    /// sequential evaluator may leave some in [`PrqOutcome::uncertain`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`PrqExecutor::execute`], plus
-    /// [`PrqError::CatalogDimensionMismatch`] when a configured RR or BF
-    /// catalog was built for a different dimension.
-    pub fn execute_with_scratch<'t, const D: usize, T, I, E>(
-        &self,
-        tree: &'t I,
-        query: &PrqQuery<D>,
-        evaluator: &mut E,
-        scratch: &mut QueryScratch<'t, D, T>,
-    ) -> Result<PrqOutcome<'t, D, T>, PrqError>
-    where
-        I: Phase1Index<D, T>,
-        E: ProbabilityEvaluator<D>,
-    {
         let plan = self.plan(query)?;
         let mut stage = Phase3::new(EvalBudget::paper_default(), self.metrics);
-        Ok(self.run(tree, query, &plan, evaluator, scratch, &mut stage))
+        let scratch = &mut QueryScratch::new();
+        Ok(self.run(tree, query, &plan, evaluator, scratch, &mut stage, None))
     }
 
-    /// The three phases for one planned query — shared by the plain
-    /// executor and the resilient one, which differ only in the plan and
-    /// the Phase-3 stage they pass in.
+    /// The three phases for one planned query — the one pipeline the
+    /// plain executor, the resilient one and `QueryBatch` all run; they
+    /// differ only in the plan, evaluator and Phase-3 stage they pass in.
+    /// The work list is left in `scratch.to_integrate`; `estimates`, when
+    /// given, receives its probabilities (see [`Phase3::run`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run<'t, const D: usize, T, I, E>(
         &self,
         tree: &'t I,
@@ -338,6 +320,7 @@ impl<'c> PrqExecutor<'c> {
         evaluator: &mut E,
         scratch: &mut QueryScratch<'t, D, T>,
         stage: &mut Phase3<'_>,
+        estimates: Option<&mut Vec<f64>>,
     ) -> PrqOutcome<'t, D, T>
     where
         I: Phase1Index<D, T>,
@@ -383,7 +366,7 @@ impl<'c> PrqExecutor<'c> {
         // --- Phase 3: probability computation. -------------------------
         let span3 = self.metrics.map(|m| m.phase_span(Phase::Integrate));
         let t2 = Instant::now();
-        stage.run(query, to_integrate, evaluator, &mut out, None);
+        stage.run(query, to_integrate, evaluator, &mut out, estimates);
         out.stats.phase3_time = t2.elapsed();
         if let Some(span) = span3 {
             span.finish();
@@ -392,9 +375,9 @@ impl<'c> PrqExecutor<'c> {
     }
 
     /// Builds the per-query [`PreparedQuery`] — strategy validation plus the
-    /// owned θ-region and BF bounds — shared by the solo path above and
-    /// the batch executor (`crate::batch`), so both run Phases 1–2
-    /// through the identical code.
+    /// owned θ-region and BF bounds — for the solo path above and the
+    /// batch executor (`crate::batch`), which plans every query before
+    /// running any.
     ///
     /// # Errors
     ///
@@ -451,10 +434,7 @@ impl<'c> PrqExecutor<'c> {
 ///
 /// [`RrFilter`]/[`OrFilter`] borrow the region, so the plan stores the
 /// region and reconstructs the filters (cheap, deterministic) inside
-/// each entry point instead of holding self-referential borrows. Both
-/// the solo executor and the batch executor drive their Phase-1 probe
-/// and Phase-2 loop through this type, which is what makes batch/solo
-/// parity structural rather than coincidental.
+/// each entry point instead of holding self-referential borrows.
 #[derive(Debug)]
 pub(crate) struct PreparedQuery<const D: usize> {
     strategies: StrategySet,

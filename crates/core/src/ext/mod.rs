@@ -7,9 +7,8 @@
 //! * [`uncertain`] — *uncertain target objects*: when a target is itself
 //!   Gaussian, the qualification probability reduces exactly to a query
 //!   with the convolved covariance `Σ + Σ_o`;
-//! * [`parallel`] — `QueryBatch`'s fused Phase 3 fanned out over threads
-//!   (the integrations are independent, so this is embarrassingly
-//!   parallel);
+//! * [`parallel`] — `QueryBatch`'s configuration: cloud size and base
+//!   seed;
 //! * [`session`] — continuous monitoring: a sequence of PRQs from a
 //!   moving object, with catalog reuse and enter/leave delta reporting.
 

@@ -1,206 +1,67 @@
-//! Parallel Phase 3 for [`QueryBatch`](crate::QueryBatch).
+//! The configuration of [`QueryBatch`](crate::QueryBatch): cloud size
+//! and base seed.
 //!
-//! Phase 3 — the ≥97 %-of-runtime phase — parallelizes embarrassingly:
-//! every `(query, candidate)` probe is a pure function of the query's
-//! immutable grid-indexed sample cloud. The batch engine draws each
-//! query's cloud from [`cloud_seed`](crate::cloud_seed) and hands the
-//! fused work list to [`ParallelIntegrator`], whose workers partition
-//! *candidates* — never samples — so results are bit-identical across
-//! thread counts by construction.
-//!
-//! A one-query parallel Phase 3 is `QueryBatch::execute(index,
-//! &[query])` on an integrator with `threads > 1`; its answers are
-//! bitwise equal to the solo executor's.
+//! The batch runs every query through the solo executor's pipeline, in
+//! index order on the calling thread. The queries whose covariances are
+//! bitwise equal form a Σ-group and share one offset table drawn from
+//! [`cloud_seed`](crate::cloud_seed), so every query's result depends on
+//! the query alone.
 //!
 //! Estimator caveat: the shared cloud correlates errors *across*
-//! candidates of one query. Each per-candidate estimate is still
-//! unbiased with unchanged variance (see `gprq_gaussian::cloud`).
+//! candidates of one query, and the shared table across the queries of
+//! one Σ-group. Each per-candidate estimate is still unbiased with
+//! unchanged variance (see `gprq_gaussian::cloud`).
 
 use crate::error::PrqError;
-use crate::metrics::PipelineMetrics;
-use gprq_gaussian::cloud::{CloudGrid, CloudStats};
-use gprq_linalg::Vector;
-
-/// One query's share of a fused batch Phase 3: its immutable grid, the
-/// candidate block to probe, and the query's `δ`. Built by the batch
-/// executor (`crate::batch`), consumed by
-/// [`ParallelIntegrator::batch_probabilities`].
-#[derive(Debug)]
-pub(crate) struct BatchPhase3Item<'a, const D: usize> {
-    /// The query's grid-indexed sample cloud.
-    pub grid: &'a CloudGrid<D>,
-    /// Candidate centers surviving Phases 1–2, in work-list order.
-    pub candidates: &'a [Vector<D>],
-    /// The query's range radius `δ`.
-    pub delta: f64,
-}
+use std::num::NonZeroUsize;
 
 /// The batch engine's Phase-3 configuration: the size of each query's
-/// shared cloud, the base seed the clouds derive from, and the worker
-/// count. Build it with [`ParallelIntegrator::new`] and hand it to
-/// [`QueryBatch::new`](crate::QueryBatch::new).
+/// shared cloud and the base seed the clouds derive from.
+/// [`ParallelIntegrator::new`] is its only constructor; hand the result
+/// to [`QueryBatch::new`](crate::QueryBatch::new).
+///
+/// The fields are private, so a validated integrator stays valid:
+///
+/// ```compile_fail,E0616
+/// use gprq_core::ext::parallel::ParallelIntegrator;
+/// use std::num::NonZeroUsize;
+///
+/// let mut integrator = ParallelIntegrator::new(1_000, 7, 1).unwrap();
+/// integrator.samples = NonZeroUsize::MIN;
+/// ```
 #[derive(Debug, Clone, Copy)]
-#[non_exhaustive]
 pub struct ParallelIntegrator {
     /// Monte-Carlo samples in each query's shared cloud.
-    pub samples: usize,
+    pub(crate) samples: NonZeroUsize,
     /// Base RNG seed; each query's cloud seed mixes it with the query's
     /// covariance ([`cloud_seed`](crate::cloud_seed)).
-    pub seed: u64,
-    /// Worker threads (`0` = number of available CPUs).
-    pub threads: usize,
+    pub(crate) seed: u64,
 }
 
 impl ParallelIntegrator {
-    /// Creates an integrator.
+    /// Creates an integrator. `_threads` is unused: the batch runs on
+    /// the calling thread. The argument stays for source compatibility.
     ///
     /// # Errors
     ///
     /// [`PrqError::InvalidSampleBudget`] if `samples == 0` — a
     /// zero-sample estimate would be an unfounded hard rejection.
-    pub fn new(samples: usize, seed: u64, threads: usize) -> Result<Self, PrqError> {
-        if samples == 0 {
-            return Err(PrqError::InvalidSampleBudget);
-        }
-        Ok(ParallelIntegrator {
-            samples,
-            seed,
-            threads,
-        })
-    }
-
-    fn worker_count(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
-    /// Fused Phase 3 over a whole batch: workers partition the
-    /// **flattened** `(query, candidate)` space, so a batch with many
-    /// small candidate lists still keeps every worker busy. Returns
-    /// per-query probability vectors (same order as
-    /// `items[q].candidates`) and per-query [`CloudStats`] accumulated
-    /// from that query's probes.
-    ///
-    /// Parity: each probe is a pure function of the query's immutable
-    /// grid, the candidate, and `delta`, and the per-query stats are
-    /// commutative integer sums over that query's candidates — so both
-    /// outputs are bit-identical across thread counts and worker
-    /// layouts.
-    pub(crate) fn batch_probabilities<const D: usize>(
-        &self,
-        items: &[BatchPhase3Item<'_, D>],
-        metrics: Option<&PipelineMetrics>,
-    ) -> (Vec<Vec<f64>>, Vec<CloudStats>) {
-        let n_queries = items.len();
-        let mut prefix = Vec::with_capacity(n_queries + 1);
-        prefix.push(0usize);
-        for item in items {
-            let last = *prefix.last().unwrap_or(&0);
-            prefix.push(last + item.candidates.len());
-        }
-        let total = *prefix.last().unwrap_or(&0);
-        let mut query_stats = vec![CloudStats::default(); n_queries];
-        if total == 0 {
-            return (vec![Vec::new(); n_queries], query_stats);
-        }
-        if let Some(m) = metrics {
-            m.record_parallel_objects(total);
-        }
-        let mut flat = vec![0.0f64; total];
-        let workers = self.worker_count().min(total);
-        let chunk = total.div_ceil(workers);
-        let mut worker_stats = vec![vec![CloudStats::default(); n_queries]; workers];
-        let prefix = &prefix;
-        std::thread::scope(|scope| {
-            for ((w, out_chunk), locals) in flat
-                .chunks_mut(chunk)
-                .enumerate()
-                .zip(worker_stats.iter_mut())
-            {
-                let start = w * chunk;
-                scope.spawn(move || {
-                    // INVARIANT: the flat index → (query, candidate)
-                    // mapping depends only on the batch's candidate
-                    // counts, never on the worker layout, and every
-                    // worker reads immutable per-query grids — so the
-                    // probability written to each slot is layout-free.
-                    let mut qi = 0usize;
-                    for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                        let f = start + offset;
-                        while f >= prefix[qi + 1] {
-                            qi += 1;
-                        }
-                        let item = &items[qi];
-                        *slot = item.grid.probability_with_stats(
-                            &item.candidates[f - prefix[qi]],
-                            item.delta,
-                            &mut locals[qi],
-                        );
-                    }
-                    // One histogram write per worker, after its loop.
-                    // "Worker samples" are distance-tested samples; the
-                    // total is layout-independent (a sum over
-                    // candidates), only the split varies.
-                    if let Some(m) = metrics {
-                        let tested = locals.iter().map(|s| s.samples_tested).sum();
-                        m.record_worker_samples(tested);
-                    }
-                });
-            }
-        });
-        // Fold per-worker tallies per query. The fields are commutative
-        // integer sums, so the fold order cannot affect the result.
-        for locals in &worker_stats {
-            for (dst, src) in query_stats.iter_mut().zip(locals.iter()) {
-                dst.merge(src);
-            }
-        }
-        let per_query = items
-            .iter()
-            .enumerate()
-            .map(|(q, _)| flat[prefix[q]..prefix[q + 1]].to_vec())
-            .collect();
-        (per_query, query_stats)
+    pub fn new(samples: usize, seed: u64, _threads: usize) -> Result<Self, PrqError> {
+        let samples = NonZeroUsize::new(samples).ok_or(PrqError::InvalidSampleBudget)?;
+        Ok(ParallelIntegrator { samples, seed })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::names;
-    use gprq_gaussian::cloud::SampleCloud;
-    use gprq_gaussian::Gaussian;
-    use gprq_linalg::Matrix;
+    use crate::strategy::StrategySet;
+    use crate::{BatchOutcome, PipelineMetrics, PrqExecutor, PrqQuery, QueryBatch, QueryStats};
+    use gprq_linalg::{Matrix, Vector};
+    use gprq_rtree::{RStarParams, RTree};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::num::NonZeroUsize;
-
-    fn grid(gamma: f64, seed: u64) -> CloudGrid<2> {
-        let s3 = 3.0f64.sqrt();
-        let sigma = Matrix::from_rows([[7.0, 2.0 * s3], [2.0 * s3, 3.0]]).scale(gamma);
-        let gaussian = Gaussian::new(Vector::from([500.0, 500.0]), sigma).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        CloudGrid::build(SampleCloud::draw(
-            &gaussian,
-            NonZeroUsize::new(5_000).unwrap(),
-            &mut rng,
-        ))
-    }
-
-    fn candidates(n: usize) -> Vec<Vector<2>> {
-        (0..n)
-            .map(|i| {
-                let angle = i as f64 * 0.37;
-                let radius = (i % 60) as f64;
-                Vector::from([500.0 + radius * angle.cos(), 500.0 + radius * angle.sin()])
-            })
-            .collect()
-    }
+    use rand::{Rng, SeedableRng};
+    use std::time::Duration;
 
     #[test]
     fn new_rejects_zero_samples() {
@@ -210,86 +71,91 @@ mod tests {
         ));
     }
 
+    /// Each query's answer ids, probability bits and integer counters.
+    type Fingerprint = Vec<(Vec<usize>, Vec<u64>, QueryStats)>;
+
+    fn fingerprint(outcomes: &[BatchOutcome<'_, 2, usize>]) -> Fingerprint {
+        outcomes
+            .iter()
+            .map(|o| {
+                let counters = QueryStats {
+                    phase1_time: Duration::ZERO,
+                    phase2_time: Duration::ZERO,
+                    phase3_time: Duration::ZERO,
+                    ..o.stats
+                };
+                (
+                    o.answers.iter().map(|(_, d)| **d).collect(),
+                    o.probabilities.iter().map(|p| p.to_bits()).collect(),
+                    counters,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn parity_across_thread_counts_probabilities_and_metric_counters() {
-        // The determinism guarantee extended to observability: every
-        // worker layout must report bit-identical probabilities, per-query
-        // cloud stats AND metric *counter* values — only the span-duration
-        // and per-worker histograms may legitimately differ — and
-        // metering must not change a bit. The batch mixes a 64-candidate
-        // query, an empty work list, and a query with fewer candidates
-        // than most layouts have workers; its tail alone has fewer
-        // candidates in total than most layouts have workers.
-        type Output = (Vec<Vec<u64>>, Vec<CloudStats>);
-        let bits = |(probs, stats): (Vec<Vec<f64>>, Vec<CloudStats>)| -> Output {
-            let probs = probs
-                .iter()
-                .map(|p| p.iter().map(|x| x.to_bits()).collect())
-                .collect();
-            (probs, stats)
+        // The determinism guarantee extended to observability: the
+        // unused `threads` argument must change no answer, probability,
+        // integer query counter OR metric counter value — only the span
+        // durations may differ — and metering must not change a bit.
+        // Three interleaved Σ-groups, one of which opens with a query
+        // whose work list is empty, so its table is drawn by its second
+        // member.
+        let mut rng = StdRng::seed_from_u64(5);
+        let points = (0..3_000)
+            .map(|i| {
+                let p = Vector::from([rng.gen::<f64>() * 1000.0, rng.gen::<f64>() * 1000.0]);
+                (p, i)
+            })
+            .collect();
+        let tree = RTree::bulk_load(points, RStarParams::paper_default(2));
+        let s3 = 3.0f64.sqrt();
+        let sigma = |gamma: f64| Matrix::from_rows([[7.0, 2.0 * s3], [2.0 * s3, 3.0]]).scale(gamma);
+        let query = |x: f64, y: f64, gamma: f64| {
+            PrqQuery::new(Vector::from([x, y]), sigma(gamma), 25.0, 0.05).unwrap()
         };
-        let (wide, narrow) = (grid(10.0, 42), grid(4.0, 43));
-        let (many, few) = (candidates(64), candidates(3));
-        let items = [
-            BatchPhase3Item {
-                grid: &wide,
-                candidates: &many,
-                delta: 25.0,
-            },
-            BatchPhase3Item {
-                grid: &wide,
-                candidates: &[],
-                delta: 25.0,
-            },
-            BatchPhase3Item {
-                grid: &narrow,
-                candidates: &few,
-                delta: 10.0,
-            },
+        let queries = [
+            query(500.0, 500.0, 10.0),
+            query(-5_000.0, -5_000.0, 4.0),
+            query(300.0, 700.0, 2.0),
+            query(250.0, 400.0, 4.0),
+            query(520.0, 470.0, 10.0),
+            query(700.0, 300.0, 2.0),
         ];
-        for batch in [&items[..], &items[1..]] {
-            let mut reference: Option<(Output, Vec<(&'static str, u64)>)> = None;
-            for threads in [1usize, 2, 4, 7, 16, 0] {
-                let integrator = ParallelIntegrator::new(5_000, 42, threads).unwrap();
-                let plain = bits(integrator.batch_probabilities(batch, None));
-                let metrics = PipelineMetrics::new();
-                let metered = bits(integrator.batch_probabilities(batch, Some(&metrics)));
-                assert_eq!(plain, metered, "threads = {threads}: metering changed bits");
-                let counters = metrics.snapshot().counters();
-                match &reference {
-                    None => reference = Some((plain, counters)),
-                    Some((out0, c0)) => {
-                        assert_eq!(&plain, out0, "threads = {threads}: output drifted");
-                        assert_eq!(&counters, c0, "threads = {threads}: counters drifted");
-                    }
+        let mut reference: Option<(Fingerprint, Vec<(&'static str, u64)>)> = None;
+        for threads in [1usize, 2, 4, 7, 16, 0] {
+            let integrator = ParallelIntegrator::new(5_000, 42, threads).unwrap();
+            let executor = PrqExecutor::new(StrategySet::ALL);
+            let mut batch = QueryBatch::new(executor, integrator);
+            let plain = fingerprint(&batch.execute(&tree, &queries).unwrap());
+            let metrics = PipelineMetrics::new();
+            let mut batch = QueryBatch::new(executor.with_metrics(&metrics), integrator);
+            let metered = fingerprint(&batch.execute(&tree, &queries).unwrap());
+            assert_eq!(plain, metered, "threads = {threads}: metering changed bits");
+            assert_eq!((batch.cache().misses(), batch.cache().hits()), (3, 2));
+            let counters = metrics.snapshot().counters();
+            match &reference {
+                None => reference = Some((plain, counters)),
+                Some((out0, c0)) => {
+                    assert_eq!(&plain, out0, "threads = {threads}: outcomes drifted");
+                    assert_eq!(&counters, c0, "threads = {threads}: counters drifted");
                 }
-            }
-            let ((probs, stats), counters) = reference.unwrap();
-            let find = |name: &str| {
-                counters
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, v)| *v)
-                    .unwrap()
-            };
-            let lens: Vec<usize> = batch.iter().map(|item| item.candidates.len()).collect();
-            assert_eq!(probs.iter().map(Vec::len).collect::<Vec<_>>(), lens);
-            let total: usize = lens.iter().sum();
-            assert_eq!(find(names::PARALLEL_OBJECTS), total as u64);
-            // Worker samples are the distance-tested samples, and the
-            // grid must save work against full scans of every probe.
-            let tested: usize = stats.iter().map(|s| s.samples_tested).sum();
-            assert_eq!(find(names::PARALLEL_SAMPLES), tested as u64);
-            assert!(tested < total * 5_000);
-            for (item, s) in batch.iter().zip(&stats) {
-                if item.candidates.is_empty() {
-                    assert_eq!(*s, CloudStats::default(), "an idle query probes nothing");
-                } else {
-                    assert!(s.cells_scanned > 0);
-                }
-                // Probes never draw: the batch engine owns the clouds.
-                assert_eq!((s.builds, s.samples_drawn), (0, 0));
             }
         }
+        let (outcomes, _) = reference.unwrap();
+        let idle = &outcomes[1];
+        assert!(idle.1.is_empty(), "the far-off query integrates nothing");
+        assert_eq!((idle.2.cloud_builds, idle.2.phase3_samples), (0, 0));
+        for (q, (_, probabilities, stats)) in outcomes.iter().enumerate() {
+            assert_eq!(probabilities.len(), stats.integrations, "query {q}");
+            if q != 1 {
+                assert!(stats.integrations > 0, "query {q} must integrate");
+                assert_eq!(stats.cloud_builds, 1, "query {q}");
+            }
+        }
+        // The first integrating member of each group draws the table.
+        let drawn: Vec<bool> = outcomes.iter().map(|o| o.2.phase3_samples > 0).collect();
+        assert_eq!(drawn, [true, false, true, true, false, false]);
     }
 }

@@ -29,9 +29,10 @@ pub enum FaultSite {
     SampleStarvation,
     /// Σ degenerates to a singular matrix before admission.
     SigmaDegeneracy,
-    /// A batch member is aborted mid-batch: the batch executor drops the
-    /// affected query from the fused Phase-3 pass and recovers it through
-    /// the solo re-run path, leaving every other member untouched.
+    /// A batch member is aborted just before it runs: the batch
+    /// executor runs the affected query with a fresh evaluator instead
+    /// of its Σ-group's shared table, leaving every other member
+    /// untouched.
     BatchAbort,
 }
 

@@ -18,7 +18,7 @@
 //!   → Monte-Carlo probability computation) with full [`QueryStats`];
 //! * [`naive`] — the full-scan baseline;
 //! * [`ext`] — the paper's §VII future-work items: probabilistic k-NN
-//!   queries, uncertain *target* objects, and parallel Phase 3.
+//!   queries, uncertain *target* objects, and `QueryBatch`'s configuration.
 //!
 //! ```
 //! use gprq_core::{PrqExecutor, PrqQuery, StrategySet, MonteCarloEvaluator};
@@ -74,7 +74,7 @@ pub use evaluator::{
     SequentialMonteCarloEvaluator, Verdict,
 };
 pub use executor::{
-    EvalBudget, PrqExecutor, PrqOutcome, QueryScratch, QueryStats, UncertainCause, UncertainObject,
+    EvalBudget, PrqExecutor, PrqOutcome, QueryStats, UncertainCause, UncertainObject,
 };
 pub use explain::{explain, explain_with_metrics, QueryPlan};
 #[cfg(feature = "fault-inject")]

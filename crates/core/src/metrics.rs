@@ -1,6 +1,6 @@
 //! Pipeline-wide observability: one handle bundling every metric the
-//! three-phase executor, the resilient wrapper, and the parallel
-//! integrator record.
+//! three-phase executor, the resilient wrapper, and the batch engine
+//! record.
 //!
 //! [`PipelineMetrics`] owns a [`gprq_obs::Registry`] plus cached
 //! instrument handles, so the hot path pays one relaxed atomic per
@@ -79,15 +79,6 @@ pub mod names {
     pub const RESILIENCE_EVALUATOR_FAULTS: &str = "prq_resilience_evaluator_faults_total";
     /// Counter: budget-exhaustion events (total-sample or candidate cap).
     pub const RESILIENCE_BUDGET_EXHAUSTED: &str = "prq_resilience_budget_exhausted_total";
-    /// Counter: candidate objects handed to the parallel integrator.
-    pub const PARALLEL_OBJECTS: &str = "prq_parallel_objects_total";
-    /// Counter: cloud samples the parallel integrator's workers ran
-    /// through the distance kernel (their sum of
-    /// `CloudStats::samples_tested`; the integrator draws nothing).
-    pub const PARALLEL_SAMPLES: &str = "prq_parallel_samples_total";
-    /// Histogram: samples each parallel worker distance-tested
-    /// (layout-dependent).
-    pub const PARALLEL_WORKER_SAMPLES: &str = "prq_parallel_worker_samples";
     /// Counter: shared sample clouds built (one per query that integrates
     /// on the cloud path).
     pub const CLOUD_BUILDS: &str = "prq_cloud_builds_total";
@@ -108,10 +99,11 @@ pub mod names {
     /// offsets reused, the normal draws skipped).
     pub const BATCH_SIGMA_CACHE_HITS: &str = "prq_batch_sigma_cache_hits";
     /// Counter: batch queries that had to draw a fresh Σ-group offset
-    /// table (first member of the group, or evicted entry).
+    /// table (the group's first integrating member).
     pub const BATCH_SIGMA_CACHE_MISSES: &str = "prq_batch_sigma_cache_misses";
     /// Counter: batch members lost to an injected/internal fault and
-    /// recovered through the solo re-run path (every hop reported).
+    /// recovered with a fresh `MonteCarloEvaluator` on the same seed
+    /// (every hop reported).
     pub const BATCH_ABORTS: &str = "prq_batch_aborts_total";
 }
 
@@ -161,9 +153,6 @@ pub struct PipelineMetrics {
     fallback_hops: Arc<Counter>,
     evaluator_faults: Arc<Counter>,
     budget_exhausted: Arc<Counter>,
-    parallel_objects: Arc<Counter>,
-    parallel_samples: Arc<Counter>,
-    worker_samples: Arc<Histogram>,
     cloud_builds: Arc<Counter>,
     cloud_cells_scanned: Arc<Counter>,
     cloud_cells_inside: Arc<Counter>,
@@ -214,9 +203,6 @@ impl PipelineMetrics {
             fallback_hops: registry.counter(names::RESILIENCE_FALLBACK_HOPS),
             evaluator_faults: registry.counter(names::RESILIENCE_EVALUATOR_FAULTS),
             budget_exhausted: registry.counter(names::RESILIENCE_BUDGET_EXHAUSTED),
-            parallel_objects: registry.counter(names::PARALLEL_OBJECTS),
-            parallel_samples: registry.counter(names::PARALLEL_SAMPLES),
-            worker_samples: registry.histogram(names::PARALLEL_WORKER_SAMPLES),
             cloud_builds: registry.counter(names::CLOUD_BUILDS),
             cloud_cells_scanned: registry.counter(names::CLOUD_CELLS_SCANNED),
             cloud_cells_inside: registry.counter(names::CLOUD_CELLS_INSIDE),
@@ -307,21 +293,10 @@ impl PipelineMetrics {
         }
     }
 
-    /// Records one parallel worker's total distance-tested samples.
-    pub fn record_worker_samples(&self, samples: usize) {
-        self.worker_samples.record(as_u64(samples));
-        self.parallel_samples.add(as_u64(samples));
-    }
-
-    /// Records how many candidate objects a parallel run fanned out.
-    pub fn record_parallel_objects(&self, objects: usize) {
-        self.parallel_objects.add(as_u64(objects));
-    }
-
     /// Records one finished batch: the batch itself, how many queries it
-    /// carried, and the Σ-cache hit/miss split (hits + misses == the
-    /// fused queries with a non-empty work list; the others consult no
-    /// cache).
+    /// carried, and the Σ-group table hit/miss split (hits + misses == the
+    /// queries that integrated and were not recovered; the others
+    /// consult no table).
     pub fn record_batch(&self, queries: usize, sigma_cache_hits: usize, sigma_cache_misses: usize) {
         self.batches.inc();
         self.batch_queries.add(as_u64(queries));
@@ -330,8 +305,8 @@ impl PipelineMetrics {
             .add(as_u64(sigma_cache_misses));
     }
 
-    /// Records one batch member lost to a fault and recovered by the
-    /// solo re-run path.
+    /// Records one batch member lost to a fault and recovered with a
+    /// fresh evaluator.
     pub fn record_batch_abort(&self) {
         self.batch_aborts.inc();
     }
@@ -457,21 +432,5 @@ mod tests {
         assert_eq!(snap.counter(names::BATCH_SIGMA_CACHE_HITS), Some(14));
         assert_eq!(snap.counter(names::BATCH_SIGMA_CACHE_MISSES), Some(6));
         assert_eq!(snap.counter(names::BATCH_ABORTS), Some(1));
-    }
-
-    #[test]
-    fn parallel_recording() {
-        let m = PipelineMetrics::new();
-        m.record_parallel_objects(64);
-        m.record_worker_samples(32_000);
-        m.record_worker_samples(32_000);
-        let snap = m.snapshot();
-        assert_eq!(snap.counter(names::PARALLEL_OBJECTS), Some(64));
-        assert_eq!(snap.counter(names::PARALLEL_SAMPLES), Some(64_000));
-        assert_eq!(
-            snap.histogram(names::PARALLEL_WORKER_SAMPLES)
-                .map(|h| h.count),
-            Some(2)
-        );
     }
 }

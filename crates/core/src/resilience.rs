@@ -678,8 +678,8 @@ impl<'c> ResilientExecutor<'c> {
         {
             stage.faults = self.faults.as_mut();
         }
-        let mut scratch = QueryScratch::new();
-        let outcome = exec.run(tree, &query, &plan, evaluator, &mut scratch, &mut stage);
+        let scratch = &mut QueryScratch::new();
+        let outcome = exec.run(tree, &query, &plan, evaluator, scratch, &mut stage, None);
         let Shortfall {
             capped,
             starved,

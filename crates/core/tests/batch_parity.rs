@@ -28,7 +28,8 @@ use std::num::NonZeroUsize;
 
 const SAMPLES: usize = 2_000;
 const BASE_SEED: u64 = 9_001;
-/// 0 = "all available cores" — the layout-independence extreme.
+/// `threads` values to sweep: the batch ignores the argument, so every
+/// value must give the same bits.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 0];
 
 /// A small Σ pool so generated batches mix shared-Σ groups (cache hits)
@@ -56,8 +57,8 @@ fn random_points(n: usize, seed: u64) -> Vec<(Vector<2>, usize)> {
 }
 
 /// Integer-counter equality — [`QueryStats`] as a whole includes phase
-/// `Duration`s, which legitimately differ (the batch divides fused
-/// wall-clock), so parity is asserted field by field.
+/// `Duration`s, which legitimately differ between two runs, so parity
+/// is asserted field by field.
 fn assert_counters_equal(batch: &QueryStats, solo: &QueryStats, label: &str) {
     assert_eq!(batch.phase1_candidates, solo.phase1_candidates, "{label}");
     assert_eq!(batch.node_accesses, solo.node_accesses, "{label}");

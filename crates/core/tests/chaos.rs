@@ -332,9 +332,9 @@ fn seeded_fault_plans_with_monte_carlo_never_panic() {
 }
 
 /// ISSUE-9 chaos headline: a fault tripping **mid-batch** must degrade
-/// only the affected queries. Tripped queries are dropped from the
-/// fused Phase-3 pass and recovered through the solo re-run path with
-/// the same derived cloud seed, so *every* query — tripped or not —
+/// only the affected queries. Tripped queries skip their Σ-group's
+/// shared offset table and run with a fresh evaluator on the same
+/// derived cloud seed, so *every* query — tripped or not —
 /// still answers bitwise identically to the fault-free batch; the only
 /// observable differences are the `recovered` flags and the
 /// `prq_batch_aborts_total` counter (every hop reported).
@@ -393,7 +393,7 @@ fn batch_abort_degrades_only_affected_queries() {
             .iter()
             .zip(&f.probabilities)
             .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "query {q}: recovery diverged from the fused pass");
+        assert!(same, "query {q}: recovery diverged from the shared table");
         assert_eq!(f.stats.integrations, c.stats.integrations, "query {q}");
         assert_eq!(f.stats.cloud_builds, c.stats.cloud_builds, "query {q}");
     }

@@ -352,5 +352,7 @@ fn recovered_batch_counters_match_stats() {
     }
     assert_eq!(integrating, INTEGRATING_QUERIES);
     assert_eq!(total.phase3_samples, integrating * SAMPLES);
+    // Recovered queries make no table lookup.
+    assert_eq!((batch.cache().hits(), batch.cache().misses()), (0, 0));
     assert_totals(&metrics, &total, queries.len(), "recovered batch");
 }

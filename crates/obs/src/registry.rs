@@ -140,4 +140,22 @@ mod tests {
         assert_eq!(names, ["a_first", "m_mid", "z_last"]);
         assert_eq!(snap.gauge("m_mid"), Some(4));
     }
+
+    #[test]
+    fn threads_share_one_instrument_per_name() {
+        // Concurrent get-or-create must hand every thread the same
+        // counter while other threads take snapshots.
+        let r = Registry::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1_000 {
+                        r.counter("shared").inc();
+                    }
+                    assert!(r.snapshot().counter("shared").is_some());
+                });
+            }
+        });
+        assert_eq!(r.counter("shared").get(), 4_000);
+    }
 }

@@ -701,6 +701,39 @@ mod tests {
     }
 
     #[test]
+    fn published_snapshots_stay_whole_under_concurrent_reads() {
+        // The module docs' publish protocol under load: one writer
+        // publishes an image after each insert while two readers load
+        // and query, and every load sees one whole image.
+        use std::sync::{Arc, PoisonError, RwLock};
+        let mut tree = RTree::with_params(RStarParams::paper_default(2));
+        for i in 0..100u32 {
+            tree.insert(Vector::from([f64::from(i), f64::from(i)]), i);
+        }
+        let published = RwLock::new(Arc::new(FlatRTree::freeze(tree.clone())));
+        let load = || Arc::clone(&published.read().unwrap_or_else(PoisonError::into_inner));
+        let far = Rect::centered(&Vector::from([500.0, 500.0]), &Vector::from([1.0, 50.0]));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..20u32 {
+                    tree.insert(Vector::from([500.0, 500.0 + f64::from(i)]), 100 + i);
+                    let image = Arc::new(FlatRTree::freeze(tree.clone()));
+                    *published.write().unwrap_or_else(PoisonError::into_inner) = image;
+                }
+            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        let image = load();
+                        assert_eq!(image.query_rect(&far).len(), image.len() - 100);
+                    }
+                });
+            }
+        });
+        assert_eq!(load().len(), 120);
+    }
+
+    #[test]
     fn empty_tree_freezes_to_empty_index() {
         let flat: FlatRTree<2, u8> = FlatRTree::freeze(RTree::new());
         assert!(flat.is_empty());

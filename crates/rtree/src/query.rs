@@ -62,8 +62,9 @@ pub trait Phase1Index<const D: usize, T> {
     /// shortest of the three slices. Each query's results and counters
     /// must be identical to a solo [`Phase1Index::search_rect_into`]
     /// call with the same rectangle — batching is a pure amortization,
-    /// never a semantic change (the batch executor's parity suite holds
-    /// implementations to this).
+    /// never a semantic change (`tests/flat_parity.rs` holds both
+    /// implementations to this). `QueryBatch` in `gprq-core` does not
+    /// call it: each of its queries runs the solo probe.
     fn search_rects_into<'t>(
         &'t self,
         rects: &[Rect<D>],

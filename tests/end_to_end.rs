@@ -249,7 +249,7 @@ fn parallel_integrator_matches_executor_answers() {
             .execute(&tree, &query, &mut oracle)
             .unwrap(),
     );
-    // A one-query batch fans its Phase 3 out over four workers.
+    // A one-query batch; the integrator's thread count (4) is unused.
     let mut batch = QueryBatch::new(
         PrqExecutor::new(StrategySet::ALL),
         ParallelIntegrator::new(100_000, 31, 4).unwrap(),
