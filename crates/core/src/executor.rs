@@ -375,9 +375,10 @@ impl<'c> PrqExecutor<'c> {
     }
 
     /// Builds the per-query [`PreparedQuery`] — strategy validation plus the
-    /// owned θ-region and BF bounds — for the solo path above and the
-    /// batch executor (`crate::batch`), which plans every query before
-    /// running any.
+    /// owned θ-region and BF bounds — for the solo path above, the
+    /// resilient executor and the batch executor (`crate::batch`), which
+    /// plans every query before running any. Each call records one
+    /// [`Phase::Plan`] span when metrics are attached.
     ///
     /// # Errors
     ///
@@ -389,6 +390,7 @@ impl<'c> PrqExecutor<'c> {
         &self,
         query: &PrqQuery<D>,
     ) -> Result<PreparedQuery<D>, PrqError> {
+        let _span = self.metrics.map(|m| m.phase_span(Phase::Plan));
         self.strategies.validate()?;
         let needs_region = self.strategies.rr || self.strategies.or;
         let region: Option<ThetaRegion<D>> = if needs_region {

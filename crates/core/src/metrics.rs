@@ -10,14 +10,15 @@
 //!
 //! Counters are flushed **once per query** from the already-maintained
 //! [`QueryStats`], so per-candidate work sees no instrumentation at
-//! all; only the three phase spans and the per-object sample histogram
-//! touch metrics inside a query. The `BENCH_obs.json` guard holds the
-//! end-to-end overhead of this design under 3 %.
+//! all; only the plan span, the three phase spans and the per-object
+//! sample histogram touch metrics inside a query. The `BENCH_obs.json`
+//! guard holds the end-to-end overhead of this design under 3 %.
 //!
-//! Span-to-paper mapping: [`Phase::Search`] is the paper's Phase 1
-//! (index-based search), [`Phase::Filter`] Phase 2 (RR/OR/BF
-//! filtering), [`Phase::Integrate`] Phase 3 (probability computation,
-//! "at least 97 % of the total processing time", §V-B).
+//! Span-to-paper mapping: [`Phase::Plan`] derives the query's radii
+//! (`r_θ`, BF's `α∥`/`α⊥`) before any phase runs, [`Phase::Search`] is
+//! the paper's Phase 1 (index-based search), [`Phase::Filter`] Phase 2
+//! (RR/OR/BF filtering), [`Phase::Integrate`] Phase 3 (probability
+//! computation, "at least 97 % of the total processing time", §V-B).
 //!
 //! [`PrqExecutor::with_metrics`]: crate::executor::PrqExecutor::with_metrics
 //! [`QueryStats`]: crate::executor::QueryStats
@@ -64,6 +65,9 @@ pub mod names {
     /// Histogram: samples each integrated object was evaluated over
     /// (the whole cloud on fixed-cloud paths), on every integrating path.
     pub const PHASE3_SAMPLES_PER_OBJECT: &str = "prq_phase3_samples_per_object";
+    /// Histogram: plan wall-clock nanoseconds per query (strategy
+    /// validation, `r_θ` and the BF radii).
+    pub const PLAN_DURATION_NS: &str = "prq_plan_duration_ns";
     /// Histogram: Phase-1 wall-clock nanoseconds per query.
     pub const PHASE1_DURATION_NS: &str = "prq_phase1_duration_ns";
     /// Histogram: Phase-2 wall-clock nanoseconds per query.
@@ -107,9 +111,12 @@ pub mod names {
     pub const BATCH_ABORTS: &str = "prq_batch_aborts_total";
 }
 
-/// The paper's three query-processing phases, used to label spans.
+/// The plan stage and the paper's three query-processing phases, used to
+/// label spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
+    /// Planning: strategy validation plus the θ-region and BF radii.
+    Plan,
     /// Phase 1: index-based search.
     Search,
     /// Phase 2: RR/OR/BF filtering.
@@ -146,6 +153,7 @@ pub struct PipelineMetrics {
     uncertain: Arc<Counter>,
     phase3_samples: Arc<Counter>,
     samples_per_object: Arc<Histogram>,
+    plan_duration: Arc<Histogram>,
     phase1_duration: Arc<Histogram>,
     phase2_duration: Arc<Histogram>,
     phase3_duration: Arc<Histogram>,
@@ -196,6 +204,7 @@ impl PipelineMetrics {
             uncertain: registry.counter(names::PHASE3_UNCERTAIN),
             phase3_samples: registry.counter(names::PHASE3_SAMPLES),
             samples_per_object: registry.histogram(names::PHASE3_SAMPLES_PER_OBJECT),
+            plan_duration: registry.histogram(names::PLAN_DURATION_NS),
             phase1_duration: registry.histogram(names::PHASE1_DURATION_NS),
             phase2_duration: registry.histogram(names::PHASE2_DURATION_NS),
             phase3_duration: registry.histogram(names::PHASE3_DURATION_NS),
@@ -232,6 +241,7 @@ impl PipelineMetrics {
     /// histogram.
     pub fn phase_span(&self, phase: Phase) -> PhaseSpan<'_> {
         let target = match phase {
+            Phase::Plan => &self.plan_duration,
             Phase::Search => &self.phase1_duration,
             Phase::Filter => &self.phase2_duration,
             Phase::Integrate => &self.phase3_duration,
@@ -361,7 +371,8 @@ mod tests {
         let clock = Arc::new(MockClock::new());
         let m = PipelineMetrics::with_clock(clock.clone());
         for (phase, ns) in [
-            (Phase::Search, 100u64),
+            (Phase::Plan, 50u64),
+            (Phase::Search, 100),
             (Phase::Filter, 200),
             (Phase::Integrate, 97_000),
         ] {
@@ -370,6 +381,10 @@ mod tests {
             assert_eq!(span.finish(), ns);
         }
         let snap = m.snapshot();
+        assert_eq!(
+            snap.histogram(names::PLAN_DURATION_NS).map(|h| h.sum),
+            Some(50)
+        );
         assert_eq!(
             snap.histogram(names::PHASE1_DURATION_NS).map(|h| h.sum),
             Some(100)

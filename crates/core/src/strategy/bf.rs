@@ -56,43 +56,85 @@ pub struct BfBounds<const D: usize> {
     pub accept: Option<f64>,
 }
 
+/// One BF radius as a standardized off-center ball problem (paper
+/// Eqs. 28–31): the radius is `β/√λ` for the `β` that solves
+/// `ball_probability(D, β, rho) = target`.
+#[derive(Debug, Clone, Copy)]
+struct BallProblem {
+    /// `√λ` of the bounding function's eigenvalue `λ` of `Σ⁻¹`.
+    sqrt_lambda: f64,
+    /// `ρ = √λ·δ`.
+    rho: f64,
+    /// `λ^{d/2}|Σ|^{1/2}·θ`.
+    target: f64,
+}
+
+impl BallProblem {
+    /// The exact radius, or `None` when even `β = 0` misses the target.
+    fn exact<const D: usize>(&self) -> Option<f64> {
+        inverse_center_distance(D, self.rho, self.target).map(|beta| self.radius(beta))
+    }
+
+    /// A standardized center distance `β` in the query's units.
+    fn radius(&self, beta: f64) -> f64 {
+        beta / self.sqrt_lambda
+    }
+}
+
+/// BF's two ball problems for one query — the one home of its inputs,
+/// which both constructors read. The targets are formed in log space.
+///
+/// * Reject (upper bound `p∥`, `λ∥ = min λᵢ(Σ⁻¹)`): the target
+///   `(λ∥)^{d/2}|Σ|^{1/2}·θ` is at most `θ < 1` (Eq. 29). When it
+///   underflows to 0, no finite radius keeps the upper bound below θ, so
+///   BF rejects nothing: `Err(RejectBound::Radius(∞))`, and Phase 1
+///   searches the everything-rectangle.
+/// * Accept (lower bound `p⊥`, `λ⊥ = max λᵢ(Σ⁻¹)`): `None` when
+///   `(λ⊥)^{d/2}|Σ|^{1/2}·θ ≥ 1`, the no-hole regime of Eq. 37. This
+///   target is at least θ, so it never underflows.
+fn ball_problems<const D: usize>(
+    query: &PrqQuery<D>,
+) -> (Result<BallProblem, RejectBound>, Option<BallProblem>) {
+    let g = query.gaussian();
+    let d = D as f64;
+    let delta = query.delta();
+    let ln_theta = query.theta().ln();
+    let ln_det = g.log_det_covariance();
+    let problem = |lambda: f64, target: f64| BallProblem {
+        sqrt_lambda: lambda.sqrt(),
+        rho: lambda.sqrt() * delta,
+        target,
+    };
+
+    let lambda_par = g.lambda_parallel();
+    let scaled_par = (0.5 * d * lambda_par.ln() + 0.5 * ln_det + ln_theta).exp();
+    let reject = if scaled_par > 0.0 {
+        Ok(problem(lambda_par, scaled_par.min(1.0 - 1e-15)))
+    } else {
+        Err(RejectBound::Radius(f64::INFINITY))
+    };
+
+    let lambda_perp = g.lambda_perp();
+    let ln_scaled_perp = 0.5 * d * lambda_perp.ln() + 0.5 * ln_det + ln_theta;
+    let accept = (ln_scaled_perp < 0.0).then(|| problem(lambda_perp, ln_scaled_perp.exp()));
+    (reject, accept)
+}
+
 impl<const D: usize> BfBounds<D> {
     /// Computes the bounds exactly (the paper's own experiments do this:
     /// §V-A "we computed accurate β∥ and β⊥ values for BF … instead of
     /// approximate values").
     pub fn exact(query: &PrqQuery<D>) -> Self {
-        let g = query.gaussian();
-        let d = D as f64;
-        let delta = query.delta();
-        let ln_theta = query.theta().ln();
-        let ln_det = g.log_det_covariance();
-
-        // Upper bound p∥ (λ∥ = min eigenvalue of Σ⁻¹): reject radius.
-        let lambda_par = g.lambda_parallel();
-        let rho_par = lambda_par.sqrt() * delta;
-        // (λ∥)^{d/2}|Σ|^{1/2}·θ in log space (Eq. 29) — always ≤ θ < 1.
-        let scaled_par = (0.5 * d * lambda_par.ln() + 0.5 * ln_det + ln_theta).exp();
-        let reject = match inverse_center_distance(D, rho_par, scaled_par.min(1.0 - 1e-15)) {
-            Some(beta) => RejectBound::Radius(beta / lambda_par.sqrt()),
-            None => RejectBound::RejectAll,
-        };
-
-        // Lower bound p⊥ (λ⊥ = max eigenvalue of Σ⁻¹): accept radius.
-        let lambda_perp = g.lambda_perp();
-        let rho_perp = lambda_perp.sqrt() * delta;
-        let ln_scaled_perp = 0.5 * d * lambda_perp.ln() + 0.5 * ln_det + ln_theta;
-        let accept = if ln_scaled_perp >= 0.0 {
-            // (λ⊥)^{d/2}|Σ|^{1/2}·θ ≥ 1: no hole (paper Eq. 37).
-            None
-        } else {
-            inverse_center_distance(D, rho_perp, ln_scaled_perp.exp())
-                .map(|beta| beta / lambda_perp.sqrt())
-        };
-
+        let (reject, accept) = ball_problems(query);
         BfBounds {
             center: *query.center(),
-            reject,
-            accept,
+            reject: match reject {
+                Ok(par) => par
+                    .exact::<D>()
+                    .map_or(RejectBound::RejectAll, RejectBound::Radius),
+                Err(bound) => bound,
+            },
+            accept: accept.and_then(|perp| perp.exact::<D>()),
         }
     }
 
@@ -112,43 +154,24 @@ impl<const D: usize> BfBounds<D> {
                 query: D,
             });
         }
-        let g = query.gaussian();
-        let d = D as f64;
-        let delta = query.delta();
-        let ln_theta = query.theta().ln();
-        let ln_det = g.log_det_covariance();
-
-        let lambda_par = g.lambda_parallel();
-        let rho_par = lambda_par.sqrt() * delta;
-        let scaled_par = (0.5 * d * lambda_par.ln() + 0.5 * ln_det + ln_theta).exp();
-        let reject = match catalog.lookup_reject(rho_par, scaled_par.min(1.0 - 1e-15)) {
-            CatalogLookup::Alpha(beta) => RejectBound::Radius(beta / lambda_par.sqrt()),
-            CatalogLookup::NoSolution => RejectBound::RejectAll,
-            // Exact fallback is computed only on a grid miss — the point
-            // of the catalog is to avoid the noncentral-χ² inversions.
-            CatalogLookup::OutOfGrid => {
-                match inverse_center_distance(D, rho_par, scaled_par.min(1.0 - 1e-15)) {
-                    Some(beta) => RejectBound::Radius(beta / lambda_par.sqrt()),
-                    None => RejectBound::RejectAll,
-                }
-            }
+        let (reject, accept) = ball_problems(query);
+        let reject = match reject {
+            Ok(par) => match catalog.lookup_reject(par.rho, par.target) {
+                CatalogLookup::Alpha(beta) => RejectBound::Radius(par.radius(beta)),
+                CatalogLookup::NoSolution => RejectBound::RejectAll,
+                // Exact fallback is computed only on a grid miss — the point
+                // of the catalog is to avoid the noncentral-χ² inversions.
+                CatalogLookup::OutOfGrid => par
+                    .exact::<D>()
+                    .map_or(RejectBound::RejectAll, RejectBound::Radius),
+            },
+            Err(bound) => bound,
         };
-
-        let lambda_perp = g.lambda_perp();
-        let rho_perp = lambda_perp.sqrt() * delta;
-        let ln_scaled_perp = 0.5 * d * lambda_perp.ln() + 0.5 * ln_det + ln_theta;
-        let accept = if ln_scaled_perp >= 0.0 {
-            None
-        } else {
-            match catalog.lookup_accept(rho_perp, ln_scaled_perp.exp()) {
-                CatalogLookup::Alpha(beta) => Some(beta / lambda_perp.sqrt()),
-                CatalogLookup::NoSolution => None,
-                CatalogLookup::OutOfGrid => {
-                    inverse_center_distance(D, rho_perp, ln_scaled_perp.exp())
-                        .map(|beta| beta / lambda_perp.sqrt())
-                }
-            }
-        };
+        let accept = accept.and_then(|perp| match catalog.lookup_accept(perp.rho, perp.target) {
+            CatalogLookup::Alpha(beta) => Some(perp.radius(beta)),
+            CatalogLookup::NoSolution => None,
+            CatalogLookup::OutOfGrid => perp.exact::<D>(),
+        });
 
         Ok(BfBounds {
             center: *query.center(),
@@ -209,6 +232,7 @@ mod tests {
     use super::*;
     use crate::ucatalog::BfCatalog;
     use gprq_gaussian::integrate::quadrature_probability_2d;
+    use gprq_gaussian::noncentral::isotropic_qualification_probability;
     use gprq_linalg::Matrix;
 
     fn paper_query(gamma: f64, delta: f64, theta: f64) -> PrqQuery<2> {
@@ -371,6 +395,54 @@ mod tests {
                 query: 2
             })
         ));
+    }
+
+    #[test]
+    fn nine_dim_isotropic_radius_is_the_exact_root() {
+        // For Σ = σ²I both bounding functions are the density itself, so
+        // α∥ = α⊥ is the exact qualification boundary.
+        let (variance, delta, theta) = (0.04, 0.7, 0.4);
+        let q = PrqQuery::<9>::new(
+            Vector::ZERO,
+            Matrix::identity().scale(variance),
+            delta,
+            theta,
+        )
+        .unwrap();
+        let b = BfBounds::exact(&q);
+        let RejectBound::Radius(alpha) = b.reject else {
+            panic!("expected a radius")
+        };
+        let accept = b.accept.expect("isotropic Σ has a hole");
+        assert!(
+            (alpha - accept).abs() <= 1e-12 * alpha,
+            "{alpha} vs {accept}"
+        );
+        let sigma = variance.sqrt();
+        let inside = isotropic_qualification_probability(9, sigma, 0.999 * alpha, delta);
+        let outside = isotropic_qualification_probability(9, sigma, 1.001 * alpha, delta);
+        assert!(
+            inside >= theta && outside < theta,
+            "α = {alpha}: Pr {inside} inside, {outside} outside, θ = {theta}"
+        );
+    }
+
+    #[test]
+    fn underflowing_reject_target_rejects_nothing() {
+        // (λ∥)^{d/2}|Σ|^{1/2}·θ = θ/3 underflows to 0: no finite radius
+        // keeps the upper bound below θ.
+        let q = paper_query(10.0, 5.0, 5e-324);
+        let catalog = BfCatalog::new(2);
+        for b in [
+            BfBounds::exact(&q),
+            BfBounds::from_catalog(&q, &catalog).unwrap(),
+        ] {
+            assert_eq!(b.reject, RejectBound::Radius(f64::INFINITY));
+            let rect = b.search_rect().expect("nothing is rejected");
+            assert_eq!(rect.extent(0), f64::INFINITY);
+            let far = *q.center() + Vector::from([1e9, 0.0]);
+            assert_ne!(b.classify(&far), BfClass::Reject);
+        }
     }
 
     #[test]

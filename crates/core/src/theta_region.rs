@@ -10,7 +10,8 @@
 //! Property 1 reduces finding `r_θ` to the *normalized* Gaussian: `r_θ`
 //! is the radius of the centered ball holding mass `1 − 2θ` under
 //! `N(0, I)` — i.e. the chi-distribution quantile
-//! `chi_inverse(d, 1 − 2θ)`.
+//! `chi_inverse(d, 1 − 2θ)`, which [`r_theta_exact`] solves from the
+//! upper-tail mass `2θ` (`chi_tail_inverse(d, 2θ)`).
 //!
 //! Why `1 − 2θ` and not `1 − θ`: the pruning argument of paper Fig. 3
 //! spends probability `2θ` outside the region and uses the point symmetry
@@ -19,7 +20,7 @@
 
 use crate::error::PrqError;
 use crate::query::PrqQuery;
-use gprq_gaussian::chi::chi_inverse;
+use gprq_gaussian::chi::chi_tail_inverse;
 use gprq_linalg::Vector;
 use gprq_rtree::Rect;
 
@@ -56,10 +57,10 @@ impl<const D: usize> ThetaRegion<D> {
     ///
     /// Returns [`PrqError::ThetaRegionUndefined`] when `θ ≥ 1/2` (or θ
     /// is NaN): Definition 3 only defines the region for `θ < 1/2`.
-    // INVARIANT: the caller's r_θ must satisfy r_θ ≥ chi_inverse(D, 1−2θ)
-    // (catalog lookups guarantee this by rounding θ down); the resulting
-    // ellipsoid then contains ≥ 1−2θ of the query mass, which Property 1
-    // needs for RR/OR pruning to be lossless.
+    // INVARIANT: the caller's r_θ must satisfy r_θ ≥ chi_tail_inverse(D, 2θ),
+    // the radius with upper-tail mass 2θ (catalog lookups guarantee this by
+    // rounding θ down); the resulting ellipsoid then contains ≥ 1−2θ of the
+    // query mass, which Property 1 needs for RR/OR pruning to be lossless.
     pub fn with_r_theta(query: &PrqQuery<D>, r_theta: f64) -> Result<Self, PrqError> {
         // Negated form on purpose: a NaN θ must take the error branch.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -107,19 +108,23 @@ impl<const D: usize> ThetaRegion<D> {
     }
 }
 
-/// Exact `r_θ = chi_inverse(d, 1 − 2θ)` (Definition 5 + Property 1).
+/// Exact `r_θ = chi_inverse(d, 1 − 2θ)` (Definition 5 + Property 1),
+/// solved from the upper-tail mass `2θ`: finite for every `θ ∈ (0, ½)`,
+/// including those for which `1 − 2θ` rounds to 1.
 ///
 /// # Errors
 ///
 /// [`PrqError::ThetaRegionUndefined`] when `θ ≥ 1/2`.
-// INVARIANT: chi_inverse is evaluated at exactly 1 − 2θ (never rounded
-// up), so the radius is the tightest value for which the θ-region
-// argument (Definition 5) holds — any smaller radius would under-cover.
+// INVARIANT: the solve matches the upper-tail mass to exactly 2θ (doubling
+// is exact in floating point, unlike 1 − 2θ), so the radius is the
+// tightest value for which the θ-region argument (Definition 5) holds and
+// leaves at most 2θ outside, up to the CDF's own error — any smaller
+// radius would under-cover.
 pub fn r_theta_exact<const D: usize>(theta: f64) -> Result<f64, PrqError> {
     if !(theta > 0.0 && theta < 0.5) {
         return Err(PrqError::ThetaRegionUndefined(theta));
     }
-    Ok(chi_inverse(D, 1.0 - 2.0 * theta))
+    Ok(chi_tail_inverse(D, 2.0 * theta))
 }
 
 #[cfg(test)]
@@ -140,6 +145,17 @@ mod tests {
         // d = 2, θ = 0.01 → r_θ ≈ 2.797 (paper §VI-B).
         let r = r_theta_exact::<2>(0.01).unwrap();
         assert!((r - 2.797).abs() < 1e-3, "got {r}");
+    }
+
+    #[test]
+    fn r_theta_is_finite_where_one_minus_two_theta_rounds_to_one() {
+        // 1 − 2θ == 1.0 for these θ; the tail solve still separates them.
+        let mut previous = 0.0;
+        for theta in [0.01, 1e-17, 1e-300, 5e-324] {
+            let r = r_theta_exact::<2>(theta).unwrap();
+            assert!(r.is_finite() && r > previous, "θ = {theta}: r_θ = {r}");
+            previous = r;
+        }
     }
 
     #[test]

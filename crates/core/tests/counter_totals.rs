@@ -3,7 +3,9 @@
 //! every evaluator kind (fixed cloud, sequential, deterministic), each
 //! registry counter must equal the sum of its
 //! [`QueryStats`] field over the queries it recorded — and a run that
-//! built a sample cloud must report the samples it drew.
+//! built a sample cloud must report the samples it drew. Each executor
+//! plans every query once, so the plan histogram holds one span per
+//! query.
 //!
 //! Clouds are drawn at a query's first integration, so every cloud
 //! driver builds exactly one cloud per query with at least one
@@ -130,6 +132,14 @@ fn assert_totals(metrics: &PipelineMetrics, total: &QueryStats, queries: usize, 
             "{label}: {name}"
         );
     }
+    // One plan span per query: every executor here plans each query once
+    // (no resilient run below falls back to the naive scan, which skips
+    // planning).
+    assert_eq!(
+        snap.histogram(names::PLAN_DURATION_NS).map(|h| h.count),
+        Some(u64::try_from(queries).unwrap()),
+        "{label}: plan spans"
+    );
     // One per-object record for every integrated object.
     assert_eq!(
         snap.histogram(names::PHASE3_SAMPLES_PER_OBJECT)

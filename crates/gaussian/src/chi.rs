@@ -16,7 +16,7 @@
 //! a *U-catalog*; we provide the exact closed form here and reproduce the
 //! table-based path (plus an ablation comparing both) in `gprq-core`.
 
-use crate::specfun::regularized_gamma_p;
+use crate::specfun::{ln_gamma, ln_regularized_gamma_q, regularized_gamma_p, std_normal_quantile};
 
 /// CDF of the chi-squared distribution with `d` degrees of freedom.
 ///
@@ -39,12 +39,20 @@ pub fn chi_ball_probability(d: usize, r: f64) -> f64 {
 /// Inverse of [`chi_ball_probability`] in `r`: the radius containing
 /// probability mass `p`.
 ///
-/// This computes the paper's `r_θ` **exactly**: for a probabilistic range
-/// query with threshold `θ`, `r_θ = chi_inverse(d, 1 − 2θ)` (Definition 5 +
-/// Property 1).
+/// `chi_inverse(d, 1 − 2θ)` is the paper's `r_θ` (Definition 5 +
+/// Property 1); the executor solves it from the exact tail mass `2θ`
+/// with [`chi_tail_inverse`], and the U-catalog and the experiment bins
+/// call this form.
 ///
-/// Solved by bracketed bisection refined with Newton steps; the CDF is
-/// smooth and strictly monotone so this converges to full precision.
+/// Solved by safeguarded Newton steps in `r` on the log of the smaller
+/// tail — `ln P(d/2, r²/2)` for `p ≤ ½`, `ln Q` on the exact `1 − p`
+/// otherwise — with [`chi_pdf`] as the derivative. The start is the
+/// Wilson–Hilferty cube-root normal approximation to the χ²_d quantile.
+/// A bracket around the root rejects any Newton step that would leave it
+/// (bisecting instead), and the solve stops once a step is below
+/// `2·10⁻¹³·max(r, 1)`. Both tails are log-concave, so the steps
+/// converge monotonically after the first; a handful of CDF evaluations
+/// reach full precision.
 ///
 /// # Panics
 ///
@@ -55,28 +63,141 @@ pub fn chi_inverse(d: usize, p: f64) -> f64 {
         p > 0.0 && p < 1.0,
         "chi_inverse requires 0 < p < 1, got {p}"
     );
+    if p > 0.5 {
+        // Exact: 1 − p needs no rounding for p ∈ [½, 1] (Sterbenz).
+        return solve_radius(d, 1.0 - p, Tail::Upper);
+    }
+    solve_radius(d, p, Tail::Lower)
+}
 
-    // Bracket: the chi mean is ~√d; expand until the CDF straddles p.
-    let mut hi = (d as f64).sqrt() + 1.0;
-    while chi_ball_probability(d, hi) < p {
-        hi *= 2.0;
-        if hi > 1e6 {
-            break;
+/// Inverse of the chi upper tail: the radius `r` with `P(‖x‖ > r) = tail`
+/// for a standard `d`-dimensional Gaussian.
+///
+/// This is how the executor computes `r_θ`: the mass outside the θ-region
+/// is `2θ`, which is exact in floating point, while `1 − 2θ` rounds to 1
+/// for `θ ≲ 1.1·10⁻¹⁶`. The solve runs on `ln Q(d/2, r²/2)`, so it stays
+/// accurate for tails down to the smallest subnormal; the result is
+/// finite for every `tail` in `(0, 1)`. Method as in [`chi_inverse`].
+///
+/// # Panics
+///
+/// Panics if `tail` is not in `(0, 1)` or `d == 0`.
+pub fn chi_tail_inverse(d: usize, tail: f64) -> f64 {
+    assert!(d > 0, "chi distribution requires d >= 1");
+    assert!(
+        tail > 0.0 && tail < 1.0,
+        "chi_tail_inverse requires 0 < tail < 1, got {tail}"
+    );
+    solve_radius(d, tail, Tail::Upper)
+}
+
+/// Which tail of the chi distribution a radius solve matches.
+#[derive(Clone, Copy)]
+enum Tail {
+    /// `P(‖x‖ ≤ r) = mass`.
+    Lower,
+    /// `P(‖x‖ > r) = mass`.
+    Upper,
+}
+
+/// Solves for the radius whose `tail` mass is `mass`.
+fn solve_radius(d: usize, mass: f64, tail: Tail) -> f64 {
+    let df = d as f64;
+    let a = 0.5 * df;
+    let ln_mass = mass.ln();
+    // Wilson–Hilferty: χ²_d quantile ≈ d·(1 − 2/(9d) + z·√(2/(9d)))³,
+    // with z the normal quantile of the lower-tail mass.
+    let z = match tail {
+        Tail::Lower => std_normal_quantile(mass),
+        Tail::Upper => -std_normal_quantile(mass),
+    };
+    let k = 2.0 / (9.0 * df);
+    let cube = 1.0 - k + z * k.sqrt();
+    let start = if cube > 0.0 {
+        (df * cube * cube * cube).sqrt()
+    } else {
+        // Deep lower tail: P(a, y) ≈ y^a/Γ(a + 1).
+        (2.0 * ((ln_mass + ln_gamma(a + 1.0)) / a).exp()).sqrt()
+    };
+    let ln_norm = (a - 1.0) * std::f64::consts::LN_2 + ln_gamma(a);
+    newton_decreasing(start, f64::INFINITY, |r| {
+        let y = 0.5 * r * r;
+        // d/dr ln T(r) = ±pdf(r)/T(r), formed in log space so neither
+        // factor underflows in the far tail.
+        let ln_pdf = ln_chi_kernel(df, r) - ln_norm;
+        match tail {
+            Tail::Lower => {
+                let ln_p = regularized_gamma_p(a, y).ln();
+                (ln_mass - ln_p, -(ln_pdf - ln_p).exp())
+            }
+            Tail::Upper => {
+                let ln_q = ln_regularized_gamma_q(a, y);
+                (ln_q - ln_mass, -(ln_pdf - ln_q).exp())
+            }
         }
-    }
-    let mut lo = 0.0f64;
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if chi_ball_probability(d, mid) < p {
-            lo = mid;
+    })
+    .0
+}
+
+/// Relative step below which the safeguarded Newton solves stop.
+const NEWTON_RTOL: f64 = 2e-13;
+/// Evaluation cap of a safeguarded Newton solve. Doubling reaches any
+/// finite bracket and bisection then narrows it to `NEWTON_RTOL` well
+/// within it; a converging solve takes a handful.
+const NEWTON_MAX_EVALS: u32 = 200;
+
+/// Root of a decreasing `g` on `[0, ∞)` with `g(0) > 0`, by Newton steps
+/// from `start`, safeguarded by a bracket. `g` returns its value and
+/// derivative at a point.
+///
+/// The bracket is `[lo, hi]`, with `hi = ∞` until a point with `g ≤ 0`
+/// is seen. A Newton step strictly inside the bracket is taken; any other
+/// step is replaced by doubling `lo` while `hi = ∞` and by bisection
+/// after. The solve stops when a Newton step or the bracket is below
+/// `2·10⁻¹³·max(x, 1)` and returns that step clamped into the bracket.
+/// A doubled point past `cap` is returned as is, unevaluated (the
+/// caller's pathological bound). Returns the root and the number of
+/// evaluations of `g`.
+pub(crate) fn newton_decreasing(
+    start: f64,
+    cap: f64,
+    mut g: impl FnMut(f64) -> (f64, f64),
+) -> (f64, u32) {
+    let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+    let mut x = if start.is_finite() {
+        start.max(0.0)
+    } else {
+        0.0
+    };
+    for evals in 1..=NEWTON_MAX_EVALS {
+        let (value, slope) = g(x);
+        // Every bracket decision reads `g` itself; the slope only steers.
+        // An exact root lands on `hi`, and its zero step ends the solve.
+        if value > 0.0 {
+            lo = x;
         } else {
-            hi = mid;
+            hi = x;
         }
-        if hi - lo < 1e-14 * hi.max(1.0) {
-            break;
+        let newton = x - value / slope;
+        let tol = NEWTON_RTOL * x.max(1.0);
+        if (newton - x).abs() < tol || hi - lo < tol {
+            // `max`/`min` also map a NaN step into the bracket.
+            return (newton.max(lo).min(hi), evals);
         }
+        x = if newton > lo && newton < hi {
+            newton
+        } else if hi.is_finite() {
+            0.5 * (lo + hi)
+        } else {
+            let doubled = (2.0 * lo).max(1.0);
+            if doubled > cap {
+                return (doubled, evals);
+            }
+            doubled
+        };
     }
-    0.5 * (lo + hi)
+    let last = if hi.is_finite() { 0.5 * (lo + hi) } else { lo };
+    (last, NEWTON_MAX_EVALS)
 }
 
 /// Probability density function of the chi distribution with `d` degrees of
@@ -103,16 +224,20 @@ pub fn chi_pdf(d: usize, r: f64) -> f64 {
         };
     }
     let df = d as f64;
-    let ln_pdf = (df - 1.0) * r.ln()
-        - 0.5 * r * r
-        - (0.5 * df - 1.0) * std::f64::consts::LN_2
-        - crate::specfun::ln_gamma(0.5 * df);
+    let ln_pdf =
+        ln_chi_kernel(df, r) - (0.5 * df - 1.0) * std::f64::consts::LN_2 - ln_gamma(0.5 * df);
     ln_pdf.exp()
+}
+
+/// The unnormalized log chi density `(d − 1)·ln r − r²/2`.
+fn ln_chi_kernel(df: f64, r: f64) -> f64 {
+    (df - 1.0) * r.ln() - 0.5 * r * r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::specfun::regularized_gamma_q;
     use proptest::prelude::*;
 
     #[test]
@@ -169,6 +294,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn two_dimensional_inverse_closed_form() {
+        // In 2-D, r = √(−2 ln(1 − p)).
+        for p in [1e-9f64, 0.01, 0.2, 0.5, 0.8, 0.98, 0.999, 1.0 - 1e-12] {
+            let expect = (-2.0 * (-p).ln_1p()).sqrt();
+            let r = chi_inverse(2, p);
+            assert!(
+                (r - expect).abs() <= 1e-13 * expect,
+                "p = {p}: {r} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn tail_inverse_round_trips_the_exact_tail() {
+        // r_θ from the upper-tail mass 2θ: finite, shrinking as θ grows,
+        // and Q(d/2, r²/2) = 2θ wherever Q is a normal float.
+        let thetas = [5e-324, 1e-300, 1e-100, 1e-17, 1e-10, 0.01, 0.4];
+        for d in [1usize, 2, 9] {
+            let mut previous = f64::INFINITY;
+            for &theta in &thetas {
+                let r = chi_tail_inverse(d, 2.0 * theta);
+                assert!(
+                    r.is_finite() && r <= previous,
+                    "d = {d}, θ = {theta}: r = {r}"
+                );
+                previous = r;
+                if theta >= 1e-100 {
+                    let q = regularized_gamma_q(0.5 * d as f64, 0.5 * r * r);
+                    assert!(
+                        (q - 2.0 * theta).abs() <= 1e-10 * 2.0 * theta,
+                        "d = {d}, θ = {theta}: Q = {q:e}"
+                    );
+                }
+            }
+        }
+        // The upper half of `chi_inverse` is this solve on 1 − p.
+        assert_eq!(chi_inverse(9, 0.98), chi_tail_inverse(9, 1.0 - 0.98));
+    }
+
+    #[test]
+    #[should_panic(expected = "0 < tail < 1")]
+    fn tail_inverse_rejects_zero_tail() {
+        chi_tail_inverse(2, 0.0);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! analogue of the paper's `ucatalog_lookup(δ, θ)` (Eq. 21 solved for the
 //! center offset). `gprq-core` layers the table-based variant on top.
 
-use crate::chi::{chi_ball_probability, chi_squared_cdf};
-use crate::specfun::ln_gamma;
+use crate::chi::{chi_ball_probability, chi_squared_cdf, newton_decreasing};
+use crate::specfun::{ln_gamma, std_normal_quantile};
 
 /// Relative series truncation tolerance.
 const SERIES_EPS: f64 = 1e-14;
@@ -51,11 +51,25 @@ pub fn noncentral_chi_squared_cdf(d: usize, lambda: f64, x: f64) -> f64 {
     assert!(d > 0, "noncentral chi-squared requires d >= 1");
     debug_assert!(lambda >= 0.0, "noncentrality must be >= 0, got {lambda}");
     debug_assert!(x >= 0.0);
+    cdf_pair(d, lambda, x).0
+}
+
+/// `(F_d, F_{d+2})` at `(λ, x)`, with `F_k = P(χ'²_k(λ) ≤ x)`, from one
+/// Poisson sweep.
+///
+/// `F_{d+2} = Σⱼ Pois(j; λ/2) · C_{j+1}` weighs the same terms as
+/// `F_d = Σⱼ Pois(j; λ/2) · C_j` against the next central CDF
+/// `C_{j+1} = P(χ²_{d+2j+2} ≤ x)`, which the sweep already computes:
+/// upward it is `C_j − t_j`, downward the `C_j` held before `s_j` is
+/// added. The truncation rules are those of `F_d` alone, so its value is
+/// bit for bit the one [`noncentral_chi_squared_cdf`] returns; the pair
+/// gives the noncentrality derivative `∂F_d/∂λ = ½(F_{d+2} − F_d)`.
+fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
     if x == 0.0 {
-        return 0.0;
+        return (0.0, 0.0);
     }
     if lambda < 1e-300 {
-        return chi_squared_cdf(d, x);
+        return (chi_squared_cdf(d, x), chi_squared_cdf(d + 2, x));
     }
 
     let a = 0.5 * d as f64; // central shape parameter
@@ -75,6 +89,8 @@ pub fn noncentral_chi_squared_cdf(d: usize, lambda: f64, x: f64) -> f64 {
 
     let mut sum = w0 * c0;
     let mut weight_used = w0;
+    // Term j0 of F_{d+2}: w_{j0} · (C_{j0} − t_{j0}).
+    let mut sum_next = w0 * (c0 - t0).max(0.0);
 
     // Upward sweep: j = j0+1, j0+2, …
     {
@@ -94,6 +110,7 @@ pub fn noncentral_chi_squared_cdf(d: usize, lambda: f64, x: f64) -> f64 {
             let term = w * c;
             sum += term;
             weight_used += w;
+            sum_next += w * (c - t).max(0.0);
             let threshold = SERIES_EPS * sum.max(1e-300);
             if c == 0.0 {
                 break;
@@ -125,6 +142,7 @@ pub fn noncentral_chi_squared_cdf(d: usize, lambda: f64, x: f64) -> f64 {
         let mut s = t0 * (a + j0 as f64) / y;
         let mut j = j0;
         loop {
+            let c_above = c;
             c += s;
             if c > 1.0 {
                 c = 1.0;
@@ -134,13 +152,14 @@ pub fn noncentral_chi_squared_cdf(d: usize, lambda: f64, x: f64) -> f64 {
             s *= (a + j as f64) / y;
             let term = w * c;
             sum += term;
+            sum_next += w * c_above;
             if j == 0 || term < SERIES_EPS * sum.max(1e-300) {
                 break;
             }
         }
     }
 
-    sum.clamp(0.0, 1.0)
+    (sum.clamp(0.0, 1.0), sum_next.clamp(0.0, 1.0))
 }
 
 /// Probability that a standard `d`-dimensional Gaussian falls inside the
@@ -180,7 +199,25 @@ pub fn isotropic_qualification_probability(d: usize, sigma: f64, dist: f64, delt
 ///
 /// Returns `None` when even the centered ball (`β = 0`) holds less than
 /// `target` mass — the situation of paper Eq. 37 where no internal
-/// "hole" exists and the BF sure-accept radius `α⊥` is undefined.
+/// "hole" exists and the BF sure-accept radius `α⊥` is undefined — and
+/// `Some(0.0)` when it holds exactly `target`. A target below what the
+/// series can resolve returns a pathological `β > 10⁸`.
+///
+/// Solved by safeguarded Newton steps in the noncentrality `λ = β²`,
+/// where `F(λ) = P(χ'²_d(λ) ≤ ρ²)` has the derivative
+/// `∂F_d/∂λ = ½(F_{d+2} − F_d)`; one Poisson sweep yields both CDFs. The
+/// steps solve `ln F(λ) = ln target` (slope `½(F_{d+2}/F_d − 1)`), which
+/// is close to linear in λ far into the tail, where `F` itself decays
+/// exponentially and Newton would crawl. In `β` the slope
+/// `β·(F_{d+2} − F_d)` vanishes at the center, which stalls roots near
+/// it. The start solves the two-moment normal approximation
+/// `χ'²_d(λ) ≈ N(d + λ, 2d + 4λ)`: `(ρ² − d − λ)² = z²(2d + 4λ)` with
+/// `z = Φ⁻¹(target)`, taking the root with `sign(ρ² − d − λ) = sign(z)`,
+/// clamped at 0. A bracket `[lo, hi]` (`hi = ∞` until a point with
+/// `F ≤ target`, then expansion by doubling) rejects Newton steps that
+/// would leave it, bisecting instead; every bracket decision reads `F_d`.
+/// The solve stops once a step or the bracket is below
+/// `2·10⁻¹³·max(λ, 1)` — after 4–5 sweeps on the paper's workloads.
 ///
 /// # Panics
 ///
@@ -191,38 +228,36 @@ pub fn inverse_center_distance(d: usize, rho: f64, target: f64) -> Option<f64> {
         "target probability must be in (0, 1), got {target}"
     );
     assert!(rho > 0.0, "ball radius must be positive");
+    solve_center_distance(d, rho, target).0
+}
 
+/// Noncentralities past this (`β > 10⁸`) end the solve as pathological.
+const LAMBDA_CAP: f64 = 1e16;
+
+/// [`inverse_center_distance`] on validated inputs, plus the number of
+/// Poisson sweeps it took.
+fn solve_center_distance(d: usize, rho: f64, target: f64) -> (Option<f64>, u32) {
     let at_center = chi_ball_probability(d, rho);
     if at_center < target {
-        return None;
+        return (None, 0);
     }
     if at_center == target {
-        return Some(0.0);
+        return (Some(0.0), 0);
     }
 
-    // Bracket: F is continuous, strictly decreasing in β, → 0 as β → ∞.
-    let mut lo = 0.0f64;
-    let mut hi = rho + 1.0;
-    while ball_probability(d, hi, rho) > target {
-        lo = hi;
-        hi *= 2.0;
-        if hi > 1e8 {
-            // Pathological target below attainable precision.
-            return Some(hi);
-        }
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if ball_probability(d, mid, rho) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        if hi - lo < 1e-13 * hi.max(1.0) {
-            break;
-        }
-    }
-    Some(0.5 * (lo + hi))
+    let x = rho * rho;
+    let z = std_normal_quantile(target);
+    let (z2, df) = (z * z, d as f64);
+    // u = x − d − λ solves u² + 4z²u − z²(4x − 2d) = 0; keep sign(u) = sign(z).
+    let u = -2.0 * z2 + z.signum() * (4.0 * z2 * z2 + z2 * (4.0 * x - 2.0 * df)).sqrt();
+    let start = (x - df - u).max(0.0);
+    let ln_target = target.ln();
+    let (lambda, sweeps) = newton_decreasing(start, LAMBDA_CAP, |lambda| {
+        let (f, f_next) = cdf_pair(d, lambda, x);
+        // d ln F/dλ = ½(F_{d+2} − F_d)/F_d.
+        (f.ln() - ln_target, 0.5 * (f_next / f - 1.0))
+    });
+    (Some(lambda.sqrt()), sweeps)
 }
 
 #[cfg(test)]
@@ -387,6 +422,148 @@ mod tests {
     #[should_panic(expected = "in (0, 1)")]
     fn inverse_rejects_bad_target() {
         inverse_center_distance(2, 1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ball radius must be positive")]
+    fn inverse_rejects_bad_radius() {
+        inverse_center_distance(2, 0.0, 0.5);
+    }
+
+    /// `(d, λ, x)` points across both tails and the bulk of the pair.
+    fn pair_grid() -> impl Iterator<Item = (usize, f64, f64)> {
+        [1usize, 2, 5, 9, 12].into_iter().flat_map(|d| {
+            [0.3, 2.5, 12.0, 55.0, 400.0]
+                .into_iter()
+                .flat_map(move |lambda| {
+                    [0.5, 4.0, 20.0, 80.0, 450.0]
+                        .into_iter()
+                        .map(move |x| (d, lambda, x))
+                })
+        })
+    }
+
+    #[test]
+    fn fused_sweep_second_value_is_the_next_dimension() {
+        for (d, lambda, x) in pair_grid() {
+            let (f, f_next) = cdf_pair(d, lambda, x);
+            assert_eq!(
+                f.to_bits(),
+                noncentral_chi_squared_cdf(d, lambda, x).to_bits()
+            );
+            let direct = noncentral_chi_squared_cdf(d + 2, lambda, x);
+            assert!(
+                (f_next - direct).abs() <= 1e-13,
+                "d = {d}, λ = {lambda}, x = {x}: {f_next:e} vs {direct:e}"
+            );
+        }
+        // The central branch pairs P(a, y) with P(a + 1, y).
+        assert_eq!(
+            cdf_pair(3, 0.0, 2.0),
+            (chi_squared_cdf(3, 2.0), chi_squared_cdf(5, 2.0))
+        );
+    }
+
+    #[test]
+    fn fused_sweep_gives_the_noncentrality_derivative() {
+        // ∂F_d/∂λ = ½(F_{d+2} − F_d) against a central difference in λ.
+        let mut checked = 0;
+        for (d, lambda, x) in pair_grid() {
+            let (f, f_next) = cdf_pair(d, lambda, x);
+            let slope = 0.5 * (f_next - f);
+            if slope.abs() < 1e-6 {
+                continue; // a saturated tail: the difference is all rounding
+            }
+            let h = 1e-4 * lambda;
+            let fd = (noncentral_chi_squared_cdf(d, lambda + h, x)
+                - noncentral_chi_squared_cdf(d, lambda - h, x))
+                / (2.0 * h);
+            assert!(
+                (fd - slope).abs() <= 1e-6 * slope.abs(),
+                "d = {d}, λ = {lambda}, x = {x}: {fd:e} vs {slope:e}"
+            );
+            checked += 1;
+        }
+        assert!(checked >= 40, "grid too saturated: {checked} points");
+    }
+
+    #[test]
+    fn cdf_bits_are_pinned() {
+        // `isotropic_qualification_probability` is the conformance
+        // oracle, so the series' value may not move by a single bit.
+        let pinned: [(usize, f64, f64, u64); 11] = [
+            (2, 0.0, 3.0, 0x3fe8_dc1e_236d_28fd),
+            (1, 1e-5, 0.2, 0x3fd6_1906_f733_d2b3),
+            (1, 0.5, 1.0, 0x3fe2_4810_aafd_3c9d),
+            (2, 2.5, 6.9, 0x3fe9_260e_05bc_f648),
+            (2, 54.7, 6.944, 0x3ea2_b3bf_516f_b857),
+            (9, 0.3, 4.9, 0x3fc2_6430_77b1_3f81),
+            (9, 12.0, 20.0, 0x3fdf_b954_7a96_cc24),
+            (12, 100.0, 50.0, 0x3f26_5c0a_c8cb_48f7),
+            (3, 40.0, 0.01, 0x3d64_027b_1923_444b),
+            (5, 3000.0, 3100.0, 0x3fe9_d80b_caea_4cbf),
+            (2, 11236.0, 10000.0, 0x3e10_732c_6fdd_19b4),
+        ];
+        for (d, lambda, x, bits) in pinned {
+            let got = noncentral_chi_squared_cdf(d, lambda, x);
+            assert_eq!(
+                got.to_bits(),
+                bits,
+                "d = {d}, λ = {lambda}, x = {x}: {got:e}"
+            );
+        }
+    }
+
+    /// BF's `(d, ρ, target)` problems for a Σ given by its eigenvalues:
+    /// the reject radius from `λ∥ = 1/max`, the accept radius from
+    /// `λ⊥ = 1/min` when its target is below 1 (paper Eqs. 28–31).
+    fn bf_problems(eigenvalues: &[f64], delta: f64, theta: f64) -> Vec<(usize, f64, f64)> {
+        let d = eigenvalues.len();
+        let half_d = 0.5 * d as f64;
+        let ln_det: f64 = eigenvalues.iter().map(|e| e.ln()).sum();
+        let max = eigenvalues.iter().copied().fold(f64::MIN, f64::max);
+        let min = eigenvalues.iter().copied().fold(f64::MAX, f64::min);
+        [1.0 / max, 1.0 / min]
+            .into_iter()
+            .map(|lambda| {
+                let target = (half_d * lambda.ln() + 0.5 * ln_det + theta.ln()).exp();
+                (d, lambda.sqrt() * delta, target)
+            })
+            .filter(|&(_, _, target)| target < 1.0)
+            .collect()
+    }
+
+    #[test]
+    fn sweeps_per_solve_on_the_workload_families() {
+        let check = |family: &str, sigmas: &[Vec<f64>], delta: f64, theta: f64| {
+            let sweeps: Vec<u32> = sigmas
+                .iter()
+                .flat_map(|eig| bf_problems(eig, delta, theta))
+                .map(|(d, rho, target)| {
+                    let (beta, sweeps) = solve_center_distance(d, rho, target);
+                    assert!(beta.is_some(), "{family}: ρ = {rho}, target = {target}");
+                    sweeps
+                })
+                .collect();
+            let mean = f64::from(sweeps.iter().sum::<u32>()) / sweeps.len() as f64;
+            let max = sweeps.iter().copied().max().unwrap_or(0);
+            assert!(
+                mean <= 10.0 && max <= 16,
+                "{family}: {mean} sweeps per solve on average, {max} at most ({sweeps:?})"
+            );
+        };
+        // Eq. 34 at γ = 10 has eigenvalues 90 and 10.
+        check("road", &[vec![90.0, 10.0]], 25.0, 0.01);
+        check("churn", &[vec![10.0, 10.0]], 25.0, 0.01);
+        let feedback_like: Vec<Vec<f64>> = [1.0f64, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
+            .into_iter()
+            .map(|kappa| {
+                (0..9)
+                    .map(|i| 0.01 * kappa.powf(f64::from(i) / 8.0))
+                    .collect()
+            })
+            .collect();
+        check("9-D feedback-like", &feedback_like, 0.7, 0.4);
     }
 
     proptest! {

@@ -115,8 +115,26 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
     (sum * (-x + a * x.ln() - ln_gamma(a)).exp()).clamp(0.0, 1.0)
 }
 
+/// `ln Q(a, x)`, finite even where `Q` itself underflows: for
+/// `x ≥ a + 1` the continued fraction's prefactor `x^a e^{−x}/Γ(a)` stays
+/// in log space. The chi upper-tail inverse solves on this scale, so a
+/// tail mass near the smallest subnormal still has a full-precision log.
+pub(crate) fn ln_regularized_gamma_q(a: f64, x: f64) -> f64 {
+    debug_assert!(a > 0.0 && x >= 0.0);
+    if x < a + 1.0 {
+        regularized_gamma_q(a, x).ln()
+    } else {
+        gamma_q_fraction(a, x).ln() + (-x + a * x.ln() - ln_gamma(a))
+    }
+}
+
 /// Modified-Lentz continued fraction for `Q(a, x)`, valid/fast for `x ≥ a + 1`.
 fn gamma_q_continued_fraction(a: f64, x: f64) -> f64 {
+    (gamma_q_fraction(a, x) * (-x + a * x.ln() - ln_gamma(a)).exp()).clamp(0.0, 1.0)
+}
+
+/// The Lentz fraction `h` of `Q(a, x) = h · x^a e^{−x}/Γ(a)`.
+fn gamma_q_fraction(a: f64, x: f64) -> f64 {
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / FPMIN;
     let mut d = 1.0 / b;
@@ -139,7 +157,7 @@ fn gamma_q_continued_fraction(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (h * (-x + a * x.ln() - ln_gamma(a)).exp()).clamp(0.0, 1.0)
+    h
 }
 
 /// The error function `erf(x) = 2/√π ∫₀ˣ e^{−t²} dt`.
