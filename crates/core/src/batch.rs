@@ -288,7 +288,7 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         let (ex, samples) = (&self.executor, self.integrator.samples);
         let metrics = ex.metrics();
         let scratch = &mut QueryScratch::new();
-        let stage = &mut Phase3::new(EvalBudget::paper_default(), metrics);
+        let stage = &mut Phase3::new(EvalBudget::UNLIMITED, metrics);
         let mut groups = Vec::new();
         let mut outcomes = Vec::with_capacity(queries.len());
         for (query, plan) in queries.iter().zip(&plans) {

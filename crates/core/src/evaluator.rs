@@ -1,22 +1,26 @@
 //! Phase-3 qualification-probability evaluators.
 //!
-//! The executor is generic over *how* `Pr(‖x − o‖ ≤ δ)` is computed so a
-//! caller can swap the shared-sample default for the sequential
-//! early-stopping variant or the deterministic 2-D oracle. (The paper's
-//! fresh per-candidate batches live only in the `ablation` bench, which
-//! measures what sharing saves.)
+//! The executor is generic over *how* `Pr(‖x − o‖ ≤ δ)` is computed. The
+//! menu has three entries: the paper's shared-sample Monte Carlo
+//! ([`MonteCarloEvaluator`]), the deterministic 2-D oracle
+//! ([`Quadrature2dEvaluator`]) and the exact evaluator
+//! ([`ExactEvaluator`]), which decides each candidate from a certified
+//! bracket and draws no samples. (The paper's fresh per-candidate
+//! batches live only in the `ablation` bench, which measures what
+//! sharing saves.)
 //!
-//! The default engine is the shared-sample cloud from
+//! The Monte-Carlo engine is the shared-sample cloud from
 //! [`gprq_gaussian::cloud`]: the proposal distribution `N(q, Σ)` never
 //! depends on the candidate (§V-A), so one sample batch per query answers
 //! every candidate. Sharing samples correlates the *errors* across
 //! candidates of one query — each per-candidate estimate stays unbiased
 //! with unchanged variance — which is why the `mc_conformance` closed-form
-//! oracle, not bit-parity with the old per-candidate path, gates
-//! correctness.
+//! oracle and the `verdict_error` gate against [`ExactEvaluator`], not
+//! bit-parity with the old per-candidate path, gate correctness.
 
 use gprq_gaussian::cloud::{CloudGrid, CloudStats, SampleCloud};
-use gprq_gaussian::integrate::{quadrature_probability_2d, RunningEstimate, PAPER_MC_SAMPLES};
+use gprq_gaussian::integrate::{quadrature_probability_2d, PAPER_MC_SAMPLES};
+use gprq_gaussian::quadform::RubenSeries;
 use gprq_gaussian::Gaussian;
 use gprq_linalg::Vector;
 use rand::rngs::StdRng;
@@ -44,7 +48,7 @@ pub trait ProbabilityEvaluator<const D: usize> {
 
     /// Classifies `Pr(‖x − center‖ ≤ delta)` against `θ` using at most
     /// `max_samples` draws, with the verdict explicit about confidence —
-    /// [`Verdict::Uncertain`] when the budget ran out with the answer
+    /// [`Verdict::Uncertain`] when the evaluator stopped with the answer
     /// still unsettled.
     ///
     /// The default computes [`ProbabilityEvaluator::probability`]
@@ -199,15 +203,92 @@ impl ProbabilityEvaluator<2> for Quadrature2dEvaluator {
     }
 }
 
+/// The exact Phase-3 evaluator: decides each candidate from a certified
+/// bracket on `Pr(‖x − o‖ ≤ δ)` (Ruben's series,
+/// [`gprq_gaussian::quadform`]) and draws no samples.
+///
+/// `evaluate` adds terms until the bracket excludes `θ` and ignores the
+/// sample budget; only a candidate still undecided at the term cap (a
+/// covariance with condition number ≳ 10⁴ can leave some) is
+/// [`Verdict::Uncertain`], with the bracket's midpoint as its estimate.
+/// `probability` converges to a 10⁻¹² bracket and returns its midpoint.
+/// The Σ and δ tables are cached and rebuilt whenever a call brings
+/// another Σ or δ, so no call reads a stale table.
+#[derive(Debug, Clone, Default)]
+pub struct ExactEvaluator<const D: usize> {
+    series: Option<RubenSeries<D>>,
+}
+
+impl<const D: usize> ExactEvaluator<D> {
+    /// Bracket width [`ProbabilityEvaluator::probability`] converges to.
+    const WIDTH: f64 = 1e-12;
+
+    /// The series tables for `gaussian`'s covariance, rebuilt when it
+    /// differs from the cached one.
+    fn series(&mut self, gaussian: &Gaussian<D>) -> &mut RubenSeries<D> {
+        if self
+            .series
+            .as_ref()
+            .is_some_and(|s| s.covariance() != gaussian.covariance())
+        {
+            self.series = None;
+        }
+        self.series
+            .get_or_insert_with(|| RubenSeries::new(gaussian))
+    }
+}
+
+impl<const D: usize> ProbabilityEvaluator<D> for ExactEvaluator<D> {
+    /// Builds the Σ tables for the query (kept when Σ is unchanged).
+    fn begin_query(&mut self, gaussian: &Gaussian<D>) {
+        self.series(gaussian);
+    }
+
+    fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
+        self.series(gaussian)
+            .bracket(gaussian.mean(), center, delta, |b| {
+                b.truncation <= Self::WIDTH
+            })
+            .estimate
+    }
+
+    fn evaluate(
+        &mut self,
+        gaussian: &Gaussian<D>,
+        center: &Vector<D>,
+        delta: f64,
+        theta: f64,
+        _max_samples: usize,
+    ) -> Result<EvalReport, EvalFailure> {
+        let bracket = self
+            .series(gaussian)
+            .bracket(gaussian.mean(), center, delta, |b| {
+                b.lower >= theta || b.upper < theta
+            });
+        let verdict = if bracket.lower >= theta {
+            Verdict::Accept
+        } else if bracket.upper < theta {
+            Verdict::Reject
+        } else {
+            Verdict::Uncertain
+        };
+        Ok(EvalReport {
+            estimate: bracket.estimate,
+            samples: 0,
+            verdict,
+        })
+    }
+}
+
 /// Classification of one object against `θ`, with uncertainty explicit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// `Pr ≥ θ` holds (exactly, or with the configured confidence).
+    /// `Pr ≥ θ` holds (certified, or as the evaluator's estimate).
     Accept,
-    /// `Pr < θ` holds (exactly, or with the configured confidence).
+    /// `Pr < θ` holds (certified, or as the evaluator's estimate).
     Reject,
-    /// The sample budget ran out with the confidence interval still
-    /// straddling `θ` — the honest "don't know".
+    /// The evaluator stopped with its bracket still straddling `θ` —
+    /// the honest "don't know".
     Uncertain,
 }
 
@@ -220,11 +301,8 @@ pub struct EvalReport {
     /// evaluators, the whole cloud for fixed-cloud ones).
     pub samples: usize,
     /// The classification against `θ` — explicit, never a bare number,
-    /// so budget exhaustion is visible as [`Verdict::Uncertain`].
+    /// so an unsettled comparison is visible as [`Verdict::Uncertain`].
     pub verdict: Verdict,
-    /// Whether the evaluation stopped before its full sample budget
-    /// because the confidence interval already cleared `θ`.
-    pub early: bool,
 }
 
 impl EvalReport {
@@ -239,7 +317,6 @@ impl EvalReport {
             } else {
                 Verdict::Reject
             },
-            early: false,
         }
     }
 }
@@ -266,139 +343,6 @@ impl fmt::Display for EvalFailure {
 }
 
 impl std::error::Error for EvalFailure {}
-
-/// Sequential Monte Carlo with Wilson-interval early termination over the
-/// query's shared sample cloud: hit counts accumulate over *prefixes* of
-/// the cloud in blocks, and evaluation stops as soon as the confidence
-/// interval for the running estimate lies entirely on one side of `θ`.
-///
-/// Most candidates are far from the threshold, so a few hundred samples
-/// decide them instead of the paper's fixed 100 000 — the `resilience`
-/// bench records the saving. With early termination disabled (the
-/// baseline), the full budget is always spent and the interval is
-/// checked once at the end, so the *verdicts* are comparable and only
-/// the sample counts differ.
-///
-/// The cloud grows lazily: a candidate that terminates after 512 samples
-/// never forces the remaining 99 488 to be drawn, and a later candidate
-/// that needs more reuses the existing prefix bitwise (see
-/// `SampleCloud::extend`). [`ProbabilityEvaluator::probability`] is the
-/// point estimate over the first [`PAPER_MC_SAMPLES`] samples. As with
-/// [`MonteCarloEvaluator`], call [`ProbabilityEvaluator::begin_query`]
-/// between distributions.
-#[derive(Debug, Clone)]
-pub struct SequentialMonteCarloEvaluator<const D: usize> {
-    rng: StdRng,
-    early_termination: bool,
-    cloud: Option<SampleCloud<D>>,
-    stats: CloudStats,
-}
-
-impl<const D: usize> SequentialMonteCarloEvaluator<D> {
-    /// Samples per block between interval checks.
-    const BLOCK: usize = 512;
-    /// Confidence width: ±3σ two-sided (≈ 99.7 %).
-    const Z: f64 = 3.0;
-
-    /// Creates an evaluator with block size 512 and confidence width
-    /// z = 3, early termination enabled.
-    pub fn with_defaults(seed: u64) -> Self {
-        SequentialMonteCarloEvaluator {
-            rng: StdRng::seed_from_u64(seed),
-            early_termination: true,
-            cloud: None,
-            stats: CloudStats::default(),
-        }
-    }
-
-    /// Enables or disables early termination (disabled = fixed-budget
-    /// baseline for the resilience bench).
-    pub fn with_early_termination(mut self, on: bool) -> Self {
-        self.early_termination = on;
-        self
-    }
-
-    /// Whether early termination is enabled.
-    pub fn early_termination(&self) -> bool {
-        self.early_termination
-    }
-
-    /// The query's cloud, drawn on first use and extended to at least
-    /// `need` samples, with every draw counted.
-    fn grow(&mut self, gaussian: &Gaussian<D>, need: usize) -> &SampleCloud<D> {
-        let (rng, stats) = (&mut self.rng, &mut self.stats);
-        let cloud = self.cloud.get_or_insert_with(|| {
-            let cloud = SampleCloud::draw(gaussian, nonzero(need), rng);
-            stats.builds += 1;
-            stats.samples_drawn += cloud.len();
-            cloud
-        });
-        if cloud.len() < need {
-            let extra = need - cloud.len();
-            cloud.extend(gaussian, extra, rng);
-            stats.samples_drawn += extra;
-        }
-        cloud
-    }
-}
-
-impl<const D: usize> ProbabilityEvaluator<D> for SequentialMonteCarloEvaluator<D> {
-    fn begin_query(&mut self, _gaussian: &Gaussian<D>) {
-        self.cloud = None;
-    }
-
-    fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
-        let n = PAPER_MC_SAMPLES;
-        let hits = self.grow(gaussian, n).count_in_range(center, delta, 0, n);
-        self.stats.samples_tested += n;
-        hits as f64 / n as f64
-    }
-
-    fn evaluate(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        center: &Vector<D>,
-        delta: f64,
-        theta: f64,
-        max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure> {
-        if max_samples == 0 {
-            return Err(EvalFailure::NoBudget);
-        }
-        let mut est = RunningEstimate::default();
-        loop {
-            let need = est.n + Self::BLOCK.min(max_samples - est.n);
-            est.hits += self
-                .grow(gaussian, need)
-                .count_in_range(center, delta, est.n, need);
-            self.stats.samples_tested += need - est.n;
-            est.n = need;
-            // Without early termination the interval is checked once, at
-            // the end of the budget, and labels the verdict honestly.
-            let (lo, hi) = est.wilson_bounds(Self::Z);
-            let verdict = if lo >= theta {
-                Verdict::Accept
-            } else if hi < theta {
-                Verdict::Reject
-            } else {
-                Verdict::Uncertain
-            };
-            let settled = self.early_termination && verdict != Verdict::Uncertain;
-            if settled || est.n == max_samples {
-                return Ok(EvalReport {
-                    estimate: est.estimate(),
-                    samples: est.n,
-                    verdict,
-                    early: est.n < max_samples,
-                });
-            }
-        }
-    }
-
-    fn take_cloud_stats(&mut self) -> CloudStats {
-        std::mem::take(&mut self.stats)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -506,108 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mc_terminates_early_on_clear_cases() {
-        let g = gaussian();
-        let mut eval = SequentialMonteCarloEvaluator::with_defaults(17);
-        // Ball around the mean with generous radius: p ≈ 1 ≫ θ = 0.01.
-        let accept =
-            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 100_000)
-                .unwrap();
-        assert_eq!(accept.verdict, Verdict::Accept);
-        assert!(accept.early, "clear accept should stop early");
-        assert!(accept.samples < 10_000, "spent {}", accept.samples);
-        // Far-away center: p ≈ 0 ≪ θ.
-        let far = Vector::from([10_000.0, 10_000.0]);
-        let reject =
-            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, &far, 1.0, 0.01, 100_000).unwrap();
-        assert_eq!(reject.verdict, Verdict::Reject);
-        assert!(reject.early);
-        assert!(reject.samples < 10_000);
-    }
-
-    #[test]
-    fn sequential_mc_baseline_spends_full_budget() {
-        let g = gaussian();
-        let mut eval =
-            SequentialMonteCarloEvaluator::with_defaults(17).with_early_termination(false);
-        assert!(!eval.early_termination());
-        let r = ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 20_000)
-            .unwrap();
-        assert_eq!(r.samples, 20_000);
-        assert!(!r.early);
-        assert_eq!(r.verdict, Verdict::Accept);
-    }
-
-    #[test]
-    fn sequential_mc_borderline_decides_at_most_the_bonferroni_rate() {
-        // θ exactly at the true probability. A 4 096-sample budget gives
-        // 8 looks (one per 512-sample block), and each z = 3 Wilson
-        // interval misses the truth with probability ≈ 2Φ(−3), so by the
-        // union bound a run decides with probability at most
-        // 8 · 2Φ(−3) ≈ 2.2 %. Over independent seeds the decided count is
-        // binomial: allow that rate plus 3 binomial standard deviations.
-        type Seq = SequentialMonteCarloEvaluator<2>;
-        const SEEDS: u64 = 1_000;
-        const BUDGET: usize = 4_096;
-        let g = gaussian();
-        let center = Vector::from([15.0, 8.0]);
-        let mut quad = Quadrature2dEvaluator::default();
-        let truth = quad.probability(&g, &center, 25.0);
-        let looks = (BUDGET / Seq::BLOCK) as f64;
-        let rate = looks * 2.0 * gprq_gaussian::specfun::std_normal_cdf(-Seq::Z);
-        let runs = SEEDS as f64;
-        let bound = rate + 3.0 * (rate * (1.0 - rate) / runs).sqrt();
-        let mut decided = 0usize;
-        for seed in 0..SEEDS {
-            let mut eval = Seq::with_defaults(seed);
-            let r =
-                ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, &center, 25.0, truth, BUDGET)
-                    .unwrap();
-            if r.verdict == Verdict::Uncertain {
-                assert_eq!(r.samples, BUDGET, "seed {seed}");
-                assert!(!r.early, "seed {seed}");
-                assert!((r.estimate - truth).abs() < 0.05, "seed {seed}");
-            } else {
-                decided += 1;
-            }
-        }
-        let share = decided as f64 / runs;
-        assert!(
-            share <= bound,
-            "{decided} of {SEEDS} borderline runs decided: {share} > {bound}"
-        );
-    }
-
-    #[test]
-    fn sequential_mc_shares_the_cloud_prefix_across_candidates() {
-        // Two evaluations of the *same* candidate on one evaluator reuse
-        // the same cloud prefix, so with early termination off and equal
-        // budgets the estimates are bitwise identical.
-        let g = gaussian();
-        let mut eval =
-            SequentialMonteCarloEvaluator::with_defaults(31).with_early_termination(false);
-        let a =
-            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
-        let b =
-            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
-        assert_eq!(a.estimate, b.estimate);
-        let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut eval);
-        assert_eq!(stats.builds, 1, "one cloud serves both candidates");
-        assert_eq!(stats.samples_drawn, 8_192, "the second pass draws nothing");
-        assert_eq!(stats.samples_tested, 2 * 8_192);
-    }
-
-    #[test]
-    fn sequential_mc_rejects_zero_budget() {
-        let g = gaussian();
-        let mut eval = SequentialMonteCarloEvaluator::with_defaults(1);
-        let e =
-            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 1.0, 0.5, 0).unwrap_err();
-        assert_eq!(e, EvalFailure::NoBudget);
-        assert!(e.to_string().contains("budget"));
-    }
-
-    #[test]
     fn default_evaluate_is_the_exact_verdict() {
         let g = gaussian();
         let center = Vector::from([15.0, 8.0]);
@@ -637,20 +479,45 @@ mod tests {
             mc.evaluate(&g, &center, 25.0, p, 0),
             Err(EvalFailure::NoBudget)
         );
+        assert!(EvalFailure::NoBudget.to_string().contains("budget"));
     }
 
     #[test]
-    fn sequential_mc_probability_uses_the_paper_prefix() {
+    fn exact_evaluator_matches_the_quadrature_oracle() {
         let g = gaussian();
-        let center = Vector::from([15.0, 8.0]);
         let mut quad = Quadrature2dEvaluator::default();
-        let truth = quad.probability(&g, &center, 25.0);
-        let mut eval = SequentialMonteCarloEvaluator::<2>::with_defaults(5);
-        let p = eval.probability(&g, &center, 25.0);
-        assert!((p - truth).abs() < 0.01, "{p} vs {truth}");
-        let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut eval);
-        assert_eq!(stats.samples_drawn, PAPER_MC_SAMPLES);
-        assert_eq!(stats.samples_tested, PAPER_MC_SAMPLES);
+        let mut exact = ExactEvaluator::<2>::default();
+        for offset in [[0.0, 0.0], [5.0, -2.0], [20.0, 12.0], [-30.0, 4.0]] {
+            let center = *g.mean() + Vector::from(offset);
+            let oracle = quad.probability(&g, &center, 25.0);
+            let p = exact.probability(&g, &center, 25.0);
+            assert!((p - oracle).abs() < 1e-9, "{offset:?}: {p} vs {oracle}");
+            // Decisions on either side of the probability, without samples.
+            for (theta, verdict) in [(0.999 * p, Verdict::Accept), (1.001 * p, Verdict::Reject)] {
+                let r = exact.evaluate(&g, &center, 25.0, theta, 0).unwrap();
+                assert_eq!((r.verdict, r.samples), (verdict, 0), "{offset:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_evaluator_rebuilds_for_a_new_distribution() {
+        // No begin_query between the two: the cached Σ tables must not
+        // leak into the second distribution's value, nor δ's into a new δ.
+        let g1 = gaussian();
+        let g2 = Gaussian::<2>::standard();
+        let mut exact = ExactEvaluator::<2>::default();
+        let p1 = exact.probability(&g1, g1.mean(), 10.0);
+        let p2 = exact.probability(&g2, g2.mean(), 1.0);
+        let p3 = exact.probability(&g2, g2.mean(), 2.0);
+        let fresh =
+            |g: &Gaussian<2>, delta| ExactEvaluator::<2>::default().probability(g, g.mean(), delta);
+        assert_eq!(p1, fresh(&g1, 10.0));
+        assert_eq!(p2, fresh(&g2, 1.0));
+        assert_eq!(p3, fresh(&g2, 2.0));
+        // P(‖x‖ ≤ r) = 1 − e^{−r²/2} for the 2-D standard normal.
+        assert!((p2 - (1.0 - (-0.5f64).exp())).abs() < 1e-13, "{p2}");
+        assert!((p3 - (1.0 - (-2.0f64).exp())).abs() < 1e-13, "{p3}");
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::strategy::StrategySet;
 use crate::theta_region::ThetaRegion;
 use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_gaussian::cloud::CloudStats;
-use gprq_gaussian::integrate::PAPER_MC_SAMPLES;
 use gprq_linalg::Vector;
 use gprq_rtree::{Phase1Index, Rect, SearchStats};
 use std::time::{Duration, Instant};
@@ -60,19 +59,15 @@ pub struct QueryStats {
     /// Final answer-set size (the ANS column).
     pub answers: usize,
     /// Monte-Carlo samples drawn in Phase 3 (`CloudStats::samples_drawn`):
-    /// the query's cloud and its lazy extensions, or a freshly drawn batch
-    /// offset table. Zero for deterministic evaluators, for a batch
-    /// query that re-centers its Σ-group's table, and for a query that
-    /// integrates nothing. The samples each
-    /// object was *measured* over are
+    /// the query's cloud, or a freshly drawn batch offset table. Zero for
+    /// deterministic evaluators, for a batch query that re-centers its
+    /// Σ-group's table, and for a query that integrates nothing. The
+    /// samples each object was *measured* over are
     /// `cloud_samples_tested` and the per-object histogram.
     pub phase3_samples: usize,
-    /// Phase-3 integrations that stopped before their full sample budget
-    /// because the confidence interval already cleared `θ`.
-    pub early_terminations: usize,
-    /// Objects the budgeted path could not classify before exhausting
-    /// its budget (reported as explicit [`Verdict::Uncertain`], never
-    /// silently guessed).
+    /// Objects Phase 3 could not classify: a bracket still straddling
+    /// `θ`, an evaluator fault or an exhausted budget (reported as
+    /// explicit [`Verdict::Uncertain`], never silently guessed).
     pub uncertain: usize,
     /// Shared sample clouds built for Phase 3: one per query that
     /// integrates at least one object on the cloud path, drawn at its
@@ -114,7 +109,6 @@ impl QueryStats {
         self.integrations += other.integrations;
         self.answers += other.answers;
         self.phase3_samples += other.phase3_samples;
-        self.early_terminations += other.early_terminations;
         self.uncertain += other.uncertain;
         self.cloud_builds += other.cloud_builds;
         self.cloud_cells_scanned += other.cloud_cells_scanned;
@@ -279,9 +273,10 @@ impl<'c> PrqExecutor<'c> {
     /// [`FlatRTree`](gprq_rtree::FlatRTree) snapshot (any
     /// [`Phase1Index`]).
     ///
-    /// Phase 3 runs under [`EvalBudget::paper_default`]; fixed-cloud and
-    /// deterministic evaluators decide every object under it, while a
-    /// sequential evaluator may leave some in [`PrqOutcome::uncertain`].
+    /// Phase 3 runs under [`EvalBudget::UNLIMITED`]; the Monte-Carlo and
+    /// quadrature evaluators decide every object under it, while
+    /// [`ExactEvaluator`](crate::evaluator::ExactEvaluator) leaves an
+    /// object its term cap cannot settle in [`PrqOutcome::uncertain`].
     ///
     /// # Errors
     ///
@@ -301,7 +296,7 @@ impl<'c> PrqExecutor<'c> {
         E: ProbabilityEvaluator<D>,
     {
         let plan = self.plan(query)?;
-        let mut stage = Phase3::new(EvalBudget::paper_default(), self.metrics);
+        let mut stage = Phase3::new(EvalBudget::UNLIMITED, self.metrics);
         let scratch = &mut QueryScratch::new();
         Ok(self.run(tree, query, &plan, evaluator, scratch, &mut stage, None))
     }
@@ -537,10 +532,15 @@ impl<const D: usize> PreparedQuery<D> {
 }
 
 /// Resource caps for budgeted Phase-3 evaluation.
+///
+/// Phase 3 hands each object what is left of `max_total_samples`; only
+/// sampling evaluators read it ([`MonteCarloEvaluator`] refuses an
+/// object once nothing is left). The default is
+/// [`EvalBudget::UNLIMITED`].
+///
+/// [`MonteCarloEvaluator`]: crate::evaluator::MonteCarloEvaluator
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalBudget {
-    /// Most samples any single object's integration may draw.
-    pub max_samples_per_object: usize,
     /// Most samples the whole query may draw across all objects.
     pub max_total_samples: usize,
     /// Most candidates Phase 3 will evaluate; the rest are reported
@@ -551,32 +551,21 @@ pub struct EvalBudget {
 impl EvalBudget {
     /// No caps at all (every limit at `usize::MAX`).
     pub const UNLIMITED: Self = EvalBudget {
-        max_samples_per_object: usize::MAX,
         max_total_samples: usize::MAX,
         max_candidates: usize::MAX,
     };
-
-    /// The paper's configuration: 100 000 samples per object, no total
-    /// or candidate cap.
-    pub fn paper_default() -> Self {
-        EvalBudget {
-            max_samples_per_object: PAPER_MC_SAMPLES,
-            max_total_samples: usize::MAX,
-            max_candidates: usize::MAX,
-        }
-    }
 }
 
 impl Default for EvalBudget {
     fn default() -> Self {
-        Self::paper_default()
+        Self::UNLIMITED
     }
 }
 
 /// Why an object ended up in [`PrqOutcome::uncertain`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UncertainCause {
-    /// The per-object budget ran out with the confidence interval still
+    /// The evaluator stopped with its interval or bracket still
     /// straddling `θ`.
     IntervalStraddlesTheta,
     /// The evaluator failed on this object.
@@ -672,11 +661,8 @@ impl<'a> Phase3<'a> {
                 self.shortfall.capped += 1;
                 (None, UncertainCause::NotEvaluated)
             } else {
-                // Per-object budget, capped by what is left of the total.
-                let per_object = self
-                    .budget
-                    .max_samples_per_object
-                    .min(self.budget.max_total_samples.saturating_sub(spent));
+                // Each object may spend what is left of the total.
+                let per_object = self.budget.max_total_samples.saturating_sub(spent);
                 #[cfg(feature = "fault-inject")]
                 let per_object = if self.trips(FaultSite::SampleStarvation) {
                     0
@@ -696,7 +682,6 @@ impl<'a> Phase3<'a> {
                 match result {
                     Ok(rep) => {
                         out.stats.integrations += 1;
-                        out.stats.early_terminations += usize::from(rep.early);
                         spent = spent.saturating_add(rep.samples);
                         if let Some(metrics) = self.metrics {
                             metrics.record_phase3_object(rep.samples);

@@ -15,13 +15,16 @@
 //! * [`ucatalog`] — the paper's precomputed lookup tables with
 //!   conservative lookup semantics (Eqs. 32–33), next to exact inverses;
 //! * [`PrqExecutor`] — the three-phase pipeline (index search → filtering
-//!   → Monte-Carlo probability computation) with full [`QueryStats`];
+//!   → probability computation) with full [`QueryStats`];
+//! * [`evaluator`] — the Phase-3 menu: the paper's Monte Carlo
+//!   ([`MonteCarloEvaluator`]), a 2-D quadrature oracle, and the exact
+//!   [`ExactEvaluator`], which decides from a certified bound;
 //! * [`naive`] — the full-scan baseline;
 //! * [`ext`] — the paper's §VII future-work items: probabilistic k-NN
 //!   queries, uncertain *target* objects, and `QueryBatch`'s configuration.
 //!
 //! ```
-//! use gprq_core::{PrqExecutor, PrqQuery, StrategySet, MonteCarloEvaluator};
+//! use gprq_core::{ExactEvaluator, PrqExecutor, PrqQuery, StrategySet};
 //! use gprq_linalg::{Matrix, Vector};
 //! use gprq_rtree::{RTree, RStarParams};
 //!
@@ -39,11 +42,12 @@
 //!     0.1,                                 // probability threshold θ
 //! ).unwrap();
 //!
-//! let mut evaluator = MonteCarloEvaluator::new(20_000, 42);
+//! let mut evaluator = ExactEvaluator::default();
 //! let outcome = PrqExecutor::new(StrategySet::ALL)
 //!     .execute(&tree, &query, &mut evaluator)
 //!     .unwrap();
 //! assert!(!outcome.answers.is_empty());
+//! assert!(outcome.uncertain.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,8 +74,8 @@ pub use batch::{cloud_seed, BatchOutcome, QueryBatch, SigmaFactorCache};
 pub use cost::{expected_integrations, region_volumes, DensityEstimate, RegionVolumes};
 pub use error::PrqError;
 pub use evaluator::{
-    EvalFailure, EvalReport, MonteCarloEvaluator, ProbabilityEvaluator, Quadrature2dEvaluator,
-    SequentialMonteCarloEvaluator, Verdict,
+    EvalFailure, EvalReport, ExactEvaluator, MonteCarloEvaluator, ProbabilityEvaluator,
+    Quadrature2dEvaluator, Verdict,
 };
 pub use executor::{
     EvalBudget, PrqExecutor, PrqOutcome, QueryStats, UncertainCause, UncertainObject,

@@ -54,13 +54,11 @@ pub mod names {
     pub const PHASE2_BF_ACCEPTS: &str = "prq_phase2_bf_accepts_total";
     /// Counter: numerical integrations performed in Phase 3.
     pub const PHASE3_INTEGRATIONS: &str = "prq_phase3_integrations_total";
-    /// Counter: integrations stopped early by the confidence interval.
-    pub const PHASE3_EARLY_TERMINATIONS: &str = "prq_phase3_early_terminations_total";
     /// Counter: objects reported `Verdict::Uncertain`.
     pub const PHASE3_UNCERTAIN: &str = "prq_phase3_uncertain_total";
-    /// Counter: Monte-Carlo samples drawn in Phase 3 — clouds, their
-    /// lazy extensions, and freshly drawn batch offset tables — on every
-    /// path (`CloudStats::samples_drawn`).
+    /// Counter: Monte-Carlo samples drawn in Phase 3 — clouds and
+    /// freshly drawn batch offset tables — on every path
+    /// (`CloudStats::samples_drawn`).
     pub const PHASE3_SAMPLES: &str = "prq_phase3_samples_total";
     /// Histogram: samples each integrated object was evaluated over
     /// (the whole cloud on fixed-cloud paths), on every integrating path.
@@ -149,7 +147,6 @@ pub struct PipelineMetrics {
     bf_rejects: Arc<Counter>,
     bf_accepts: Arc<Counter>,
     integrations: Arc<Counter>,
-    early_terminations: Arc<Counter>,
     uncertain: Arc<Counter>,
     phase3_samples: Arc<Counter>,
     samples_per_object: Arc<Histogram>,
@@ -200,7 +197,6 @@ impl PipelineMetrics {
             bf_rejects: registry.counter(names::PHASE2_BF_REJECTS),
             bf_accepts: registry.counter(names::PHASE2_BF_ACCEPTS),
             integrations: registry.counter(names::PHASE3_INTEGRATIONS),
-            early_terminations: registry.counter(names::PHASE3_EARLY_TERMINATIONS),
             uncertain: registry.counter(names::PHASE3_UNCERTAIN),
             phase3_samples: registry.counter(names::PHASE3_SAMPLES),
             samples_per_object: registry.histogram(names::PHASE3_SAMPLES_PER_OBJECT),
@@ -265,8 +261,6 @@ impl PipelineMetrics {
         self.bf_accepts
             .add(as_u64(stats.accepted_without_integration));
         self.integrations.add(as_u64(stats.integrations));
-        self.early_terminations
-            .add(as_u64(stats.early_terminations));
         self.uncertain.add(as_u64(stats.uncertain));
         self.phase3_samples.add(as_u64(stats.phase3_samples));
         self.cloud_builds.add(as_u64(stats.cloud_builds));
@@ -342,7 +336,6 @@ mod tests {
             integrations: 3,
             answers: 2,
             phase3_samples: 1_500,
-            early_terminations: 1,
             uncertain: 1,
             cloud_builds: 1,
             cloud_cells_scanned: 40,
@@ -359,7 +352,6 @@ mod tests {
         assert_eq!(snap.counter(names::PHASE1_LEAF_HITS), Some(60));
         assert_eq!(snap.counter(names::PHASE2_OR_ROTATIONS), Some(14));
         assert_eq!(snap.counter(names::PHASE3_SAMPLES), Some(3_000));
-        assert_eq!(snap.counter(names::PHASE3_EARLY_TERMINATIONS), Some(2));
         assert_eq!(snap.counter(names::CLOUD_BUILDS), Some(2));
         assert_eq!(snap.counter(names::CLOUD_CELLS_SCANNED), Some(80));
         assert_eq!(snap.counter(names::CLOUD_CELLS_INSIDE), Some(50));

@@ -21,17 +21,17 @@
 //!    full scan; each hop is a [`DegradationReason::StrategySwitched`]
 //!    or [`DegradationReason::NaiveFallback`] entry.
 //! 3. **Budgeted Phase 3** ([`EvalBudget`]) — the executor's one Phase-3
-//!    stage under the configured per-object, total-sample and candidate
-//!    caps, with confidence-interval early termination where the
-//!    evaluator supports it (see [`SequentialMonteCarloEvaluator`]);
-//!    objects the budget cannot settle come back as explicit
-//!    [`Verdict::Uncertain`] entries, never as unlabeled guesses.
+//!    stage under the configured total-sample and candidate caps;
+//!    objects the evaluator or the budget cannot settle (a bracket still
+//!    straddling `θ` at [`ExactEvaluator`]'s term cap, a fault, a cap)
+//!    come back as explicit [`Verdict::Uncertain`] entries, never as
+//!    unlabeled guesses.
 //!
 //! The result always carries the full report, so a caller can
 //! distinguish "exact answer" from "best effort under degradation" and
 //! decide per application whether uncertain objects count.
 //!
-//! [`SequentialMonteCarloEvaluator`]: crate::evaluator::SequentialMonteCarloEvaluator
+//! [`ExactEvaluator`]: crate::evaluator::ExactEvaluator
 
 use crate::error::PrqError;
 use crate::evaluator::ProbabilityEvaluator;
@@ -427,15 +427,14 @@ pub enum TerminalStrategy {
 /// objects, the degradation report, and statistics.
 #[derive(Debug)]
 pub struct ResilientOutcome<'t, const D: usize, T> {
-    /// Objects classified `Pr ≥ θ` (exactly or with the evaluator's
-    /// configured confidence).
+    /// Objects classified `Pr ≥ θ` (certified, or as the evaluator's
+    /// estimate).
     pub answers: Vec<(&'t Vector<D>, &'t T)>,
     /// Objects the pipeline could not classify, each with its cause.
     pub uncertain: Vec<UncertainObject<'t, D, T>>,
     /// Every repair and fallback applied, in order.
     pub report: DegradationReport,
-    /// Execution statistics (including the `early_terminations` and
-    /// `uncertain` counters).
+    /// Execution statistics (including the `uncertain` counter).
     pub stats: QueryStats,
     /// Which pipeline ultimately produced the answers.
     pub terminal: TerminalStrategy,
@@ -477,14 +476,15 @@ pub struct ResilientExecutor<'c> {
 }
 
 impl<'c> ResilientExecutor<'c> {
-    /// Creates a resilient executor with the paper-default budget.
+    /// Creates a resilient executor with no budget caps
+    /// ([`EvalBudget::UNLIMITED`]).
     pub fn new(strategies: StrategySet) -> Self {
         ResilientExecutor {
             strategies,
             fringe_mode: FringeMode::PaperFaithful,
             rr_catalog: None,
             bf_catalog: None,
-            budget: EvalBudget::paper_default(),
+            budget: EvalBudget::UNLIMITED,
             metrics: None,
             #[cfg(feature = "fault-inject")]
             faults: None,
@@ -966,7 +966,7 @@ mod tests {
         let tree = random_tree(3_000, 17);
         let mut res = ResilientExecutor::new(StrategySet::ALL).with_budget(EvalBudget {
             max_candidates: 3,
-            ..EvalBudget::paper_default()
+            ..EvalBudget::UNLIMITED
         });
         let outcome = res
             .execute(
@@ -1013,18 +1013,17 @@ mod tests {
 
     #[test]
     fn total_sample_budget_starves_the_tail() {
-        use crate::evaluator::SequentialMonteCarloEvaluator;
+        use crate::evaluator::MonteCarloEvaluator;
         let tree = random_tree(3_000, 19);
         // RR alone never sure-accepts, so every Phase-2 survivor needs
-        // integration; a 600-sample total budget dries up after at most
-        // two objects and starves the rest.
+        // integration. Each object is measured over the whole 512-sample
+        // cloud, and an object is admitted while any of the 600-sample
+        // total is left: the first two run, the rest starve.
         let mut res = ResilientExecutor::new(StrategySet::RR).with_budget(EvalBudget {
-            max_samples_per_object: 512,
             max_total_samples: 600,
             max_candidates: usize::MAX,
         });
-        let mut eval =
-            SequentialMonteCarloEvaluator::with_defaults(3).with_early_termination(false);
+        let mut eval = MonteCarloEvaluator::new(512, 3);
         let outcome = res
             .execute(
                 &tree,
@@ -1035,20 +1034,16 @@ mod tests {
                 &mut eval,
             )
             .unwrap();
-        // The samples the objects were measured over stay inside the
-        // total cap, and the one cloud never outgrows the per-object cap.
-        assert!(outcome.stats.cloud_samples_tested <= 600);
-        assert!(outcome.stats.phase3_samples <= 512);
-        assert!(
-            outcome.stats.integrations >= 1,
-            "budget admits at least the first object"
-        );
+        assert_eq!(outcome.stats.integrations, 2, "{:?}", outcome.stats);
+        assert_eq!(outcome.stats.phase3_samples, 512, "one cloud drawn");
+        assert!(outcome.stats.cloud_samples_tested <= 2 * 512);
         let starved = outcome
             .uncertain
             .iter()
             .filter(|u| u.cause == UncertainCause::NotEvaluated)
             .count();
         assert!(starved > 0, "tail must be starved: {:?}", outcome.stats);
+        assert_eq!(starved, outcome.uncertain.len());
         assert!(outcome.report.iter().any(|r| matches!(
             r,
             DegradationReason::BudgetExhausted {
@@ -1066,7 +1061,7 @@ mod tests {
         // overdraws the 150k total: the rest must come back unevaluated.
         let mut res = ResilientExecutor::new(StrategySet::RR).with_budget(EvalBudget {
             max_total_samples: 150_000,
-            ..EvalBudget::paper_default()
+            ..EvalBudget::UNLIMITED
         });
         let mut eval = MonteCarloEvaluator::new(200_000, 8);
         let outcome = res

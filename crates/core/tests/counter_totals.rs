@@ -1,6 +1,6 @@
 //! Counter totals: on every driver (`PrqExecutor`, `ResilientExecutor`,
 //! `QueryBatch`), every Phase-1 backend (`RTree`, `FlatRTree`), and
-//! every evaluator kind (fixed cloud, sequential, deterministic), each
+//! every evaluator kind (fixed cloud, exact, quadrature), each
 //! registry counter must equal the sum of its
 //! [`QueryStats`] field over the queries it recorded — and a run that
 //! built a sample cloud must report the samples it drew. Each executor
@@ -27,9 +27,9 @@ use gprq_core::ext::uncertain::{
 };
 use gprq_core::metrics::names;
 use gprq_core::{
-    execute_naive, MonteCarloEvaluator, PipelineMetrics, ProbabilityEvaluator, PrqExecutor,
-    PrqQuery, Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor,
-    SequentialMonteCarloEvaluator, StrategySet,
+    execute_naive, ExactEvaluator, MonteCarloEvaluator, PipelineMetrics, ProbabilityEvaluator,
+    PrqExecutor, PrqQuery, Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor,
+    StrategySet,
 };
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree};
@@ -117,7 +117,6 @@ fn assert_totals(metrics: &PipelineMetrics, total: &QueryStats, queries: usize, 
         (names::PHASE2_BF_REJECTS, total.pruned_by_bf),
         (names::PHASE2_BF_ACCEPTS, total.accepted_without_integration),
         (names::PHASE3_INTEGRATIONS, total.integrations),
-        (names::PHASE3_EARLY_TERMINATIONS, total.early_terminations),
         (names::PHASE3_UNCERTAIN, total.uncertain),
         (names::PHASE3_SAMPLES, total.phase3_samples),
         (names::CLOUD_BUILDS, total.cloud_builds),
@@ -262,11 +261,11 @@ fn fixed_cloud_evaluator_counters_match_stats() {
 }
 
 #[test]
-fn sequential_evaluator_counters_match_stats() {
-    let make = || SequentialMonteCarloEvaluator::with_defaults(7);
+fn exact_evaluator_counters_match_stats() {
+    let make = ExactEvaluator::<2>::default;
     let (tree, flat) = backends();
-    check_solo(&tree, "rtree, seq-mc", 1, make);
-    check_solo(&flat, "flat, seq-mc", 1, make);
+    check_solo(&tree, "rtree, exact", 0, make);
+    check_solo(&flat, "flat, exact", 0, make);
 }
 
 #[test]

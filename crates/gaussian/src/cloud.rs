@@ -102,11 +102,8 @@ impl CloudStats {
 /// One query's Monte-Carlo sample batch in structure-of-arrays layout:
 /// coordinate `d` of sample `i` lives at `coords[d][i]`.
 ///
-/// Samples are stored in draw order, so the first `k` columns entries
-/// are exactly the first `k` draws — the prefix property the budgeted
-/// evaluator's blockwise early termination relies on. The draw order
-/// itself matches [`GaussianSampler::sample_batch`] bit for bit (pinned
-/// by a proptest).
+/// Samples are stored in draw order, which matches
+/// [`GaussianSampler::sample_batch`] bit for bit (pinned by a proptest).
 ///
 /// [`GaussianSampler::sample_batch`]: crate::sampler::GaussianSampler::sample_batch
 #[derive(Debug, Clone)]
@@ -179,26 +176,6 @@ impl<const D: usize> SampleCloud<D> {
         SampleCloud { coords }
     }
 
-    /// Appends `additional` fresh draws from `gaussian`, preserving draw
-    /// order — extending to `n` total samples leaves the first ones
-    /// bitwise unchanged, so running prefixes stay valid estimates. The
-    /// appended samples continue the stream: `draw(n)` then
-    /// `extend(m)` from the same `rng` equals `draw(n + m)` bit for bit.
-    pub fn extend<R: Rng + ?Sized>(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        additional: usize,
-        rng: &mut R,
-    ) {
-        append_draws::<D, true, R>(
-            &mut self.coords,
-            gaussian.cholesky(),
-            gaussian.mean(),
-            additional,
-            rng,
-        );
-    }
-
     /// Number of stored samples.
     pub fn len(&self) -> usize {
         self.coords.first().map_or(0, Vec::len)
@@ -236,27 +213,6 @@ impl<const D: usize> SampleCloud<D> {
     pub fn count_within(&self, center: &Vector<D>, delta: f64) -> usize {
         debug_assert!(delta >= 0.0);
         count_hits(&self.coords, 0, self.len(), center, delta * delta)
-    }
-
-    /// Counts hits among samples `start..end` (draw order, end-clamped)
-    /// — the blockwise prefix primitive behind budgeted early
-    /// termination: disjoint ranges sum to the full-scan count exactly.
-    // HOT-PATH: shared-cloud prefix hit count (budgeted Phase 3)
-    pub fn count_in_range(
-        &self,
-        center: &Vector<D>,
-        delta: f64,
-        start: usize,
-        end: usize,
-    ) -> usize {
-        debug_assert!(delta >= 0.0);
-        count_hits(
-            &self.coords,
-            start,
-            end.min(self.len()),
-            center,
-            delta * delta,
-        )
     }
 
     /// Estimates `Pr(‖x − center‖ ≤ delta)` as the hit fraction of the
@@ -871,22 +827,20 @@ mod tests {
     }
 
     #[test]
-    fn prefix_ranges_sum_to_full_scan() {
+    fn linear_count_matches_per_sample_tests_across_lane_boundaries() {
+        // Cloud lengths off the kernel's lane width put whole blocks and
+        // a scalar tail on both sides of every boundary.
         let g = Gaussian::new(Vector::from([5.0, -3.0]), sigma_paper(4.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(99);
-        let cloud = SampleCloud::draw(&g, nz(10_000), &mut rng);
         let center = Vector::from([6.0, -2.0]);
         let delta = 10.0;
-        let full = cloud.count_within(&center, delta);
-        // Splits off the kernel's lane width put blocks and tails on
-        // both sides of every cut.
-        for split in [0, 1, 7, 8, 9, 255, 256, 257, 5_000, 9_993, 9_999, 10_000] {
-            let head = cloud.count_in_range(&center, delta, 0, split);
-            let tail = cloud.count_in_range(&center, delta, split, 10_000);
-            assert_eq!(head + tail, full, "split {split}");
+        for n in [1, 7, 8, 9, 255, 256, 257, 1_000] {
+            let cloud = SampleCloud::draw(&g, nz(n), &mut StdRng::seed_from_u64(99));
+            let naive = (0..n)
+                .filter_map(|i| cloud.get(i))
+                .filter(|x| x.distance_squared(&center) <= delta * delta)
+                .count();
+            assert_eq!(cloud.count_within(&center, delta), naive, "n = {n}");
         }
-        // End clamping past the cloud is a no-op.
-        assert_eq!(cloud.count_in_range(&center, delta, 0, usize::MAX), full);
     }
 
     #[test]
@@ -954,29 +908,6 @@ mod tests {
         // An odd D·n (3 · 257) and a block-straddling n in 9-D.
         offsets_equal_draw::<3>();
         offsets_equal_draw::<9>();
-    }
-
-    fn extend_continues_the_stream<const D: usize>() {
-        let g = correlated::<D>();
-        let whole = SampleCloud::draw(&g, nz(300), &mut StdRng::seed_from_u64(31));
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut grown = SampleCloud::draw(&g, nz(77), &mut rng);
-        grown.extend(&g, 100, &mut rng);
-        grown.extend(&g, 123, &mut rng);
-        assert_columns_bitwise(
-            whole.columns(),
-            grown.columns(),
-            &format!("extend, D = {D}"),
-        );
-    }
-
-    #[test]
-    fn draw_then_extend_equals_one_longer_draw() {
-        // 77 · 3 is odd: the boundary where a Box–Muller spare would be
-        // dropped. The ziggurat keeps no spare, so the stream continues.
-        extend_continues_the_stream::<2>();
-        extend_continues_the_stream::<3>();
-        extend_continues_the_stream::<9>();
     }
 
     fn column_map_equals_per_sample_apply<const D: usize>() {

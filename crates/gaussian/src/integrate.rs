@@ -83,62 +83,6 @@ pub fn importance_sampling_probability<const D: usize, R: Rng + ?Sized>(
     Ok(hits as f64 / n_samples as f64)
 }
 
-/// A running Monte-Carlo proportion estimate: `hits` successes out of
-/// `n` draws, with confidence bounds for early-termination decisions.
-///
-/// The budgeted Phase-3 evaluator refines an estimate block by block and
-/// stops as soon as the confidence interval clears the query threshold
-/// `θ` on either side — most candidates are *far* from the threshold, so
-/// a few hundred samples decide them, not the paper's fixed 100 000.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunningEstimate {
-    /// Samples that landed inside the ball.
-    pub hits: usize,
-    /// Total samples drawn.
-    pub n: usize,
-}
-
-impl RunningEstimate {
-    /// The point estimate `hits / n` (0 when no samples were drawn).
-    pub fn estimate(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.n as f64
-        }
-    }
-
-    /// Wilson score interval at `z` standard normal deviations — the
-    /// binomial confidence interval that stays inside `[0, 1]` and
-    /// behaves sanely at `p̂ ∈ {0, 1}`, unlike the Wald interval.
-    ///
-    /// Returns `(lower, upper)`; `(0, 1)` when no samples were drawn.
-    pub fn wilson_bounds(&self, z: f64) -> (f64, f64) {
-        if self.n == 0 {
-            return (0.0, 1.0);
-        }
-        let n = self.n as f64;
-        let p = self.hits as f64 / n;
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let center = p + z2 / (2.0 * n);
-        let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-        let lo = ((center - half) / denom).max(0.0);
-        let hi = ((center + half) / denom).min(1.0);
-        (lo, hi)
-    }
-
-    /// Hoeffding two-sided half-width `√(ln(2/α) / 2n)` at confidence
-    /// `1 − alpha` — the distribution-free (looser) alternative to
-    /// [`RunningEstimate::wilson_bounds`], exposed for cross-checks.
-    pub fn hoeffding_half_width(&self, alpha: f64) -> f64 {
-        if self.n == 0 {
-            return 1.0;
-        }
-        ((2.0 / alpha).ln() / (2.0 * self.n as f64)).sqrt()
-    }
-}
-
 /// Estimates the ball probability with the "standard" Monte-Carlo method:
 /// uniform samples in `B(center, delta)`, density averaged and scaled by
 /// the ball volume.
@@ -363,47 +307,6 @@ mod tests {
                 "offset {offset:?}: mc {mc} vs exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn wilson_bounds_bracket_truth_and_tighten() {
-        let g = Gaussian::new(Vector::from([0.0, 0.0]), sigma_paper(1.0)).unwrap();
-        let center = Vector::from([2.0, 1.0]);
-        let delta = 3.0;
-        let exact = quadrature_probability_2d(&g, &center, delta, 64, 128);
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut sampler = GaussianSampler::new(&g);
-        let mut est = RunningEstimate::default();
-        let mut prev_width = f64::INFINITY;
-        for _ in 0..4 {
-            for _ in 0..25_000 {
-                let x = sampler.sample(&mut rng);
-                est.hits += usize::from(x.distance_squared(&center) <= delta * delta);
-                est.n += 1;
-            }
-            let (lo, hi) = est.wilson_bounds(3.0);
-            assert!(lo <= exact && exact <= hi, "[{lo}, {hi}] misses {exact}");
-            let width = hi - lo;
-            assert!(width < prev_width, "interval failed to tighten");
-            prev_width = width;
-            // Wilson stays inside the Hoeffding band (it uses variance info).
-            assert!(width / 2.0 <= est.hoeffding_half_width(0.0027) + 1e-12);
-        }
-    }
-
-    #[test]
-    fn running_estimate_degenerate_cases() {
-        let empty = RunningEstimate::default();
-        assert_eq!(empty.estimate(), 0.0);
-        assert_eq!(empty.wilson_bounds(1.96), (0.0, 1.0));
-        assert_eq!(empty.hoeffding_half_width(0.05), 1.0);
-        // All hits / no hits stay inside [0, 1].
-        let all = RunningEstimate { hits: 100, n: 100 };
-        let (lo, hi) = all.wilson_bounds(3.0);
-        assert!(lo > 0.8 && hi <= 1.0);
-        let none = RunningEstimate { hits: 0, n: 100 };
-        let (lo, hi) = none.wilson_bounds(3.0);
-        assert!(lo >= 0.0 && hi < 0.2);
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! * [`cloud`] — the shared-sample Phase-3 engine: one SoA sample batch
 //!   per query ([`SampleCloud`]) plus a uniform-grid index
 //!   ([`CloudGrid`]) so each candidate's hit count only touches samples
-//!   near it. This is the default integration path in `gprq-core`.
+//!   near it. This is the Monte-Carlo integration path in `gprq-core`;
+//! * [`quadform`] — the exact alternative: Ruben's series for the
+//!   qualification probability under any covariance, as a certified
+//!   two-sided [`Bracket`] that tightens term by term.
 //!
 //! ```
 //! use gprq_gaussian::chi;
@@ -44,6 +47,7 @@ pub mod cloud;
 pub mod integrate;
 pub mod mvn;
 pub mod noncentral;
+pub mod quadform;
 pub mod quasi;
 pub mod sampler;
 pub mod specfun;
@@ -52,12 +56,13 @@ pub use chi::{chi_ball_probability, chi_inverse, chi_squared_cdf};
 pub use cloud::{CloudGrid, CloudStats, SampleCloud};
 pub use integrate::{
     analytic_interval_probability_1d, importance_sampling_probability, quadrature_probability_2d,
-    uniform_ball_probability, InvalidSampleBudget, RunningEstimate,
+    uniform_ball_probability, InvalidSampleBudget,
 };
 pub use mvn::Gaussian;
 pub use noncentral::{
     ball_probability, inverse_center_distance, isotropic_qualification_probability,
     noncentral_chi_squared_cdf,
 };
+pub use quadform::{Bracket, RubenSeries};
 pub use quasi::{quasi_monte_carlo_probability, Halton};
 pub use sampler::{GaussianSampler, StandardNormal};

@@ -27,13 +27,21 @@
 //! center offset). `gprq-core` layers the table-based variant on top.
 
 use crate::chi::{chi_ball_probability, chi_squared_cdf, newton_decreasing};
-use crate::specfun::{ln_gamma, std_normal_quantile};
+use crate::specfun::{ln_poisson_kernel, std_normal_quantile};
 
 /// Relative series truncation tolerance.
 const SERIES_EPS: f64 = 1e-14;
-/// Hard cap on series terms in each direction (never reached in practice
-/// for the noncentralities that arise from query processing).
+/// Floor of the upward sweep's term cap, which grows as `16·√λ`: the
+/// Poisson(λ/2) weights span ~8·√(λ/2) terms above the mode. The sweep
+/// normally ends far sooner, on its tail bounds.
 const MAX_TERMS: usize = 100_000;
+/// Terms per block of a long sweep. At each block's end the weight and
+/// the incomplete-gamma increment restart from [`ln_poisson_kernel`], so
+/// millions of ratio products cannot drift, and the block's terms join
+/// the total as one partial sum, so millions of terms are not each
+/// rounded against a sum ~10⁶ times their size. A sweep within one block
+/// sums as it always has (the pinned bits).
+const BLOCK: usize = 4096;
 
 /// CDF of the noncentral chi-squared distribution:
 /// `P(χ'²_d(λ) ≤ x)` for `d ≥ 1` degrees of freedom and noncentrality
@@ -65,7 +73,10 @@ pub fn noncentral_chi_squared_cdf(d: usize, lambda: f64, x: f64) -> f64 {
 /// bit for bit the one [`noncentral_chi_squared_cdf`] returns; the pair
 /// gives the noncentrality derivative `∂F_d/∂λ = ½(F_{d+2} − F_d)`.
 fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
-    if x == 0.0 {
+    let y = 0.5 * x; // incomplete-gamma argument
+    if y <= 0.0 {
+        // x = 0, or so small that x/2 rounds to 0 (the ratios below
+        // divide by y).
         return (0.0, 0.0);
     }
     if lambda < 1e-300 {
@@ -73,20 +84,20 @@ fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
     }
 
     let a = 0.5 * d as f64; // central shape parameter
-    let y = 0.5 * x; // incomplete-gamma argument
     let half_lambda = 0.5 * lambda;
-    let ln_y = y.ln();
 
     // Start at the Poisson mode.
     let j0 = half_lambda.floor() as usize;
-    let ln_w0 = -half_lambda + (j0 as f64) * half_lambda.ln() - ln_gamma(j0 as f64 + 1.0);
-    let w0 = ln_w0.exp();
+    let w0 = ln_poisson_kernel(j0 as f64, half_lambda).exp();
     let c0 = crate::specfun::regularized_gamma_p(a + j0 as f64, y);
     // Incomplete-gamma increment t_j = y^{a+j} e^{−y} / Γ(a+j+1), advanced
     // by the recurrences t_{j+1} = t_j · y/(a+j+1) (up) and
     // t_{j−1} = t_j · (a+j)/y (down) — no per-term ln Γ / exp.
-    let t0 = ((a + j0 as f64) * ln_y - y - ln_gamma(a + j0 as f64 + 1.0)).exp();
+    let t0 = ln_poisson_kernel(a + j0 as f64, y).exp();
 
+    // `sum` and `sum_next` hold the current block's terms, `total` the
+    // earlier blocks' (F_d first, F_{d+2} second).
+    let mut total = (0.0, 0.0);
     let mut sum = w0 * c0;
     let mut weight_used = w0;
     // Term j0 of F_{d+2}: w_{j0} · (C_{j0} − t_{j0}).
@@ -98,7 +109,10 @@ fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
         let mut c = c0;
         let mut t = t0;
         let mut j = j0;
-        for _ in 0..MAX_TERMS {
+        let reach = (MAX_TERMS as f64).max(16.0 * lambda.sqrt());
+        let mut step = 0usize;
+        while (step as f64) < reach {
+            step += 1;
             // Advance central CDF: C_{j+1} = C_j − t_j.
             c -= t;
             if c < 0.0 {
@@ -107,11 +121,17 @@ fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
             t *= y / (a + j as f64 + 1.0);
             j += 1;
             w *= half_lambda / j as f64;
+            if step % BLOCK == 0 {
+                w = ln_poisson_kernel(j as f64, half_lambda).exp();
+                t = ln_poisson_kernel(a + j as f64, y).exp();
+                total = (total.0 + sum, total.1 + sum_next);
+                (sum, sum_next) = (0.0, 0.0);
+            }
             let term = w * c;
             sum += term;
             weight_used += w;
             sum_next += w * (c - t).max(0.0);
-            let threshold = SERIES_EPS * sum.max(1e-300);
+            let threshold = SERIES_EPS * (total.0 + sum).max(1e-300);
             if c == 0.0 {
                 break;
             }
@@ -141,7 +161,7 @@ fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
         // C_{j−1} = C_j + s_j, and s_j = t_j · (a+j)/y.
         let mut s = t0 * (a + j0 as f64) / y;
         let mut j = j0;
-        loop {
+        for step in 1.. {
             let c_above = c;
             c += s;
             if c > 1.0 {
@@ -150,15 +170,33 @@ fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
             w *= j as f64 / half_lambda;
             j -= 1;
             s *= (a + j as f64) / y;
+            if step % BLOCK == 0 && j > 0 {
+                w = ln_poisson_kernel(j as f64, half_lambda).exp();
+                s = ln_poisson_kernel(a + j as f64 - 1.0, y).exp();
+                total = (total.0 + sum, total.1 + sum_next);
+                (sum, sum_next) = (0.0, 0.0);
+            }
             let term = w * c;
             sum += term;
             sum_next += w * c_above;
-            if j == 0 || term < SERIES_EPS * sum.max(1e-300) {
+            // Below the mode each weight is r = j/(λ/2) < 1 times the
+            // last, so the terms left out sum to about term·r/(1 − r),
+            // and r/(1 − r) ≈ √(λ/2)/k at k sd below the mode: past the
+            // first block that sum, not the term alone, must fall below
+            // the tolerance.
+            let ratio = j as f64 / half_lambda;
+            let rest = if step < BLOCK {
+                term
+            } else {
+                term * ratio / (1.0 - ratio)
+            };
+            if j == 0 || rest < SERIES_EPS * (total.0 + sum).max(1e-300) {
                 break;
             }
         }
     }
 
+    let (sum, sum_next) = (total.0 + sum, total.1 + sum_next);
     (sum.clamp(0.0, 1.0), sum_next.clamp(0.0, 1.0))
 }
 
@@ -422,6 +460,20 @@ mod tests {
     #[should_panic(expected = "in (0, 1)")]
     fn inverse_rejects_bad_target() {
         inverse_center_distance(2, 1.0, 0.0);
+    }
+
+    /// At λ ≳ 2·10⁴ a subnormal `x` overflows the kernel's deviance, and
+    /// an `x` whose half rounds to 0 would be divided by; the CDF there
+    /// is 0, not NaN.
+    #[test]
+    fn subnormal_argument_at_large_noncentrality_is_zero() {
+        for (d, lambda, x) in [(2, 1e5, 1e-304), (9, 3e4, 1e-310), (1, 1e8, 5e-324)] {
+            assert_eq!(
+                noncentral_chi_squared_cdf(d, lambda, x),
+                0.0,
+                "({d}, {lambda}, {x})"
+            );
+        }
     }
 
     #[test]

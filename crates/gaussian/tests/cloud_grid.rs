@@ -152,29 +152,6 @@ proptest! {
         }
         prop_assert!(cloud.get(n).is_none());
     }
-
-    /// `extend` leaves the existing prefix bitwise intact and the grid
-    /// rebuilt over the longer cloud still matches its linear scan.
-    #[test]
-    fn extend_preserves_prefix_and_parity(seed in 0u64..500, n in 8usize..200, extra in 1usize..200) {
-        let g = correlated_2d();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut cloud = SampleCloud::draw(&g, nz(n), &mut rng);
-        let before: Vec<Vector<2>> = (0..n).map(|i| cloud.get(i).expect("in range")).collect();
-        cloud.extend(&g, extra, &mut rng);
-        prop_assert_eq!(cloud.len(), n + extra);
-        for (i, b) in before.iter().enumerate() {
-            let a = cloud.get(i).expect("in range");
-            prop_assert_eq!(a.as_slice()[0].to_bits(), b.as_slice()[0].to_bits());
-            prop_assert_eq!(a.as_slice()[1].to_bits(), b.as_slice()[1].to_bits());
-        }
-        let grid = CloudGrid::build(cloud.clone());
-        let center = Vector::from([100.0, -50.0]);
-        prop_assert_eq!(
-            grid.count_within(&center, 15.0),
-            cloud.count_within(&center, 15.0)
-        );
-    }
 }
 
 /// `CloudGrid::build_recentered` folds the mean-add into the build

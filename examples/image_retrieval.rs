@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let query = PrqQuery::new(query_vec, sigma, 0.7, 0.4)?;
 
     for (name, set) in StrategySet::PAPER_COMBINATIONS {
-        let mut evaluator = MonteCarloEvaluator::new(20_000, 5);
+        let mut evaluator = ExactEvaluator::default();
         let outcome = PrqExecutor::new(set).execute(&tree, &query, &mut evaluator)?;
         let s = &outcome.stats;
         println!(
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Ranking variant (the paper's future-work probabilistic NN): the 5
     // most probable matches regardless of threshold.
-    let mut evaluator = MonteCarloEvaluator::new(20_000, 5);
+    let mut evaluator = ExactEvaluator::default();
     let (top, stats) = probabilistic_knn(&tree, &query, 5, &mut evaluator);
     println!(
         "\ntop-5 by qualification probability (examined {} candidates):",

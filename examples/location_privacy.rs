@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .min_by(|a, b| a.2.total_cmp(&b.2))
             .expect("six combinations");
 
-        let mut eval = MonteCarloEvaluator::new(30_000, 2026);
+        let mut eval = ExactEvaluator::default();
         let outcome = PrqExecutor::new(best_set).execute(&tree, &query, &mut eval)?;
         println!(
             "{label}  | {sigma_m:6.0} | {:7} | {:7} | {predicted:9.0} | {best_name}",

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         delta,
         theta,
         StrategySet::ALL,
-        MonteCarloEvaluator::new(30_000, 11),
+        ExactEvaluator::default(),
     )?;
     println!("  t(s) | in-range | entered | left | integrations");
     println!("-------+----------+---------+------+-------------");

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Execute with each strategy combination and compare the work.
     // ------------------------------------------------------------------
     for (name, set) in StrategySet::PAPER_COMBINATIONS {
-        let mut evaluator = MonteCarloEvaluator::new(20_000, 7);
+        let mut evaluator = ExactEvaluator::default();
         let outcome = PrqExecutor::new(set).execute(&tree, &query, &mut evaluator)?;
         let s = &outcome.stats;
         println!(
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // 4. Cross-check against the naive full-scan baseline.
     // ------------------------------------------------------------------
-    let mut evaluator = MonteCarloEvaluator::new(20_000, 7);
+    let mut evaluator = ExactEvaluator::default();
     let naive = execute_naive(&tree, &query, &mut evaluator);
     println!(
         " naive: {} answers | {} integrations | {:.1} ms",

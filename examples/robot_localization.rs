@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let delta = 60.0; // beacon reachable within 60 m
     let theta = 0.3; // want 30 % certainty
-    let mut evaluator = MonteCarloEvaluator::new(50_000, 2026);
+    let mut evaluator = ExactEvaluator::default();
     let executor = PrqExecutor::new(StrategySet::ALL);
 
     // Dead-reckoning uncertainty model: odometry drift grows the pose

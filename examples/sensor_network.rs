@@ -57,9 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Evaluate the uncertain-vs-uncertain range query. The BF bounds
-    //    on each convolved distribution decide most sensors without any
-    //    Monte-Carlo work.
-    let mut evaluator = MonteCarloEvaluator::new(50_000, 99);
+    //    on each convolved distribution decide most sensors without
+    //    computing a probability at all.
+    let mut evaluator = ExactEvaluator::default();
     let outcome = prq_uncertain_targets(&station, &sensors, &mut evaluator)?;
     println!(
         "\n{} sensors reachable with ≥ 50 % probability",

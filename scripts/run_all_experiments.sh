@@ -6,19 +6,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FLAGS=("$@")
-# The resilience and obs guards rewrite their JSON artifact on every run.
-# Write them under target/ so a reduced-scale run never overwrites the
-# committed BENCH_resilience.json / BENCH_obs.json (a caller's own
-# --out comes later on the command line and wins).
+# The obs guard rewrites its JSON artifact on every run. Write it under
+# target/ so a reduced-scale run never overwrites the committed
+# BENCH_obs.json (a caller's own --out comes later on the command line
+# and wins).
 OUT_DIR=target/experiments
 mkdir -p "$OUT_DIR"
-for bin in fig17 fig13_16 table2 table3 sensitivity scaling dims table1 ablation resilience obs; do
+for bin in fig17 fig13_16 table2 table3 sensitivity scaling dims table1 ablation obs; do
     echo "==================================================================="
     echo "### $bin"
     echo "==================================================================="
     OUT=()
     case "$bin" in
-        resilience | obs) OUT=(--out "$OUT_DIR/BENCH_$bin.json") ;;
+        obs) OUT=(--out "$OUT_DIR/BENCH_$bin.json") ;;
     esac
     cargo run -p gprq-bench --release --bin "$bin" -- ${OUT[@]+"${OUT[@]}"} ${FLAGS[@]+"${FLAGS[@]}"}
     echo

@@ -5,14 +5,23 @@
 //! prq generate corel --n 68040 --seed 42 --out features.csv
 //! prq info  --data points.csv
 //! prq query --data points.csv --center 500,500 --cov 70,34.64,34.64,30 \
-//!           --delta 25 --theta 0.01 [--strategy all] [--samples 100000] [--seed 42]
+//!           --delta 25 --theta 0.01 [--strategy all]
 //! prq pnn   --data points.csv --center 500,500 --cov 70,34.64,34.64,30 \
-//!           --delta 25 --k 10
+//!           --delta 25 --k 10 [--samples 100000] [--seed 42]
 //! ```
 //!
 //! Point files are plain CSV, one point per line, 2 or 9 numeric columns
 //! (the two dimensionalities the paper evaluates). `--cov` takes the
 //! row-major covariance entries (4 values for 2-D, 81 for 9-D).
+//!
+//! `query` decides each candidate exactly (`ExactEvaluator`), so it
+//! draws no samples and needs no seed. An object whose probability the
+//! exact evaluator cannot settle against `θ` (a covariance with condition
+//! number ≳ 10⁴ can leave some) is listed under `uncertain` with its
+//! estimate, never dropped. `pnn` ranks by Monte-Carlo estimates
+//! (`MonteCarloEvaluator`, `--samples` draws from `--seed`): a ranking
+//! has no undecided verdict to report such an object under, and the
+//! estimates stay within sampling error at any condition number.
 
 #![forbid(unsafe_code)]
 
@@ -53,8 +62,8 @@ fn usage() -> String {
        generate road|corel --n N --seed S --out FILE   write a synthetic dataset\n\
        info  --data FILE                               index statistics\n\
        query --data FILE --center X,Y[,..] --cov C11,C12,.. --delta D --theta T\n\
-             [--strategy rr|bf|rr+bf|rr+or|bf+or|all] [--samples N] [--seed S]\n\
-       pnn   --data FILE --center .. --cov .. --delta D --k K [--samples N]\n\
+             [--strategy rr|bf|rr+bf|rr+or|bf+or|all]\n\
+       pnn   --data FILE --center .. --cov .. --delta D --k K [--samples N] [--seed S]\n\
        help                                            this text\n"
         .to_string()
 }
@@ -200,25 +209,12 @@ fn query(args: &[String]) -> Result<String, String> {
         .parse()
         .map_err(|_| "--theta must be numeric")?;
     let strategy = parse_strategy(opt(args, "strategy").unwrap_or("all"))?;
-    let samples: usize = opt(args, "samples")
-        .unwrap_or("100000")
-        .parse()
-        .map_err(|_| "--samples must be an integer")?;
-    let seed: u64 = opt(args, "seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| "--seed must be an integer")?;
     match data {
-        Dataset::D2(pts) => {
-            query_dim::<2>(&pts, &center, &cov, delta, theta, strategy, samples, seed)
-        }
-        Dataset::D9(pts) => {
-            query_dim::<9>(&pts, &center, &cov, delta, theta, strategy, samples, seed)
-        }
+        Dataset::D2(pts) => query_dim::<2>(&pts, &center, &cov, delta, theta, strategy),
+        Dataset::D9(pts) => query_dim::<9>(&pts, &center, &cov, delta, theta, strategy),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn query_dim<const D: usize>(
     pts: &[Vector<D>],
     center: &[f64],
@@ -226,8 +222,6 @@ fn query_dim<const D: usize>(
     delta: f64,
     theta: f64,
     strategy: StrategySet,
-    samples: usize,
-    seed: u64,
 ) -> Result<String, String> {
     let (q, sigma) = build_query_params::<D>(center, cov)?;
     let tree: RTree<D, u32> = RTree::bulk_load(
@@ -238,7 +232,7 @@ fn query_dim<const D: usize>(
         RStarParams::paper_default(D),
     );
     let query = PrqQuery::new(q, sigma, delta, theta).map_err(|e| e.to_string())?;
-    let mut eval = MonteCarloEvaluator::new(samples, seed);
+    let mut eval = ExactEvaluator::default();
     let outcome = PrqExecutor::new(strategy)
         .execute(&tree, &query, &mut eval)
         .map_err(|e| e.to_string())?;
@@ -263,6 +257,18 @@ fn query_dim<const D: usize>(
     answers.sort_unstable_by_key(|(id, _)| *id);
     for (id, loc) in answers {
         writeln!(out, "{id}: {loc}").unwrap();
+    }
+    writeln!(
+        out,
+        "# {} uncertain (point-id: estimate, location)",
+        s.uncertain
+    )
+    .unwrap();
+    let mut uncertain: Vec<_> = outcome.uncertain.iter().collect();
+    uncertain.sort_unstable_by_key(|u| *u.data);
+    for u in uncertain {
+        let estimate = u.estimate.unwrap_or(f64::NAN);
+        writeln!(out, "{}: p≈{estimate:.4} at {}", u.data, u.point).unwrap();
     }
     Ok(out)
 }
@@ -359,6 +365,7 @@ fn pnn_dim<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gaussian_prq::gaussian::specfun::std_normal_cdf;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -405,11 +412,28 @@ mod tests {
             "25",
             "--theta",
             "0.01",
-            "--samples",
-            "5000",
         ]))
         .unwrap();
         assert!(q_out.contains("answers"), "{q_out}");
+        assert!(q_out.contains("# 0 uncertain"), "{q_out}");
+        // Exact answers: the same query prints the same lines (the
+        // header also carries the wall-clock time).
+        let again = run(&s(&[
+            "query",
+            "--data",
+            file_s,
+            "--center",
+            "500,500",
+            "--cov",
+            "700,346.4,346.4,300",
+            "--delta",
+            "25",
+            "--theta",
+            "0.01",
+        ]))
+        .unwrap();
+        let body = |out: &str| out.lines().skip(1).map(str::to_owned).collect::<Vec<_>>();
+        assert_eq!(body(&q_out), body(&again));
         let p_out = run(&s(&[
             "pnn",
             "--data",
@@ -427,6 +451,84 @@ mod tests {
         ]))
         .unwrap();
         assert!(p_out.lines().count() >= 4, "{p_out}");
+    }
+
+    /// `Pr(‖x − o‖ ≤ δ)` for `x ~ N(q, diag(σx², 1))`: Simpson's rule over
+    /// the narrow coordinate of the interval mass along the wide one.
+    fn stiff_probability(q: [f64; 2], sx: f64, o: [f64; 2], delta: f64) -> f64 {
+        let n = 4000;
+        let h = 20.0 / n as f64;
+        (0..=n)
+            .map(|i| {
+                let z = -10.0 + i as f64 * h;
+                let u = q[1] + z - o[1];
+                let half = (delta * delta - u * u).max(0.0).sqrt();
+                let along = std_normal_cdf((o[0] + half - q[0]) / sx)
+                    - std_normal_cdf((o[0] - half - q[0]) / sx);
+                let weight = match i {
+                    0 => 1.0,
+                    _ if i == n => 1.0,
+                    _ if i % 2 == 1 => 4.0,
+                    _ => 2.0,
+                };
+                weight * h / 3.0 * (-0.5 * z * z).exp() / std::f64::consts::TAU.sqrt() * along
+            })
+            .sum()
+    }
+
+    /// At Σ = diag(10⁴, 1) the exact series leaves most probabilities
+    /// near the center unsettled at its cap; `pnn` ranks by Monte-Carlo
+    /// estimates instead, which stay within sampling error there: each
+    /// reported probability and the k-th one against the best of the rest.
+    #[test]
+    fn pnn_ranks_a_stiff_covariance_within_sampling_error() {
+        let dir = std::env::temp_dir().join("prq_cli_test3");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("pts.csv");
+        let file_s = file.to_str().unwrap();
+        run(&s(&[
+            "generate", "road", "--n", "2000", "--seed", "7", "--out", file_s,
+        ]))
+        .unwrap();
+        let out = run(&s(&[
+            "pnn",
+            "--data",
+            file_s,
+            "--center",
+            "500,500",
+            "--cov",
+            "1e4,0,0,1",
+            "--delta",
+            "100",
+            "--k",
+            "5",
+            "--samples",
+            "20000",
+        ]))
+        .unwrap();
+        let Dataset::D2(pts) = load(file_s).unwrap() else {
+            panic!("road data is 2-D")
+        };
+        let exact = |id: usize| stiff_probability([500.0, 500.0], 100.0, pts[id].0, 100.0);
+        let mut ranked = Vec::new();
+        for line in out.lines().skip(1) {
+            let mut words = line.split_whitespace();
+            let id: usize = words.nth(2).unwrap().parse().unwrap();
+            let p: f64 = words.next().unwrap()["p=".len()..].parse().unwrap();
+            // 20 000 draws: σ ≤ 0.0035.
+            assert!((p - exact(id)).abs() <= 0.02, "{line}: exact {}", exact(id));
+            ranked.push(id);
+        }
+        assert_eq!(ranked.len(), 5, "{out}");
+        let kth = exact(ranked[4]);
+        let best_rest = (0..pts.len())
+            .filter(|id| !ranked.contains(id) && (pts[*id][1] - 500.0).abs() < 110.0)
+            .map(exact)
+            .fold(0.0, f64::max);
+        assert!(
+            best_rest <= kth + 0.03,
+            "{out}: an unranked object has {best_rest}"
+        );
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! is dominated by how many candidates reach that phase; this crate
 //! implements the paper's three filtering strategies (rectilinear-region,
 //! oblique-region, bounding-function) and their combinations over a
-//! from-scratch R\*-tree.
+//! from-scratch R\*-tree, and decides the candidates that remain either
+//! by the paper's Monte Carlo or exactly, from a certified bound on the
+//! probability.
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
@@ -45,16 +47,18 @@
 //!     0.2,                             // probability threshold θ
 //! )?;
 //!
-//! // 3. Execute with all three filtering strategies.
-//! let mut evaluator = MonteCarloEvaluator::new(20_000, 42);
+//! // 3. Execute with all three filtering strategies; the exact
+//! //    evaluator decides each remaining candidate without sampling.
+//! let mut evaluator = ExactEvaluator::default();
 //! let outcome = PrqExecutor::new(StrategySet::ALL)
 //!     .execute(&tree, &query, &mut evaluator)?;
 //!
 //! println!(
-//!     "{} answers, {} integrations out of {} candidates",
+//!     "{} answers, {} integrations out of {} candidates, {} undecided",
 //!     outcome.stats.answers,
 //!     outcome.stats.integrations,
 //!     outcome.stats.phase1_candidates,
+//!     outcome.stats.uncertain,
 //! );
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -78,11 +82,11 @@ pub mod prelude {
     };
     pub use gprq_core::{
         cloud_seed, execute_naive, BatchOutcome, BfCatalog, BfClass, DegradationReason,
-        DegradationReport, EvalBudget, FringeMode, MonteCarloEvaluator, PipelineMetrics,
-        ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery, Quadrature2dEvaluator,
-        QueryBatch, QueryStats, ResilientExecutor, ResilientOutcome, RrCatalog,
-        SequentialMonteCarloEvaluator, SigmaFactorCache, StrategySet, TerminalStrategy,
-        ThetaRegion, UncertainCause, Verdict,
+        DegradationReport, EvalBudget, ExactEvaluator, FringeMode, MonteCarloEvaluator,
+        PipelineMetrics, ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery,
+        Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor, ResilientOutcome,
+        RrCatalog, SigmaFactorCache, StrategySet, TerminalStrategy, ThetaRegion, UncertainCause,
+        Verdict,
     };
     pub use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
     pub use gprq_gaussian::Gaussian;
