@@ -53,8 +53,8 @@
 //! [`GaussianSampler::sample`]: gprq_gaussian::sampler::GaussianSampler::sample
 
 use crate::error::PrqError;
-use crate::evaluator::{EvalFailure, EvalReport, MonteCarloEvaluator, ProbabilityEvaluator};
-use crate::executor::{EvalBudget, Phase3, PrqExecutor, QueryScratch, QueryStats};
+use crate::evaluator::{MonteCarloEvaluator, ProbabilityEvaluator};
+use crate::executor::{Phase3, PrqExecutor, QueryScratch, QueryStats};
 use crate::ext::parallel::ParallelIntegrator;
 use crate::query::PrqQuery;
 use gprq_gaussian::cloud::{CloudGrid, CloudStats, SampleCloud};
@@ -288,7 +288,7 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         let (ex, samples) = (&self.executor, self.integrator.samples);
         let metrics = ex.metrics();
         let scratch = &mut QueryScratch::new();
-        let stage = &mut Phase3::new(EvalBudget::UNLIMITED, metrics);
+        let stage = &mut Phase3::new(usize::MAX, metrics);
         let mut groups = Vec::new();
         let mut outcomes = Vec::with_capacity(queries.len());
         for (query, plan) in queries.iter().zip(&plans) {
@@ -369,8 +369,8 @@ fn group_table<'a, const D: usize>(
 /// One Σ-group member's Phase-3 evaluator: on its first integration it
 /// draws the group's offset table if no member has yet (counting the
 /// samples drawn), then builds its grid by re-centering the table on the
-/// query's mean. Decides every object over the whole cloud, like
-/// [`MonteCarloEvaluator`].
+/// query's mean. Decides every object by its estimate over the whole
+/// cloud, like [`MonteCarloEvaluator`].
 struct TableEvaluator<'g, const D: usize> {
     table: &'g mut Option<[Vec<f64>; D]>,
     seed: u64,
@@ -398,21 +398,6 @@ impl<const D: usize> ProbabilityEvaluator<D> for TableEvaluator<'_, D> {
             CloudGrid::build_recentered(gaussian.mean(), offsets)
         });
         grid.probability_with_stats(center, delta, stats)
-    }
-
-    fn evaluate(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        center: &Vector<D>,
-        delta: f64,
-        theta: f64,
-        max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure> {
-        if max_samples == 0 {
-            return Err(EvalFailure::NoBudget);
-        }
-        let estimate = self.probability(gaussian, center, delta);
-        Ok(EvalReport::decided(estimate, theta, self.samples.get()))
     }
 
     fn take_cloud_stats(&mut self) -> CloudStats {

@@ -25,7 +25,6 @@ use gprq_gaussian::Gaussian;
 use gprq_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt;
 use std::num::NonZeroUsize;
 
 /// Computes qualification probabilities for Phase 3.
@@ -34,11 +33,9 @@ use std::num::NonZeroUsize;
 /// the executor calls [`ProbabilityEvaluator::begin_query`] once per query
 /// so a cache built for the previous query's distribution is dropped.
 /// Phase 3 itself calls [`ProbabilityEvaluator::evaluate`], which
-/// classifies against `θ` under a per-object sample budget; its default
-/// compares [`ProbabilityEvaluator::probability`] with `θ` exactly, so an
-/// evaluator only has to implement `probability`. An unbudgeted run is
-/// one under
-/// [`EvalBudget::UNLIMITED`](crate::executor::EvalBudget::UNLIMITED).
+/// classifies against `θ`; its default compares
+/// [`ProbabilityEvaluator::probability`] with `θ` exactly, so an
+/// evaluator only has to implement `probability`.
 pub trait ProbabilityEvaluator<const D: usize> {
     /// Called once before a query's Phase 3 with the query distribution.
     fn begin_query(&mut self, _gaussian: &Gaussian<D>) {}
@@ -46,30 +43,27 @@ pub trait ProbabilityEvaluator<const D: usize> {
     /// Estimates `Pr(‖x − center‖ ≤ delta)` for `x ~ gaussian`.
     fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64;
 
-    /// Classifies `Pr(‖x − center‖ ≤ delta)` against `θ` using at most
-    /// `max_samples` draws, with the verdict explicit about confidence —
-    /// [`Verdict::Uncertain`] when the evaluator stopped with the answer
-    /// still unsettled.
+    /// Classifies `Pr(‖x − center‖ ≤ delta)` against `θ`, with the
+    /// verdict explicit about confidence — [`Verdict::Uncertain`] when
+    /// the evaluator stopped with the answer still unsettled.
     ///
-    /// The default computes [`ProbabilityEvaluator::probability`]
-    /// (ignoring the budget), compares it with `θ` exactly, and reports
-    /// zero samples — right for deterministic evaluators.
-    ///
-    /// # Errors
-    ///
-    /// * [`EvalFailure::NoBudget`] when a sampling evaluator gets
-    ///   `max_samples == 0`,
-    /// * [`EvalFailure::Injected`] when a fault plan aborts the call.
+    /// The default computes [`ProbabilityEvaluator::probability`] and
+    /// compares it with `θ` exactly — right for evaluators whose
+    /// estimate is their answer (Monte Carlo, quadrature).
     fn evaluate(
         &mut self,
         gaussian: &Gaussian<D>,
         center: &Vector<D>,
         delta: f64,
         theta: f64,
-        _max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure> {
+    ) -> EvalReport {
         let estimate = self.probability(gaussian, center, delta);
-        Ok(EvalReport::decided(estimate, theta, 0))
+        let verdict = if estimate >= theta {
+            Verdict::Accept
+        } else {
+            Verdict::Reject
+        };
+        EvalReport { estimate, verdict }
     }
 
     /// Drains the accumulated shared-cloud statistics (grid builds,
@@ -90,8 +84,7 @@ fn nonzero(samples: usize) -> NonZeroUsize {
 /// The default Phase-3 evaluator: one shared, grid-indexed sample cloud
 /// per query that integrates (see [`gprq_gaussian::cloud`]).
 ///
-/// The cloud is drawn on the first [`ProbabilityEvaluator::probability`]
-/// or [`ProbabilityEvaluator::evaluate`] call and *reused* until
+/// The cloud is drawn on the query's first integration and *reused* until
 /// [`ProbabilityEvaluator::begin_query`] drops it, so direct use across
 /// different distributions must call `begin_query` between them. A
 /// query that integrates nothing draws nothing: its Phase 3 costs no
@@ -156,25 +149,6 @@ impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
         grid.probability_with_stats(center, delta, stats)
     }
 
-    /// The fixed cloud ignores the per-object cap: every object is
-    /// measured against all of its samples, so the verdict is the exact
-    /// comparison of that estimate with `θ`. Only an exhausted budget
-    /// (`max_samples == 0`) stops it.
-    fn evaluate(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        center: &Vector<D>,
-        delta: f64,
-        theta: f64,
-        max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure> {
-        if max_samples == 0 {
-            return Err(EvalFailure::NoBudget);
-        }
-        let estimate = self.probability(gaussian, center, delta);
-        Ok(EvalReport::decided(estimate, theta, self.samples))
-    }
-
     fn take_cloud_stats(&mut self) -> CloudStats {
         std::mem::take(&mut self.stats)
     }
@@ -207,10 +181,10 @@ impl ProbabilityEvaluator<2> for Quadrature2dEvaluator {
 /// bracket on `Pr(‖x − o‖ ≤ δ)` (Ruben's series,
 /// [`gprq_gaussian::quadform`]) and draws no samples.
 ///
-/// `evaluate` adds terms until the bracket excludes `θ` and ignores the
-/// sample budget; only a candidate still undecided at the term cap (a
-/// covariance with condition number ≳ 10⁴ can leave some) is
-/// [`Verdict::Uncertain`], with the bracket's midpoint as its estimate.
+/// `evaluate` adds terms until the bracket excludes `θ`; only a
+/// candidate still undecided at the term cap (a covariance with
+/// condition number ≳ 10⁴ can leave some) is [`Verdict::Uncertain`],
+/// with the bracket's midpoint as its estimate.
 /// `probability` converges to a 10⁻¹² bracket and returns its midpoint.
 /// The Σ and δ tables are cached and rebuilt whenever a call brings
 /// another Σ or δ, so no call reads a stale table.
@@ -258,8 +232,7 @@ impl<const D: usize> ProbabilityEvaluator<D> for ExactEvaluator<D> {
         center: &Vector<D>,
         delta: f64,
         theta: f64,
-        _max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure> {
+    ) -> EvalReport {
         let bracket = self
             .series(gaussian)
             .bracket(gaussian.mean(), center, delta, |b| {
@@ -272,11 +245,10 @@ impl<const D: usize> ProbabilityEvaluator<D> for ExactEvaluator<D> {
         } else {
             Verdict::Uncertain
         };
-        Ok(EvalReport {
+        EvalReport {
             estimate: bracket.estimate,
-            samples: 0,
             verdict,
-        })
+        }
     }
 }
 
@@ -292,57 +264,15 @@ pub enum Verdict {
     Uncertain,
 }
 
-/// Outcome of one budgeted per-object evaluation.
+/// Outcome of one per-object evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// The probability estimate at the point evaluation stopped.
     pub estimate: f64,
-    /// Samples the estimate was measured over (0 for deterministic
-    /// evaluators, the whole cloud for fixed-cloud ones).
-    pub samples: usize,
     /// The classification against `θ` — explicit, never a bare number,
     /// so an unsettled comparison is visible as [`Verdict::Uncertain`].
     pub verdict: Verdict,
 }
-
-impl EvalReport {
-    /// The report of an evaluator that always decides: the verdict is
-    /// the exact comparison of `estimate` with `θ`.
-    pub(crate) fn decided(estimate: f64, theta: f64, samples: usize) -> Self {
-        EvalReport {
-            estimate,
-            samples,
-            verdict: if estimate >= theta {
-                Verdict::Accept
-            } else {
-                Verdict::Reject
-            },
-        }
-    }
-}
-
-/// Why a budgeted evaluation produced no usable estimate at all (as
-/// opposed to an [`Verdict::Uncertain`] estimate, which is a *result*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalFailure {
-    /// The per-object sample budget was zero — the total-sample budget
-    /// was already exhausted before this object was reached.
-    NoBudget,
-    /// An injected fault aborted the evaluation (chaos testing, or a
-    /// wrapped evaluator that can genuinely fail).
-    Injected,
-}
-
-impl fmt::Display for EvalFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EvalFailure::NoBudget => write!(f, "no sample budget left for this object"),
-            EvalFailure::Injected => write!(f, "evaluation aborted by injected fault"),
-        }
-    }
-}
-
-impl std::error::Error for EvalFailure {}
 
 #[cfg(test)]
 mod tests {
@@ -451,35 +381,36 @@ mod tests {
 
     #[test]
     fn default_evaluate_is_the_exact_verdict() {
+        // The quadrature oracle and the fixed cloud decide by comparing
+        // their estimate with θ; on a drawn cloud, `evaluate` reads the
+        // estimate `probability` read (same cloud, same estimate).
         let g = gaussian();
         let center = Vector::from([15.0, 8.0]);
         let mut quad = Quadrature2dEvaluator::default();
-        let truth = quad.probability(&g, &center, 25.0);
-        // The default ignores the budget, even a zero one.
-        let r = quad.evaluate(&g, &center, 25.0, truth / 2.0, 0).unwrap();
-        assert_eq!(r.verdict, Verdict::Accept);
-        assert_eq!(r.samples, 0);
-        assert_eq!(r.estimate, truth);
-        let r2 = quad.evaluate(&g, &center, 25.0, truth * 1.5, 0).unwrap();
-        assert_eq!(r2.verdict, Verdict::Reject);
-    }
-
-    #[test]
-    fn fixed_cloud_evaluate_ignores_the_per_object_cap() {
-        let g = gaussian();
-        let center = Vector::from([15.0, 8.0]);
         let mut mc = MonteCarloEvaluator::<2>::new(10_000, 4);
         mc.begin_query(&g);
-        let p = mc.probability(&g, &center, 25.0);
-        let r = mc.evaluate(&g, &center, 25.0, p, 1).unwrap();
-        assert_eq!(r.estimate, p, "same cloud, same estimate");
-        assert_eq!(r.samples, 10_000, "measured over the whole cloud");
-        assert_eq!(r.verdict, Verdict::Accept);
-        assert_eq!(
-            mc.evaluate(&g, &center, 25.0, p, 0),
-            Err(EvalFailure::NoBudget)
-        );
-        assert!(EvalFailure::NoBudget.to_string().contains("budget"));
+        let estimates = [
+            quad.probability(&g, &center, 25.0),
+            mc.probability(&g, &center, 25.0),
+        ];
+        let evaluators: [&mut dyn ProbabilityEvaluator<2>; 2] = [&mut quad, &mut mc];
+        for (eval, p) in evaluators.into_iter().zip(estimates) {
+            for (theta, verdict) in [
+                (p / 2.0, Verdict::Accept),
+                (p, Verdict::Accept),
+                (p * 1.5, Verdict::Reject),
+            ] {
+                let report = eval.evaluate(&g, &center, 25.0, theta);
+                assert_eq!(
+                    report,
+                    EvalReport {
+                        estimate: p,
+                        verdict
+                    },
+                    "θ = {theta}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -492,10 +423,10 @@ mod tests {
             let oracle = quad.probability(&g, &center, 25.0);
             let p = exact.probability(&g, &center, 25.0);
             assert!((p - oracle).abs() < 1e-9, "{offset:?}: {p} vs {oracle}");
-            // Decisions on either side of the probability, without samples.
+            // Decisions on either side of the probability.
             for (theta, verdict) in [(0.999 * p, Verdict::Accept), (1.001 * p, Verdict::Reject)] {
-                let r = exact.evaluate(&g, &center, 25.0, theta, 0).unwrap();
-                assert_eq!((r.verdict, r.samples), (verdict, 0), "{offset:?}");
+                let r = exact.evaluate(&g, &center, 25.0, theta);
+                assert_eq!(r.verdict, verdict, "{offset:?}");
             }
         }
     }

@@ -15,7 +15,7 @@
 //! time", §V-B).
 
 use crate::error::PrqError;
-use crate::evaluator::{EvalFailure, ProbabilityEvaluator, Verdict};
+use crate::evaluator::{ProbabilityEvaluator, Verdict};
 #[cfg(feature = "fault-inject")]
 use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{Phase, PipelineMetrics};
@@ -61,12 +61,11 @@ pub struct QueryStats {
     /// Monte-Carlo samples drawn in Phase 3 (`CloudStats::samples_drawn`):
     /// the query's cloud, or a freshly drawn batch offset table. Zero for
     /// deterministic evaluators, for a batch query that re-centers its
-    /// Σ-group's table, and for a query that integrates nothing. The
-    /// samples each object was *measured* over are
-    /// `cloud_samples_tested` and the per-object histogram.
+    /// Σ-group's table, and for a query that integrates nothing. Every
+    /// integrated object is measured against the whole cloud.
     pub phase3_samples: usize,
     /// Objects Phase 3 could not classify: a bracket still straddling
-    /// `θ`, an evaluator fault or an exhausted budget (reported as
+    /// `θ`, an evaluator fault or the candidate cap (reported as
     /// explicit [`Verdict::Uncertain`], never silently guessed).
     pub uncertain: usize,
     /// Shared sample clouds built for Phase 3: one per query that
@@ -147,8 +146,8 @@ pub struct PrqOutcome<'t, const D: usize, T> {
     pub answers: Vec<(&'t Vector<D>, &'t T)>,
     /// Objects Phase 3 left unclassified, each with its cause — reported,
     /// never silently dropped. Empty for evaluators that decide every
-    /// object (the fixed-cloud and deterministic ones) under the paper
-    /// budget.
+    /// object (the fixed-cloud and deterministic ones) when no candidate
+    /// cap applies.
     pub uncertain: Vec<UncertainObject<'t, D, T>>,
     /// Execution statistics.
     pub stats: QueryStats,
@@ -273,8 +272,8 @@ impl<'c> PrqExecutor<'c> {
     /// [`FlatRTree`](gprq_rtree::FlatRTree) snapshot (any
     /// [`Phase1Index`]).
     ///
-    /// Phase 3 runs under [`EvalBudget::UNLIMITED`]; the Monte-Carlo and
-    /// quadrature evaluators decide every object under it, while
+    /// Phase 3 evaluates every candidate; the Monte-Carlo and quadrature
+    /// evaluators decide each one, while
     /// [`ExactEvaluator`](crate::evaluator::ExactEvaluator) leaves an
     /// object its term cap cannot settle in [`PrqOutcome::uncertain`].
     ///
@@ -296,14 +295,15 @@ impl<'c> PrqExecutor<'c> {
         E: ProbabilityEvaluator<D>,
     {
         let plan = self.plan(query)?;
-        let mut stage = Phase3::new(EvalBudget::UNLIMITED, self.metrics);
+        let mut stage = Phase3::new(usize::MAX, self.metrics);
         let scratch = &mut QueryScratch::new();
         Ok(self.run(tree, query, &plan, evaluator, scratch, &mut stage, None))
     }
 
     /// The three phases for one planned query — the one pipeline the
-    /// plain executor, the resilient one and `QueryBatch` all run; they
-    /// differ only in the plan, evaluator and Phase-3 stage they pass in.
+    /// plain executor, the resilient one, `QueryBatch` and the naive scan
+    /// all run; they differ only in the plan, evaluator and Phase-3 stage
+    /// they pass in.
     /// The work list is left in `scratch.to_integrate`; `estimates`, when
     /// given, receives its probabilities (see [`Phase3::run`]).
     #[allow(clippy::too_many_arguments)]
@@ -442,14 +442,11 @@ pub(crate) struct PreparedQuery<const D: usize> {
 
 impl<const D: usize> PreparedQuery<D> {
     /// The filterless plan: Phase 1 returns every object and Phase 2
-    /// passes them all to Phase 3 — the resilient executor's naive scan.
+    /// passes them all to Phase 3 — [`execute_naive`] and the resilient
+    /// executor's fallback.
     pub(crate) fn full_scan() -> Self {
         PreparedQuery {
-            strategies: StrategySet {
-                rr: false,
-                or: false,
-                bf: false,
-            },
+            strategies: StrategySet::NONE,
             fringe_mode: FringeMode::PaperFaithful,
             region: None,
             bf_bounds: None,
@@ -531,35 +528,25 @@ impl<const D: usize> PreparedQuery<D> {
     }
 }
 
-/// Resource caps for budgeted Phase-3 evaluation.
-///
-/// Phase 3 hands each object what is left of `max_total_samples`; only
-/// sampling evaluators read it ([`MonteCarloEvaluator`] refuses an
-/// object once nothing is left). The default is
-/// [`EvalBudget::UNLIMITED`].
-///
-/// [`MonteCarloEvaluator`]: crate::evaluator::MonteCarloEvaluator
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalBudget {
-    /// Most samples the whole query may draw across all objects.
-    pub max_total_samples: usize,
-    /// Most candidates Phase 3 will evaluate; the rest are reported
-    /// uncertain rather than silently dropped.
-    pub max_candidates: usize,
-}
-
-impl EvalBudget {
-    /// No caps at all (every limit at `usize::MAX`).
-    pub const UNLIMITED: Self = EvalBudget {
-        max_total_samples: usize::MAX,
-        max_candidates: usize::MAX,
-    };
-}
-
-impl Default for EvalBudget {
-    fn default() -> Self {
-        Self::UNLIMITED
-    }
+/// The naive baseline: every object in `tree` is evaluated, with no
+/// filtering — what the paper's strategies are measured against, and
+/// the correctness tests' definition of the true answer set. It runs
+/// the filterless plan through the one pipeline, as the resilient
+/// executor's fallback does, so an object the evaluator cannot decide
+/// comes back in [`PrqOutcome::uncertain`].
+pub fn execute_naive<'t, const D: usize, T, I, E>(
+    tree: &'t I,
+    query: &PrqQuery<D>,
+    evaluator: &mut E,
+) -> PrqOutcome<'t, D, T>
+where
+    I: Phase1Index<D, T>,
+    E: ProbabilityEvaluator<D>,
+{
+    let plan = PreparedQuery::full_scan();
+    let stage = &mut Phase3::new(usize::MAX, None);
+    let scratch = &mut QueryScratch::new();
+    PrqExecutor::new(StrategySet::NONE).run(tree, query, &plan, evaluator, scratch, stage, None)
 }
 
 /// Why an object ended up in [`PrqOutcome::uncertain`].
@@ -570,7 +557,7 @@ pub enum UncertainCause {
     IntervalStraddlesTheta,
     /// The evaluator failed on this object.
     EvaluatorFault,
-    /// A budget cap was hit before this object was evaluated at all.
+    /// The candidate cap was hit before this object was evaluated.
     NotEvaluated,
 }
 
@@ -589,52 +576,40 @@ pub struct UncertainObject<'t, const D: usize, T> {
     pub cause: UncertainCause,
 }
 
-/// Objects a [`Phase3`] stage left unclassified, by cause — what the
-/// resilient executor turns into report entries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Shortfall {
-    /// Cut off by [`EvalBudget::max_candidates`].
-    pub(crate) capped: usize,
-    /// Reached with no total-sample budget left.
-    pub(crate) starved: usize,
-    /// Failed in the evaluator.
-    pub(crate) faulted: usize,
-}
-
-/// Phase 3 — the one per-candidate loop every driver runs: integrate each
-/// filter survivor under an [`EvalBudget`], classify it against `θ`, and
+/// Phase 3 — the one per-candidate loop every executor runs: evaluate each
+/// filter survivor against `θ`, at most `max_candidates` of them, and
 /// close the query's record.
 ///
-/// Budget caps and evaluator failures never drop an object silently: it
-/// comes back as an [`UncertainObject`] and is counted in
-/// [`Phase3::shortfall`].
+/// The cap and evaluator failures never drop an object silently: it
+/// comes back as an [`UncertainObject`] with its [`UncertainCause`].
 #[derive(Debug)]
 pub(crate) struct Phase3<'a> {
-    budget: EvalBudget,
+    max_candidates: usize,
     metrics: Option<&'a PipelineMetrics>,
-    /// Unclassified objects over every query this stage ran.
-    pub(crate) shortfall: Shortfall,
-    /// Consulted at the `SampleStarvation` and `Evaluator` sites.
+    /// Consulted at the `Evaluator` site.
     #[cfg(feature = "fault-inject")]
     pub(crate) faults: Option<&'a mut FaultPlan>,
 }
 
 impl<'a> Phase3<'a> {
-    /// A stage spending at most `budget` per query, recording into
-    /// `metrics`.
-    pub(crate) fn new(budget: EvalBudget, metrics: Option<&'a PipelineMetrics>) -> Self {
+    /// A stage evaluating at most `max_candidates` objects per query,
+    /// recording into `metrics`.
+    pub(crate) fn new(max_candidates: usize, metrics: Option<&'a PipelineMetrics>) -> Self {
         Phase3 {
-            budget,
+            max_candidates,
             metrics,
-            shortfall: Shortfall::default(),
             #[cfg(feature = "fault-inject")]
             faults: None,
         }
     }
 
-    #[cfg(feature = "fault-inject")]
-    fn trips(&mut self, site: FaultSite) -> bool {
-        self.faults.as_mut().is_some_and(|plan| plan.trip(site))
+    /// Whether an injected fault aborts the next evaluation.
+    fn evaluator_fault(&mut self) -> bool {
+        #[cfg(feature = "fault-inject")]
+        if let Some(plan) = self.faults.as_mut() {
+            return plan.trip(FaultSite::Evaluator);
+        }
+        false
     }
 
     /// Evaluates `work` (in order) for `query`, appending accepted and
@@ -653,61 +628,30 @@ impl<'a> Phase3<'a> {
     ) where
         E: ProbabilityEvaluator<D>,
     {
-        evaluator.begin_query(query.gaussian());
-        let mut spent = 0usize;
+        let (gaussian, delta, theta) = (query.gaussian(), query.delta(), query.theta());
+        evaluator.begin_query(gaussian);
         for (i, &(point, data)) in work.iter().enumerate() {
-            let (estimate, cause) = if i >= self.budget.max_candidates {
+            let (estimate, cause) = if i >= self.max_candidates {
                 // Candidate cap: everything past it is reported, not dropped.
-                self.shortfall.capped += 1;
                 (None, UncertainCause::NotEvaluated)
+            } else if self.evaluator_fault() {
+                (None, UncertainCause::EvaluatorFault)
             } else {
-                // Each object may spend what is left of the total.
-                let per_object = self.budget.max_total_samples.saturating_sub(spent);
-                #[cfg(feature = "fault-inject")]
-                let per_object = if self.trips(FaultSite::SampleStarvation) {
-                    0
-                } else {
-                    per_object
-                };
-                #[cfg(feature = "fault-inject")]
-                let injected = self.trips(FaultSite::Evaluator);
-                #[cfg(not(feature = "fault-inject"))]
-                let injected = false;
-                let result = if injected {
-                    Err(EvalFailure::Injected)
-                } else {
-                    let (gaussian, delta, theta) = (query.gaussian(), query.delta(), query.theta());
-                    evaluator.evaluate(gaussian, point, delta, theta, per_object)
-                };
-                match result {
-                    Ok(rep) => {
-                        out.stats.integrations += 1;
-                        spent = spent.saturating_add(rep.samples);
-                        if let Some(metrics) = self.metrics {
-                            metrics.record_phase3_object(rep.samples);
-                        }
-                        if let Some(estimates) = estimates.as_deref_mut() {
-                            estimates.push(rep.estimate);
-                        }
-                        match rep.verdict {
-                            Verdict::Accept => {
-                                out.answers.push((point, data));
-                                continue;
-                            }
-                            Verdict::Reject => continue,
-                            Verdict::Uncertain => {
-                                (Some(rep.estimate), UncertainCause::IntervalStraddlesTheta)
-                            }
-                        }
+                let report = evaluator.evaluate(gaussian, point, delta, theta);
+                out.stats.integrations += 1;
+                if let Some(estimates) = estimates.as_deref_mut() {
+                    estimates.push(report.estimate);
+                }
+                match report.verdict {
+                    Verdict::Accept => {
+                        out.answers.push((point, data));
+                        continue;
                     }
-                    Err(EvalFailure::NoBudget) => {
-                        self.shortfall.starved += 1;
-                        (None, UncertainCause::NotEvaluated)
-                    }
-                    Err(EvalFailure::Injected) => {
-                        self.shortfall.faulted += 1;
-                        (None, UncertainCause::EvaluatorFault)
-                    }
+                    Verdict::Reject => continue,
+                    Verdict::Uncertain => (
+                        Some(report.estimate),
+                        UncertainCause::IntervalStraddlesTheta,
+                    ),
                 }
             };
             out.uncertain.push(UncertainObject {
@@ -730,9 +674,9 @@ impl<'a> Phase3<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::Quadrature2dEvaluator;
+    use crate::evaluator::{ExactEvaluator, Quadrature2dEvaluator};
     use gprq_linalg::Matrix;
-    use gprq_rtree::{RStarParams, RTree};
+    use gprq_rtree::{FlatRTree, RStarParams, RTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -983,6 +927,69 @@ mod tests {
         assert!(s.node_accesses > 0);
         assert_eq!(s.answers, outcome.answers.len());
         assert!(s.total_time() >= s.phase3_time);
+    }
+
+    #[test]
+    fn naive_matches_filtered_execution() {
+        let tree = random_tree(2_000, 77);
+        let query = paper_query(10.0);
+        let mut eval = Quadrature2dEvaluator::default();
+        let naive = execute_naive(&tree, &query, &mut eval);
+        let filtered = PrqExecutor::new(StrategySet::ALL)
+            .execute(&tree, &query, &mut eval)
+            .unwrap();
+        assert_eq!(answers_sorted(&naive), answers_sorted(&filtered));
+        // The whole point of the paper: filtering integrates far less.
+        assert_eq!(naive.stats.integrations, 2_000);
+        assert!(filtered.stats.integrations < naive.stats.integrations / 10);
+        // The scan is a whole-index search, so it runs on any backend.
+        let frozen = FlatRTree::freeze(tree.clone());
+        let flat = execute_naive(&frozen, &query, &mut eval);
+        assert_eq!(answers_sorted(&flat), answers_sorted(&naive));
+        assert_eq!(flat.stats.integrations, 2_000);
+    }
+
+    #[test]
+    fn naive_on_empty_tree() {
+        let tree: RTree<2, usize> = RTree::new();
+        let query = PrqQuery::new(Vector::ZERO, Matrix::identity(), 1.0, 0.1).unwrap();
+        let mut eval = Quadrature2dEvaluator::default();
+        let outcome = execute_naive(&tree, &query, &mut eval);
+        assert!(outcome.answers.is_empty());
+        assert_eq!(outcome.stats.integrations, 0);
+    }
+
+    #[test]
+    fn naive_reports_undecided_brackets_as_uncertain() {
+        // At κ(Σ) = 10⁴ the exact series' term cap leaves the brackets
+        // of objects near the center straddling θ: the scan lists them,
+        // with their midpoints, instead of thresholding the midpoint.
+        let tree = grid_tree();
+        let sigma = Matrix::from_rows([[1e4, 0.0], [0.0, 1.0]]);
+        let query = PrqQuery::new(Vector::from([500.0, 500.0]), sigma, 100.0, 0.45).unwrap();
+        let mut eval = ExactEvaluator::default();
+        let outcome = execute_naive(&tree, &query, &mut eval);
+        let mut undecided: Vec<usize> = tree
+            .iter()
+            .filter(|(p, _)| {
+                let report = eval.evaluate(query.gaussian(), p, query.delta(), query.theta());
+                report.verdict == Verdict::Uncertain
+            })
+            .map(|(_, d)| *d)
+            .collect();
+        assert!(!undecided.is_empty());
+        undecided.sort_unstable();
+        let mut listed: Vec<usize> = outcome.uncertain.iter().map(|u| *u.data).collect();
+        listed.sort_unstable();
+        assert_eq!(listed, undecided);
+        assert!(outcome.uncertain.iter().all(|u| {
+            u.cause == UncertainCause::IntervalStraddlesTheta
+                && u.estimate.is_some_and(|p| p > 0.0 && p < 1.0)
+        }));
+        assert_eq!(outcome.stats.uncertain, undecided.len());
+        assert!(answers_sorted(&outcome)
+            .iter()
+            .all(|id| listed.binary_search(id).is_err()));
     }
 
     #[test]

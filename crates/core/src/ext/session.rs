@@ -15,7 +15,7 @@ use crate::query::PrqQuery;
 use crate::strategy::StrategySet;
 use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::RTree;
+use gprq_rtree::Phase1Index;
 
 /// One step's outcome in a monitoring session.
 #[derive(Debug, Clone)]
@@ -30,9 +30,10 @@ pub struct StepOutcome<T> {
     pub stats: QueryStats,
 }
 
-/// A monitoring session over a static object database.
-pub struct MonitoringSession<'t, const D: usize, T, E> {
-    tree: &'t RTree<D, T>,
+/// A monitoring session over a static object database, held in any
+/// [`Phase1Index`].
+pub struct MonitoringSession<'t, const D: usize, T, E, I> {
+    tree: &'t I,
     delta: f64,
     theta: f64,
     strategies: StrategySet,
@@ -46,10 +47,11 @@ pub struct MonitoringSession<'t, const D: usize, T, E> {
     pub steps: usize,
 }
 
-impl<'t, const D: usize, T, E> MonitoringSession<'t, D, T, E>
+impl<'t, const D: usize, T, E, I> MonitoringSession<'t, D, T, E, I>
 where
     T: Clone + Ord,
     E: ProbabilityEvaluator<D>,
+    I: Phase1Index<D, T>,
 {
     /// Creates a session; builds both U-catalogs up front (the paper's
     /// intended deployment: tables offline, lookups per query).
@@ -58,7 +60,7 @@ where
     ///
     /// Validates `delta`, `theta`, and the strategy set.
     pub fn new(
-        tree: &'t RTree<D, T>,
+        tree: &'t I,
         delta: f64,
         theta: f64,
         strategies: StrategySet,
@@ -140,7 +142,8 @@ where
 mod tests {
     use super::*;
     use crate::evaluator::Quadrature2dEvaluator;
-    use gprq_rtree::RStarParams;
+    use gprq_rtree::{FlatRTree, RStarParams, RTree};
+    use std::time::Duration;
 
     fn grid_tree() -> RTree<2, u32> {
         let mut points = Vec::new();
@@ -193,6 +196,37 @@ mod tests {
         assert_eq!(third.left.len(), second.answers.len());
         assert_eq!(session.steps, 3);
         assert!(session.mean_integrations() >= 0.0);
+    }
+
+    #[test]
+    fn flat_index_session_matches_the_pointer_tree() {
+        let tree = grid_tree();
+        let flat = FlatRTree::freeze(grid_tree());
+        fn session<I: Phase1Index<2, u32>>(
+            index: &I,
+        ) -> MonitoringSession<'_, 2, u32, Quadrature2dEvaluator, I> {
+            let eval = Quadrature2dEvaluator::default();
+            MonitoringSession::new(index, 60.0, 0.2, StrategySet::ALL, eval).unwrap()
+        }
+        let (mut pointer, mut frozen) = (session(&tree), session(&flat));
+        let untimed = |stats: QueryStats| QueryStats {
+            phase1_time: Duration::ZERO,
+            phase2_time: Duration::ZERO,
+            phase3_time: Duration::ZERO,
+            ..stats
+        };
+        for (x, spread) in [(200.0, 100.0), (205.0, 100.0), (800.0, 400.0)] {
+            let mean = Vector::from([x, 0.8 * x]);
+            let a = pointer.step(mean, cov(spread)).unwrap();
+            let b = frozen.step(mean, cov(spread)).unwrap();
+            assert!(!a.answers.is_empty());
+            assert_eq!(
+                (&a.answers, &a.entered, &a.left),
+                (&b.answers, &b.entered, &b.left)
+            );
+            assert_eq!(untimed(a.stats), untimed(b.stats), "step at x = {x}");
+        }
+        assert_eq!(untimed(pointer.total), untimed(frozen.total));
     }
 
     #[test]

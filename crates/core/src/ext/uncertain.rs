@@ -14,7 +14,7 @@
 //! approximation is introduced.
 
 use crate::error::PrqError;
-use crate::evaluator::ProbabilityEvaluator;
+use crate::evaluator::{ProbabilityEvaluator, Verdict};
 use crate::query::PrqQuery;
 use crate::strategy::bf::{BfBounds, BfClass};
 use gprq_linalg::{Matrix, Vector};
@@ -58,6 +58,9 @@ where
 pub struct UncertainOutcome {
     /// Indices (into the input slice) of qualifying targets.
     pub answers: Vec<usize>,
+    /// Indices of the targets the evaluator left
+    /// [`Verdict::Uncertain`]: neither answered nor rejected.
+    pub uncertain: Vec<usize>,
     /// Targets decided by the BF bounds without integration.
     pub decided_by_bounds: usize,
     /// Numerical integrations performed.
@@ -69,6 +72,8 @@ pub struct UncertainOutcome {
 /// Each target gets its own convolved distribution, so the BF bounds are
 /// recomputed per target — still far cheaper than an integration, and
 /// they decide most targets outright (the `decided_by_bounds` counter).
+/// The rest are decided by [`ProbabilityEvaluator::evaluate`], which may
+/// leave a target uncertain.
 ///
 /// # Errors
 ///
@@ -100,13 +105,16 @@ where
             }
             BfClass::NeedsIntegration => {
                 out.integrations += 1;
-                evaluator.begin_query(sub_query.gaussian());
-                let p = evaluator.probability(sub_query.gaussian(), &Vector::ZERO, query.delta());
+                let (gaussian, delta, theta) = (sub_query.gaussian(), query.delta(), query.theta());
+                evaluator.begin_query(gaussian);
+                let report = evaluator.evaluate(gaussian, &Vector::ZERO, delta, theta);
                 // `UncertainOutcome` has no cloud fields: drain the draw
                 // so it does not leak into the evaluator's next query.
                 evaluator.take_cloud_stats();
-                if p >= query.theta() {
-                    out.answers.push(idx);
+                match report.verdict {
+                    Verdict::Accept => out.answers.push(idx),
+                    Verdict::Reject => {}
+                    Verdict::Uncertain => out.uncertain.push(idx),
                 }
             }
         }
@@ -214,5 +222,37 @@ mod tests {
             targets.len()
         );
         assert!(outcome.decided_by_bounds > 0, "bounds should decide some");
+    }
+
+    #[test]
+    fn undecided_targets_are_reported_not_thresholded() {
+        // At κ(Σ) = 10⁴ the exact series' term cap leaves these brackets
+        // straddling θ with midpoints ≈ 0.5, although four of the five
+        // lie below θ (400 000-sample Monte Carlo: 0.418, 0.336, 0.522,
+        // 0.245, 0.402).
+        let sigma = Matrix::from_rows([[1e4, 0.0], [0.0, 1.0]]);
+        let q = PrqQuery::new(Vector::ZERO, sigma, 100.0, 0.45).unwrap();
+        let targets = [
+            [36.0, -81.0],
+            [10.0, -90.0],
+            [50.0, 60.0],
+            [0.0, 95.0],
+            [80.0, -70.0],
+        ]
+        .map(|mean| UncertainTarget {
+            mean: Vector::from(mean),
+            covariance: Matrix::identity().scale(1e-6),
+        });
+        let mut eval = crate::evaluator::ExactEvaluator::default();
+        let outcome = prq_uncertain_targets(&q, &targets, &mut eval).unwrap();
+        for below in [0, 1, 3, 4] {
+            assert!(!outcome.answers.contains(&below), "{outcome:?}");
+        }
+        assert!(!outcome.uncertain.is_empty(), "{outcome:?}");
+        assert!(outcome
+            .uncertain
+            .iter()
+            .all(|i| !outcome.answers.contains(i)));
+        assert_eq!(outcome.decided_by_bounds + outcome.integrations, 5);
     }
 }

@@ -5,7 +5,7 @@
 //! [`ResilientExecutor`] consults the plan at each site; when a site
 //! *trips*, the executor behaves as if the corresponding real-world
 //! failure happened — a missing catalog, a failing index traversal, an
-//! erroring evaluator, a starved sample budget, a degenerate Σ.
+//! erroring evaluator, a degenerate Σ, an aborted batch member.
 //!
 //! Everything is deterministic: a plan built from a seed
 //! ([`FaultPlan::from_seed`]) always trips the same sites on the same
@@ -25,8 +25,6 @@ pub enum FaultSite {
     Phase1Traversal,
     /// A Phase-3 evaluation fails outright.
     Evaluator,
-    /// One object's sample budget is starved to zero.
-    SampleStarvation,
     /// Σ degenerates to a singular matrix before admission.
     SigmaDegeneracy,
     /// A batch member is aborted just before it runs: the batch
@@ -38,14 +36,11 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in a fixed order (used to derive per-site schedules
-    /// from a seed): the i-th site takes the i-th `splitmix64` word, so
-    /// the first five sites keep their per-seed schedules and
-    /// `BatchAbort` derives its schedule from the 6th word.
-    pub const ALL: [FaultSite; 6] = [
+    /// from a seed): the i-th site takes the i-th `splitmix64` word.
+    pub const ALL: [FaultSite; 5] = [
         FaultSite::CatalogLookup,
         FaultSite::Phase1Traversal,
         FaultSite::Evaluator,
-        FaultSite::SampleStarvation,
         FaultSite::SigmaDegeneracy,
         FaultSite::BatchAbort,
     ];
@@ -57,7 +52,6 @@ impl fmt::Display for FaultSite {
             FaultSite::CatalogLookup => write!(f, "catalog-lookup"),
             FaultSite::Phase1Traversal => write!(f, "phase1-traversal"),
             FaultSite::Evaluator => write!(f, "evaluator"),
-            FaultSite::SampleStarvation => write!(f, "sample-starvation"),
             FaultSite::SigmaDegeneracy => write!(f, "sigma-degeneracy"),
             FaultSite::BatchAbort => write!(f, "batch-abort"),
         }
@@ -103,7 +97,6 @@ pub struct FaultPlan {
     catalog: SiteState,
     phase1: SiteState,
     evaluator: SiteState,
-    starvation: SiteState,
     sigma: SiteState,
     batch_abort: SiteState,
 }
@@ -158,7 +151,6 @@ impl FaultPlan {
             FaultSite::CatalogLookup => self.catalog.schedule,
             FaultSite::Phase1Traversal => self.phase1.schedule,
             FaultSite::Evaluator => self.evaluator.schedule,
-            FaultSite::SampleStarvation => self.starvation.schedule,
             FaultSite::SigmaDegeneracy => self.sigma.schedule,
             FaultSite::BatchAbort => self.batch_abort.schedule,
         }
@@ -170,7 +162,6 @@ impl FaultPlan {
             FaultSite::CatalogLookup => self.catalog.hits,
             FaultSite::Phase1Traversal => self.phase1.hits,
             FaultSite::Evaluator => self.evaluator.hits,
-            FaultSite::SampleStarvation => self.starvation.hits,
             FaultSite::SigmaDegeneracy => self.sigma.hits,
             FaultSite::BatchAbort => self.batch_abort.hits,
         }
@@ -190,7 +181,6 @@ impl FaultPlan {
             FaultSite::CatalogLookup => &mut self.catalog,
             FaultSite::Phase1Traversal => &mut self.phase1,
             FaultSite::Evaluator => &mut self.evaluator,
-            FaultSite::SampleStarvation => &mut self.starvation,
             FaultSite::SigmaDegeneracy => &mut self.sigma,
             FaultSite::BatchAbort => &mut self.batch_abort,
         }
@@ -254,7 +244,6 @@ mod tests {
                 "catalog-lookup",
                 "phase1-traversal",
                 "evaluator",
-                "sample-starvation",
                 "sigma-degeneracy",
                 "batch-abort"
             ]

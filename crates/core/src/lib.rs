@@ -18,8 +18,12 @@
 //!   → probability computation) with full [`QueryStats`];
 //! * [`evaluator`] — the Phase-3 menu: the paper's Monte Carlo
 //!   ([`MonteCarloEvaluator`]), a 2-D quadrature oracle, and the exact
-//!   [`ExactEvaluator`], which decides from a certified bound;
-//! * [`naive`] — the full-scan baseline;
+//!   [`ExactEvaluator`], which decides from a certified bound; each
+//!   candidate gets one [`Verdict`], `Uncertain` when it stays undecided;
+//! * [`resilience`] — admission, strategy fallback and a candidate cap
+//!   around the same pipeline ([`ResilientExecutor`]);
+//! * [`execute_naive`] — the full-scan baseline: the filterless plan on
+//!   the same pipeline;
 //! * [`ext`] — the paper's §VII future-work items: probabilistic k-NN
 //!   queries, uncertain *target* objects, and `QueryBatch`'s configuration.
 //!
@@ -63,7 +67,6 @@ pub mod ext;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod metrics;
-pub mod naive;
 pub mod query;
 pub mod resilience;
 pub mod strategy;
@@ -74,17 +77,16 @@ pub use batch::{cloud_seed, BatchOutcome, QueryBatch, SigmaFactorCache};
 pub use cost::{expected_integrations, region_volumes, DensityEstimate, RegionVolumes};
 pub use error::PrqError;
 pub use evaluator::{
-    EvalFailure, EvalReport, ExactEvaluator, MonteCarloEvaluator, ProbabilityEvaluator,
-    Quadrature2dEvaluator, Verdict,
+    EvalReport, ExactEvaluator, MonteCarloEvaluator, ProbabilityEvaluator, Quadrature2dEvaluator,
+    Verdict,
 };
 pub use executor::{
-    EvalBudget, PrqExecutor, PrqOutcome, QueryStats, UncertainCause, UncertainObject,
+    execute_naive, PrqExecutor, PrqOutcome, QueryStats, UncertainCause, UncertainObject,
 };
 pub use explain::{explain, explain_with_metrics, QueryPlan};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultPlan, FaultSchedule, FaultSite};
 pub use metrics::{Phase, PipelineMetrics};
-pub use naive::execute_naive;
 pub use query::PrqQuery;
 pub use resilience::{
     DegradationReason, DegradationReport, ResilientExecutor, ResilientOutcome, TerminalStrategy,

@@ -10,8 +10,8 @@
 //!
 //! Counters are flushed **once per query** from the already-maintained
 //! [`QueryStats`], so per-candidate work sees no instrumentation at
-//! all; only the plan span, the three phase spans and the per-object
-//! sample histogram touch metrics inside a query. The `BENCH_obs.json`
+//! all; only the plan span and the three phase spans touch metrics
+//! inside a query. The `BENCH_obs.json`
 //! guard holds the end-to-end overhead of this design under 3 %.
 //!
 //! Span-to-paper mapping: [`Phase::Plan`] derives the query's radii
@@ -58,11 +58,10 @@ pub mod names {
     pub const PHASE3_UNCERTAIN: &str = "prq_phase3_uncertain_total";
     /// Counter: Monte-Carlo samples drawn in Phase 3 — clouds and
     /// freshly drawn batch offset tables — on every path
-    /// (`CloudStats::samples_drawn`).
+    /// (`CloudStats::samples_drawn`). Each integrated object is measured
+    /// against its query's whole cloud; on the solo paths the cloud size
+    /// is this counter over `prq_cloud_builds_total`.
     pub const PHASE3_SAMPLES: &str = "prq_phase3_samples_total";
-    /// Histogram: samples each integrated object was evaluated over
-    /// (the whole cloud on fixed-cloud paths), on every integrating path.
-    pub const PHASE3_SAMPLES_PER_OBJECT: &str = "prq_phase3_samples_per_object";
     /// Histogram: plan wall-clock nanoseconds per query (strategy
     /// validation, `r_θ` and the BF radii).
     pub const PLAN_DURATION_NS: &str = "prq_plan_duration_ns";
@@ -79,7 +78,7 @@ pub mod names {
     pub const RESILIENCE_FALLBACK_HOPS: &str = "prq_resilience_fallback_hops_total";
     /// Counter: objects lost to evaluator faults.
     pub const RESILIENCE_EVALUATOR_FAULTS: &str = "prq_resilience_evaluator_faults_total";
-    /// Counter: budget-exhaustion events (total-sample or candidate cap).
+    /// Counter: budget-exhaustion events (the candidate cap was hit).
     pub const RESILIENCE_BUDGET_EXHAUSTED: &str = "prq_resilience_budget_exhausted_total";
     /// Counter: shared sample clouds built (one per query that integrates
     /// on the cloud path).
@@ -149,7 +148,6 @@ pub struct PipelineMetrics {
     integrations: Arc<Counter>,
     uncertain: Arc<Counter>,
     phase3_samples: Arc<Counter>,
-    samples_per_object: Arc<Histogram>,
     plan_duration: Arc<Histogram>,
     phase1_duration: Arc<Histogram>,
     phase2_duration: Arc<Histogram>,
@@ -199,7 +197,6 @@ impl PipelineMetrics {
             integrations: registry.counter(names::PHASE3_INTEGRATIONS),
             uncertain: registry.counter(names::PHASE3_UNCERTAIN),
             phase3_samples: registry.counter(names::PHASE3_SAMPLES),
-            samples_per_object: registry.histogram(names::PHASE3_SAMPLES_PER_OBJECT),
             plan_duration: registry.histogram(names::PLAN_DURATION_NS),
             phase1_duration: registry.histogram(names::PHASE1_DURATION_NS),
             phase2_duration: registry.histogram(names::PHASE2_DURATION_NS),
@@ -270,12 +267,6 @@ impl PipelineMetrics {
             .add(as_u64(stats.cloud_cells_inside));
         self.cloud_samples_tested
             .add(as_u64(stats.cloud_samples_tested));
-    }
-
-    /// Records the sample count one Phase-3 integration was evaluated
-    /// over.
-    pub fn record_phase3_object(&self, samples: usize) {
-        self.samples_per_object.record(as_u64(samples));
     }
 
     /// Flushes a resilient execution's degradation report into the
@@ -393,7 +384,7 @@ mod tests {
 
     #[test]
     fn report_classification() {
-        use crate::resilience::{BudgetScope, CatalogKind, SwitchCause};
+        use crate::resilience::{CatalogKind, SwitchCause};
         use crate::strategy::StrategySet;
         let m = PipelineMetrics::new();
         let mut report = DegradationReport::new();
@@ -415,10 +406,7 @@ mod tests {
             cause: SwitchCause::ExecutionFailed,
         });
         report.record(DegradationReason::EvaluatorFaults { objects: 5 });
-        report.record(DegradationReason::BudgetExhausted {
-            scope: BudgetScope::TotalSamples,
-            unresolved: 9,
-        });
+        report.record(DegradationReason::BudgetExhausted { unresolved: 9 });
         m.record_report(&report);
         let snap = m.snapshot();
         assert_eq!(snap.counter(names::RESILIENCE_REPAIRS), Some(2));

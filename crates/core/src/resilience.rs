@@ -1,12 +1,12 @@
-//! The resilient query pipeline: admission/sanitization, budgeted
-//! evaluation with graceful degradation, and strategy fallback.
+//! The resilient query pipeline: admission/sanitization, a capped
+//! Phase 3 with graceful degradation, and strategy fallback.
 //!
 //! The plain [`PrqExecutor`] is faithful to the paper and therefore
 //! brittle by design: its strategies have hard preconditions (the
 //! θ-region needs `θ < 1/2`, catalogs must match the query dimension, Σ
-//! must be well-conditioned SPD) and its Phase 3 spends a fixed sample
-//! budget per candidate. A serving path cannot afford either property —
-//! one degenerate query must neither error out nor hog the integrator.
+//! must be well-conditioned SPD) and its Phase 3 evaluates every
+//! candidate. A serving path cannot afford either property — one
+//! degenerate query must neither error out nor hog the integrator.
 //!
 //! [`ResilientExecutor`] wraps the same three-phase pipeline with:
 //!
@@ -20,10 +20,10 @@
 //!    works at any θ), and execution failure degrades to the naive
 //!    full scan; each hop is a [`DegradationReason::StrategySwitched`]
 //!    or [`DegradationReason::NaiveFallback`] entry.
-//! 3. **Budgeted Phase 3** ([`EvalBudget`]) — the executor's one Phase-3
-//!    stage under the configured total-sample and candidate caps;
-//!    objects the evaluator or the budget cannot settle (a bracket still
-//!    straddling `θ` at [`ExactEvaluator`]'s term cap, a fault, a cap)
+//! 3. **Capped Phase 3** ([`ResilientExecutor::with_max_candidates`]) —
+//!    the executor's one Phase-3 stage, evaluating at most the configured
+//!    number of candidates; objects it cannot settle (a bracket still
+//!    straddling `θ` at [`ExactEvaluator`]'s term cap, a fault, the cap)
 //!    come back as explicit [`Verdict::Uncertain`] entries, never as
 //!    unlabeled guesses.
 //!
@@ -35,7 +35,7 @@
 
 use crate::error::PrqError;
 use crate::evaluator::ProbabilityEvaluator;
-use crate::executor::{Phase3, PreparedQuery, PrqExecutor, QueryScratch, QueryStats, Shortfall};
+use crate::executor::{Phase3, PreparedQuery, PrqExecutor, QueryScratch, QueryStats};
 use crate::metrics::PipelineMetrics;
 use crate::query::PrqQuery;
 use crate::strategy::rr::FringeMode;
@@ -49,7 +49,7 @@ use std::fmt;
 use crate::fault::{FaultPlan, FaultSite};
 
 pub use crate::evaluator::Verdict;
-pub use crate::executor::{EvalBudget, UncertainCause, UncertainObject};
+pub use crate::executor::{UncertainCause, UncertainObject};
 
 /// Which U-catalog a [`DegradationReason::CatalogDropped`] refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,25 +90,6 @@ impl fmt::Display for SwitchCause {
             SwitchCause::NoPrimaryStrategy => write!(f, "no primary strategy"),
             SwitchCause::ExecutionFailed => write!(f, "filtered execution failed"),
             SwitchCause::IndexUnavailable => write!(f, "index unavailable"),
-        }
-    }
-}
-
-/// Which budget dimension a [`DegradationReason::BudgetExhausted`]
-/// entry refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetScope {
-    /// [`EvalBudget::max_total_samples`] ran out mid-query.
-    TotalSamples,
-    /// [`EvalBudget::max_candidates`] capped the Phase-3 work list.
-    Candidates,
-}
-
-impl fmt::Display for BudgetScope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BudgetScope::TotalSamples => write!(f, "total samples"),
-            BudgetScope::Candidates => write!(f, "candidates"),
         }
     }
 }
@@ -173,10 +154,8 @@ pub enum DegradationReason {
         /// How many objects were affected.
         objects: usize,
     },
-    /// A budget cap was hit before every candidate was classified.
+    /// The candidate cap was hit before every candidate was classified.
     BudgetExhausted {
-        /// Which cap was hit.
-        scope: BudgetScope,
         /// Objects left unclassified because of it.
         unresolved: usize,
     },
@@ -214,11 +193,8 @@ impl fmt::Display for DegradationReason {
             DegradationReason::EvaluatorFaults { objects } => {
                 write!(f, "evaluator failed on {objects} object(s)")
             }
-            DegradationReason::BudgetExhausted { scope, unresolved } => {
-                write!(
-                    f,
-                    "budget exhausted ({scope}), {unresolved} object(s) unresolved"
-                )
+            DegradationReason::BudgetExhausted { unresolved } => {
+                write!(f, "candidate cap hit, {unresolved} object(s) unresolved")
             }
         }
     }
@@ -440,12 +416,12 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
     pub terminal: TerminalStrategy,
 }
 
-/// The hardened executor: admission, strategy fallback, budgeted
+/// The hardened executor: admission, strategy fallback, a capped
 /// Phase 3, and (behind the `fault-inject` feature) deterministic
 /// fault injection.
 ///
 /// ```
-/// use gprq_core::resilience::{EvalBudget, ResilientExecutor, TerminalStrategy};
+/// use gprq_core::resilience::{ResilientExecutor, TerminalStrategy};
 /// use gprq_core::{Quadrature2dEvaluator, StrategySet};
 /// use gprq_linalg::{Matrix, Vector};
 /// use gprq_rtree::{RStarParams, RTree};
@@ -469,22 +445,21 @@ pub struct ResilientExecutor<'c> {
     fringe_mode: FringeMode,
     rr_catalog: Option<&'c RrCatalog>,
     bf_catalog: Option<&'c BfCatalog>,
-    budget: EvalBudget,
+    max_candidates: usize,
     metrics: Option<&'c PipelineMetrics>,
     #[cfg(feature = "fault-inject")]
     faults: Option<FaultPlan>,
 }
 
 impl<'c> ResilientExecutor<'c> {
-    /// Creates a resilient executor with no budget caps
-    /// ([`EvalBudget::UNLIMITED`]).
+    /// Creates a resilient executor with no candidate cap.
     pub fn new(strategies: StrategySet) -> Self {
         ResilientExecutor {
             strategies,
             fringe_mode: FringeMode::PaperFaithful,
             rr_catalog: None,
             bf_catalog: None,
-            budget: EvalBudget::UNLIMITED,
+            max_candidates: usize::MAX,
             metrics: None,
             #[cfg(feature = "fault-inject")]
             faults: None,
@@ -492,8 +467,7 @@ impl<'c> ResilientExecutor<'c> {
     }
 
     /// Attaches a [`PipelineMetrics`] handle: phase spans, per-query
-    /// counters, per-object sample histograms, and the repair/fallback
-    /// counters all record into it.
+    /// counters, and the repair/fallback counters all record into it.
     pub fn with_metrics(mut self, metrics: &'c PipelineMetrics) -> Self {
         self.metrics = Some(metrics);
         self
@@ -519,15 +493,12 @@ impl<'c> ResilientExecutor<'c> {
         self
     }
 
-    /// Overrides the Phase-3 budget.
-    pub fn with_budget(mut self, budget: EvalBudget) -> Self {
-        self.budget = budget;
+    /// Caps Phase 3 at `max_candidates` evaluations per query; the
+    /// candidates past it come back [`UncertainCause::NotEvaluated`],
+    /// with a [`DegradationReason::BudgetExhausted`] entry.
+    pub fn with_max_candidates(mut self, max_candidates: usize) -> Self {
+        self.max_candidates = max_candidates;
         self
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> EvalBudget {
-        self.budget
     }
 
     /// Arms a deterministic fault plan; every subsequent execution
@@ -673,31 +644,26 @@ impl<'c> ResilientExecutor<'c> {
             }
         };
 
-        let mut stage = Phase3::new(self.budget, self.metrics);
+        let mut stage = Phase3::new(self.max_candidates, self.metrics);
         #[cfg(feature = "fault-inject")]
         {
             stage.faults = self.faults.as_mut();
         }
         let scratch = &mut QueryScratch::new();
         let outcome = exec.run(tree, &query, &plan, evaluator, scratch, &mut stage, None);
-        let Shortfall {
-            capped,
-            starved,
-            faulted,
-        } = stage.shortfall;
-        let exhausted =
-            |scope, unresolved| DegradationReason::BudgetExhausted { scope, unresolved };
-        for (count, reason) in [
-            (capped, exhausted(BudgetScope::Candidates, capped)),
-            (
-                faulted,
-                DegradationReason::EvaluatorFaults { objects: faulted },
-            ),
-            (starved, exhausted(BudgetScope::TotalSamples, starved)),
-        ] {
-            if count > 0 {
-                report.record(reason);
+        let (mut capped, mut faulted) = (0, 0);
+        for object in &outcome.uncertain {
+            match object.cause {
+                UncertainCause::NotEvaluated => capped += 1,
+                UncertainCause::EvaluatorFault => faulted += 1,
+                UncertainCause::IntervalStraddlesTheta => {}
             }
+        }
+        if capped > 0 {
+            report.record(DegradationReason::BudgetExhausted { unresolved: capped });
+        }
+        if faulted > 0 {
+            report.record(DegradationReason::EvaluatorFaults { objects: faulted });
         }
         if let Some(metrics) = self.metrics {
             metrics.record_report(&report);
@@ -919,7 +885,7 @@ mod tests {
         // The scan still produces the true answer set.
         let query = PrqQuery::new(Vector::from([500.0, 500.0]), sigma_paper(), 25.0, 0.01).unwrap();
         let mut quad = Quadrature2dEvaluator::default();
-        let naive = crate::naive::execute_naive(&tree, &query, &mut quad);
+        let naive = crate::executor::execute_naive(&tree, &query, &mut quad);
         let mut a: Vec<usize> = naive.answers.iter().map(|(_, d)| **d).collect();
         let mut b: Vec<usize> = outcome.answers.iter().map(|(_, d)| **d).collect();
         a.sort_unstable();
@@ -964,10 +930,7 @@ mod tests {
     #[test]
     fn candidate_cap_reports_the_tail_as_uncertain() {
         let tree = random_tree(3_000, 17);
-        let mut res = ResilientExecutor::new(StrategySet::ALL).with_budget(EvalBudget {
-            max_candidates: 3,
-            ..EvalBudget::UNLIMITED
-        });
+        let mut res = ResilientExecutor::new(StrategySet::ALL).with_max_candidates(3);
         let outcome = res
             .execute(
                 &tree,
@@ -979,10 +942,7 @@ mod tests {
             )
             .unwrap();
         let capped = outcome.report.iter().find_map(|r| match r {
-            DegradationReason::BudgetExhausted {
-                scope: BudgetScope::Candidates,
-                unresolved,
-            } => Some(*unresolved),
+            DegradationReason::BudgetExhausted { unresolved } => Some(*unresolved),
             _ => None,
         });
         let unresolved = capped.expect("cap must be reported");
@@ -1012,58 +972,13 @@ mod tests {
     }
 
     #[test]
-    fn total_sample_budget_starves_the_tail() {
+    fn fixed_cloud_evaluator_runs_under_a_candidate_cap() {
         use crate::evaluator::MonteCarloEvaluator;
         let tree = random_tree(3_000, 19);
         // RR alone never sure-accepts, so every Phase-2 survivor needs
-        // integration. Each object is measured over the whole 512-sample
-        // cloud, and an object is admitted while any of the 600-sample
-        // total is left: the first two run, the rest starve.
-        let mut res = ResilientExecutor::new(StrategySet::RR).with_budget(EvalBudget {
-            max_total_samples: 600,
-            max_candidates: usize::MAX,
-        });
-        let mut eval = MonteCarloEvaluator::new(512, 3);
-        let outcome = res
-            .execute(
-                &tree,
-                Vector::from([500.0, 500.0]),
-                sigma_paper(),
-                25.0,
-                0.01,
-                &mut eval,
-            )
-            .unwrap();
-        assert_eq!(outcome.stats.integrations, 2, "{:?}", outcome.stats);
-        assert_eq!(outcome.stats.phase3_samples, 512, "one cloud drawn");
-        assert!(outcome.stats.cloud_samples_tested <= 2 * 512);
-        let starved = outcome
-            .uncertain
-            .iter()
-            .filter(|u| u.cause == UncertainCause::NotEvaluated)
-            .count();
-        assert!(starved > 0, "tail must be starved: {:?}", outcome.stats);
-        assert_eq!(starved, outcome.uncertain.len());
-        assert!(outcome.report.iter().any(|r| matches!(
-            r,
-            DegradationReason::BudgetExhausted {
-                scope: BudgetScope::TotalSamples,
-                unresolved,
-            } if *unresolved == starved
-        )));
-    }
-
-    #[test]
-    fn fixed_cloud_evaluator_runs_under_a_total_budget() {
-        use crate::evaluator::MonteCarloEvaluator;
-        let tree = random_tree(3_000, 19);
-        // The first object is measured over the whole 200k cloud, which
-        // overdraws the 150k total: the rest must come back unevaluated.
-        let mut res = ResilientExecutor::new(StrategySet::RR).with_budget(EvalBudget {
-            max_total_samples: 150_000,
-            ..EvalBudget::UNLIMITED
-        });
-        let mut eval = MonteCarloEvaluator::new(200_000, 8);
+        // integration: the first draws the cloud, the rest are cut off.
+        let mut res = ResilientExecutor::new(StrategySet::RR).with_max_candidates(1);
+        let mut eval = MonteCarloEvaluator::new(20_000, 8);
         let outcome = res
             .execute(
                 &tree,
@@ -1075,7 +990,11 @@ mod tests {
             )
             .unwrap();
         assert_eq!(outcome.stats.integrations, 1);
-        assert_eq!(outcome.stats.phase3_samples, 200_000, "one cloud drawn");
+        assert_eq!(
+            (outcome.stats.cloud_builds, outcome.stats.phase3_samples),
+            (1, 20_000),
+            "one cloud drawn"
+        );
         let tail = outcome.uncertain.len();
         assert!(tail > 0, "{:?}", outcome.stats);
         assert!(outcome
@@ -1084,10 +1003,7 @@ mod tests {
             .all(|u| u.cause == UncertainCause::NotEvaluated && u.estimate.is_none()));
         assert!(outcome.report.iter().any(|r| matches!(
             r,
-            DegradationReason::BudgetExhausted {
-                scope: BudgetScope::TotalSamples,
-                unresolved,
-            } if *unresolved == tail
+            DegradationReason::BudgetExhausted { unresolved } if *unresolved == tail
         )));
     }
 

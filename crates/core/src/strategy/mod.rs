@@ -68,6 +68,13 @@ impl StrategySet {
         or: true,
         bf: true,
     };
+    /// No filter at all: the naive full scan's set, which planning
+    /// rejects.
+    pub(crate) const NONE: Self = StrategySet {
+        rr: false,
+        or: false,
+        bf: false,
+    };
 
     /// The six combinations evaluated in the paper's experiments, in the
     /// column order of Tables I–III.

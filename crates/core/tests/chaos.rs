@@ -221,13 +221,11 @@ fn every_site_firing_always_is_survivable() {
                     .iter()
                     .any(|r| matches!(r, DegradationReason::CovarianceRegularized { .. })));
             }
-            // CatalogLookup with no catalogs configured,
-            // SampleStarvation against a zero-sample exact evaluator,
-            // and BatchAbort outside a batch executor are no-ops —
-            // surviving them is the whole assertion. (BatchAbort's real
-            // behavior is pinned by
-            // `batch_abort_degrades_only_affected_queries` below.)
-            FaultSite::CatalogLookup | FaultSite::SampleStarvation | FaultSite::BatchAbort => {}
+            // CatalogLookup with no catalogs configured and BatchAbort
+            // outside a batch executor are no-ops — surviving them is
+            // the whole assertion. (BatchAbort's real behavior is pinned
+            // by `batch_abort_degrades_only_affected_queries` below.)
+            FaultSite::CatalogLookup | FaultSite::BatchAbort => {}
         }
     }
 }
@@ -263,34 +261,6 @@ fn catalog_fault_drops_configured_catalogs_and_stays_exact() {
     // Catalog loss only costs speed, never correctness.
     let answers: BTreeSet<usize> = outcome.answers.iter().map(|(_, d)| **d).collect();
     assert_eq!(answers, oracle);
-}
-
-#[test]
-fn starvation_fault_starves_monte_carlo_evaluation() {
-    let tree = chaos_tree(2_000, 7);
-    let plan = FaultPlan::quiet().with_schedule(FaultSite::SampleStarvation, FaultSchedule::Always);
-    let mut exec = ResilientExecutor::new(StrategySet::ALL).with_fault_plan(plan);
-    let mut eval = MonteCarloEvaluator::new(20_000, 11);
-    let outcome = exec
-        .execute(
-            &tree,
-            Vector::from([500.0, 500.0]),
-            sigma_paper(),
-            DELTA,
-            THETA,
-            &mut eval,
-        )
-        .unwrap();
-    assert_eq!(outcome.stats.phase3_samples, 0, "no samples were granted");
-    assert!(outcome
-        .uncertain
-        .iter()
-        .all(|u| u.cause == UncertainCause::NotEvaluated));
-    assert!(!outcome.uncertain.is_empty());
-    assert!(outcome
-        .report
-        .iter()
-        .any(|r| matches!(r, DegradationReason::BudgetExhausted { .. })));
 }
 
 #[test]

@@ -19,8 +19,8 @@
 //! observed count exceeds `E + 4·√(Σ_q Var(O_q)) + 1`.
 
 use gprq_core::{
-    EvalFailure, EvalReport, ExactEvaluator, MonteCarloEvaluator, ProbabilityEvaluator,
-    PrqExecutor, PrqQuery, StrategySet, Verdict,
+    ExactEvaluator, MonteCarloEvaluator, ProbabilityEvaluator, PrqExecutor, PrqQuery, StrategySet,
+    Verdict,
 };
 use gprq_gaussian::cloud::CloudStats;
 use gprq_gaussian::specfun::std_normal_cdf;
@@ -52,22 +52,9 @@ impl<const D: usize> ProbabilityEvaluator<D> for Recording<D> {
     }
 
     fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
-        self.inner.probability(gaussian, center, delta)
-    }
-
-    fn evaluate(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        center: &Vector<D>,
-        delta: f64,
-        theta: f64,
-        max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure> {
-        let report = self
-            .inner
-            .evaluate(gaussian, center, delta, theta, max_samples)?;
-        self.seen.push((*center, report.estimate));
-        Ok(report)
+        let estimate = self.inner.probability(gaussian, center, delta);
+        self.seen.push((*center, estimate));
+        estimate
     }
 
     fn take_cloud_stats(&mut self) -> CloudStats {
@@ -108,7 +95,7 @@ fn tally<const D: usize>(tree: &RTree<D, u32>, queries: &[PrqQuery<D>]) -> Tally
         let (g, delta, theta) = (query.gaussian(), query.delta(), query.theta());
         let mut spread = 0.0;
         for (center, estimate) in &mc.seen {
-            let verdict = exact.evaluate(g, center, delta, theta, 0).unwrap().verdict;
+            let verdict = exact.evaluate(g, center, delta, theta).verdict;
             assert_ne!(verdict, Verdict::Uncertain, "query {i}, {center:?}");
             let p = exact.probability(g, center, delta);
             let sigma = (p * (1.0 - p) / SAMPLES as f64).sqrt();

@@ -89,11 +89,23 @@ fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
     // Start at the Poisson mode.
     let j0 = half_lambda.floor() as usize;
     let w0 = ln_poisson_kernel(j0 as f64, half_lambda).exp();
-    let c0 = crate::specfun::regularized_gamma_p(a + j0 as f64, y);
     // Incomplete-gamma increment t_j = y^{a+j} e^{−y} / Γ(a+j+1), advanced
     // by the recurrences t_{j+1} = t_j · y/(a+j+1) (up) and
     // t_{j−1} = t_j · (a+j)/y (down) — no per-term ln Γ / exp.
-    let t0 = ln_poisson_kernel(a + j0 as f64, y).exp();
+    let ln_t0 = ln_poisson_kernel(a + j0 as f64, y);
+    // Far below the mean `C_{j0}` is 0 or subnormal and the mass sits at
+    // lower j. `C_{j0} ≤ t_{j0}·b/(b − y)` at `b = a + j0 > y` says so
+    // before the incomplete-gamma series, which takes ~√λ terms, runs
+    // (e⁻⁷¹⁶ is e⁻⁷·⁶ below the smallest normal double).
+    let b0 = a + j0 as f64;
+    if ln_t0 < -716.0 && b0 > y && ln_t0 + (b0 / (b0 - y)).ln() < -716.0 {
+        return cdf_pair_below_mode(a, half_lambda, y);
+    }
+    let c0 = crate::specfun::regularized_gamma_p(b0, y);
+    if c0 < f64::MIN_POSITIVE {
+        return cdf_pair_below_mode(a, half_lambda, y);
+    }
+    let t0 = ln_t0.exp();
 
     // `sum` and `sum_next` hold the current block's terms, `total` the
     // earlier blocks' (F_d first, F_{d+2} second).
@@ -198,6 +210,164 @@ fn cdf_pair(d: usize, lambda: f64, x: f64) -> (f64, f64) {
 
     let (sum, sum_next) = (total.0 + sum, total.1 + sum_next);
     (sum.clamp(0.0, 1.0), sum_next.clamp(0.0, 1.0))
+}
+
+/// Peak width of the terms below the mode past which
+/// [`cdf_pair_below_mode`] sums them by the trapezoid rule instead of
+/// one by one. A sum one by one spans ~21 widths, so up to ~86 000 terms.
+const TRAPEZOID_WIDTH: f64 = 4096.0;
+
+/// [`cdf_pair`] where `C_{j0}` is 0 or subnormal, far below the mean.
+/// There the sweeps from the mode would stop at their first term, while
+/// the terms `w_j·C_j` that carry the mass lie well below the mode.
+///
+/// As `C_{j+1}/C_j ≤ y/(a+j+1)`, consecutive terms have ratio at most
+/// `(λ/2)·y/((j+1)(a+j+1))`, so they peak near `j* = u − 1` with
+/// `u(u + a) = λy/2`, in a window of width `σ = (1/u + 1/(u+a))^{−½}`.
+/// The sum runs downward, which only adds positive terms, from
+/// `j* + 12σ` (the terms above it are ~e⁻⁷² of the peak), or from the
+/// mode if that is lower. Each term is `g_j·m_j` with
+/// `g_j = w_j·t_j` in units of its start value, whose log is kept
+/// apart, and `m_j = C_j/t_j = 1 + e_j`, where the excess
+/// `e_j = C_{j+1}/t_j` obeys `e_{j−1} = (1 + e_j)·y/(a+j)`: `F_{d+2}`
+/// sums `g_j·e_j`, and no term underflows before the final rescale.
+/// Past [`TRAPEZOID_WIDTH`] (λ ≳ 10⁸) [`below_mode_trapezoid`] sums the
+/// window instead, and this loop, at most `max(MAX_TERMS, 16·√λ)`
+/// terms, is its fallback.
+/// Where the Chernoff bound `F_d ≤ e^{tx}·E[e^{−tW}]`, at its optimum
+/// `1 + 2t = (u + a)/y`, is below e⁻⁷⁴⁶, both values round to 0 and
+/// nothing is summed.
+#[cold]
+fn cdf_pair_below_mode(a: f64, half_lambda: f64, y: f64) -> (f64, f64) {
+    let u = 0.5 * ((a * a + 4.0 * half_lambda * y).sqrt() - a);
+    let s = (u + a) / y;
+    if (s - 1.0) * y - a * s.ln() - half_lambda * (s - 1.0) / s < -746.0 {
+        return (0.0, 0.0);
+    }
+    let width = (u * (u + a) / (2.0 * u + a)).sqrt();
+    if width > TRAPEZOID_WIDTH {
+        if let Some(pair) = below_mode_trapezoid(a, half_lambda, y, (u - 1.0).max(0.0), width) {
+            return pair;
+        }
+    }
+    let top = (u - 1.0 + 12.0 * width).max(0.0).min(half_lambda).floor();
+    let mut j = top as usize;
+    let mut b = a + top;
+    let ln_unit = ln_poisson_kernel(top, half_lambda) + ln_poisson_kernel(b, y);
+    let mut g = 1.0;
+    let mut excess = y * crate::specfun::gamma_p_sum(b + 1.0, y);
+    let (mut sum, mut sum_next, mut last) = (0.0, 0.0, 0.0);
+    let reach = (MAX_TERMS as f64).max(16.0 * (2.0 * half_lambda).sqrt());
+    let mut step = 0usize;
+    while (step as f64) < reach {
+        step += 1;
+        let term = g * (1.0 + excess);
+        sum += term;
+        sum_next += g * excess;
+        // Past the peak the ratio of consecutive terms only shrinks, so
+        // the terms left out sum to at most term·r/(1 − r).
+        let ratio = term / last;
+        if j == 0 || (ratio < 1.0 && term * ratio / (1.0 - ratio) < SERIES_EPS * sum) {
+            break;
+        }
+        last = term;
+        g *= j as f64 * b / (half_lambda * y);
+        excess = (1.0 + excess) * y / b;
+        j -= 1;
+        b = a + j as f64;
+    }
+    let rescale = |s: f64| (s.ln() + ln_unit).exp().clamp(0.0, 1.0);
+    (rescale(sum), rescale(sum_next))
+}
+
+/// [`cdf_pair_below_mode`]'s sum for a peak `width` past
+/// [`TRAPEZOID_WIDTH`], by the trapezoid rule: the terms `g_j·m_j` are a
+/// smooth bump in `j`, and by Poisson summation `h` times their sum over
+/// any lattice of step `h` equals their sum over the integers up to
+/// ~`e^{−2π²(σ/h)²}`, at `h = σ/4` far below rounding. So ~70 samples,
+/// from `peak` outward until a term is below 10⁻¹⁷ of the sum, stand for
+/// the ~20σ terms. `None` where a sample's [`watson_ratio`] does not
+/// settle or the samples run out.
+fn below_mode_trapezoid(
+    a: f64,
+    half_lambda: f64,
+    y: f64,
+    peak: f64,
+    width: f64,
+) -> Option<(f64, f64)> {
+    const SAMPLES: usize = 64;
+    let step = 0.25 * width;
+    let ln_g = |j: f64| ln_poisson_kernel(j, half_lambda) + ln_poisson_kernel(a + j, y);
+    let ln_unit = ln_g(peak);
+    let (mut sum, mut sum_next) = (0.0, 0.0);
+    for (first, sign) in [(0, 1.0), (1, -1.0)] {
+        let mut settled = false;
+        for i in first..SAMPLES {
+            let j = peak + sign * step * i as f64;
+            if j < 0.0 {
+                settled = true;
+                break;
+            }
+            let m = watson_ratio(a + j, y)?;
+            let g = (ln_g(j) - ln_unit).exp();
+            sum += g * m;
+            sum_next += g * (m - 1.0);
+            if g * m < 1e-17 * sum {
+                settled = true;
+                break;
+            }
+        }
+        if !settled {
+            return None;
+        }
+    }
+    let rescale = |s: f64| (s.ln() + ln_unit + step.ln()).exp().clamp(0.0, 1.0);
+    Some((rescale(sum), rescale(sum_next)))
+}
+
+/// `m = C_j/t_j = P(b, y)·Γ(b + 1)/(y^b e^{−y})` at `b = a + j > y`, as
+/// `b∫₀^∞ e^{−(b−y)v}·e^{y(1 − v − e^{−v})} dv` by Watson's lemma: with
+/// `v = w/s`, `s = b − y`, the second factor is `exp(Σᵢ₌₂ pᵢwⁱ)`,
+/// `pᵢ = −y(−1)ⁱ/(i!·sⁱ)`, a power series `Σ eₖwᵏ`, and
+/// `m = (b/s)·Σ k!·eₖ = (b/s)(1 − τ + 3τ² − …)`, asymptotic in
+/// `τ = y/s²`. `None` unless its terms fall below 10⁻¹⁷ of the sum
+/// within 64 (they do for `τ ≲ 1/50`).
+fn watson_ratio(b: f64, y: f64) -> Option<f64> {
+    const POWERS: usize = 8;
+    const TERMS: usize = 64;
+    let s = b - y;
+    if !(s > 0.0 && s.is_finite()) {
+        return None;
+    }
+    // q[i] = i·pᵢ.
+    let mut q = [0.0; POWERS + 1];
+    let mut p = y / s;
+    for (i, qi) in q.iter_mut().enumerate().skip(2) {
+        p *= -1.0 / (i as f64 * s);
+        *qi = i as f64 * p;
+    }
+    // f[k] = k!·eₖ, from k·eₖ = Σᵢ i·pᵢ·e_{k−i}: the sum over i = 2, 3, …
+    // pairs q[i] with f[k−2], f[k−3], … and (k−1)!/(k−i)!.
+    let mut f = [0.0; TERMS];
+    let (mut sum, mut last) = (0.0, 0.0f64);
+    for k in 0..TERMS {
+        let mut next = if k == 0 { 1.0 } else { 0.0 };
+        let mut falling = 1.0;
+        let below = f.iter().take(k.saturating_sub(1)).rev();
+        for (n, (&qi, &fi)) in q.iter().skip(2).zip(below).enumerate() {
+            falling *= (k - 1 - n) as f64;
+            next += qi * fi * falling;
+        }
+        if let Some(slot) = f.get_mut(k) {
+            *slot = next;
+        }
+        sum += next;
+        if k > 0 && next.abs() + last.abs() < 1e-17 * sum.abs() {
+            return Some(b / s * sum);
+        }
+        last = next;
+    }
+    None
 }
 
 /// Probability that a standard `d`-dimensional Gaussian falls inside the

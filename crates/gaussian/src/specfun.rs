@@ -102,6 +102,13 @@ pub fn regularized_gamma_q(a: f64, x: f64) -> f64 {
 
 /// Power-series evaluation of `P(a, x)`, valid/fast for `x < a + 1`.
 fn gamma_p_series(a: f64, x: f64) -> f64 {
+    (gamma_p_sum(a, x) * ln_prefactor(a, x).exp()).clamp(0.0, 1.0)
+}
+
+/// The series `Σₙ xⁿ/(a(a+1)⋯(a+n)) = P(a, x)·Γ(a)/(x^a e^{−x})` for
+/// `x < a + 1`: `P(a, x)` without its prefactor, so finite and full
+/// precision where `P` itself underflows.
+pub(crate) fn gamma_p_sum(a: f64, x: f64) -> f64 {
     let mut ap = a;
     let mut sum = 1.0 / a;
     let mut del = sum;
@@ -114,7 +121,7 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (sum * ln_prefactor(a, x).exp()).clamp(0.0, 1.0)
+    sum
 }
 
 /// `ln Q(a, x)`, finite even where `Q` itself underflows: for

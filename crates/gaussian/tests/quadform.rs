@@ -5,7 +5,10 @@
 //! interprets.
 
 use gprq_gaussian::integrate::{analytic_interval_probability_1d, quadrature_probability_2d};
-use gprq_gaussian::noncentral::{isotropic_qualification_probability, noncentral_chi_squared_cdf};
+use gprq_gaussian::noncentral::{
+    ball_probability, inverse_center_distance, isotropic_qualification_probability,
+    noncentral_chi_squared_cdf,
+};
 use gprq_gaussian::quadform::{Bracket, RubenSeries};
 use gprq_gaussian::specfun::std_normal_cdf;
 use gprq_gaussian::Gaussian;
@@ -341,25 +344,18 @@ fn noncentral_cdf_covers_the_poisson_spread_at_huge_noncentrality() {
 /// (the central CDFs vanish above the mode) and the downward one runs
 /// long, in blocks. Rescaling the sum by the Poisson weight the sweeps
 /// covered reads high here (+18 % at λ = 1.5·10⁵, 20 sd down), and a
-/// truncated incomplete-gamma start reads low. In one and three
-/// dimensions the CDF has closed forms in `Φ`:
+/// truncated incomplete-gamma start reads low. From ~30 sd down the
+/// central CDF at the mode underflows, and the sum must start below the
+/// mode, near the peak of its terms. In one and three dimensions the CDF
+/// has closed forms in `Φ`:
 /// `F₁ = Φ(√x − √λ) − Φ(−√x − √λ)` and
 /// `F₃ = F₁ − (φ(√x − √λ) − φ(√x + √λ))/√λ`.
 #[test]
 fn noncentral_cdf_below_the_mean_matches_the_odd_closed_forms() {
-    let pdf = |t: f64| (-0.5 * t * t).exp() / std::f64::consts::TAU.sqrt();
     for lambda in [1.5e5, 1e6, 1e8] {
         for d in [1usize, 3] {
-            let sd = (2.0 * d as f64 + 4.0 * lambda).sqrt();
-            for k in [3.0, 5.0, 10.0, 20.0] {
-                let x = d as f64 + lambda - k * sd;
-                let (r, m) = (x.sqrt(), lambda.sqrt());
-                let f1 = std_normal_cdf(r - m) - std_normal_cdf(-r - m);
-                let want = if d == 1 {
-                    f1
-                } else {
-                    f1 - (pdf(r - m) - pdf(r + m)) / m
-                };
+            for k in [3.0, 5.0, 10.0, 20.0, 30.0, 35.0] {
+                let (x, want) = odd_closed_form(d, lambda, k);
                 let got = noncentral_chi_squared_cdf(d, lambda, x);
                 assert!(
                     want > 0.0 && (got - want).abs() <= 1e-9 * want,
@@ -368,4 +364,77 @@ fn noncentral_cdf_below_the_mean_matches_the_odd_closed_forms() {
             }
         }
     }
+}
+
+/// `(x, F_d(λ, x))` for the `x` that lies `k` sd below the mean of
+/// `χ'²_d(λ)`, `d ∈ {1, 3}`, from the closed forms above.
+fn odd_closed_form(d: usize, lambda: f64, k: f64) -> (f64, f64) {
+    let pdf = |t: f64| (-0.5 * t * t).exp() / std::f64::consts::TAU.sqrt();
+    let x = d as f64 + lambda - k * (2.0 * d as f64 + 4.0 * lambda).sqrt();
+    let (r, m) = (x.sqrt(), lambda.sqrt());
+    let f1 = std_normal_cdf(r - m) - std_normal_cdf(-r - m);
+    let f = if d == 1 {
+        f1
+    } else {
+        f1 - (pdf(r - m) - pdf(r + m)) / m
+    };
+    (x, f)
+}
+
+/// From λ ≈ 10⁸ the terms below the mode span more than ~10⁵ indices,
+/// and from λ/2 = 2⁵³ an f64 index no longer counts down by one. There
+/// the sum is taken by the trapezoid rule over its peak, so it returns
+/// at once. At λ ≥ 10¹⁶ rounding `x` and `√λ` leaves the closed forms
+/// themselves only ~10⁻⁶ relative, hence the bound.
+#[test]
+fn noncentral_cdf_far_below_the_mean_returns_at_huge_noncentrality() {
+    let (send, recv) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        for lambda in [1e16, 1e17, 1e18] {
+            for d in [1usize, 3] {
+                for k in [30.0, 37.0] {
+                    let (x, want) = odd_closed_form(d, lambda, k);
+                    let got = noncentral_chi_squared_cdf(d, lambda, x);
+                    let _ = send.send((d, lambda, k, got, want));
+                }
+            }
+        }
+    });
+    for _ in 0..12 {
+        let (d, lambda, k, got, want) = recv
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the noncentral CDF did not return");
+        assert!(
+            want > 0.0 && (got - want).abs() <= 1e-5 * want,
+            "d = {d}, λ = {lambda:e}, {k} sd below: {got:e} vs {want:e}"
+        );
+    }
+    worker.join().unwrap();
+}
+
+/// BF's radius solve reads the same far-below sums, and the fused
+/// `F_{d+2}` beside them, at `ρ ≥ 10⁸` for a stiff Σ and a tiny θ: its
+/// Newton iteration must converge there, to a center distance whose
+/// ball probability is the target.
+#[test]
+fn inverse_center_distance_converges_far_below_the_mean_at_huge_radius() {
+    let (send, recv) = std::sync::mpsc::channel();
+    let cases = [(2usize, 2e8, 1e-194), (1, 1e9, 1e-250), (9, 3e8, 1e-290)];
+    let worker = std::thread::spawn(move || {
+        for (d, rho, target) in cases {
+            let p = inverse_center_distance(d, rho, target).map(|b| ball_probability(d, b, rho));
+            let _ = send.send((d, rho, target, p));
+        }
+    });
+    for _ in cases {
+        let (d, rho, target, p) = recv
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the radius solve did not return");
+        let p = p.unwrap_or(f64::NAN);
+        assert!(
+            (p - target).abs() <= 1e-4 * target,
+            "d = {d}, ρ = {rho:e}: P = {p:e} at the solved distance, target {target:e}"
+        );
+    }
+    worker.join().unwrap();
 }

@@ -66,10 +66,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.answers.len()
     );
     println!(
-        "decided by bounds alone: {} / {}   (integrations: {})",
+        "decided by bounds alone: {} / {}   (integrations: {}, left uncertain: {})",
         outcome.decided_by_bounds,
         sensors.len(),
-        outcome.integrations
+        outcome.integrations,
+        outcome.uncertain.len()
     );
 
     // 4. Show how target staleness changes the verdict for two sensors

@@ -82,11 +82,10 @@ pub mod prelude {
     };
     pub use gprq_core::{
         cloud_seed, execute_naive, BatchOutcome, BfCatalog, BfClass, DegradationReason,
-        DegradationReport, EvalBudget, ExactEvaluator, FringeMode, MonteCarloEvaluator,
-        PipelineMetrics, ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery,
-        Quadrature2dEvaluator, QueryBatch, QueryStats, ResilientExecutor, ResilientOutcome,
-        RrCatalog, SigmaFactorCache, StrategySet, TerminalStrategy, ThetaRegion, UncertainCause,
-        Verdict,
+        DegradationReport, ExactEvaluator, FringeMode, MonteCarloEvaluator, PipelineMetrics,
+        ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery, Quadrature2dEvaluator,
+        QueryBatch, QueryStats, ResilientExecutor, ResilientOutcome, RrCatalog, SigmaFactorCache,
+        StrategySet, TerminalStrategy, ThetaRegion, UncertainCause, Verdict,
     };
     pub use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
     pub use gprq_gaussian::Gaussian;
