@@ -1,19 +1,17 @@
 //! **Ablations** — design-choice measurements beyond the paper's tables
 //! (indexed in DESIGN.md §5):
 //!
-//! 1. U-catalog vs exact inverses: filtering quality and per-query
-//!    radius-derivation latency;
-//! 2. importance sampling (the paper's integrator) vs uniform-ball Monte
+//! 1. importance sampling (the paper's integrator) vs uniform-ball Monte
 //!    Carlo: error against the quadrature oracle across sample budgets
 //!    and dimensions — the paper's claim that importance sampling
 //!    "converges quickly … especially for medium-dimensional cases";
-//! 3. fresh-per-object vs shared-sample evaluation: Phase-3 time;
-//! 4. R*-tree Phase 1 vs linear scan: node accesses and time;
-//! 5. the generalized (any-dimension) fringe filter vs paper-faithful
+//! 2. fresh-per-object vs shared-sample evaluation: Phase-3 time;
+//! 3. R*-tree Phase 1 vs linear scan: node accesses and time;
+//! 4. the generalized (any-dimension) fringe filter vs paper-faithful
 //!    (2-D only) in the 9-D workload;
-//! 6. quasi-Monte-Carlo (Halton) vs pseudo-random importance sampling:
+//! 5. quasi-Monte-Carlo (Halton) vs pseudo-random importance sampling:
 //!    convergence at equal sample budgets;
-//! 7. uniform-grid Phase 1 vs the R*-tree on the 2-D road data.
+//! 6. uniform-grid Phase 1 vs the R*-tree on the 2-D road data.
 //!
 //! ```text
 //! cargo run -p gprq-bench --release --bin ablation [--n 20000]
@@ -22,10 +20,7 @@
 #![forbid(unsafe_code)]
 
 use gprq_bench::{corel_tree, road_tree, Args};
-use gprq_core::{
-    BfBounds, BfCatalog, FringeMode, MonteCarloEvaluator, PrqExecutor, PrqQuery, RrCatalog,
-    StrategySet, ThetaRegion,
-};
+use gprq_core::{FringeMode, MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet, ThetaRegion};
 use gprq_gaussian::integrate::{
     importance_sampling_probability, quadrature_probability_2d, uniform_ball_probability,
 };
@@ -49,46 +44,7 @@ fn main() {
     let query = PrqQuery::new(center, eq34_covariance(10.0), 25.0, 0.01).expect("valid");
 
     // ------------------------------------------------------------------
-    println!("=== Ablation 1: U-catalog vs exact radius derivation ===");
-    let t = Instant::now();
-    let rr_cat = RrCatalog::new(2);
-    let bf_cat = BfCatalog::new(2);
-    println!(
-        "catalog construction: {:.1} ms (amortized across all queries)",
-        t.elapsed().as_secs_f64() * 1e3
-    );
-    let t = Instant::now();
-    let reps = 1000;
-    for _ in 0..reps {
-        let _ = ThetaRegion::for_query(&query).unwrap();
-        let _ = BfBounds::exact(&query);
-    }
-    let exact_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
-    let t = Instant::now();
-    for _ in 0..reps {
-        let r = rr_cat.lookup(query.theta()).unwrap();
-        let _ = ThetaRegion::with_r_theta(&query, r).unwrap();
-        let _ = BfBounds::from_catalog(&query, &bf_cat).unwrap();
-    }
-    let cat_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
-    println!("per-query radius derivation: exact {exact_us:.1} µs, catalog {cat_us:.1} µs");
-    let mut eval = MonteCarloEvaluator::<2>::new(100_000, seed);
-    let exact_run = PrqExecutor::new(StrategySet::ALL)
-        .execute(&tree, &query, &mut eval)
-        .unwrap();
-    let cat_run = PrqExecutor::new(StrategySet::ALL)
-        .with_rr_catalog(&rr_cat)
-        .with_bf_catalog(&bf_cat)
-        .execute(&tree, &query, &mut eval)
-        .unwrap();
-    println!(
-        "integrations: exact {} vs catalog {} (conservative lookup cost)",
-        exact_run.stats.integrations, cat_run.stats.integrations
-    );
-    assert_eq!(exact_run.stats.answers, cat_run.stats.answers);
-
-    // ------------------------------------------------------------------
-    println!("\n=== Ablation 2: importance sampling vs uniform-ball MC ===");
+    println!("=== Ablation 1: importance sampling vs uniform-ball MC ===");
     let g2 = Gaussian::new(center, eq34_covariance(10.0)).unwrap();
     let target = center + Vector::from([15.0, 8.0]);
     let oracle = quadrature_probability_2d(&g2, &target, 25.0, 64, 128);
@@ -151,7 +107,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    println!("\n=== Ablation 3: fresh vs shared samples (Phase 3 time) ===");
+    println!("\n=== Ablation 2: fresh vs shared samples (Phase 3 time) ===");
     // `MonteCarloEvaluator` *is* the shared-cloud engine now, so the
     // fresh-per-object baseline lives here, in the ablation, as a local
     // evaluator that redraws its batch for every candidate.
@@ -197,7 +153,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    println!("\n=== Ablation 4: R*-tree Phase 1 vs linear scan ===");
+    println!("\n=== Ablation 3: R*-tree Phase 1 vs linear scan ===");
     let region = ThetaRegion::for_query(&query).unwrap();
     let rr = gprq_core::RrFilter::new(&query, &region, FringeMode::PaperFaithful);
     let rect = rr.search_rect();
@@ -218,7 +174,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    println!("\n=== Ablation 5: generalized fringe filter in 9-D ===");
+    println!("\n=== Ablation 4: generalized fringe filter in 9-D ===");
     let (tree9, pts9) = corel_tree(args.get("n9", 20_000usize), seed);
     let knn = tree9.nearest_neighbors(&pts9[7], 20);
     let samples: Vec<Vector<9>> = knn.iter().map(|(_, p, _)| **p).collect();
@@ -241,7 +197,7 @@ fn main() {
     println!("cheap in any dimension, so the paper's d = 2 restriction is unnecessary.)");
 
     // ------------------------------------------------------------------
-    println!("\n=== Ablation 6: quasi-Monte-Carlo vs importance sampling ===");
+    println!("\n=== Ablation 5: quasi-Monte-Carlo vs importance sampling ===");
     println!("2-D target probability (oracle): {oracle:.6}");
     println!(
         "{:>9} | {:>12} | {:>12}",
@@ -267,7 +223,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    println!("\n=== Ablation 7: uniform-grid Phase 1 vs R*-tree ===");
+    println!("\n=== Ablation 6: uniform-grid Phase 1 vs R*-tree ===");
     let grid = UniformGrid::build(tree.iter().map(|(p, d)| (*p, *d)).collect(), 64);
     let t = Instant::now();
     let mut gstats = gprq_rtree::SearchStats::default();

@@ -224,10 +224,9 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
     ///
     /// Planning any query fails the whole batch (a misconfigured
     /// strategy set or θ-region is a caller bug, not a data condition):
-    /// [`PrqError::NoPrimaryStrategy`],
-    /// [`PrqError::ThetaRegionUndefined`], or
-    /// [`PrqError::CatalogDimensionMismatch`] — the same preconditions
-    /// as [`PrqExecutor::execute`].
+    /// [`PrqError::NoPrimaryStrategy`] or
+    /// [`PrqError::ThetaRegionUndefined`] — the same preconditions as
+    /// [`PrqExecutor::execute`].
     pub fn execute<'t, T, I>(
         &mut self,
         tree: &'t I,

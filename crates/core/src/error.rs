@@ -34,15 +34,6 @@ pub enum PrqError {
     InvalidSampleBudget,
     /// The covariance matrix was rejected by the linear-algebra layer.
     BadCovariance(LinalgError),
-    /// A U-catalog built for one dimension was used with a query of
-    /// another: its tabulated radii would be silently wrong, not merely
-    /// conservative.
-    CatalogDimensionMismatch {
-        /// Dimension the catalog was built for.
-        catalog: usize,
-        /// Dimension of the query.
-        query: usize,
-    },
 }
 
 impl fmt::Display for PrqError {
@@ -72,10 +63,6 @@ impl fmt::Display for PrqError {
                 write!(f, "Monte-Carlo sample budget must be positive")
             }
             PrqError::BadCovariance(e) => write!(f, "invalid covariance matrix: {e}"),
-            PrqError::CatalogDimensionMismatch { catalog, query } => write!(
-                f,
-                "catalog dimension {catalog} does not match query dimension {query}"
-            ),
         }
     }
 }

@@ -25,7 +25,6 @@ use crate::strategy::or::OrFilter;
 use crate::strategy::rr::{FringeMode, RrFilter};
 use crate::strategy::StrategySet;
 use crate::theta_region::ThetaRegion;
-use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_gaussian::cloud::CloudStats;
 use gprq_linalg::Vector;
 use gprq_rtree::{Phase1Index, Rect, SearchStats};
@@ -210,8 +209,6 @@ impl<'t, const D: usize, T> QueryScratch<'t, D, T> {
 pub struct PrqExecutor<'c> {
     strategies: StrategySet,
     fringe_mode: FringeMode,
-    rr_catalog: Option<&'c RrCatalog>,
-    bf_catalog: Option<&'c BfCatalog>,
     metrics: Option<&'c PipelineMetrics>,
 }
 
@@ -222,8 +219,6 @@ impl<'c> PrqExecutor<'c> {
         PrqExecutor {
             strategies,
             fringe_mode: FringeMode::PaperFaithful,
-            rr_catalog: None,
-            bf_catalog: None,
             metrics: None,
         }
     }
@@ -239,20 +234,6 @@ impl<'c> PrqExecutor<'c> {
     /// Overrides the fringe-filter mode (see [`FringeMode`]).
     pub fn with_fringe_mode(mut self, mode: FringeMode) -> Self {
         self.fringe_mode = mode;
-        self
-    }
-
-    /// Uses a U-catalog for the θ-region radius (paper Algorithm 1,
-    /// line 4) instead of the exact chi quantile; falls back to exact
-    /// when the catalog has no safe entry.
-    pub fn with_rr_catalog(mut self, catalog: &'c RrCatalog) -> Self {
-        self.rr_catalog = Some(catalog);
-        self
-    }
-
-    /// Uses a U-catalog for the BF radii (paper Eqs. 32–33).
-    pub fn with_bf_catalog(mut self, catalog: &'c BfCatalog) -> Self {
-        self.bf_catalog = Some(catalog);
         self
     }
 
@@ -281,9 +262,7 @@ impl<'c> PrqExecutor<'c> {
     ///
     /// * [`PrqError::NoPrimaryStrategy`] for an OR-only strategy set,
     /// * [`PrqError::ThetaRegionUndefined`] if RR or OR is enabled with
-    ///   `θ ≥ 1/2` (BF-only sets still work there),
-    /// * [`PrqError::CatalogDimensionMismatch`] when a configured RR or
-    ///   BF catalog was built for a different dimension.
+    ///   `θ ≥ 1/2` (BF-only sets still work there).
     pub fn execute<'t, const D: usize, T, I, E>(
         &self,
         tree: &'t I,
@@ -370,52 +349,30 @@ impl<'c> PrqExecutor<'c> {
     }
 
     /// Builds the per-query [`PreparedQuery`] — strategy validation plus the
-    /// owned θ-region and BF bounds — for the solo path above, the
-    /// resilient executor and the batch executor (`crate::batch`), which
-    /// plans every query before running any. Each call records one
-    /// [`Phase::Plan`] span when metrics are attached.
+    /// owned θ-region and BF bounds, both solved exactly — for the solo
+    /// path above, the resilient executor, the batch executor
+    /// (`crate::batch`), which plans every query before running any, and
+    /// `MonitoringSession::new`, which plans a probe query to reject a
+    /// session no step could run. Each call records one [`Phase::Plan`]
+    /// span when metrics are attached.
     ///
     /// # Errors
     ///
-    /// [`PrqError::NoPrimaryStrategy`],
-    /// [`PrqError::ThetaRegionUndefined`], or
-    /// [`PrqError::CatalogDimensionMismatch`] — the same preconditions
-    /// as [`PrqExecutor::execute`].
+    /// [`PrqError::NoPrimaryStrategy`] or
+    /// [`PrqError::ThetaRegionUndefined`] — the same preconditions as
+    /// [`PrqExecutor::execute`].
     pub(crate) fn plan<const D: usize>(
         &self,
         query: &PrqQuery<D>,
     ) -> Result<PreparedQuery<D>, PrqError> {
         let _span = self.metrics.map(|m| m.phase_span(Phase::Plan));
         self.strategies.validate()?;
-        let needs_region = self.strategies.rr || self.strategies.or;
-        let region: Option<ThetaRegion<D>> = if needs_region {
-            let r_theta = match self.rr_catalog {
-                // Chi quantiles grow with D: another dimension's radius
-                // would be too small and silently drop answers.
-                Some(cat) if cat.dim() != D => {
-                    return Err(PrqError::CatalogDimensionMismatch {
-                        catalog: cat.dim(),
-                        query: D,
-                    })
-                }
-                Some(cat) => match cat.lookup(query.theta()) {
-                    Some(r) => r,
-                    None => crate::theta_region::r_theta_exact::<D>(query.theta())?,
-                },
-                None => crate::theta_region::r_theta_exact::<D>(query.theta())?,
-            };
-            Some(ThetaRegion::with_r_theta(query, r_theta)?)
+        let region = if self.strategies.rr || self.strategies.or {
+            Some(ThetaRegion::for_query(query)?)
         } else {
             None
         };
-        let bf_bounds: Option<BfBounds<D>> = if self.strategies.bf {
-            Some(match self.bf_catalog {
-                Some(cat) => BfBounds::from_catalog(query, cat)?,
-                None => BfBounds::exact(query),
-            })
-        } else {
-            None
-        };
+        let bf_bounds = self.strategies.bf.then(|| BfBounds::exact(query));
         Ok(PreparedQuery {
             strategies: self.strategies,
             fringe_mode: self.fringe_mode,
@@ -849,60 +806,6 @@ mod tests {
         assert_eq!(outcome.stats.phase1_candidates, 0);
         assert_eq!(outcome.stats.integrations, 0);
         assert_eq!(outcome.stats.node_accesses, 0);
-    }
-
-    #[test]
-    fn catalogs_preserve_answers() {
-        let tree = random_tree(3_000, 21);
-        let query = paper_query(10.0);
-        let mut eval = Quadrature2dEvaluator::default();
-        let exact = PrqExecutor::new(StrategySet::ALL)
-            .execute(&tree, &query, &mut eval)
-            .unwrap();
-        let rr_cat = RrCatalog::new(2);
-        let bf_cat = BfCatalog::new(2);
-        let approx = PrqExecutor::new(StrategySet::ALL)
-            .with_rr_catalog(&rr_cat)
-            .with_bf_catalog(&bf_cat)
-            .execute(&tree, &query, &mut eval)
-            .unwrap();
-        assert_eq!(answers_sorted(&exact), answers_sorted(&approx));
-        // Catalog radii are conservative → never fewer candidates.
-        assert!(
-            approx.stats.integrations + approx.stats.accepted_without_integration
-                >= exact.stats.integrations + exact.stats.accepted_without_integration
-        );
-    }
-
-    #[test]
-    fn rr_catalog_of_another_dimension_is_rejected() {
-        // A 2-D radius is too small for 3-D chi quantiles: using it would
-        // silently drop answers, so planning refuses it.
-        let points: Vec<(Vector<3>, usize)> = (0..200)
-            .map(|i| (Vector::from([i as f64, (i % 7) as f64, (i % 11) as f64]), i))
-            .collect();
-        let tree = RTree::bulk_load(points, RStarParams::paper_default(3));
-        let query = PrqQuery::new(
-            Vector::from([100.0, 3.0, 5.0]),
-            Matrix::identity(),
-            4.0,
-            0.1,
-        )
-        .unwrap();
-        let catalog = RrCatalog::new(2);
-        let executor = PrqExecutor::new(StrategySet::ALL).with_rr_catalog(&catalog);
-        let mismatch = PrqError::CatalogDimensionMismatch {
-            catalog: 2,
-            query: 3,
-        };
-        let mut eval = crate::evaluator::MonteCarloEvaluator::new(1_000, 1);
-        assert_eq!(
-            executor.execute(&tree, &query, &mut eval).unwrap_err(),
-            mismatch
-        );
-        let integrator = crate::ext::parallel::ParallelIntegrator::new(1_000, 1, 1).unwrap();
-        let mut batch = crate::batch::QueryBatch::new(executor, integrator);
-        assert_eq!(batch.execute(&tree, &[query]).unwrap_err(), mismatch);
     }
 
     #[test]

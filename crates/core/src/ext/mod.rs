@@ -10,7 +10,7 @@
 //! * [`parallel`] — `QueryBatch`'s configuration: cloud size and base
 //!   seed;
 //! * [`session`] — continuous monitoring: a sequence of PRQs from a
-//!   moving object, with catalog reuse and enter/leave delta reporting.
+//!   moving object, with enter/leave delta reporting.
 
 pub mod parallel;
 pub mod pnn;

@@ -2,18 +2,18 @@
 //! from one moving, imprecisely-localized object (the paper's §I robot
 //! scenario executed over time).
 //!
-//! A session amortizes what repeated one-shot execution would pay per
-//! step: the U-catalogs are built once, the evaluator is reused, and the
-//! session reports per-step plus aggregate statistics. Results are
-//! returned as *deltas* (objects entering/leaving the probable range)
-//! because monitoring applications react to changes, not to full sets.
+//! A session checks its thresholds and strategies once, reuses one
+//! evaluator across steps, and reports per-step plus aggregate
+//! statistics; each step runs the same plan and pipeline as a one-shot
+//! [`PrqExecutor::execute`]. Results are returned as *deltas* (objects
+//! entering/leaving the probable range) because monitoring applications
+//! react to changes, not to full sets.
 
 use crate::error::PrqError;
 use crate::evaluator::ProbabilityEvaluator;
 use crate::executor::{PrqExecutor, QueryStats};
 use crate::query::PrqQuery;
 use crate::strategy::StrategySet;
-use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::Phase1Index;
 
@@ -37,8 +37,6 @@ pub struct MonitoringSession<'t, const D: usize, T, E, I> {
     delta: f64,
     theta: f64,
     strategies: StrategySet,
-    rr_catalog: RrCatalog,
-    bf_catalog: BfCatalog,
     evaluator: E,
     previous: Vec<T>,
     /// Aggregate statistics across all steps.
@@ -53,12 +51,16 @@ where
     E: ProbabilityEvaluator<D>,
     I: Phase1Index<D, T>,
 {
-    /// Creates a session; builds both U-catalogs up front (the paper's
-    /// intended deployment: tables offline, lookups per query).
+    /// Creates a session, rejecting one that no step could run: it plans
+    /// a query at the session's thresholds, so it fails exactly where
+    /// every step's plan would.
     ///
     /// # Errors
     ///
-    /// Validates `delta`, `theta`, and the strategy set.
+    /// [`PrqError::InvalidDelta`] or [`PrqError::InvalidTheta`] for
+    /// out-of-range thresholds, [`PrqError::NoPrimaryStrategy`] for an
+    /// OR-only set, and [`PrqError::ThetaRegionUndefined`] when RR or OR
+    /// is enabled with `θ ≥ 1/2`.
     pub fn new(
         tree: &'t I,
         delta: f64,
@@ -66,15 +68,13 @@ where
         strategies: StrategySet,
         evaluator: E,
     ) -> Result<Self, PrqError> {
-        strategies.validate()?;
-        crate::query::validate_thresholds(delta, theta)?;
+        let probe = PrqQuery::<D>::new(Vector::ZERO, Matrix::identity(), delta, theta)?;
+        PrqExecutor::new(strategies).plan(&probe)?;
         Ok(MonitoringSession {
             tree,
             delta,
             theta,
             strategies,
-            rr_catalog: RrCatalog::new(D),
-            bf_catalog: BfCatalog::new(D),
             evaluator,
             previous: Vec::new(),
             total: QueryStats::default(),
@@ -93,10 +93,8 @@ where
         covariance: Matrix<D>,
     ) -> Result<StepOutcome<T>, PrqError> {
         let query = PrqQuery::new(mean, covariance, self.delta, self.theta)?;
-        let outcome = PrqExecutor::new(self.strategies)
-            .with_rr_catalog(&self.rr_catalog)
-            .with_bf_catalog(&self.bf_catalog)
-            .execute(self.tree, &query, &mut self.evaluator)?;
+        let outcome =
+            PrqExecutor::new(self.strategies).execute(self.tree, &query, &mut self.evaluator)?;
 
         let mut answers: Vec<T> = outcome.answers.iter().map(|(_, d)| (*d).clone()).collect();
         answers.sort_unstable();
@@ -162,6 +160,16 @@ mod tests {
         Matrix::identity().scale(spread)
     }
 
+    /// `stats` with its wall-clock fields zeroed: the integer counters.
+    fn untimed(stats: QueryStats) -> QueryStats {
+        QueryStats {
+            phase1_time: Duration::ZERO,
+            phase2_time: Duration::ZERO,
+            phase3_time: Duration::ZERO,
+            ..stats
+        }
+    }
+
     #[test]
     fn deltas_track_movement() {
         let tree = grid_tree();
@@ -209,12 +217,6 @@ mod tests {
             MonitoringSession::new(index, 60.0, 0.2, StrategySet::ALL, eval).unwrap()
         }
         let (mut pointer, mut frozen) = (session(&tree), session(&flat));
-        let untimed = |stats: QueryStats| QueryStats {
-            phase1_time: Duration::ZERO,
-            phase2_time: Duration::ZERO,
-            phase3_time: Duration::ZERO,
-            ..stats
-        };
         for (x, spread) in [(200.0, 100.0), (205.0, 100.0), (800.0, 400.0)] {
             let mean = Vector::from([x, 0.8 * x]);
             let a = pointer.step(mean, cov(spread)).unwrap();
@@ -252,6 +254,9 @@ mod tests {
         let mut expect: Vec<u32> = one_shot.answers.iter().map(|(_, d)| **d).collect();
         expect.sort_unstable();
         assert_eq!(step.answers, expect);
+        // The step plans as the one-shot call does, so it prunes, accepts
+        // and integrates the same objects.
+        assert_eq!(untimed(step.stats), untimed(one_shot.stats));
     }
 
     #[test]
@@ -308,5 +313,16 @@ mod tests {
             MonitoringSession::new(&tree, 1.0, 0.2, or_only, Quadrature2dEvaluator::default())
                 .is_err()
         );
+        // θ ≥ 1/2 leaves RR and OR without a θ-region, so no step of an
+        // `ALL` session could plan; a BF session runs there.
+        let eval = Quadrature2dEvaluator::default();
+        assert_eq!(
+            MonitoringSession::new(&tree, 60.0, 0.6, StrategySet::ALL, eval).err(),
+            Some(PrqError::ThetaRegionUndefined(0.6))
+        );
+        let eval = Quadrature2dEvaluator::default();
+        let mut bf = MonitoringSession::new(&tree, 60.0, 0.6, StrategySet::BF, eval).unwrap();
+        let step = bf.step(Vector::from([500.0, 500.0]), cov(100.0)).unwrap();
+        assert!(!step.answers.is_empty());
     }
 }

@@ -4,8 +4,8 @@
 //! A [`FaultPlan`] holds one [`FaultSchedule`] per [`FaultSite`]. The
 //! [`ResilientExecutor`] consults the plan at each site; when a site
 //! *trips*, the executor behaves as if the corresponding real-world
-//! failure happened — a missing catalog, a failing index traversal, an
-//! erroring evaluator, a degenerate Σ, an aborted batch member.
+//! failure happened — a failing index traversal, an erroring evaluator,
+//! a degenerate Σ, an aborted batch member.
 //!
 //! Everything is deterministic: a plan built from a seed
 //! ([`FaultPlan::from_seed`]) always trips the same sites on the same
@@ -19,8 +19,6 @@ use std::fmt;
 /// A pipeline location where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// U-catalogs become unavailable at preflight (cache eviction).
-    CatalogLookup,
     /// The Phase-1 index traversal aborts mid-descent.
     Phase1Traversal,
     /// A Phase-3 evaluation fails outright.
@@ -37,8 +35,7 @@ pub enum FaultSite {
 impl FaultSite {
     /// All sites, in a fixed order (used to derive per-site schedules
     /// from a seed): the i-th site takes the i-th `splitmix64` word.
-    pub const ALL: [FaultSite; 5] = [
-        FaultSite::CatalogLookup,
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::Phase1Traversal,
         FaultSite::Evaluator,
         FaultSite::SigmaDegeneracy,
@@ -49,7 +46,6 @@ impl FaultSite {
 impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultSite::CatalogLookup => write!(f, "catalog-lookup"),
             FaultSite::Phase1Traversal => write!(f, "phase1-traversal"),
             FaultSite::Evaluator => write!(f, "evaluator"),
             FaultSite::SigmaDegeneracy => write!(f, "sigma-degeneracy"),
@@ -94,7 +90,6 @@ struct SiteState {
 /// A deterministic per-site fault schedule with consultation counters.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    catalog: SiteState,
     phase1: SiteState,
     evaluator: SiteState,
     sigma: SiteState,
@@ -148,7 +143,6 @@ impl FaultPlan {
     /// The schedule configured for `site`.
     pub fn schedule(&self, site: FaultSite) -> FaultSchedule {
         match site {
-            FaultSite::CatalogLookup => self.catalog.schedule,
             FaultSite::Phase1Traversal => self.phase1.schedule,
             FaultSite::Evaluator => self.evaluator.schedule,
             FaultSite::SigmaDegeneracy => self.sigma.schedule,
@@ -159,7 +153,6 @@ impl FaultPlan {
     /// How many times `site` has been consulted so far.
     pub fn hits(&self, site: FaultSite) -> usize {
         match site {
-            FaultSite::CatalogLookup => self.catalog.hits,
             FaultSite::Phase1Traversal => self.phase1.hits,
             FaultSite::Evaluator => self.evaluator.hits,
             FaultSite::SigmaDegeneracy => self.sigma.hits,
@@ -178,7 +171,6 @@ impl FaultPlan {
 
     fn state_mut(&mut self, site: FaultSite) -> &mut SiteState {
         match site {
-            FaultSite::CatalogLookup => &mut self.catalog,
             FaultSite::Phase1Traversal => &mut self.phase1,
             FaultSite::Evaluator => &mut self.evaluator,
             FaultSite::SigmaDegeneracy => &mut self.sigma,
@@ -207,14 +199,14 @@ mod tests {
     fn trip_advances_counters_per_site() {
         let mut plan = FaultPlan::quiet()
             .with_schedule(FaultSite::Evaluator, FaultSchedule::OnNth(1))
-            .with_schedule(FaultSite::CatalogLookup, FaultSchedule::Always);
+            .with_schedule(FaultSite::SigmaDegeneracy, FaultSchedule::Always);
         assert!(!plan.trip(FaultSite::Evaluator)); // hit 0
         assert!(plan.trip(FaultSite::Evaluator)); // hit 1 fires
         assert!(!plan.trip(FaultSite::Evaluator)); // once only
         assert_eq!(plan.hits(FaultSite::Evaluator), 3);
         // Other sites' counters are independent.
-        assert_eq!(plan.hits(FaultSite::CatalogLookup), 0);
-        assert!(plan.trip(FaultSite::CatalogLookup));
+        assert_eq!(plan.hits(FaultSite::SigmaDegeneracy), 0);
+        assert!(plan.trip(FaultSite::SigmaDegeneracy));
         assert!(!plan.trip(FaultSite::Phase1Traversal));
     }
 
@@ -241,7 +233,6 @@ mod tests {
         assert_eq!(
             names,
             [
-                "catalog-lookup",
                 "phase1-traversal",
                 "evaluator",
                 "sigma-degeneracy",

@@ -12,8 +12,6 @@
 //!   region, Algorithm 1), [`strategy::or`] (oblique region), and
 //!   [`strategy::bf`] (bounding functions, Algorithm 2) — and their six
 //!   combinations ([`StrategySet`]);
-//! * [`ucatalog`] — the paper's precomputed lookup tables with
-//!   conservative lookup semantics (Eqs. 32–33), next to exact inverses;
 //! * [`PrqExecutor`] — the three-phase pipeline (index search → filtering
 //!   → probability computation) with full [`QueryStats`];
 //! * [`evaluator`] — the Phase-3 menu: the paper's Monte Carlo
@@ -71,7 +69,6 @@ pub mod query;
 pub mod resilience;
 pub mod strategy;
 pub mod theta_region;
-pub mod ucatalog;
 
 pub use batch::{cloud_seed, BatchOutcome, QueryBatch, SigmaFactorCache};
 pub use cost::{expected_integrations, region_volumes, DensityEstimate, RegionVolumes};
@@ -96,4 +93,3 @@ pub use strategy::or::OrFilter;
 pub use strategy::rr::{FringeMode, RrFilter};
 pub use strategy::StrategySet;
 pub use theta_region::{r_theta_exact, ThetaRegion};
-pub use ucatalog::{BfCatalog, CatalogLookup, RrCatalog};

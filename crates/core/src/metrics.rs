@@ -72,7 +72,7 @@ pub mod names {
     /// Histogram: Phase-3 wall-clock nanoseconds per query.
     pub const PHASE3_DURATION_NS: &str = "prq_phase3_duration_ns";
     /// Counter: input repairs applied by admission (θ clamps, Σ
-    /// symmetrization/regularization, catalog drops).
+    /// symmetrization/regularization).
     pub const RESILIENCE_REPAIRS: &str = "prq_resilience_repairs_total";
     /// Counter: strategy-fallback hops (strategy switches + naive scans).
     pub const RESILIENCE_FALLBACK_HOPS: &str = "prq_resilience_fallback_hops_total";
@@ -276,8 +276,7 @@ impl PipelineMetrics {
             match event {
                 DegradationReason::ThetaClamped { .. }
                 | DegradationReason::CovarianceSymmetrized { .. }
-                | DegradationReason::CovarianceRegularized { .. }
-                | DegradationReason::CatalogDropped { .. } => self.repairs.inc(),
+                | DegradationReason::CovarianceRegularized { .. } => self.repairs.inc(),
                 DegradationReason::StrategySwitched { .. }
                 | DegradationReason::NaiveFallback { .. } => self.fallback_hops.inc(),
                 DegradationReason::EvaluatorFaults { objects } => {
@@ -384,7 +383,7 @@ mod tests {
 
     #[test]
     fn report_classification() {
-        use crate::resilience::{CatalogKind, SwitchCause};
+        use crate::resilience::SwitchCause;
         use crate::strategy::StrategySet;
         let m = PipelineMetrics::new();
         let mut report = DegradationReport::new();
@@ -392,11 +391,7 @@ mod tests {
             from: 2.0,
             to: 1.0 - 1e-9,
         });
-        report.record(DegradationReason::CatalogDropped {
-            which: CatalogKind::Rr,
-            catalog_dim: 3,
-            query_dim: 2,
-        });
+        report.record(DegradationReason::CovarianceSymmetrized { asymmetry: 0.5 });
         report.record(DegradationReason::StrategySwitched {
             from: StrategySet::ALL,
             to: StrategySet::BF,

@@ -32,10 +32,10 @@ pub struct PrqQuery<const D: usize> {
     theta: f64,
 }
 
-/// The single authoritative `(δ, θ)` validation, shared by every query
-/// construction path (direct, from-Gaussian, monitoring sessions, and
-/// the resilient admission stage) so NaN/∞ inputs cannot slip through
-/// one path while being rejected by another.
+/// The single authoritative `(δ, θ)` validation, shared by both query
+/// constructors (monitoring sessions and the resilient admission stage
+/// build through them) so NaN/∞ inputs cannot slip through one path
+/// while being rejected by another.
 ///
 /// # Errors
 ///
@@ -43,7 +43,7 @@ pub struct PrqQuery<const D: usize> {
 ///   both fail the comparison chain and are rejected),
 /// * [`PrqError::InvalidTheta`] unless `0 < θ < 1` (NaN fails both
 ///   comparisons and is rejected).
-pub(crate) fn validate_thresholds(delta: f64, theta: f64) -> Result<(), PrqError> {
+fn validate_thresholds(delta: f64, theta: f64) -> Result<(), PrqError> {
     if !(delta > 0.0 && delta.is_finite()) {
         return Err(PrqError::InvalidDelta(delta));
     }

@@ -3,9 +3,8 @@
 //!
 //! The plain [`PrqExecutor`] is faithful to the paper and therefore
 //! brittle by design: its strategies have hard preconditions (the
-//! θ-region needs `θ < 1/2`, catalogs must match the query dimension, Σ
-//! must be well-conditioned SPD) and its Phase 3 evaluates every
-//! candidate. A serving path cannot afford either property — one
+//! θ-region needs `θ < 1/2`, Σ must be well-conditioned SPD) and its
+//! Phase 3 evaluates every candidate. A serving path cannot afford either property — one
 //! degenerate query must neither error out nor hog the integrator.
 //!
 //! [`ResilientExecutor`] wraps the same three-phase pipeline with:
@@ -15,11 +14,12 @@
 //!    (θ clamping, covariance symmetrization, Tikhonov regularization
 //!    of near-singular Σ), and records every repair in a
 //!    [`DegradationReport`].
-//! 2. **Strategy fallback** — catalog mismatch or `θ ≥ 1/2` degrades
-//!    the strategy set toward one that can run ([`StrategySet::BF`]
-//!    works at any θ), and execution failure degrades to the naive
-//!    full scan; each hop is a [`DegradationReason::StrategySwitched`]
-//!    or [`DegradationReason::NaiveFallback`] entry.
+//! 2. **Strategy fallback** — `θ ≥ 1/2` or a set without a primary
+//!    strategy degrades the strategy set toward one that can run
+//!    ([`StrategySet::BF`] works at any θ), and execution failure
+//!    degrades to the naive full scan; each hop is a
+//!    [`DegradationReason::StrategySwitched`] or
+//!    [`DegradationReason::NaiveFallback`] entry.
 //! 3. **Capped Phase 3** ([`ResilientExecutor::with_max_candidates`]) —
 //!    the executor's one Phase-3 stage, evaluating at most the configured
 //!    number of candidates; objects it cannot settle (a bracket still
@@ -40,7 +40,6 @@ use crate::metrics::PipelineMetrics;
 use crate::query::PrqQuery;
 use crate::strategy::rr::FringeMode;
 use crate::strategy::StrategySet;
-use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_linalg::{LinalgError, Matrix, Vector};
 use gprq_rtree::Phase1Index;
 use std::fmt;
@@ -50,24 +49,6 @@ use crate::fault::{FaultPlan, FaultSite};
 
 pub use crate::evaluator::Verdict;
 pub use crate::executor::{UncertainCause, UncertainObject};
-
-/// Which U-catalog a [`DegradationReason::CatalogDropped`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CatalogKind {
-    /// The θ-region radius catalog (paper Algorithm 1, line 4).
-    Rr,
-    /// The bounding-function radii catalog (paper Eqs. 32–33).
-    Bf,
-}
-
-impl fmt::Display for CatalogKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CatalogKind::Rr => write!(f, "RR"),
-            CatalogKind::Bf => write!(f, "BF"),
-        }
-    }
-}
 
 /// Why the executor switched away from the requested strategy set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,16 +104,6 @@ pub enum DegradationReason {
         /// The ridge `ε` actually added to the diagonal.
         ridge: f64,
     },
-    /// A configured U-catalog could not be used and radii fall back to
-    /// exact computation.
-    CatalogDropped {
-        /// Which catalog was dropped.
-        which: CatalogKind,
-        /// Dimension the catalog was built for.
-        catalog_dim: usize,
-        /// Dimension of the query.
-        query_dim: usize,
-    },
     /// The strategy set was replaced by a runnable one.
     StrategySwitched {
         /// The requested set.
@@ -176,14 +147,6 @@ impl fmt::Display for DegradationReason {
                     "Σ regularized with ridge {ridge:.3e} (condition {condition:.3e})"
                 )
             }
-            DegradationReason::CatalogDropped {
-                which,
-                catalog_dim,
-                query_dim,
-            } => write!(
-                f,
-                "{which} catalog dropped (built for d = {catalog_dim}, query d = {query_dim})"
-            ),
             DegradationReason::StrategySwitched { from, to, cause } => {
                 write!(f, "strategy {} → {}: {cause}", from.name(), to.name())
             }
@@ -443,8 +406,6 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
 pub struct ResilientExecutor<'c> {
     strategies: StrategySet,
     fringe_mode: FringeMode,
-    rr_catalog: Option<&'c RrCatalog>,
-    bf_catalog: Option<&'c BfCatalog>,
     max_candidates: usize,
     metrics: Option<&'c PipelineMetrics>,
     #[cfg(feature = "fault-inject")]
@@ -457,8 +418,6 @@ impl<'c> ResilientExecutor<'c> {
         ResilientExecutor {
             strategies,
             fringe_mode: FringeMode::PaperFaithful,
-            rr_catalog: None,
-            bf_catalog: None,
             max_candidates: usize::MAX,
             metrics: None,
             #[cfg(feature = "fault-inject")]
@@ -476,20 +435,6 @@ impl<'c> ResilientExecutor<'c> {
     /// Overrides the fringe-filter mode (see [`FringeMode`]).
     pub fn with_fringe_mode(mut self, mode: FringeMode) -> Self {
         self.fringe_mode = mode;
-        self
-    }
-
-    /// Uses an RR U-catalog (dropped with a report entry on dimension
-    /// mismatch instead of erroring).
-    pub fn with_rr_catalog(mut self, catalog: &'c RrCatalog) -> Self {
-        self.rr_catalog = Some(catalog);
-        self
-    }
-
-    /// Uses a BF U-catalog (dropped with a report entry on dimension
-    /// mismatch instead of erroring).
-    pub fn with_bf_catalog(mut self, catalog: &'c BfCatalog) -> Self {
-        self.bf_catalog = Some(catalog);
         self
     }
 
@@ -559,30 +504,6 @@ impl<'c> ResilientExecutor<'c> {
         let query = admit(center, covariance, delta, theta, &mut report)?;
 
         // --- Preflight strategy fallback chain. ------------------------
-        // Catalogs built for another dimension are dropped; under fault
-        // injection they can also vanish (e.g. a cache eviction mid-flight).
-        #[cfg(feature = "fault-inject")]
-        let lost = self.fault_trips(FaultSite::CatalogLookup);
-        #[cfg(not(feature = "fault-inject"))]
-        let lost = false;
-        let mut dropped = |which: CatalogKind, catalog_dim: usize| {
-            let drop = lost || catalog_dim != D;
-            if drop {
-                report.record(DegradationReason::CatalogDropped {
-                    which,
-                    catalog_dim,
-                    query_dim: D,
-                });
-            }
-            drop
-        };
-        let rr_cat = self
-            .rr_catalog
-            .filter(|cat| !dropped(CatalogKind::Rr, cat.dim()));
-        let bf_cat = self
-            .bf_catalog
-            .filter(|cat| !dropped(CatalogKind::Bf, cat.dim()));
-
         let mut strategies = self.strategies;
         // θ ≥ 1/2: the θ-region does not exist, so any set using RR or
         // OR degrades to BF-only (which works at any θ).
@@ -623,12 +544,6 @@ impl<'c> ResilientExecutor<'c> {
         let mut exec = PrqExecutor::new(strategies).with_fringe_mode(self.fringe_mode);
         if let Some(metrics) = self.metrics {
             exec = exec.with_metrics(metrics);
-        }
-        if let Some(cat) = rr_cat {
-            exec = exec.with_rr_catalog(cat);
-        }
-        if let Some(cat) = bf_cat {
-            exec = exec.with_bf_catalog(cat);
         }
         let plan = match naive_cause {
             // Unreachable after preflight for today's strategies, but
@@ -892,39 +807,6 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         assert_eq!(outcome.stats.phase1_candidates, tree.len());
-    }
-
-    #[test]
-    fn mismatched_catalogs_are_dropped_not_fatal() {
-        let tree = random_tree(1_000, 13);
-        let rr_cat = RrCatalog::new(3);
-        let bf_cat = BfCatalog::new(5);
-        let mut res = ResilientExecutor::new(StrategySet::ALL)
-            .with_rr_catalog(&rr_cat)
-            .with_bf_catalog(&bf_cat);
-        let outcome = res
-            .execute(
-                &tree,
-                Vector::from([500.0, 500.0]),
-                sigma_paper(),
-                25.0,
-                0.01,
-                &mut oracle(),
-            )
-            .unwrap();
-        let dropped: Vec<CatalogKind> = outcome
-            .report
-            .iter()
-            .filter_map(|r| match r {
-                DegradationReason::CatalogDropped { which, .. } => Some(*which),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(dropped, [CatalogKind::Rr, CatalogKind::Bf]);
-        assert_eq!(
-            outcome.terminal,
-            TerminalStrategy::Filtered(StrategySet::ALL)
-        );
     }
 
     #[test]

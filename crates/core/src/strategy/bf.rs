@@ -18,9 +18,9 @@
 //!   numerical integration*.
 //!
 //! Each radius reduces (Eqs. 28–31) to the off-center ball probability of
-//! the standard Gaussian, which `gprq_gaussian::noncentral` computes
-//! exactly; the table-based variant uses [`crate::ucatalog::BfCatalog`]
-//! with the conservative rules of Eqs. 32–33.
+//! the standard Gaussian, which `gprq_gaussian::noncentral` inverts
+//! exactly per query (the paper tabulates it instead, with the
+//! conservative lookup rules of Eqs. 32–33).
 //!
 //! In medium dimensions the accept radius often does not exist: when
 //! `(λ⊥)^{d/2}|Σ|^{1/2}·θ ≥ 1` (paper Eq. 37) the lower bound cannot
@@ -29,9 +29,7 @@
 //! ball cannot reach `θ` under the *upper* bound, **no object can
 //! qualify** and the query answer is provably empty.
 
-use crate::error::PrqError;
 use crate::query::PrqQuery;
-use crate::ucatalog::{BfCatalog, CatalogLookup};
 use gprq_gaussian::noncentral::inverse_center_distance;
 use gprq_linalg::Vector;
 use gprq_rtree::Rect;
@@ -56,128 +54,57 @@ pub struct BfBounds<const D: usize> {
     pub accept: Option<f64>,
 }
 
-/// One BF radius as a standardized off-center ball problem (paper
-/// Eqs. 28–31): the radius is `β/√λ` for the `β` that solves
-/// `ball_probability(D, β, rho) = target`.
-#[derive(Debug, Clone, Copy)]
-struct BallProblem {
-    /// `√λ` of the bounding function's eigenvalue `λ` of `Σ⁻¹`.
-    sqrt_lambda: f64,
-    /// `ρ = √λ·δ`.
-    rho: f64,
-    /// `λ^{d/2}|Σ|^{1/2}·θ`.
-    target: f64,
-}
-
-impl BallProblem {
-    /// The exact radius, or `None` when even `β = 0` misses the target.
-    fn exact<const D: usize>(&self) -> Option<f64> {
-        inverse_center_distance(D, self.rho, self.target).map(|beta| self.radius(beta))
-    }
-
-    /// A standardized center distance `β` in the query's units.
-    fn radius(&self, beta: f64) -> f64 {
-        beta / self.sqrt_lambda
-    }
-}
-
-/// BF's two ball problems for one query — the one home of its inputs,
-/// which both constructors read. The targets are formed in log space.
-///
-/// * Reject (upper bound `p∥`, `λ∥ = min λᵢ(Σ⁻¹)`): the target
-///   `(λ∥)^{d/2}|Σ|^{1/2}·θ` is at most `θ < 1` (Eq. 29). When it
-///   underflows to 0, no finite radius keeps the upper bound below θ, so
-///   BF rejects nothing: `Err(RejectBound::Radius(∞))`, and Phase 1
-///   searches the everything-rectangle.
-/// * Accept (lower bound `p⊥`, `λ⊥ = max λᵢ(Σ⁻¹)`): `None` when
-///   `(λ⊥)^{d/2}|Σ|^{1/2}·θ ≥ 1`, the no-hole regime of Eq. 37. This
-///   target is at least θ, so it never underflows.
-fn ball_problems<const D: usize>(
-    query: &PrqQuery<D>,
-) -> (Result<BallProblem, RejectBound>, Option<BallProblem>) {
-    let g = query.gaussian();
-    let d = D as f64;
-    let delta = query.delta();
-    let ln_theta = query.theta().ln();
-    let ln_det = g.log_det_covariance();
-    let problem = |lambda: f64, target: f64| BallProblem {
-        sqrt_lambda: lambda.sqrt(),
-        rho: lambda.sqrt() * delta,
-        target,
-    };
-
-    let lambda_par = g.lambda_parallel();
-    let scaled_par = (0.5 * d * lambda_par.ln() + 0.5 * ln_det + ln_theta).exp();
-    let reject = if scaled_par > 0.0 {
-        Ok(problem(lambda_par, scaled_par.min(1.0 - 1e-15)))
-    } else {
-        Err(RejectBound::Radius(f64::INFINITY))
-    };
-
-    let lambda_perp = g.lambda_perp();
-    let ln_scaled_perp = 0.5 * d * lambda_perp.ln() + 0.5 * ln_det + ln_theta;
-    let accept = (ln_scaled_perp < 0.0).then(|| problem(lambda_perp, ln_scaled_perp.exp()));
-    (reject, accept)
-}
-
 impl<const D: usize> BfBounds<D> {
     /// Computes the bounds exactly (the paper's own experiments do this:
     /// §V-A "we computed accurate β∥ and β⊥ values for BF … instead of
     /// approximate values").
+    ///
+    /// Each radius is `β/√λ` for the `β` that solves
+    /// `ball_probability(D, β, √λ·δ) = λ^{d/2}|Σ|^{1/2}·θ` (Eqs. 28–31),
+    /// with the target formed in log space:
+    ///
+    /// * Reject (upper bound `p∥`, `λ∥ = min λᵢ(Σ⁻¹)`): the target is at
+    ///   most `θ < 1` (Eq. 29). When it underflows to 0, no finite radius
+    ///   keeps the upper bound below θ, so BF rejects nothing
+    ///   (`RejectBound::Radius(∞)`), and Phase 1 searches the
+    ///   everything-rectangle. When even `β = 0` misses it, nothing
+    ///   qualifies (`RejectBound::RejectAll`).
+    /// * Accept (lower bound `p⊥`, `λ⊥ = max λᵢ(Σ⁻¹)`): `None` when the
+    ///   target is `≥ 1`, the no-hole regime of Eq. 37, or when even
+    ///   `β = 0` misses it. This target is at least θ, so it never
+    ///   underflows.
     pub fn exact(query: &PrqQuery<D>) -> Self {
-        let (reject, accept) = ball_problems(query);
-        BfBounds {
-            center: *query.center(),
-            reject: match reject {
-                Ok(par) => par
-                    .exact::<D>()
-                    .map_or(RejectBound::RejectAll, RejectBound::Radius),
-                Err(bound) => bound,
-            },
-            accept: accept.and_then(|perp| perp.exact::<D>()),
-        }
-    }
-
-    /// Computes the bounds through a [`BfCatalog`] with the paper's
-    /// conservative lookup rules (Eqs. 32–33), falling back to the exact
-    /// inverse when the query lands outside the tabulated grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrqError::CatalogDimensionMismatch`] when the catalog
-    /// was built for a dimension other than `D` — its tabulated radii
-    /// would be wrong, not conservative.
-    pub fn from_catalog(query: &PrqQuery<D>, catalog: &BfCatalog) -> Result<Self, PrqError> {
-        if catalog.dim() != D {
-            return Err(PrqError::CatalogDimensionMismatch {
-                catalog: catalog.dim(),
-                query: D,
-            });
-        }
-        let (reject, accept) = ball_problems(query);
-        let reject = match reject {
-            Ok(par) => match catalog.lookup_reject(par.rho, par.target) {
-                CatalogLookup::Alpha(beta) => RejectBound::Radius(par.radius(beta)),
-                CatalogLookup::NoSolution => RejectBound::RejectAll,
-                // Exact fallback is computed only on a grid miss — the point
-                // of the catalog is to avoid the noncentral-χ² inversions.
-                CatalogLookup::OutOfGrid => par
-                    .exact::<D>()
-                    .map_or(RejectBound::RejectAll, RejectBound::Radius),
-            },
-            Err(bound) => bound,
+        let g = query.gaussian();
+        let d = D as f64;
+        let delta = query.delta();
+        let ln_theta = query.theta().ln();
+        let ln_det = g.log_det_covariance();
+        let radius = |lambda: f64, target: f64| {
+            let sqrt_lambda = lambda.sqrt();
+            inverse_center_distance(D, sqrt_lambda * delta, target).map(|beta| beta / sqrt_lambda)
         };
-        let accept = accept.and_then(|perp| match catalog.lookup_accept(perp.rho, perp.target) {
-            CatalogLookup::Alpha(beta) => Some(perp.radius(beta)),
-            CatalogLookup::NoSolution => None,
-            CatalogLookup::OutOfGrid => perp.exact::<D>(),
-        });
 
-        Ok(BfBounds {
+        let lambda_par = g.lambda_parallel();
+        let scaled_par = (0.5 * d * lambda_par.ln() + 0.5 * ln_det + ln_theta).exp();
+        let reject = if scaled_par > 0.0 {
+            radius(lambda_par, scaled_par.min(1.0 - 1e-15))
+                .map_or(RejectBound::RejectAll, RejectBound::Radius)
+        } else {
+            RejectBound::Radius(f64::INFINITY)
+        };
+
+        let lambda_perp = g.lambda_perp();
+        let ln_scaled_perp = 0.5 * d * lambda_perp.ln() + 0.5 * ln_det + ln_theta;
+        let accept = if ln_scaled_perp < 0.0 {
+            radius(lambda_perp, ln_scaled_perp.exp())
+        } else {
+            None
+        };
+        BfBounds {
             center: *query.center(),
             reject,
             accept,
-        })
+        }
     }
 
     /// The Phase-1 search rectangle of Algorithm 2 (line 6): the box
@@ -230,7 +157,6 @@ pub enum BfClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ucatalog::BfCatalog;
     use gprq_gaussian::integrate::quadrature_probability_2d;
     use gprq_gaussian::noncentral::isotropic_qualification_probability;
     use gprq_linalg::Matrix;
@@ -367,37 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn catalog_bounds_are_conservative() {
-        let q = paper_query(10.0, 25.0, 0.01);
-        let exact = BfBounds::exact(&q);
-        let catalog = BfCatalog::new(2);
-        let approx = BfBounds::from_catalog(&q, &catalog).unwrap();
-        match (exact.reject, approx.reject) {
-            (RejectBound::Radius(e), RejectBound::Radius(a)) => {
-                assert!(a >= e - 1e-9, "catalog reject {a} tighter than exact {e}");
-                assert!(a <= e * 1.6, "catalog reject {a} uselessly loose vs {e}");
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        if let (Some(e), Some(a)) = (exact.accept, approx.accept) {
-            assert!(a <= e + 1e-9, "catalog accept {a} looser than exact {e}");
-        }
-    }
-
-    #[test]
-    fn catalog_dimension_mismatch_is_rejected() {
-        let q = paper_query(10.0, 25.0, 0.01);
-        let catalog = BfCatalog::new(3);
-        assert!(matches!(
-            BfBounds::from_catalog(&q, &catalog),
-            Err(crate::error::PrqError::CatalogDimensionMismatch {
-                catalog: 3,
-                query: 2
-            })
-        ));
-    }
-
-    #[test]
     fn nine_dim_isotropic_radius_is_the_exact_root() {
         // For Σ = σ²I both bounding functions are the density itself, so
         // α∥ = α⊥ is the exact qualification boundary.
@@ -432,17 +327,12 @@ mod tests {
         // (λ∥)^{d/2}|Σ|^{1/2}·θ = θ/3 underflows to 0: no finite radius
         // keeps the upper bound below θ.
         let q = paper_query(10.0, 5.0, 5e-324);
-        let catalog = BfCatalog::new(2);
-        for b in [
-            BfBounds::exact(&q),
-            BfBounds::from_catalog(&q, &catalog).unwrap(),
-        ] {
-            assert_eq!(b.reject, RejectBound::Radius(f64::INFINITY));
-            let rect = b.search_rect().expect("nothing is rejected");
-            assert_eq!(rect.extent(0), f64::INFINITY);
-            let far = *q.center() + Vector::from([1e9, 0.0]);
-            assert_ne!(b.classify(&far), BfClass::Reject);
-        }
+        let b = BfBounds::exact(&q);
+        assert_eq!(b.reject, RejectBound::Radius(f64::INFINITY));
+        let rect = b.search_rect().expect("nothing is rejected");
+        assert_eq!(rect.extent(0), f64::INFINITY);
+        let far = *q.center() + Vector::from([1e9, 0.0]);
+        assert_ne!(b.classify(&far), BfClass::Reject);
     }
 
     #[test]

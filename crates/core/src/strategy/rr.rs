@@ -45,8 +45,7 @@ pub struct RrFilter<'r, const D: usize> {
 }
 
 impl<'r, const D: usize> RrFilter<'r, D> {
-    /// Builds the filter from a query and its θ-region (which may come
-    /// from the exact inverse or a conservative U-catalog lookup).
+    /// Builds the filter from a query and its θ-region.
     pub fn new(query: &PrqQuery<D>, region: &'r ThetaRegion<D>, mode: FringeMode) -> Self {
         RrFilter {
             region,

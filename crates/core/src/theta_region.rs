@@ -38,35 +38,16 @@ pub struct ThetaRegion<const D: usize> {
 
 impl<const D: usize> ThetaRegion<D> {
     /// Derives the θ-region for a query, computing `r_θ` exactly from the
-    /// chi distribution (the paper's U-catalog is the table-based variant
-    /// of this inverse; see `crate::ucatalog`).
+    /// chi distribution with [`r_theta_exact`] (the paper tabulates this
+    /// inverse in a U-catalog, §IV-A.3, because it could not solve it per
+    /// query).
     ///
     /// # Errors
     ///
-    /// [`PrqError::ThetaRegionUndefined`] when `θ ≥ 1/2` (Definition 3
-    /// requires `0 < θ < 1/2`).
+    /// [`PrqError::ThetaRegionUndefined`] when `θ ≥ 1/2` (or θ is NaN):
+    /// Definition 3 only defines the region for `θ < 1/2`.
     pub fn for_query(query: &PrqQuery<D>) -> Result<Self, PrqError> {
-        Self::with_r_theta(query, r_theta_exact::<D>(query.theta())?)
-    }
-
-    /// Builds the region from an externally supplied `r_θ` (e.g. a
-    /// conservative U-catalog lookup). The radius must over-cover:
-    /// `r ≥ chi_inverse(d, 1 − 2θ)` keeps filtering safe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrqError::ThetaRegionUndefined`] when `θ ≥ 1/2` (or θ
-    /// is NaN): Definition 3 only defines the region for `θ < 1/2`.
-    // INVARIANT: the caller's r_θ must satisfy r_θ ≥ chi_tail_inverse(D, 2θ),
-    // the radius with upper-tail mass 2θ (catalog lookups guarantee this by
-    // rounding θ down); the resulting ellipsoid then contains ≥ 1−2θ of the
-    // query mass, which Property 1 needs for RR/OR pruning to be lossless.
-    pub fn with_r_theta(query: &PrqQuery<D>, r_theta: f64) -> Result<Self, PrqError> {
-        // Negated form on purpose: a NaN θ must take the error branch.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(query.theta() < 0.5) {
-            return Err(PrqError::ThetaRegionUndefined(query.theta()));
-        }
+        let r_theta = r_theta_exact::<D>(query.theta())?;
         let g = query.gaussian();
         let sigmas = g.axis_std_devs();
         Ok(ThetaRegion {
@@ -264,15 +245,6 @@ mod tests {
         let far = *query.center() + Vector::from([1000.0, 0.0]);
         assert!(!region.contains(&far));
         assert!(region.distance_to_box(&far) > 900.0);
-    }
-
-    #[test]
-    fn catalog_style_radius_must_over_cover() {
-        let query = paper_query(1.0, 0.01);
-        let exact = ThetaRegion::for_query(&query).unwrap();
-        let padded = ThetaRegion::with_r_theta(&query, exact.r_theta() * 1.1).unwrap();
-        // A padded region contains the exact one.
-        assert!(padded.bounding_box().contains_rect(&exact.bounding_box()));
     }
 
     #[test]

@@ -1,29 +1,14 @@
 //! Exhaustive fallback-chain coverage: every combination of
-//! (catalog configuration × θ range × strategy set) must reach a
+//! (θ range × strategy set) must reach a
 //! terminal strategy with no error, and the [`DegradationReport`] must
 //! name every hop the chain took to get there.
 
 use gprq_core::{
-    BfCatalog, DegradationReason, Quadrature2dEvaluator, ResilientExecutor, ResilientOutcome,
-    RrCatalog, StrategySet, TerminalStrategy,
+    DegradationReason, Quadrature2dEvaluator, ResilientExecutor, ResilientOutcome, StrategySet,
+    TerminalStrategy,
 };
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree};
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CatalogConfig {
-    None,
-    Matched,
-    Mismatched,
-    MismatchedRrOnly,
-}
-
-const CATALOG_CONFIGS: [CatalogConfig; 4] = [
-    CatalogConfig::None,
-    CatalogConfig::Matched,
-    CatalogConfig::Mismatched,
-    CatalogConfig::MismatchedRrOnly,
-];
 
 /// θ probes spanning every admission/fallback regime: valid-low,
 /// near-half, above-half, clamped-high, clamped-low.
@@ -63,119 +48,92 @@ fn every_combination_reaches_a_terminal_strategy() {
     let policy_floor = 1e-9;
     let policy_ceiling = 1.0 - 1e-9;
 
-    for config in CATALOG_CONFIGS {
-        // Catalogs owned per-config so the executor can borrow them.
-        let rr2 = RrCatalog::new(2);
-        let bf2 = BfCatalog::new(2);
-        let rr3 = RrCatalog::new(3);
-        let bf3 = BfCatalog::new(3);
-        for theta in THETAS {
-            for set in all_strategy_sets() {
-                let label = format!("{config:?} θ={theta} {}", set.name());
-                let mut exec = ResilientExecutor::new(set);
-                exec = match config {
-                    CatalogConfig::None => exec,
-                    CatalogConfig::Matched => exec.with_rr_catalog(&rr2).with_bf_catalog(&bf2),
-                    CatalogConfig::Mismatched => exec.with_rr_catalog(&rr3).with_bf_catalog(&bf3),
-                    CatalogConfig::MismatchedRrOnly => exec.with_rr_catalog(&rr3),
-                };
-                let mut eval = Quadrature2dEvaluator::default();
-                let outcome = exec
-                    .execute(&tree, center, sigma, 50.0, theta, &mut eval)
-                    .unwrap_or_else(|e| panic!("{label}: chain must not error, got {e}"));
+    for theta in THETAS {
+        for set in all_strategy_sets() {
+            let label = format!("θ={theta} {}", set.name());
+            let mut exec = ResilientExecutor::new(set);
+            let mut eval = Quadrature2dEvaluator::default();
+            let outcome = exec
+                .execute(&tree, center, sigma, 50.0, theta, &mut eval)
+                .unwrap_or_else(|e| panic!("{label}: chain must not error, got {e}"));
 
-                // --- Replay the chain's contract step by step. ---------
-                let mut expected_hops = 0;
+            // --- Replay the chain's contract step by step. -------------
+            let mut expected_hops = 0;
 
-                // 1. Mismatched catalogs are dropped, each with an entry.
-                let expected_drops = match config {
-                    CatalogConfig::None | CatalogConfig::Matched => 0,
-                    CatalogConfig::Mismatched => 2,
-                    CatalogConfig::MismatchedRrOnly => 1,
-                };
-                let drops = outcome
+            // 1. θ clamping (admission) happens before strategy hops.
+            let effective_theta = if theta <= 0.0 {
+                policy_floor
+            } else if theta >= 1.0 {
+                policy_ceiling
+            } else {
+                theta
+            };
+            let clamped = (effective_theta - theta).abs() > 0.0;
+            assert_eq!(
+                clamped,
+                outcome
                     .report
                     .iter()
-                    .filter(|r| matches!(r, DegradationReason::CatalogDropped { .. }))
-                    .count();
-                assert_eq!(drops, expected_drops, "{label}: {}", outcome.report);
-                expected_hops += expected_drops;
+                    .any(|r| matches!(r, DegradationReason::ThetaClamped { .. })),
+                "{label}"
+            );
+            expected_hops += usize::from(clamped);
 
-                // 2. θ clamping (admission) happens before strategy hops.
-                let effective_theta = if theta <= 0.0 {
-                    policy_floor
-                } else if theta >= 1.0 {
-                    policy_ceiling
-                } else {
-                    theta
-                };
-                let clamped = (effective_theta - theta).abs() > 0.0;
-                assert_eq!(
-                    clamped,
-                    outcome
-                        .report
-                        .iter()
-                        .any(|r| matches!(r, DegradationReason::ThetaClamped { .. })),
-                    "{label}"
-                );
-                expected_hops += usize::from(clamped);
-
-                // 3. θ ≥ 1/2 forces any RR/OR user down to BF-only.
-                let mut effective_set = set;
-                if effective_theta >= 0.5 && (set.rr || set.or) {
-                    effective_set = StrategySet::BF;
-                    assert!(
-                        outcome.report.iter().any(|r| matches!(
-                            r,
-                            DegradationReason::StrategySwitched { from, to, .. }
-                                if *from == set && *to == StrategySet::BF
-                        )),
-                        "{label}: missing θ≥1/2 hop in {}",
-                        outcome.report
-                    );
-                    expected_hops += 1;
-                }
-
-                // 4. Still-invalid sets either pair OR with RR or give up
-                //    and scan.
-                let expected_terminal = if effective_set.validate().is_ok() {
-                    TerminalStrategy::Filtered(effective_set)
-                } else if effective_set.or {
-                    expected_hops += 1;
-                    TerminalStrategy::Filtered(StrategySet::RR_OR)
-                } else {
-                    expected_hops += 1;
-                    TerminalStrategy::NaiveScan
-                };
-                assert_eq!(
-                    outcome.terminal, expected_terminal,
-                    "{label}: {}",
+            // 2. θ ≥ 1/2 forces any RR/OR user down to BF-only.
+            let mut effective_set = set;
+            if effective_theta >= 0.5 && (set.rr || set.or) {
+                effective_set = StrategySet::BF;
+                assert!(
+                    outcome.report.iter().any(|r| matches!(
+                        r,
+                        DegradationReason::StrategySwitched { from, to, .. }
+                            if *from == set && *to == StrategySet::BF
+                    )),
+                    "{label}: missing θ≥1/2 hop in {}",
                     outcome.report
                 );
+                expected_hops += 1;
+            }
 
-                // A filtered terminal is always a *valid* strategy set.
-                if let TerminalStrategy::Filtered(s) = outcome.terminal {
-                    assert!(
-                        s.validate().is_ok(),
-                        "{label}: invalid terminal {}",
-                        s.name()
-                    );
-                }
+            // 3. Still-invalid sets either pair OR with RR or give up
+            //    and scan.
+            let expected_terminal = if effective_set.validate().is_ok() {
+                TerminalStrategy::Filtered(effective_set)
+            } else if effective_set.or {
+                expected_hops += 1;
+                TerminalStrategy::Filtered(StrategySet::RR_OR)
+            } else {
+                expected_hops += 1;
+                TerminalStrategy::NaiveScan
+            };
+            assert_eq!(
+                outcome.terminal, expected_terminal,
+                "{label}: {}",
+                outcome.report
+            );
 
-                // 5. Every hop is named: no extra entries, none missing.
-                assert_eq!(
-                    outcome.report.len(),
-                    expected_hops,
-                    "{label}: {}",
-                    outcome.report
+            // A filtered terminal is always a *valid* strategy set.
+            if let TerminalStrategy::Filtered(s) = outcome.terminal {
+                assert!(
+                    s.validate().is_ok(),
+                    "{label}: invalid terminal {}",
+                    s.name()
                 );
+            }
 
-                // The run is internally consistent regardless of route.
-                assert_eq!(outcome.stats.answers, outcome.answers.len(), "{label}");
-                assert_eq!(outcome.stats.uncertain, outcome.uncertain.len(), "{label}");
-                if outcome.terminal == TerminalStrategy::NaiveScan {
-                    assert_eq!(outcome.stats.phase1_candidates, tree.len(), "{label}");
-                }
+            // 4. Every hop is named: no extra entries, none missing.
+            assert_eq!(
+                outcome.report.len(),
+                expected_hops,
+                "{label}: {}",
+                outcome.report
+            );
+
+            // The run is internally consistent regardless of route.
+            assert_eq!(outcome.stats.answers, outcome.answers.len(), "{label}");
+            assert_eq!(outcome.stats.uncertain, outcome.uncertain.len(), "{label}");
+            if outcome.terminal == TerminalStrategy::NaiveScan {
+                assert_eq!(outcome.stats.phase1_candidates, tree.len(), "{label}");
             }
         }
     }

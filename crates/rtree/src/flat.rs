@@ -362,123 +362,6 @@ impl<const D: usize, T> FlatRTree<D, T> {
         self.descend_rect(0, rect, stats, &mut |p, d| out.push((p, d)));
     }
 
-    /// Packed multi-rectangle probe: answers `rects[q]` into `out[q]`
-    /// with per-query statistics in `stats[q]`, for every `q` up to the
-    /// shortest of the three slices (every `out[q]` is cleared first,
-    /// including any beyond that length).
-    ///
-    /// One descent serves the whole batch: at each node, a single pass
-    /// over its SoA block computes every active query's child hit mask,
-    /// and the shared depth-first order then carries the per-child
-    /// query subsets down. Per query, the candidates, their order, and
-    /// all counters are identical to a solo
-    /// [`FlatRTree::query_rect_into`] call — batching is a pure
-    /// amortization (pinned by `tests/flat_parity.rs`).
-    pub fn query_rects_into<'t>(
-        &'t self,
-        rects: &[Rect<D>],
-        stats: &mut [SearchStats],
-        out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-    ) {
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        let n = rects.len().min(stats.len()).min(out.len());
-        if n == 0 || self.len == 0 {
-            return;
-        }
-        // Segment arena for active-query subsets, used stack-wise: a
-        // node's segment lives at [seg_start, seg_start + seg_len); each
-        // child's filtered subset is appended, recursed into, and
-        // truncated away — one growable buffer for the whole descent
-        // instead of a Vec per internal node.
-        let mut arena: Vec<usize> = (0..n).collect();
-        self.multi_descend(0, rects, stats, out, &mut arena, 0, n);
-    }
-
-    // Packed multi-rect descent over the flat arena. Allocates the
-    // per-chunk mask scratch, so — like `multi_rect_rec` on the pointer
-    // tree — it is deliberately not a HOT-PATH root; the batch layer
-    // trades one small allocation per internal node visit for scanning
-    // shared upper levels once per batch.
-    #[allow(clippy::too_many_arguments)]
-    fn multi_descend<'t>(
-        &'t self,
-        idx: usize,
-        rects: &[Rect<D>],
-        stats: &mut [SearchStats],
-        out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-        arena: &mut Vec<usize>,
-        seg_start: usize,
-        seg_len: usize,
-    ) {
-        let Some(&node) = self.nodes.get(idx) else {
-            return;
-        };
-        let cnt = node.count as usize;
-        let block = node.block as usize;
-        let first = node.first as usize;
-        for j in seg_start..seg_start + seg_len {
-            let Some(&q) = arena.get(j) else { break };
-            if let Some(st) = stats.get_mut(q) {
-                st.nodes_visited += 1;
-            }
-        }
-        if node.level == 0 {
-            for j in seg_start..seg_start + seg_len {
-                let Some(&q) = arena.get(j) else { break };
-                let (Some(rect), Some(st), Some(buf)) =
-                    (rects.get(q), stats.get_mut(q), out.get_mut(q))
-                else {
-                    continue;
-                };
-                self.scan_leaf(idx, rect, st, &mut |p, d| buf.push((p, d)));
-            }
-        } else {
-            let mut base = 0usize;
-            while base < cnt {
-                let take = CHUNK.min(cnt - base);
-                // One pass over the SoA block per query: `hit[j]` is the
-                // chunk-local child bitset for the j-th segment query.
-                let mut hit: Vec<u64> = Vec::with_capacity(seg_len);
-                for j in seg_start..seg_start + seg_len {
-                    let bits = match arena.get(j).and_then(|&q| rects.get(q)) {
-                        Some(rect) => {
-                            let covered = self.covered_dims(idx, rect);
-                            self.inner_mask(block, cnt, base, take, rect, &covered)
-                        }
-                        None => 0,
-                    };
-                    hit.push(bits);
-                }
-                for i in 0..take {
-                    let sub_start = arena.len();
-                    for (&h, j) in std::iter::zip(&hit, seg_start..seg_start + seg_len) {
-                        if h & (1u64 << i) != 0 {
-                            if let Some(&q) = arena.get(j) {
-                                arena.push(q);
-                            }
-                        }
-                    }
-                    let sub_len = arena.len() - sub_start;
-                    if sub_len > 0 {
-                        self.multi_descend(
-                            first + base + i,
-                            rects,
-                            stats,
-                            out,
-                            arena,
-                            sub_start,
-                            sub_len,
-                        );
-                    }
-                    arena.truncate(sub_start);
-                }
-                base += take;
-            }
-        }
-    }
-
     // HOT-PATH: flat-index rectangle descent (cache-conscious Phase 1 inner loop)
     fn descend_rect<'t>(
         &'t self,
@@ -670,15 +553,6 @@ impl<const D: usize, T> Phase1Index<D, T> for FlatRTree<D, T> {
         out: &mut Vec<(&'t Vector<D>, &'t T)>,
     ) {
         self.query_rect_into(rect, stats, out);
-    }
-
-    fn search_rects_into<'t>(
-        &'t self,
-        rects: &[Rect<D>],
-        stats: &mut [SearchStats],
-        out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-    ) {
-        self.query_rects_into(rects, stats, out);
     }
 }
 

@@ -16,8 +16,8 @@
 //!   node-access statistics ([`SearchStats`]);
 //! * a full structural [`RTree::validate`] used by the property tests;
 //! * a cache-conscious read-optimized flat image ([`FlatRTree`]) with
-//!   SoA node blocks, branch-free AABB scans, and packed multi-rect
-//!   probes for the Phase-1 hot path.
+//!   SoA node blocks and branch-free AABB scans for the Phase-1 hot
+//!   path.
 //!
 //! ```
 //! use gprq_rtree::{RTree, RStarParams};

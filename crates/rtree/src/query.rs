@@ -57,20 +57,26 @@ pub trait Phase1Index<const D: usize, T> {
         out: &mut Vec<(&'t Vector<D>, &'t T)>,
     );
 
-    /// Batched Phase-1 probe: answers `rects[q]` into `out[q]` with
-    /// per-query statistics in `stats[q]`, for every `q` up to the
-    /// shortest of the three slices. Each query's results and counters
-    /// must be identical to a solo [`Phase1Index::search_rect_into`]
-    /// call with the same rectangle — batching is a pure amortization,
-    /// never a semantic change (`tests/flat_parity.rs` holds both
-    /// implementations to this). `QueryBatch` in `gprq-core` does not
-    /// call it: each of its queries runs the solo probe.
+    /// Batched Phase-1 probe: clears every `out[q]`, then answers
+    /// `rects[q]` into `out[q]` with statistics accumulated into
+    /// `stats[q]`, for every `q` up to the shortest of the three slices.
+    /// It runs one solo [`Phase1Index::search_rect_into`] call per
+    /// query, so each query's candidates, their order and its counters
+    /// are the solo call's. `QueryBatch` in `gprq-core` does not call
+    /// it: each of its queries runs the solo probe.
     fn search_rects_into<'t>(
         &'t self,
         rects: &[Rect<D>],
         stats: &mut [SearchStats],
         out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-    );
+    ) {
+        for buf in out.iter_mut() {
+            buf.clear();
+        }
+        for ((rect, stats), out) in rects.iter().zip(stats).zip(out) {
+            self.search_rect_into(rect, stats, out);
+        }
+    }
 }
 
 impl<const D: usize, T> Phase1Index<D, T> for RTree<D, T> {
@@ -81,15 +87,6 @@ impl<const D: usize, T> Phase1Index<D, T> for RTree<D, T> {
         out: &mut Vec<(&'t Vector<D>, &'t T)>,
     ) {
         self.query_rect_into(rect, stats, out);
-    }
-
-    fn search_rects_into<'t>(
-        &'t self,
-        rects: &[Rect<D>],
-        stats: &mut [SearchStats],
-        out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-    ) {
-        self.query_rects_into(rects, stats, out);
     }
 }
 
@@ -163,36 +160,6 @@ impl<const D: usize, T> RTree<D, T> {
             return;
         }
         rect_rec(&self.root, rect, stats, &mut |p, d| out.push((p, d)));
-    }
-
-    /// Multi-rectangle variant of [`RTree::query_rect_into`]: a single
-    /// tree descent serves all `rects` at once, carrying the subset of
-    /// queries still active at each node. Answers `rects[q]` into
-    /// `out[q]` with statistics in `stats[q]`, for every `q` up to the
-    /// shortest of the three slices (each `out[q]` is cleared first,
-    /// including any beyond that length).
-    ///
-    /// Per query, the candidate list, its order, and every counter in
-    /// `stats[q]` are identical to a solo [`RTree::query_rect_into`]
-    /// call: query `q` participates at a node exactly when that node
-    /// intersects `rects[q]` (the root unconditionally, matching the
-    /// solo entry point), and the depth-first child order is shared, so
-    /// `q` sees the same nodes, entries, and results in the same order.
-    pub fn query_rects_into<'t>(
-        &'t self,
-        rects: &[Rect<D>],
-        stats: &mut [SearchStats],
-        out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-    ) {
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        let n = rects.len().min(stats.len()).min(out.len());
-        if n == 0 || self.is_empty() {
-            return;
-        }
-        let active: Vec<usize> = (0..n).collect();
-        multi_rect_rec(&self.root, rects, &active, stats, out);
     }
 
     /// Visits every record within Euclidean distance `radius` of `center`.
@@ -377,49 +344,6 @@ fn rect_rec<'a, const D: usize, T>(
         for c in &node.children {
             if rect.intersects(&c.mbr) {
                 rect_rec(c, rect, stats, visit);
-            }
-        }
-    }
-}
-
-// Multi-rectangle descent: one DFS carries the indices of the queries still
-// active at this node. A query is active at the root unconditionally and at a
-// deeper node iff its rectangle intersects that node's MBR — exactly the
-// visitation predicate of the solo `rect_rec`, so per-query output and stats
-// are bitwise reproductions of N solo descents. Allocates the per-node active
-// subset, so it is deliberately not a HOT-PATH root; the batch layer trades a
-// small allocation per internal node for visiting shared upper levels once.
-fn multi_rect_rec<'a, const D: usize, T>(
-    node: &'a Node<D, T>,
-    rects: &[Rect<D>],
-    active: &[usize],
-    stats: &mut [SearchStats],
-    out: &mut [Vec<(&'a Vector<D>, &'a T)>],
-) {
-    for &q in active {
-        stats[q].nodes_visited += 1;
-    }
-    if node.is_leaf() {
-        for e in &node.entries {
-            for &q in active {
-                stats[q].entries_checked += 1;
-                if rects[q].contains_point(&e.point) {
-                    stats[q].results += 1;
-                    out[q].push((&e.point, &e.data));
-                }
-            }
-        }
-    } else {
-        let mut child_active: Vec<usize> = Vec::with_capacity(active.len());
-        for c in &node.children {
-            child_active.clear();
-            for &q in active {
-                if rects[q].intersects(&c.mbr) {
-                    child_active.push(q);
-                }
-            }
-            if !child_active.is_empty() {
-                multi_rect_rec(c, rects, &child_active, stats, out);
             }
         }
     }

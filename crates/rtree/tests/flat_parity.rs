@@ -1,8 +1,9 @@
 //! Parity tests for the cache-conscious flat index: a frozen image must
 //! reproduce the pointer tree bitwise (candidates, order, and every
-//! `SearchStats` counter), and the packed multi-rect descent must
-//! reproduce, per query, exactly what N solo flat descents produce —
-//! mirroring `multi_rect_parity.rs` for the pointer tree.
+//! `SearchStats` counter), and the batched probe
+//! `Phase1Index::search_rects_into` must keep its contract on both
+//! backends — every buffer cleared, the batch bounded by the shortest
+//! slice, each query answered as a solo call answers it.
 
 use gprq_linalg::Vector;
 use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree, Rect, SearchStats};
@@ -41,14 +42,32 @@ fn random_rects(n: usize, seed: u64, extent: f64) -> Vec<Rect<2>> {
         .collect()
 }
 
-/// Solo baseline for one rectangle via the flat single-rect entry point.
-fn solo<'t>(
-    flat: &'t FlatRTree<2, usize>,
+/// Candidate list a Phase-1 backend returns for one rectangle.
+type Candidates<'t> = Vec<(&'t Vector<2>, &'t usize)>;
+
+/// Solo baseline for one rectangle via the single-rect entry point.
+fn solo<'t, I: Phase1Index<2, usize>>(
+    index: &'t I,
     rect: &Rect<2>,
-) -> (Vec<(&'t Vector<2>, &'t usize)>, SearchStats) {
+) -> (Candidates<'t>, SearchStats) {
     let mut stats = SearchStats::default();
     let mut out = Vec::new();
-    flat.query_rect_into(rect, &mut stats, &mut out);
+    index.search_rect_into(rect, &mut stats, &mut out);
+    (out, stats)
+}
+
+/// The batched probe over `rects` with `slots` stats slots and `buffers`
+/// output buffers, each holding the `stale` record before the call.
+fn batch<'t, I: Phase1Index<2, usize>>(
+    index: &'t I,
+    rects: &[Rect<2>],
+    slots: usize,
+    buffers: usize,
+    stale: &'t (Vector<2>, usize),
+) -> (Vec<Candidates<'t>>, Vec<SearchStats>) {
+    let mut stats = vec![SearchStats::default(); slots];
+    let mut out = vec![vec![(&stale.0, &stale.1)]; buffers];
+    index.search_rects_into(rects, &mut stats, &mut out);
     (out, stats)
 }
 
@@ -73,104 +92,50 @@ fn frozen_image_matches_pointer_tree_bitwise() {
 }
 
 #[test]
-fn packed_multi_rect_matches_solo_bitwise() {
-    let points = random_points(3_000, 51, 1_000.0);
-    let flat = FlatRTree::freeze(build_tree(&points));
-    for (rect_seed, batch) in [(52u64, 1usize), (53, 2), (54, 7), (55, 16), (56, 33)] {
-        let rects = random_rects(batch, rect_seed, 1_000.0);
-        let mut stats = vec![SearchStats::default(); batch];
-        let mut out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); batch];
-        flat.query_rects_into(&rects, &mut stats, &mut out);
-
-        for q in 0..batch {
-            let (solo_out, solo_stats) = solo(&flat, &rects[q]);
-            assert_eq!(out[q], solo_out, "candidates diverge for query {q}");
-            assert_eq!(stats[q], solo_stats, "stats diverge for query {q}");
-        }
-    }
-}
-
-#[test]
-fn packed_multi_rect_on_packed_layout_matches_solo() {
-    // Same contract on the bulk-load (fanout-64) layout, whose nodes
-    // exceed one mask chunk less often but still exercise leaf packing.
-    let points = random_points(4_000, 57, 800.0);
-    let flat = FlatRTree::bulk_load(points);
-    let rects = random_rects(21, 58, 800.0);
-    let mut stats = vec![SearchStats::default(); rects.len()];
-    let mut out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); rects.len()];
-    flat.query_rects_into(&rects, &mut stats, &mut out);
-    for (q, rect) in rects.iter().enumerate() {
-        let (solo_out, solo_stats) = solo(&flat, rect);
-        assert_eq!(out[q], solo_out, "candidates diverge for query {q}");
-        assert_eq!(stats[q], solo_stats, "stats diverge for query {q}");
-    }
-}
-
-#[test]
-fn duplicate_and_disjoint_rects_stay_independent() {
-    let points = random_points(1_200, 61, 500.0);
-    let flat = FlatRTree::freeze(build_tree(&points));
-    let hot = Rect::centered(&Vector::from([250.0, 250.0]), &Vector::from([80.0, 80.0]));
-    let cold = Rect::centered(
-        &Vector::from([-1_000.0, -1_000.0]),
-        &Vector::from([1.0, 1.0]),
-    );
-    let rects = [hot, hot, cold, hot];
-    let mut stats = vec![SearchStats::default(); rects.len()];
-    let mut out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); rects.len()];
-    flat.query_rects_into(&rects, &mut stats, &mut out);
-
-    let (hot_out, hot_stats) = solo(&flat, &hot);
-    let (cold_out, cold_stats) = solo(&flat, &cold);
-    assert!(!hot_out.is_empty());
-    assert!(cold_out.is_empty());
-    for q in [0, 1, 3] {
-        assert_eq!(out[q], hot_out);
-        assert_eq!(stats[q], hot_stats);
-    }
-    assert_eq!(out[2], cold_out);
-    assert_eq!(stats[2], cold_stats);
-}
-
-#[test]
 fn empty_inputs_and_empty_tree_are_well_defined() {
-    let flat = FlatRTree::freeze(build_tree(&random_points(300, 71, 100.0)));
+    let stale = (Vector::ZERO, usize::MAX);
+    let tree = build_tree(&random_points(300, 71, 100.0));
+    let flat = FlatRTree::freeze(tree.clone());
 
-    // No rects: nothing happens, buffers beyond the batch are still cleared.
-    let mut stats: Vec<SearchStats> = Vec::new();
-    let mut out: Vec<Vec<(&Vector<2>, &usize)>> = vec![vec![]; 2];
-    out[0].push((flat.iter().next().unwrap().0, flat.iter().next().unwrap().1));
-    flat.query_rects_into(&[], &mut stats, &mut out);
-    assert!(out[0].is_empty() && out[1].is_empty());
+    // No rects: nothing runs, and buffers beyond the batch are still cleared.
+    for (out, _) in [
+        batch(&tree, &[], 0, 2, &stale),
+        batch(&flat, &[], 0, 2, &stale),
+    ] {
+        assert!(out.iter().all(Vec::is_empty));
+    }
 
     // Empty index: every query answers empty with zero stats.
-    let empty: FlatRTree<2, usize> = FlatRTree::freeze(RTree::new());
+    let empty_tree: RTree<2, usize> = RTree::new();
+    let empty_flat = FlatRTree::freeze(RTree::new());
     let rects = [Rect::everything(), Rect::everything()];
-    let mut stats = vec![SearchStats::default(); 2];
-    let mut out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); 2];
-    empty.query_rects_into(&rects, &mut stats, &mut out);
-    for q in 0..2 {
-        assert!(out[q].is_empty());
-        assert_eq!(stats[q], SearchStats::default());
+    for (out, stats) in [
+        batch(&empty_tree, &rects, 2, 2, &stale),
+        batch(&empty_flat, &rects, 2, 2, &stale),
+    ] {
+        assert!(out.iter().all(Vec::is_empty));
+        assert_eq!(stats, [SearchStats::default(); 2]);
     }
 }
 
 #[test]
 fn shorter_stat_slice_bounds_the_batch() {
-    let flat = FlatRTree::freeze(build_tree(&random_points(600, 81, 200.0)));
-    let rects = random_rects(4, 82, 200.0);
-    // Only two stats slots: queries 2 and 3 must not run (their buffers
-    // are still cleared).
-    let mut stats = vec![SearchStats::default(); 2];
-    let mut out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); 4];
-    flat.query_rects_into(&rects, &mut stats, &mut out);
-    for q in 0..2 {
-        let (solo_out, solo_stats) = solo(&flat, &rects[q]);
-        assert_eq!(out[q], solo_out);
-        assert_eq!(stats[q], solo_stats);
+    fn check<I: Phase1Index<2, usize>>(index: &I, rects: &[Rect<2>]) {
+        let stale = (Vector::ZERO, usize::MAX);
+        // Only two stats slots: queries 2 and 3 must not run (their
+        // buffers are still cleared).
+        let (out, stats) = batch(index, rects, 2, 4, &stale);
+        for q in 0..2 {
+            let (solo_out, solo_stats) = solo(index, &rects[q]);
+            assert_eq!(out[q], solo_out);
+            assert_eq!(stats[q], solo_stats);
+        }
+        assert!(out[2].is_empty() && out[3].is_empty());
     }
-    assert!(out[2].is_empty() && out[3].is_empty());
+    let tree = build_tree(&random_points(600, 81, 200.0));
+    let rects = random_rects(4, 82, 200.0);
+    check(&FlatRTree::freeze(tree.clone()), &rects);
+    check(&tree, &rects);
 }
 
 #[test]

@@ -78,7 +78,7 @@ proptest! {
 
     /// A frozen image shares the source topology: candidates (order
     /// included) and every stats counter must match the pointer tree
-    /// bitwise, for both solo and packed entry points.
+    /// bitwise.
     #[test]
     fn prop_frozen_matches_rtree_bitwise(
         points in arb_points(),
@@ -109,16 +109,6 @@ proptest! {
             let (flat_out, flat_stats) = search(&flat, rect);
             prop_assert_eq!(&flat_out, &tree_out);
             prop_assert_eq!(flat_stats, tree_stats);
-        }
-
-        // Packed multi-rect descent: same contract per query.
-        let mut stats = vec![SearchStats::default(); rects.len()];
-        let mut out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); rects.len()];
-        flat.query_rects_into(&rects, &mut stats, &mut out);
-        for (q, rect) in rects.iter().enumerate() {
-            let (tree_out, tree_stats) = search(&tree, rect);
-            prop_assert_eq!(&out[q], &tree_out);
-            prop_assert_eq!(stats[q], tree_stats);
         }
     }
 

@@ -470,7 +470,7 @@ pub fn check_crate_root(path: &str, source: &str, root: CrateRoot, out: &mut Vec
 /// must carry an `// INVARIANT:` marker (rule R5). Matched within the
 /// files listed in [`crate::workspace::INVARIANT_FILES`].
 fn needs_invariant_marker(fn_name: &str) -> bool {
-    fn_name.starts_with("lookup") || fn_name == "r_theta_exact" || fn_name == "with_r_theta"
+    fn_name.starts_with("lookup") || fn_name == "r_theta_exact"
 }
 
 /// R5a: collect `// INVARIANT:` markers from raw source.

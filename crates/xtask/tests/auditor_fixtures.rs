@@ -285,10 +285,6 @@ fn workspace_audits_clean() {
     let marked_files: std::collections::BTreeSet<&str> =
         report.invariants.iter().map(|m| m.path.as_str()).collect();
     assert!(
-        marked_files.contains("crates/core/src/ucatalog.rs"),
-        "ucatalog lookups must carry INVARIANT markers"
-    );
-    assert!(
         marked_files.contains("crates/core/src/theta_region.rs"),
         "theta_region exact radius must carry INVARIANT markers"
     );

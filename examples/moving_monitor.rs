@@ -1,8 +1,8 @@
 //! Continuous monitoring of a moving, imprecisely-localized object —
 //! the paper's robot scenario run as a *query stream* using the
-//! [`MonitoringSession`] extension: U-catalogs built once, enter/leave
-//! deltas per step, and an `EXPLAIN`-style plan printed for the first
-//! pose.
+//! [`MonitoringSession`] extension: one evaluator reused across steps,
+//! enter/leave deltas per step, and an `EXPLAIN`-style plan printed for
+//! the first pose.
 //!
 //! ```text
 //! cargo run --release --example moving_monitor

@@ -81,11 +81,11 @@ pub mod prelude {
         prq_uncertain_targets, qualification_probability, UncertainTarget,
     };
     pub use gprq_core::{
-        cloud_seed, execute_naive, BatchOutcome, BfCatalog, BfClass, DegradationReason,
-        DegradationReport, ExactEvaluator, FringeMode, MonteCarloEvaluator, PipelineMetrics,
-        ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery, Quadrature2dEvaluator,
-        QueryBatch, QueryStats, ResilientExecutor, ResilientOutcome, RrCatalog, SigmaFactorCache,
-        StrategySet, TerminalStrategy, ThetaRegion, UncertainCause, Verdict,
+        cloud_seed, execute_naive, BatchOutcome, BfClass, DegradationReason, DegradationReport,
+        ExactEvaluator, FringeMode, MonteCarloEvaluator, PipelineMetrics, ProbabilityEvaluator,
+        PrqError, PrqExecutor, PrqOutcome, PrqQuery, Quadrature2dEvaluator, QueryBatch, QueryStats,
+        ResilientExecutor, ResilientOutcome, SigmaFactorCache, StrategySet, TerminalStrategy,
+        ThetaRegion, UncertainCause, Verdict,
     };
     pub use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
     pub use gprq_gaussian::Gaussian;

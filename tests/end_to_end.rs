@@ -178,10 +178,8 @@ fn nine_dimensional_pipeline_runs() {
 }
 
 #[test]
-fn catalog_and_exact_executors_agree() {
+fn every_strategy_equals_naive_across_theta() {
     let tree = road_tree(5_000, 6);
-    let rr_cat = RrCatalog::new(2);
-    let bf_cat = BfCatalog::new(2);
     for theta in [0.005, 0.01, 0.1, 0.3] {
         let query = PrqQuery::new(
             Vector::from([300.0, 600.0]),
@@ -191,15 +189,17 @@ fn catalog_and_exact_executors_agree() {
         )
         .unwrap();
         let mut eval = Quadrature2dEvaluator::default();
-        let exact = PrqExecutor::new(StrategySet::ALL)
-            .execute(&tree, &query, &mut eval)
-            .unwrap();
-        let approx = PrqExecutor::new(StrategySet::ALL)
-            .with_rr_catalog(&rr_cat)
-            .with_bf_catalog(&bf_cat)
-            .execute(&tree, &query, &mut eval)
-            .unwrap();
-        assert_eq!(sorted_ids(&exact), sorted_ids(&approx), "θ = {theta}");
+        let truth = sorted_ids(&execute_naive(&tree, &query, &mut eval));
+        assert!(
+            !truth.is_empty(),
+            "θ = {theta}: the query should have answers"
+        );
+        for (name, set) in StrategySet::PAPER_COMBINATIONS {
+            let outcome = PrqExecutor::new(set)
+                .execute(&tree, &query, &mut eval)
+                .unwrap();
+            assert_eq!(sorted_ids(&outcome), truth, "{name} at θ = {theta}");
+        }
     }
 }
 
