@@ -1,5 +1,5 @@
-//! **Scaling sweep** (extension) — candidate counts and query time as
-//! the dataset grows, plus cost-model predictions vs measurements.
+//! **Scaling sweep** (extension) — Phase-3 integration counts and query
+//! time as the dataset grows.
 //!
 //! The paper fixes n = 50,747; this binary sweeps n to confirm the
 //! filtering behaviour is density-linear (candidates ∝ n at fixed
@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 
 use gprq_bench::{road_tree, row, Args};
-use gprq_core::cost::{expected_integrations, region_volumes, DensityEstimate};
 use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};
 use gprq_workloads::{eq34_covariance, random_query_centers};
 
@@ -30,12 +29,7 @@ fn main() {
         "{}",
         row(
             "n",
-            &[
-                "ALL cand".into(),
-                "predicted".into(),
-                "node acc".into(),
-                "ms/query".into()
-            ]
+            &["ALL integ".into(), "node acc".into(), "ms/query".into()]
         )
     );
 
@@ -48,16 +42,8 @@ fn main() {
         let mut integ = 0usize;
         let mut accesses = 0usize;
         let mut ms = 0.0;
-        let mut predicted = 0.0;
         for (t, (_, center)) in centers.iter().enumerate() {
             let query = PrqQuery::new(*center, sigma, delta, theta).expect("valid");
-            // Cost-model prediction with local density probed via the tree.
-            let probe_radius = 100.0;
-            let local = tree.query_ball(center, probe_radius).len();
-            let density = DensityEstimate::from_probe::<2>(local, probe_radius);
-            let volumes = region_volumes(&query, seed + t as u64).expect("θ < 1/2");
-            predicted += expected_integrations(&volumes, &density, StrategySet::ALL);
-
             let mut eval = MonteCarloEvaluator::<2>::new(samples, seed + t as u64);
             let outcome = PrqExecutor::new(StrategySet::ALL)
                 .execute(&tree, &query, &mut eval)
@@ -73,7 +59,6 @@ fn main() {
                 &format!("{n}"),
                 &[
                     format!("{:.0}", integ as f64 / tf),
-                    format!("{:.0}", predicted / tf),
                     format!("{:.0}", accesses as f64 / tf),
                     format!("{:.1}", ms / tf),
                 ]
@@ -81,7 +66,6 @@ fn main() {
         );
     }
 
-    println!("\nexpected shape: candidates and time scale ~linearly with n (density");
-    println!("doubles → candidates double); node accesses grow ~logarithmically;");
-    println!("the cost-model prediction tracks the measured ALL column.");
+    println!("\nexpected shape: integrations and time scale ~linearly with n (density");
+    println!("doubles → integrations double); node accesses grow ~logarithmically.");
 }

@@ -351,9 +351,10 @@ impl<'c> PrqExecutor<'c> {
     /// Builds the per-query [`PreparedQuery`] — strategy validation plus the
     /// owned θ-region and BF bounds, both solved exactly — for the solo
     /// path above, the resilient executor, the batch executor
-    /// (`crate::batch`), which plans every query before running any, and
+    /// (`crate::batch`), which plans every query before running any,
     /// `MonitoringSession::new`, which plans a probe query to reject a
-    /// session no step could run. Each call records one [`Phase::Plan`]
+    /// session no step could run, and [`explain`](crate::explain::explain),
+    /// which renders the plan. Each call records one [`Phase::Plan`]
     /// span when metrics are attached.
     ///
     /// # Errors
@@ -408,6 +409,16 @@ impl<const D: usize> PreparedQuery<D> {
             region: None,
             bf_bounds: None,
         }
+    }
+
+    /// The θ-region, present exactly when RR or OR is enabled.
+    pub(crate) fn region(&self) -> Option<&ThetaRegion<D>> {
+        self.region.as_ref()
+    }
+
+    /// BF's radii, present exactly when BF is enabled.
+    pub(crate) fn bf_bounds(&self) -> Option<&BfBounds<D>> {
+        self.bf_bounds.as_ref()
     }
 
     /// The Phase-1 search rectangle: RR's Minkowski box when RR is

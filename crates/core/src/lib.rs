@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cost;
 pub mod error;
 pub mod evaluator;
 pub mod executor;
@@ -71,7 +70,6 @@ pub mod strategy;
 pub mod theta_region;
 
 pub use batch::{cloud_seed, BatchOutcome, QueryBatch, SigmaFactorCache};
-pub use cost::{expected_integrations, region_volumes, DensityEstimate, RegionVolumes};
 pub use error::PrqError;
 pub use evaluator::{
     EvalReport, ExactEvaluator, MonteCarloEvaluator, ProbabilityEvaluator, Quadrature2dEvaluator,

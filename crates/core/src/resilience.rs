@@ -441,6 +441,14 @@ impl<'c> ResilientExecutor<'c> {
     /// Caps Phase 3 at `max_candidates` evaluations per query; the
     /// candidates past it come back [`UncertainCause::NotEvaluated`],
     /// with a [`DegradationReason::BudgetExhausted`] entry.
+    ///
+    /// A cap of 0 is an exact dry run: the plan and Phases 1–2 run on
+    /// the real index, the evaluator is asked for nothing
+    /// (`stats.integrations == 0`), and every object Phase 3 would
+    /// integrate comes back `NotEvaluated`, so `stats.uncertain` is the
+    /// integration count of the plan this executor runs. That is
+    /// `PrqExecutor`'s plan for the same set only when the report holds
+    /// no entry but `BudgetExhausted` (no strategy switch, no repair).
     pub fn with_max_candidates(mut self, max_candidates: usize) -> Self {
         self.max_candidates = max_candidates;
         self
@@ -598,7 +606,8 @@ impl<'c> ResilientExecutor<'c> {
 mod tests {
     use super::*;
     use crate::evaluator::Quadrature2dEvaluator;
-    use gprq_rtree::{RStarParams, RTree};
+    use gprq_gaussian::Gaussian;
+    use gprq_rtree::{FlatRTree, RStarParams, RTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -809,48 +818,76 @@ mod tests {
         assert_eq!(outcome.stats.phase1_candidates, tree.len());
     }
 
-    #[test]
-    fn candidate_cap_reports_the_tail_as_uncertain() {
-        let tree = random_tree(3_000, 17);
-        let mut res = ResilientExecutor::new(StrategySet::ALL).with_max_candidates(3);
-        let outcome = res
+    /// Runs the paper query on `index` with Phase 3 capped at `cap`, and
+    /// counts the probabilities the evaluator is asked for.
+    fn run_capped<I: Phase1Index<2, usize>>(
+        index: &I,
+        cap: usize,
+    ) -> (ResilientOutcome<'_, 2, usize>, usize) {
+        struct Counting(usize);
+        impl ProbabilityEvaluator<2> for Counting {
+            fn probability(&mut self, g: &Gaussian<2>, o: &Vector<2>, delta: f64) -> f64 {
+                self.0 += 1;
+                oracle().probability(g, o, delta)
+            }
+        }
+        let mut eval = Counting(0);
+        let outcome = ResilientExecutor::new(StrategySet::ALL)
+            .with_max_candidates(cap)
             .execute(
-                &tree,
+                index,
                 Vector::from([500.0, 500.0]),
                 sigma_paper(),
                 25.0,
                 0.01,
-                &mut oracle(),
+                &mut eval,
             )
             .unwrap();
-        let capped = outcome.report.iter().find_map(|r| match r {
-            DegradationReason::BudgetExhausted { unresolved } => Some(*unresolved),
-            _ => None,
-        });
-        let unresolved = capped.expect("cap must be reported");
-        assert!(unresolved > 0);
-        assert_eq!(outcome.stats.uncertain, unresolved);
-        assert_eq!(
-            outcome
+        (outcome, eval.0)
+    }
+
+    /// Caps 3 and 0 against the uncapped run. Cap 0 is the exact dry
+    /// run: nothing is evaluated and every object Phase 3 would
+    /// integrate is reported.
+    fn assert_cap_reports_the_tail<I: Phase1Index<2, usize>>(index: &I) {
+        let full = run_capped(index, usize::MAX).0.stats.integrations;
+        assert!(full > 3);
+        for cap in [3, 0] {
+            let (outcome, asked) = run_capped(index, cap);
+            let s = outcome.stats;
+            assert_eq!((s.integrations, asked, s.uncertain), (cap, cap, full - cap));
+            let capped: Vec<usize> = outcome
+                .report
+                .iter()
+                .filter_map(|r| match r {
+                    DegradationReason::BudgetExhausted { unresolved } => Some(*unresolved),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(capped, [s.uncertain]);
+            assert!(outcome
                 .uncertain
                 .iter()
-                .filter(|u| u.cause == UncertainCause::NotEvaluated)
-                .count(),
-            unresolved
-        );
-        assert_eq!(outcome.stats.integrations, 3);
-        // Accounting: every Phase-1 survivor is answered, rejected, or
-        // explicitly uncertain.
-        let s = outcome.stats;
-        assert_eq!(
-            s.phase1_candidates,
-            s.pruned_by_fringe
-                + s.pruned_by_or
-                + s.pruned_by_bf
-                + s.accepted_without_integration
-                + s.integrations
-                + s.uncertain
-        );
+                .all(|u| u.cause == UncertainCause::NotEvaluated));
+            // Accounting: every Phase-1 survivor is answered, rejected, or
+            // explicitly uncertain.
+            assert_eq!(
+                s.phase1_candidates,
+                s.pruned_by_fringe
+                    + s.pruned_by_or
+                    + s.pruned_by_bf
+                    + s.accepted_without_integration
+                    + s.integrations
+                    + s.uncertain
+            );
+        }
+    }
+
+    #[test]
+    fn candidate_cap_reports_the_tail_as_uncertain() {
+        let tree = random_tree(3_000, 17);
+        assert_cap_reports_the_tail(&tree);
+        assert_cap_reports_the_tail(&FlatRTree::freeze(tree));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! exactly the integral of paper Eq. 7 defining `r̃_θ` (and by Property 1,
 //! `r_θ = r̃_θ`), and it is the curve family plotted in the paper's Fig. 17.
 //!
-//! The paper computes `r_θ` by pre-tabulating Monte-Carlo integrations into
-//! a *U-catalog*; we provide the exact closed form here and reproduce the
-//! table-based path (plus an ablation comparing both) in `gprq-core`.
+//! The paper looks `r_θ` up in a *U-catalog* of pre-tabulated Monte-Carlo
+//! integrations; here the closed form is inverted directly
+//! ([`chi_inverse`], [`chi_tail_inverse`]), and `gprq-core` solves every
+//! query's `r_θ` that way.
 
 use crate::specfun::{ln_gamma, ln_regularized_gamma_q, regularized_gamma_p, std_normal_quantile};
 
@@ -41,8 +42,8 @@ pub fn chi_ball_probability(d: usize, r: f64) -> f64 {
 ///
 /// `chi_inverse(d, 1 − 2θ)` is the paper's `r_θ` (Definition 5 +
 /// Property 1); the executor solves it from the exact tail mass `2θ`
-/// with [`chi_tail_inverse`], and the U-catalog and the experiment bins
-/// call this form.
+/// with [`chi_tail_inverse`]; the experiment bins and the tests call
+/// this form.
 ///
 /// Solved by safeguarded Newton steps in `r` on the log of the smaller
 /// tail — `ln P(d/2, r²/2)` for `p ≤ ½`, `ln Q` on the exact `1 − p`

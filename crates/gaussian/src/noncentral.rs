@@ -24,7 +24,7 @@
 //! The paper builds its BF U-catalog `(δ, θ, α)` by Monte-Carlo integrating
 //! these quantities offline; [`inverse_center_distance`] is the exact
 //! analogue of the paper's `ucatalog_lookup(δ, θ)` (Eq. 21 solved for the
-//! center offset). `gprq-core` layers the table-based variant on top.
+//! center offset), and `gprq-core` solves BF's radii with it per query.
 
 use crate::chi::{chi_ball_probability, chi_squared_cdf, newton_decreasing};
 use crate::specfun::{ln_poisson_kernel, std_normal_quantile};

@@ -1,6 +1,6 @@
 //! Special functions implemented from scratch.
 //!
-//! Everything downstream (θ-region radii, U-catalog entries, analytic 1-D
+//! Everything downstream (θ-region radii, BF radii, analytic 1-D
 //! probabilities) reduces to two classical special functions:
 //!
 //! * the log-gamma function `ln Γ(x)` (Lanczos approximation, g = 7, n = 9,

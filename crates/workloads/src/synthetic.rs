@@ -1,7 +1,6 @@
 //! Generic synthetic point distributions — uniform and clustered — for
-//! controlled experiments (cost-model validation and the dimensionality
-//! sweep) where the road-network/Corel generators' structure would be a
-//! confound.
+//! controlled experiments (the dimensionality sweep) where the
+//! road-network/Corel generators' structure would be a confound.
 
 use gprq_gaussian::StandardNormal;
 use gprq_linalg::Vector;

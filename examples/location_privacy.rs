@@ -4,14 +4,17 @@
 //! service: instead of exact coordinates, the service receives a Gaussian
 //! whose spread is chosen by the user's privacy level. The service still
 //! answers "which venues are probably within walking distance?" —
-//! a probabilistic range query. This example also uses the cost model to
-//! pick the cheapest strategy set per privacy level before executing.
+//! a probabilistic range query.
+//!
+//! The obfuscation is isotropic (Σ = σ²·I), the paper's spherical best
+//! case (§VI-B): BF's accept and reject radii coincide, so BF decides
+//! every venue the other filters keep, and nothing is integrated. The
+//! table prints, per privacy level, the answers and BF's decisions.
 //!
 //! ```text
 //! cargo run --release --example location_privacy
 //! ```
 
-use gaussian_prq::core::cost::{expected_integrations, region_volumes, DensityEstimate};
 use gaussian_prq::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let walking_range = 40.0; // δ
     let confidence = 0.2; // θ
 
-    println!("\nprivacy |  σ (m) | answers | integr. | predicted | strategy chosen");
-    println!("--------+--------+---------+---------+-----------+----------------");
+    println!("\nprivacy |  σ (m) | answers | BF accepts | BF rejects | integr.");
+    println!("--------+--------+---------+------------+------------+--------");
     for (label, sigma_m) in [
         ("exact ", 1.0),
         ("street", 15.0),
@@ -39,27 +42,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // noise of scale σ. The service only ever sees (q, Σ).
         let reported_cov = Matrix::identity().scale(sigma_m * sigma_m);
         let query = PrqQuery::new(true_location, reported_cov, walking_range, confidence)?;
-
-        // Cost-model-driven strategy choice.
-        let volumes = region_volumes(&query, 7)?;
-        let density = DensityEstimate::uniform(tree.len(), 1000.0 * 1000.0);
-        let (best_name, best_set, predicted) = StrategySet::PAPER_COMBINATIONS
-            .iter()
-            .map(|(name, set)| (*name, *set, expected_integrations(&volumes, &density, *set)))
-            .min_by(|a, b| a.2.total_cmp(&b.2))
-            .expect("six combinations");
-
         let mut eval = ExactEvaluator::default();
-        let outcome = PrqExecutor::new(best_set).execute(&tree, &query, &mut eval)?;
+        let stats = PrqExecutor::new(StrategySet::ALL)
+            .execute(&tree, &query, &mut eval)?
+            .stats;
         println!(
-            "{label}  | {sigma_m:6.0} | {:7} | {:7} | {predicted:9.0} | {best_name}",
-            outcome.stats.answers, outcome.stats.integrations,
+            "{label}  | {sigma_m:6.0} | {:7} | {:10} | {:10} | {:7}",
+            stats.answers,
+            stats.accepted_without_integration,
+            stats.pruned_by_bf,
+            stats.integrations,
         );
     }
 
-    println!("\nAs the privacy radius grows, the service's uncertainty region");
-    println!("inflates: more candidates must be integrated, yet fewer venues");
-    println!("clear the confidence threshold — quantifying the privacy/utility");
-    println!("trade-off without the user ever revealing exact coordinates.");
+    println!("\nNo row integrates: with Σ = σ²·I, BF's bounds accept or reject");
+    println!("every venue RR and OR keep. Moderate noise widens the answer set —");
+    println!("at θ = 0.2 a venue somewhat beyond walking range still qualifies —");
+    println!("so the service returns more, less precise answers. At σ = 120 m not");
+    println!("even a venue at the reported location reaches θ: BF rejects every");
+    println!("candidate and the answer set is empty. That is the privacy/utility");
+    println!("trade-off, measured without the user revealing exact coordinates.");
     Ok(())
 }

@@ -8,7 +8,6 @@
 //! cargo run --release --example moving_monitor
 //! ```
 
-use gaussian_prq::core::cost::DensityEstimate;
 use gaussian_prq::core::explain::explain;
 use gaussian_prq::prelude::*;
 use gaussian_prq::workloads::{road_network_2d, simulate_trajectory, TrajectoryModel};
@@ -35,8 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // EXPLAIN the first pose's query before running anything.
     let first = &trajectory[0];
     let probe_query = PrqQuery::new(first.mean, first.covariance, delta, theta)?;
-    let density = DensityEstimate::uniform(tree.len(), 1_000.0 * 1_000.0);
-    println!("\n{}", explain(&probe_query, StrategySet::ALL, &density)?);
+    println!("\n{}", explain(&probe_query, StrategySet::ALL)?);
 
     // Stream the trajectory through a monitoring session.
     let mut session = MonitoringSession::new(
