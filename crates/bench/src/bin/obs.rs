@@ -29,7 +29,7 @@ use gprq_core::{MonteCarloEvaluator, PipelineMetrics, PrqExecutor, PrqQuery, Str
 use gprq_workloads::{eq34_covariance, random_query_centers};
 
 /// Bump when the JSON layout changes; `--check` rejects older files.
-const SCHEMA: u64 = 2;
+const SCHEMA: u64 = 3;
 
 /// Maximum tolerated instrumented/uninstrumented wall-time ratio.
 const BUDGET: f64 = 1.03;

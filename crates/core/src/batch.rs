@@ -40,20 +40,10 @@
 //! are *correlated across queries*. Each per-candidate estimate is still
 //! unbiased with unchanged variance.
 //!
-//! # Fault degradation
-//!
-//! Under the `fault-inject` feature, `QueryBatch::execute_with_faults`
-//! consults `FaultSite::BatchAbort` once per query, in index order, just
-//! before that query runs. A tripped query runs the same pipeline with a
-//! fresh `MonteCarloEvaluator` on the same seed — bitwise-identical
-//! answers, no table lookup — and is reported with
-//! [`BatchOutcome::recovered`] set plus a `prq_batch_aborts_total` tick.
-//! Unaffected queries never see the fault.
-//!
 //! [`GaussianSampler::sample`]: gprq_gaussian::sampler::GaussianSampler::sample
 
 use crate::error::PrqError;
-use crate::evaluator::{MonteCarloEvaluator, ProbabilityEvaluator};
+use crate::evaluator::ProbabilityEvaluator;
 use crate::executor::{Phase3, PrqExecutor, QueryScratch, QueryStats};
 use crate::ext::parallel::ParallelIntegrator;
 use crate::query::PrqQuery;
@@ -65,8 +55,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::num::NonZeroUsize;
 
-/// Splitmix64 finalizer — the same mixer the fault planner uses, so
-/// seed streams stay decorrelated.
+/// Splitmix64 finalizer: [`cloud_seed`] folds each covariance entry's
+/// bits through it.
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -144,10 +134,6 @@ pub struct BatchOutcome<'t, const D: usize, T> {
     /// Execution statistics. Integer counters match the solo run
     /// bitwise; phase times are measured for this query.
     pub stats: QueryStats,
-    /// `true` when a `FaultSite::BatchAbort` fault (`fault-inject`) hit
-    /// this query and it ran with a fresh evaluator instead of its
-    /// group's table (same seed — same answers).
-    pub recovered: bool,
 }
 
 /// A batch execution engine: plans N queries, then runs each through the
@@ -217,8 +203,10 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         cloud_seed(self.integrator.seed, query.gaussian())
     }
 
-    /// Executes `queries` as one batch. `outcomes[i]` answers
-    /// `queries[i]`.
+    /// Executes `queries` as one batch: plans every query, then runs them
+    /// in index order on the calling thread, each with its Σ-group's
+    /// table, and counts hits and misses from the outcomes.
+    /// `outcomes[i]` answers `queries[i]`.
     ///
     /// # Errors
     ///
@@ -235,48 +223,6 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
     where
         I: Phase1Index<D, T>,
     {
-        self.run(tree, queries, &mut || false)
-    }
-
-    /// [`QueryBatch::execute`] consulting `plan` at the
-    /// [`FaultSite::BatchAbort`](crate::fault::FaultSite::BatchAbort)
-    /// site once per query, in index order, just before the query runs:
-    /// tripped queries run with a fresh evaluator on the same seed
-    /// (bitwise-identical answers, [`BatchOutcome::recovered`] set).
-    /// Untripped queries are unaffected.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`QueryBatch::execute`] — faults degrade
-    /// individual queries, they never fail the batch.
-    #[cfg(feature = "fault-inject")]
-    pub fn execute_with_faults<'t, T, I>(
-        &mut self,
-        tree: &'t I,
-        queries: &[PrqQuery<D>],
-        plan: &mut crate::fault::FaultPlan,
-    ) -> Result<Vec<BatchOutcome<'t, D, T>>, PrqError>
-    where
-        I: Phase1Index<D, T>,
-    {
-        self.run(tree, queries, &mut || {
-            plan.trip(crate::fault::FaultSite::BatchAbort)
-        })
-    }
-
-    /// The batch: plan every query, then run them in index order on the
-    /// calling thread, polling `should_abort` once just before each — the
-    /// single fault-injection point, so fault scheduling never perturbs
-    /// any seed stream — and count hits and misses from the outcomes.
-    fn run<'t, T, I>(
-        &mut self,
-        tree: &'t I,
-        queries: &[PrqQuery<D>],
-        should_abort: &mut dyn FnMut() -> bool,
-    ) -> Result<Vec<BatchOutcome<'t, D, T>>, PrqError>
-    where
-        I: Phase1Index<D, T>,
-    {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -284,47 +230,34 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
             .iter()
             .map(|q| self.executor.plan(q))
             .collect::<Result<Vec<_>, _>>()?;
-        let (ex, samples) = (&self.executor, self.integrator.samples);
+        let ex = &self.executor;
         let metrics = ex.metrics();
         let scratch = &mut QueryScratch::new();
-        let stage = &mut Phase3::new(usize::MAX, metrics);
+        let stage = &Phase3::new(usize::MAX, metrics);
         let mut groups = Vec::new();
         let mut outcomes = Vec::with_capacity(queries.len());
         for (query, plan) in queries.iter().zip(&plans) {
-            let seed = cloud_seed(self.integrator.seed, query.gaussian());
-            let recovered = should_abort();
+            let mut shared = TableEvaluator {
+                table: group_table(&mut groups, query.gaussian()),
+                seed: cloud_seed(self.integrator.seed, query.gaussian()),
+                samples: self.integrator.samples,
+                grid: None,
+                stats: CloudStats::default(),
+            };
             let mut probabilities = Vec::new();
             let estimates = Some(&mut probabilities);
-            let out = if recovered {
-                if let Some(m) = metrics {
-                    m.record_batch_abort();
-                }
-                let mut solo = MonteCarloEvaluator::new(samples.get(), seed);
-                ex.run(tree, query, plan, &mut solo, scratch, stage, estimates)
-            } else {
-                let mut shared = TableEvaluator {
-                    table: group_table(&mut groups, query.gaussian()),
-                    seed,
-                    samples,
-                    grid: None,
-                    stats: CloudStats::default(),
-                };
-                ex.run(tree, query, plan, &mut shared, scratch, stage, estimates)
-            };
+            let out = ex.run(tree, query, plan, &mut shared, scratch, stage, estimates);
             outcomes.push(BatchOutcome {
                 answers: out.answers,
                 integrated: std::mem::take(&mut scratch.to_integrate),
                 probabilities,
                 stats: out.stats,
-                recovered,
             });
         }
 
         // A query that used its group's table built one grid; it drew
         // the table (a miss) or found it drawn (a hit).
-        let used_table = outcomes
-            .iter()
-            .filter(|o| !o.recovered && o.stats.cloud_builds == 1);
+        let used_table = outcomes.iter().filter(|o| o.stats.cloud_builds == 1);
         let misses = used_table
             .clone()
             .filter(|o| o.stats.phase3_samples > 0)
@@ -369,7 +302,7 @@ fn group_table<'a, const D: usize>(
 /// draws the group's offset table if no member has yet (counting the
 /// samples drawn), then builds its grid by re-centering the table on the
 /// query's mean. Decides every object by its estimate over the whole
-/// cloud, like [`MonteCarloEvaluator`].
+/// cloud, like [`MonteCarloEvaluator`](crate::evaluator::MonteCarloEvaluator).
 struct TableEvaluator<'g, const D: usize> {
     table: &'g mut Option<[Vec<f64>; D]>,
     seed: u64,
@@ -480,7 +413,6 @@ mod tests {
             );
             assert_eq!(outcome.stats.node_accesses, solo.stats.node_accesses);
             assert_eq!(outcome.stats.answers, solo.stats.answers);
-            assert!(!outcome.recovered);
         }
         let idle = &outcomes[3].stats;
         assert!(outcomes[3].integrated.is_empty());

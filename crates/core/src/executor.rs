@@ -16,8 +16,6 @@
 
 use crate::error::PrqError;
 use crate::evaluator::{ProbabilityEvaluator, Verdict};
-#[cfg(feature = "fault-inject")]
-use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{Phase, PipelineMetrics};
 use crate::query::PrqQuery;
 use crate::strategy::bf::{BfBounds, BfClass};
@@ -64,8 +62,8 @@ pub struct QueryStats {
     /// integrated object is measured against the whole cloud.
     pub phase3_samples: usize,
     /// Objects Phase 3 could not classify: a bracket still straddling
-    /// `θ`, an evaluator fault or the candidate cap (reported as
-    /// explicit [`Verdict::Uncertain`], never silently guessed).
+    /// `θ` or the candidate cap (reported as explicit
+    /// [`Verdict::Uncertain`], never silently guessed).
     pub uncertain: usize,
     /// Shared sample clouds built for Phase 3: one per query that
     /// integrates at least one object on the cloud path, drawn at its
@@ -274,9 +272,9 @@ impl<'c> PrqExecutor<'c> {
         E: ProbabilityEvaluator<D>,
     {
         let plan = self.plan(query)?;
-        let mut stage = Phase3::new(usize::MAX, self.metrics);
+        let stage = &Phase3::new(usize::MAX, self.metrics);
         let scratch = &mut QueryScratch::new();
-        Ok(self.run(tree, query, &plan, evaluator, scratch, &mut stage, None))
+        Ok(self.run(tree, query, &plan, evaluator, scratch, stage, None))
     }
 
     /// The three phases for one planned query — the one pipeline the
@@ -293,7 +291,7 @@ impl<'c> PrqExecutor<'c> {
         plan: &PreparedQuery<D>,
         evaluator: &mut E,
         scratch: &mut QueryScratch<'t, D, T>,
-        stage: &mut Phase3<'_>,
+        stage: &Phase3<'_>,
         estimates: Option<&mut Vec<f64>>,
     ) -> PrqOutcome<'t, D, T>
     where
@@ -512,7 +510,7 @@ where
     E: ProbabilityEvaluator<D>,
 {
     let plan = PreparedQuery::full_scan();
-    let stage = &mut Phase3::new(usize::MAX, None);
+    let stage = &Phase3::new(usize::MAX, None);
     let scratch = &mut QueryScratch::new();
     PrqExecutor::new(StrategySet::NONE).run(tree, query, &plan, evaluator, scratch, stage, None)
 }
@@ -523,8 +521,6 @@ pub enum UncertainCause {
     /// The evaluator stopped with its interval or bracket still
     /// straddling `θ`.
     IntervalStraddlesTheta,
-    /// The evaluator failed on this object.
-    EvaluatorFault,
     /// The candidate cap was hit before this object was evaluated.
     NotEvaluated,
 }
@@ -548,15 +544,12 @@ pub struct UncertainObject<'t, const D: usize, T> {
 /// filter survivor against `θ`, at most `max_candidates` of them, and
 /// close the query's record.
 ///
-/// The cap and evaluator failures never drop an object silently: it
+/// Neither the cap nor an undecided verdict drops an object silently: it
 /// comes back as an [`UncertainObject`] with its [`UncertainCause`].
 #[derive(Debug)]
 pub(crate) struct Phase3<'a> {
     max_candidates: usize,
     metrics: Option<&'a PipelineMetrics>,
-    /// Consulted at the `Evaluator` site.
-    #[cfg(feature = "fault-inject")]
-    pub(crate) faults: Option<&'a mut FaultPlan>,
 }
 
 impl<'a> Phase3<'a> {
@@ -566,18 +559,7 @@ impl<'a> Phase3<'a> {
         Phase3 {
             max_candidates,
             metrics,
-            #[cfg(feature = "fault-inject")]
-            faults: None,
         }
-    }
-
-    /// Whether an injected fault aborts the next evaluation.
-    fn evaluator_fault(&mut self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = self.faults.as_mut() {
-            return plan.trip(FaultSite::Evaluator);
-        }
-        false
     }
 
     /// Evaluates `work` (in order) for `query`, appending accepted and
@@ -587,7 +569,7 @@ impl<'a> Phase3<'a> {
     /// when given, receives each evaluated object's probability estimate
     /// in work-list order.
     pub(crate) fn run<'t, const D: usize, T, E>(
-        &mut self,
+        &self,
         query: &PrqQuery<D>,
         work: &[(&'t Vector<D>, &'t T)],
         evaluator: &mut E,
@@ -602,8 +584,6 @@ impl<'a> Phase3<'a> {
             let (estimate, cause) = if i >= self.max_candidates {
                 // Candidate cap: everything past it is reported, not dropped.
                 (None, UncertainCause::NotEvaluated)
-            } else if self.evaluator_fault() {
-                (None, UncertainCause::EvaluatorFault)
             } else {
                 let report = evaluator.evaluate(gaussian, point, delta, theta);
                 out.stats.integrations += 1;

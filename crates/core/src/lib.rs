@@ -61,8 +61,6 @@ pub mod evaluator;
 pub mod executor;
 pub mod explain;
 pub mod ext;
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 pub mod metrics;
 pub mod query;
 pub mod resilience;
@@ -79,8 +77,6 @@ pub use executor::{
     execute_naive, PrqExecutor, PrqOutcome, QueryStats, UncertainCause, UncertainObject,
 };
 pub use explain::{explain, explain_with_metrics, QueryPlan};
-#[cfg(feature = "fault-inject")]
-pub use fault::{FaultPlan, FaultSchedule, FaultSite};
 pub use metrics::{Phase, PipelineMetrics};
 pub use query::PrqQuery;
 pub use resilience::{

@@ -76,8 +76,6 @@ pub mod names {
     pub const RESILIENCE_REPAIRS: &str = "prq_resilience_repairs_total";
     /// Counter: strategy-fallback hops (strategy switches + naive scans).
     pub const RESILIENCE_FALLBACK_HOPS: &str = "prq_resilience_fallback_hops_total";
-    /// Counter: objects lost to evaluator faults.
-    pub const RESILIENCE_EVALUATOR_FAULTS: &str = "prq_resilience_evaluator_faults_total";
     /// Counter: budget-exhaustion events (the candidate cap was hit).
     pub const RESILIENCE_BUDGET_EXHAUSTED: &str = "prq_resilience_budget_exhausted_total";
     /// Counter: shared sample clouds built (one per query that integrates
@@ -102,10 +100,6 @@ pub mod names {
     /// Counter: batch queries that had to draw a fresh Σ-group offset
     /// table (the group's first integrating member).
     pub const BATCH_SIGMA_CACHE_MISSES: &str = "prq_batch_sigma_cache_misses";
-    /// Counter: batch members lost to an injected/internal fault and
-    /// recovered with a fresh `MonteCarloEvaluator` on the same seed
-    /// (every hop reported).
-    pub const BATCH_ABORTS: &str = "prq_batch_aborts_total";
 }
 
 /// The plan stage and the paper's three query-processing phases, used to
@@ -154,7 +148,6 @@ pub struct PipelineMetrics {
     phase3_duration: Arc<Histogram>,
     repairs: Arc<Counter>,
     fallback_hops: Arc<Counter>,
-    evaluator_faults: Arc<Counter>,
     budget_exhausted: Arc<Counter>,
     cloud_builds: Arc<Counter>,
     cloud_cells_scanned: Arc<Counter>,
@@ -164,7 +157,6 @@ pub struct PipelineMetrics {
     batch_queries: Arc<Counter>,
     batch_sigma_cache_hits: Arc<Counter>,
     batch_sigma_cache_misses: Arc<Counter>,
-    batch_aborts: Arc<Counter>,
 }
 
 impl Default for PipelineMetrics {
@@ -203,7 +195,6 @@ impl PipelineMetrics {
             phase3_duration: registry.histogram(names::PHASE3_DURATION_NS),
             repairs: registry.counter(names::RESILIENCE_REPAIRS),
             fallback_hops: registry.counter(names::RESILIENCE_FALLBACK_HOPS),
-            evaluator_faults: registry.counter(names::RESILIENCE_EVALUATOR_FAULTS),
             budget_exhausted: registry.counter(names::RESILIENCE_BUDGET_EXHAUSTED),
             cloud_builds: registry.counter(names::CLOUD_BUILDS),
             cloud_cells_scanned: registry.counter(names::CLOUD_CELLS_SCANNED),
@@ -213,7 +204,6 @@ impl PipelineMetrics {
             batch_queries: registry.counter(names::BATCH_QUERIES),
             batch_sigma_cache_hits: registry.counter(names::BATCH_SIGMA_CACHE_HITS),
             batch_sigma_cache_misses: registry.counter(names::BATCH_SIGMA_CACHE_MISSES),
-            batch_aborts: registry.counter(names::BATCH_ABORTS),
             registry,
             clock,
         }
@@ -270,7 +260,7 @@ impl PipelineMetrics {
     }
 
     /// Flushes a resilient execution's degradation report into the
-    /// repair / fallback / fault / budget counters.
+    /// repair / fallback / budget counters.
     pub fn record_report(&self, report: &DegradationReport) {
         for event in report.iter() {
             match event {
@@ -279,9 +269,6 @@ impl PipelineMetrics {
                 | DegradationReason::CovarianceRegularized { .. } => self.repairs.inc(),
                 DegradationReason::StrategySwitched { .. }
                 | DegradationReason::NaiveFallback { .. } => self.fallback_hops.inc(),
-                DegradationReason::EvaluatorFaults { objects } => {
-                    self.evaluator_faults.add(as_u64(*objects));
-                }
                 DegradationReason::BudgetExhausted { .. } => self.budget_exhausted.inc(),
             }
         }
@@ -289,20 +276,13 @@ impl PipelineMetrics {
 
     /// Records one finished batch: the batch itself, how many queries it
     /// carried, and the Σ-group table hit/miss split (hits + misses == the
-    /// queries that integrated and were not recovered; the others
-    /// consult no table).
+    /// queries that integrated; the others consult no table).
     pub fn record_batch(&self, queries: usize, sigma_cache_hits: usize, sigma_cache_misses: usize) {
         self.batches.inc();
         self.batch_queries.add(as_u64(queries));
         self.batch_sigma_cache_hits.add(as_u64(sigma_cache_hits));
         self.batch_sigma_cache_misses
             .add(as_u64(sigma_cache_misses));
-    }
-
-    /// Records one batch member lost to a fault and recovered with a
-    /// fresh evaluator.
-    pub fn record_batch_abort(&self) {
-        self.batch_aborts.inc();
     }
 }
 
@@ -400,13 +380,11 @@ mod tests {
         report.record(DegradationReason::NaiveFallback {
             cause: SwitchCause::ExecutionFailed,
         });
-        report.record(DegradationReason::EvaluatorFaults { objects: 5 });
         report.record(DegradationReason::BudgetExhausted { unresolved: 9 });
         m.record_report(&report);
         let snap = m.snapshot();
         assert_eq!(snap.counter(names::RESILIENCE_REPAIRS), Some(2));
         assert_eq!(snap.counter(names::RESILIENCE_FALLBACK_HOPS), Some(2));
-        assert_eq!(snap.counter(names::RESILIENCE_EVALUATOR_FAULTS), Some(5));
         assert_eq!(snap.counter(names::RESILIENCE_BUDGET_EXHAUSTED), Some(1));
     }
 
@@ -415,12 +393,10 @@ mod tests {
         let m = PipelineMetrics::new();
         m.record_batch(16, 14, 2);
         m.record_batch(4, 0, 4);
-        m.record_batch_abort();
         let snap = m.snapshot();
         assert_eq!(snap.counter(names::BATCHES), Some(2));
         assert_eq!(snap.counter(names::BATCH_QUERIES), Some(20));
         assert_eq!(snap.counter(names::BATCH_SIGMA_CACHE_HITS), Some(14));
         assert_eq!(snap.counter(names::BATCH_SIGMA_CACHE_MISSES), Some(6));
-        assert_eq!(snap.counter(names::BATCH_ABORTS), Some(1));
     }
 }

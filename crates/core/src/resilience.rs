@@ -23,7 +23,7 @@
 //! 3. **Capped Phase 3** ([`ResilientExecutor::with_max_candidates`]) —
 //!    the executor's one Phase-3 stage, evaluating at most the configured
 //!    number of candidates; objects it cannot settle (a bracket still
-//!    straddling `θ` at [`ExactEvaluator`]'s term cap, a fault, the cap)
+//!    straddling `θ` at [`ExactEvaluator`]'s term cap, or the cap)
 //!    come back as explicit [`Verdict::Uncertain`] entries, never as
 //!    unlabeled guesses.
 //!
@@ -38,14 +38,10 @@ use crate::evaluator::ProbabilityEvaluator;
 use crate::executor::{Phase3, PreparedQuery, PrqExecutor, QueryScratch, QueryStats};
 use crate::metrics::PipelineMetrics;
 use crate::query::PrqQuery;
-use crate::strategy::rr::FringeMode;
 use crate::strategy::StrategySet;
 use gprq_linalg::{LinalgError, Matrix, Vector};
 use gprq_rtree::Phase1Index;
 use std::fmt;
-
-#[cfg(feature = "fault-inject")]
-use crate::fault::{FaultPlan, FaultSite};
 
 pub use crate::evaluator::Verdict;
 pub use crate::executor::{UncertainCause, UncertainObject};
@@ -60,8 +56,6 @@ pub enum SwitchCause {
     NoPrimaryStrategy,
     /// The filtered pipeline returned an error at execution time.
     ExecutionFailed,
-    /// The index could not complete a Phase-1 traversal.
-    IndexUnavailable,
 }
 
 impl fmt::Display for SwitchCause {
@@ -70,7 +64,6 @@ impl fmt::Display for SwitchCause {
             SwitchCause::ThetaAboveHalf(t) => write!(f, "θ = {t} ≥ 1/2"),
             SwitchCause::NoPrimaryStrategy => write!(f, "no primary strategy"),
             SwitchCause::ExecutionFailed => write!(f, "filtered execution failed"),
-            SwitchCause::IndexUnavailable => write!(f, "index unavailable"),
         }
     }
 }
@@ -119,12 +112,6 @@ pub enum DegradationReason {
         /// Why filtering was abandoned.
         cause: SwitchCause,
     },
-    /// Some Phase-3 evaluations failed outright; the affected objects
-    /// are reported as uncertain.
-    EvaluatorFaults {
-        /// How many objects were affected.
-        objects: usize,
-    },
     /// The candidate cap was hit before every candidate was classified.
     BudgetExhausted {
         /// Objects left unclassified because of it.
@@ -152,9 +139,6 @@ impl fmt::Display for DegradationReason {
             }
             DegradationReason::NaiveFallback { cause } => {
                 write!(f, "fell back to naive full scan: {cause}")
-            }
-            DegradationReason::EvaluatorFaults { objects } => {
-                write!(f, "evaluator failed on {objects} object(s)")
             }
             DegradationReason::BudgetExhausted { unresolved } => {
                 write!(f, "candidate cap hit, {unresolved} object(s) unresolved")
@@ -379,9 +363,8 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
     pub terminal: TerminalStrategy,
 }
 
-/// The hardened executor: admission, strategy fallback, a capped
-/// Phase 3, and (behind the `fault-inject` feature) deterministic
-/// fault injection.
+/// The hardened executor: admission, strategy fallback and a capped
+/// Phase 3.
 ///
 /// ```
 /// use gprq_core::resilience::{ResilientExecutor, TerminalStrategy};
@@ -393,7 +376,7 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
 ///     .map(|i| (Vector::from([(i % 20) as f64 * 5.0, (i / 20) as f64 * 5.0]), i))
 ///     .collect();
 /// let tree = RTree::bulk_load(points, RStarParams::paper_default(2));
-/// let mut exec = ResilientExecutor::new(StrategySet::ALL);
+/// let exec = ResilientExecutor::new(StrategySet::ALL);
 /// let mut eval = Quadrature2dEvaluator::default();
 /// // θ = 0.7 would be a hard error for RR/OR; here it degrades to BF.
 /// let outcome = exec
@@ -402,14 +385,11 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
 /// assert!(outcome.report.is_degraded());
 /// assert_eq!(outcome.terminal, TerminalStrategy::Filtered(StrategySet::BF));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ResilientExecutor<'c> {
     strategies: StrategySet,
-    fringe_mode: FringeMode,
     max_candidates: usize,
     metrics: Option<&'c PipelineMetrics>,
-    #[cfg(feature = "fault-inject")]
-    faults: Option<FaultPlan>,
 }
 
 impl<'c> ResilientExecutor<'c> {
@@ -417,11 +397,8 @@ impl<'c> ResilientExecutor<'c> {
     pub fn new(strategies: StrategySet) -> Self {
         ResilientExecutor {
             strategies,
-            fringe_mode: FringeMode::PaperFaithful,
             max_candidates: usize::MAX,
             metrics: None,
-            #[cfg(feature = "fault-inject")]
-            faults: None,
         }
     }
 
@@ -429,12 +406,6 @@ impl<'c> ResilientExecutor<'c> {
     /// counters, and the repair/fallback counters all record into it.
     pub fn with_metrics(mut self, metrics: &'c PipelineMetrics) -> Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Overrides the fringe-filter mode (see [`FringeMode`]).
-    pub fn with_fringe_mode(mut self, mode: FringeMode) -> Self {
-        self.fringe_mode = mode;
         self
     }
 
@@ -454,22 +425,6 @@ impl<'c> ResilientExecutor<'c> {
         self
     }
 
-    /// Arms a deterministic fault plan; every subsequent execution
-    /// consults it at each fault site.
-    #[cfg(feature = "fault-inject")]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    #[cfg(feature = "fault-inject")]
-    fn fault_trips(&mut self, site: FaultSite) -> bool {
-        match &mut self.faults {
-            Some(plan) => plan.trip(site),
-            None => false,
-        }
-    }
-
     /// Runs the full resilient pipeline on raw query parameters.
     ///
     /// Unlike [`PrqExecutor::execute`], this takes the raw `(q, Σ, δ,
@@ -485,7 +440,7 @@ impl<'c> ResilientExecutor<'c> {
     /// [`PrqError::InvalidTheta`] (non-finite θ),
     /// [`PrqError::InvalidCenter`], [`PrqError::BadCovariance`].
     pub fn execute<'t, const D: usize, T, I, E>(
-        &mut self,
+        &self,
         tree: &'t I,
         center: Vector<D>,
         covariance: Matrix<D>,
@@ -498,17 +453,6 @@ impl<'c> ResilientExecutor<'c> {
         E: ProbabilityEvaluator<D>,
     {
         let mut report = DegradationReport::new();
-
-        // Fault: degrade Σ to a rank-1 (singular) matrix before
-        // admission, forcing the ridge-repair path.
-        #[cfg(feature = "fault-inject")]
-        let covariance = if self.fault_trips(FaultSite::SigmaDegeneracy) {
-            let fill = covariance.trace().abs().max(1.0) / D.max(1) as f64;
-            Matrix::from_fn(|_, _| fill)
-        } else {
-            covariance
-        };
-
         let query = admit(center, covariance, delta, theta, &mut report)?;
 
         // --- Preflight strategy fallback chain. ------------------------
@@ -542,14 +486,7 @@ impl<'c> ResilientExecutor<'c> {
             }
         }
 
-        // Fault: the index cannot complete a traversal — fall back to
-        // the scan.
-        #[cfg(feature = "fault-inject")]
-        if naive_cause.is_none() && self.fault_trips(FaultSite::Phase1Traversal) {
-            naive_cause = Some(SwitchCause::IndexUnavailable);
-        }
-
-        let mut exec = PrqExecutor::new(strategies).with_fringe_mode(self.fringe_mode);
+        let mut exec = PrqExecutor::new(strategies);
         if let Some(metrics) = self.metrics {
             exec = exec.with_metrics(metrics);
         }
@@ -567,26 +504,16 @@ impl<'c> ResilientExecutor<'c> {
             }
         };
 
-        let mut stage = Phase3::new(self.max_candidates, self.metrics);
-        #[cfg(feature = "fault-inject")]
-        {
-            stage.faults = self.faults.as_mut();
-        }
+        let stage = &Phase3::new(self.max_candidates, self.metrics);
         let scratch = &mut QueryScratch::new();
-        let outcome = exec.run(tree, &query, &plan, evaluator, scratch, &mut stage, None);
-        let (mut capped, mut faulted) = (0, 0);
-        for object in &outcome.uncertain {
-            match object.cause {
-                UncertainCause::NotEvaluated => capped += 1,
-                UncertainCause::EvaluatorFault => faulted += 1,
-                UncertainCause::IntervalStraddlesTheta => {}
-            }
-        }
+        let outcome = exec.run(tree, &query, &plan, evaluator, scratch, stage, None);
+        let capped = outcome
+            .uncertain
+            .iter()
+            .filter(|object| object.cause == UncertainCause::NotEvaluated)
+            .count();
         if capped > 0 {
             report.record(DegradationReason::BudgetExhausted { unresolved: capped });
-        }
-        if faulted > 0 {
-            report.record(DegradationReason::EvaluatorFaults { objects: faulted });
         }
         if let Some(metrics) = self.metrics {
             metrics.record_report(&report);
@@ -610,6 +537,7 @@ mod tests {
     use gprq_rtree::{FlatRTree, RStarParams, RTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn sigma_paper() -> Matrix<2> {
         let s3 = 3.0f64.sqrt();
@@ -713,6 +641,27 @@ mod tests {
         // And it is genuinely well-conditioned now.
         let cond = cov.condition_number().unwrap();
         assert!(cond <= MAX_CONDITION);
+
+        // The whole pipeline answers on the repaired Σ, and says so once.
+        let tree = random_tree(2_000, 7);
+        let outcome = ResilientExecutor::new(StrategySet::ALL)
+            .execute(
+                &tree,
+                Vector::from([500.0, 500.0]),
+                singular,
+                25.0,
+                0.01,
+                &mut oracle(),
+            )
+            .unwrap();
+        let repairs = outcome
+            .report
+            .iter()
+            .filter(|r| matches!(r, DegradationReason::CovarianceRegularized { .. }))
+            .count();
+        assert_eq!(repairs, 1, "{}", outcome.report);
+        assert_eq!(outcome.stats.answers, outcome.answers.len());
+        assert_eq!(outcome.stats.uncertain, outcome.uncertain.len());
     }
 
     #[test]
@@ -752,7 +701,7 @@ mod tests {
         let plain = PrqExecutor::new(StrategySet::ALL)
             .execute(&tree, &query, &mut plain_eval)
             .unwrap();
-        let mut res = ResilientExecutor::new(StrategySet::ALL);
+        let res = ResilientExecutor::new(StrategySet::ALL);
         let outcome = res
             .execute(
                 &tree,
@@ -788,7 +737,7 @@ mod tests {
             or: false,
             bf: false,
         };
-        let mut res = ResilientExecutor::new(none);
+        let res = ResilientExecutor::new(none);
         let outcome = res
             .execute(
                 &tree,
@@ -846,14 +795,26 @@ mod tests {
         (outcome, eval.0)
     }
 
-    /// Caps 3 and 0 against the uncapped run. Cap 0 is the exact dry
-    /// run: nothing is evaluated and every object Phase 3 would
-    /// integrate is reported.
+    /// Caps 3 and 0 against the uncapped run and the naive scan. Cap 0
+    /// is the exact dry run: nothing is evaluated and every object
+    /// Phase 3 would integrate is reported. Under any cap, every answer
+    /// is a true answer and every true answer is answered or uncertain.
     fn assert_cap_reports_the_tail<I: Phase1Index<2, usize>>(index: &I) {
         let full = run_capped(index, usize::MAX).0.stats.integrations;
         assert!(full > 3);
+        let query = PrqQuery::new(Vector::from([500.0, 500.0]), sigma_paper(), 25.0, 0.01).unwrap();
+        let truth: BTreeSet<usize> = crate::executor::execute_naive(index, &query, &mut oracle())
+            .answers
+            .iter()
+            .map(|(_, d)| **d)
+            .collect();
         for cap in [3, 0] {
             let (outcome, asked) = run_capped(index, cap);
+            let answers: BTreeSet<usize> = outcome.answers.iter().map(|(_, d)| **d).collect();
+            let uncertain: BTreeSet<usize> = outcome.uncertain.iter().map(|u| *u.data).collect();
+            assert!(answers.is_subset(&truth), "cap {cap}");
+            assert!(truth.is_subset(&(&answers | &uncertain)), "cap {cap}");
+            assert!(answers.is_disjoint(&uncertain), "cap {cap}");
             let s = outcome.stats;
             assert_eq!((s.integrations, asked, s.uncertain), (cap, cap, full - cap));
             let capped: Vec<usize> = outcome
@@ -896,7 +857,7 @@ mod tests {
         let tree = random_tree(3_000, 19);
         // RR alone never sure-accepts, so every Phase-2 survivor needs
         // integration: the first draws the cloud, the rest are cut off.
-        let mut res = ResilientExecutor::new(StrategySet::RR).with_max_candidates(1);
+        let res = ResilientExecutor::new(StrategySet::RR).with_max_candidates(1);
         let mut eval = MonteCarloEvaluator::new(20_000, 8);
         let outcome = res
             .execute(

@@ -92,7 +92,6 @@ fn cache_counters_flow_into_pipeline_metrics() {
     // Each batch: 2 misses + 2 hits.
     assert_eq!(snap.counter(names::BATCH_SIGMA_CACHE_HITS), Some(4));
     assert_eq!(snap.counter(names::BATCH_SIGMA_CACHE_MISSES), Some(4));
-    assert_eq!(snap.counter(names::BATCH_ABORTS), Some(0));
     // The per-query flush path ran once per query: 8 queries total.
     assert_eq!(snap.counter(names::QUERIES), Some(8));
     // And Phase 3 built one grid per query per batch.

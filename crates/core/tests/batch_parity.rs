@@ -117,7 +117,6 @@ fn assert_batch_matches_solo<I>(
         let solo_ids: Vec<usize> = solo.answers.iter().map(|(_, d)| **d).collect();
         assert_eq!(batch_ids, solo_ids, "{label}: answer sets diverge");
         assert_counters_equal(&outcome.stats, &solo.stats, &label);
-        assert!(!outcome.recovered, "{label}: no faults were injected");
         // A query that integrates nothing draws nothing, either way.
         if outcome.integrated.is_empty() {
             for stats in [&outcome.stats, &solo.stats] {

@@ -176,7 +176,7 @@ where
     assert_totals(&metrics, &total, queries.len(), &format!("plain, {label}"));
 
     let metrics = PipelineMetrics::new();
-    let mut resilient = ResilientExecutor::new(StrategySet::ALL).with_metrics(&metrics);
+    let resilient = ResilientExecutor::new(StrategySet::ALL).with_metrics(&metrics);
     let mut total = QueryStats::default();
     let mut integrating = 0;
     for (q, query) in queries.iter().enumerate() {
@@ -320,41 +320,4 @@ fn side_queries_leave_no_cloud_stats_behind() {
     let outcome = prq_uncertain_targets(query, &targets, &mut eval).unwrap();
     assert!(outcome.integrations > 0, "BF decided every target");
     next_query_is_clean(&mut eval, "prq_uncertain_targets");
-}
-
-/// Recovered batch members run the Phase-3 stage solo and still flush
-/// exactly once, with the samples their fresh cloud drew.
-#[cfg(feature = "fault-inject")]
-#[test]
-fn recovered_batch_counters_match_stats() {
-    use gprq_core::{FaultPlan, FaultSchedule, FaultSite};
-    let (tree, _) = backends();
-    let queries = queries();
-    let metrics = PipelineMetrics::new();
-    let executor = PrqExecutor::new(StrategySet::ALL).with_metrics(&metrics);
-    let integrator = ParallelIntegrator::new(SAMPLES, 7, 1).unwrap();
-    let mut batch = QueryBatch::new(executor, integrator);
-    let mut plan = FaultPlan::quiet().with_schedule(FaultSite::BatchAbort, FaultSchedule::Always);
-    let mut total = QueryStats::default();
-    let mut integrating = 0;
-    for (q, outcome) in batch
-        .execute_with_faults(&tree, &queries, &mut plan)
-        .unwrap()
-        .iter()
-        .enumerate()
-    {
-        assert!(outcome.recovered);
-        let label = format!("recovered batch, query {q}");
-        integrating += usize::from(assert_draws_only_when_integrating(
-            &outcome.stats,
-            1,
-            &label,
-        ));
-        total.merge(&outcome.stats);
-    }
-    assert_eq!(integrating, INTEGRATING_QUERIES);
-    assert_eq!(total.phase3_samples, integrating * SAMPLES);
-    // Recovered queries make no table lookup.
-    assert_eq!((batch.cache().hits(), batch.cache().misses()), (0, 0));
-    assert_totals(&metrics, &total, queries.len(), "recovered batch");
 }

@@ -51,7 +51,7 @@ fn every_combination_reaches_a_terminal_strategy() {
     for theta in THETAS {
         for set in all_strategy_sets() {
             let label = format!("θ={theta} {}", set.name());
-            let mut exec = ResilientExecutor::new(set);
+            let exec = ResilientExecutor::new(set);
             let mut eval = Quadrature2dEvaluator::default();
             let outcome = exec
                 .execute(&tree, center, sigma, 50.0, theta, &mut eval)
@@ -193,7 +193,7 @@ fn capped_bracket_is_reported_uncertain() {
         .unwrap();
     check("plain", &plain.stats, &plain.uncertain);
 
-    let mut exec = ResilientExecutor::new(StrategySet::RR);
+    let exec = ResilientExecutor::new(StrategySet::RR);
     let resilient = exec
         .execute(
             &tree,
@@ -263,7 +263,7 @@ fn route<I: Phase1Index<2, u32>>(
     sigma: Matrix<2>,
     theta: f64,
 ) -> ResilientOutcome<'_, 2, u32> {
-    let mut exec = ResilientExecutor::new(set);
+    let exec = ResilientExecutor::new(set);
     let mut eval = Quadrature2dEvaluator::default();
     exec.execute(index, center, sigma, 25.0, theta, &mut eval)
         .unwrap()

@@ -138,7 +138,7 @@ mod resilience_prop {
                 .collect();
             let tree = RTree::bulk_load(points, RStarParams::paper_default(2));
 
-            let mut exec = ResilientExecutor::new(StrategySet::ALL);
+            let exec = ResilientExecutor::new(StrategySet::ALL);
             let mut eval = Quadrature2dEvaluator::default();
             let outcome = exec.execute(&tree, Vector::from([40.0, 40.0]), sigma, 15.0, theta, &mut eval);
             if let Ok(outcome) = outcome {
